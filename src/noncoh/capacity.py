@@ -3,16 +3,17 @@
 For each SNR the nonzero mass point is tied to its probability through
 x2^2 = P/a2, so the mutual information becomes a function of a2 alone;
 the optimum satisfies dI/da2 = 0 and is located by scanning the analytic
-derivative for sign changes and refining each bracket.  The maximum only
-depends on P and sigma^2 through their ratio.
+derivative for sign changes and refining each bracket.  The whole scan grid
+is evaluated in one array-valued dI/da2 call; brentq then refines each
+bracket with scalar calls.  A sweep solves its SNR points in order on the
+calling thread.  The maximum only depends on P and sigma^2 through their
+ratio.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,13 @@ from scipy.optimize import brentq
 
 from .channel import ChannelParams, TwoPointInput, snr_to_db
 from .errors import NearSingularAlpha, SolverFailure
-from .mi import DEFAULT_POLICY, EvalPolicy, mi_derivative_a2, mutual_information
+from .mi import (
+    DEFAULT_POLICY,
+    EvalPolicy,
+    mi_derivative_a2,
+    mi_derivative_a2_capacity,
+    mutual_information,
+)
 
 LOG2 = math.log(2.0)
 
@@ -85,6 +92,15 @@ def _deriv_at(a2: float, ch: ChannelParams, policy: EvalPolicy) -> float:
         return _fd_deriv_bounded(lambda t: _mi_at(t, ch, policy), a2, 0.0, 1.0)
 
 
+def _grid_derivs(grid, ch: ChannelParams, policy: EvalPolicy) -> np.ndarray:
+    """dI/da2 on the bracketing grid from one array call; each entry next to
+    alpha = 1/n goes through _deriv_at and its finite-difference fallback."""
+    dvals, near = mi_derivative_a2_capacity(grid, ch, policy)
+    for i in np.flatnonzero(near):
+        dvals[i] = _deriv_at(float(grid[i]), ch, policy)
+    return dvals
+
+
 def _golden_max(f, lo, hi, tol):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -122,7 +138,7 @@ def solve_a2_star(
     ch = ChannelParams(sigma2=sigma2, power_budget=snr_linear * sigma2)
     deriv = lambda a2: _deriv_at(a2, ch, policy)
     grid = np.linspace(_A2_EDGE, 1.0 - _A2_EDGE, cfg.grid_points_for_bracketing)
-    dvals = np.array([deriv(a) for a in grid])
+    dvals = _grid_derivs(grid, ch, policy)
     roots = []
     for i in range(len(grid) - 1):
         lo, hi = float(grid[i]), float(grid[i + 1])
@@ -161,13 +177,6 @@ def solve_a2_star(
     )
 
 
-def _thread_count() -> int:
-    env = os.environ.get("NONCOH_THREADS", "")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def sweep(
     cfg: SweepConfig,
     ch: ChannelParams | None = None,
@@ -180,22 +189,18 @@ def sweep(
     A nonmonotone i_star sequence (beyond 1e-9) raises a warning.
     """
     sigma2 = ch.sigma2 if ch is not None else 1.0
-    n_steps = int(round((cfg.snr_db_stop - cfg.snr_db_start) / cfg.snr_db_step))
-    dbs = [cfg.snr_db_start + i * cfg.snr_db_step for i in range(n_steps + 1)]
-
-    def solve_one(db):
+    # the slack absorbs rounding in the quotient without admitting a point
+    # past snr_db_stop
+    n_steps = math.floor((cfg.snr_db_stop - cfg.snr_db_start) / cfg.snr_db_step + 1e-9)
+    points = []
+    for i in range(n_steps + 1):
+        db = cfg.snr_db_start + i * cfg.snr_db_step
         try:
-            return solve_a2_star(10.0 ** (db / 10.0), cfg, sigma2=sigma2, policy=policy)
+            points.append(solve_a2_star(10.0 ** (db / 10.0), cfg, sigma2=sigma2,
+                                        policy=policy))
         except SolverFailure:
-            return CapacityPoint(db, 10.0 ** (db / 10.0), math.nan, math.nan,
-                                 math.nan, "FAILED", 0, math.nan)
-
-    workers = min(_thread_count(), len(dbs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(solve_one, dbs))
-    else:
-        points = [solve_one(db) for db in dbs]
+            points.append(CapacityPoint(db, 10.0 ** (db / 10.0), math.nan, math.nan,
+                                        math.nan, "FAILED", 0, math.nan))
     for prev, cur in zip(points, points[1:]):
         if (
             math.isfinite(prev.i_star_nats)

@@ -324,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-db", type=float, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--sigma2", type=float, default=1.0)
-    p.add_argument("--solver-tol", type=float, default=1e-10)
+    p.add_argument("--solver-tol", type=float, default=None,
+                   help="root tolerance (default: config solver_tol, else 1e-10)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
@@ -348,9 +349,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        policy = _build_policy(_load_config(args.config))
+        cfg = _load_config(args.config)
+        policy = _build_policy(cfg)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))  # exits 2
+    if args.command == "sweep" and args.solver_tol is None:
+        # flags beat config, config beats defaults
+        args.solver_tol = cfg.get("solver_tol", SweepConfig.solver_tol)
     try:
         return args.func(args, policy)
     except ConsistencyError as exc:

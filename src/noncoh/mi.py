@@ -41,6 +41,7 @@ from .errors import (
     ConsistencyError,
     DegenerateInput,
     DomainError,
+    MissingPowerBudget,
     NearSingularAlpha,
     NoConvergence,
 )
@@ -350,6 +351,41 @@ def hyp3f2_sin_identity_residual(
     return s - specfun.pi_csc_recip(alpha)
 
 
+def _near_integer(v, guard):
+    """sigma^2/x2^2 within guard of an integer, where alpha nears 1/n and
+    the derivative kernel loses its accuracy."""
+    return np.abs(v - np.rint(v)) < guard
+
+
+def _dI_da2(a2, x2sq, x2sq_p, v_p, s2, cfg):
+    """The chain rule for dI/da2 over the beta>=1 closed form of both J
+    integrals, elementwise over a2 and x2sq (floats or arrays), with one
+    kernel call for all of them.  x2sq_p and v_p are the a2-derivatives of
+    x2^2 and of sigma^2/x2^2."""
+    a1 = 1.0 - a2
+    big = x2sq + s2
+    big_p = x2sq_p
+    v = s2 / x2sq
+    u = (a1 / a2) * (big / s2)
+    u_p = (-1.0 / a2**2) * (big / s2) + (a1 / a2) * (big_p / s2)
+    # row 0 serves J(0), row 1 serves J(x2)
+    b = np.array([2.0 + v, 1.0 + v])
+    fam = specfun.hyp2f1_1b(b, u, cfg)
+    # (u/b) * 2F1(1, b; b+1; -u) and its a2-derivative
+    hyp = (u / b) * fam.value
+    hyp_p = (u_p * b - u * v_p) / b**2 * fam.value + (u / b) * (
+        v_p * fam.d_db - u_p * fam.d_dz
+    )
+    j0 = -s2 / big + np.log(a2) - np.log(big) + np.log1p(u) - hyp[0]
+    j2 = -1.0 + np.log(a2) - np.log(big) + np.log1p(u) - hyp[1]
+    j0_p = s2 * big_p / big**2 + 1.0 / a2 - big_p / big + u_p / (1.0 + u) - hyp_p[0]
+    j2_p = 1.0 / a2 - big_p / big + u_p / (1.0 + u) - hyp_p[1]
+    return (
+        np.log(s2) - np.log(big) - a2 * big_p / big
+        + j0 - a1 * j0_p - j2 - a2 * j2_p
+    )
+
+
 def mi_derivative_a2(
     inp: TwoPointInput,
     ch: ChannelParams,
@@ -367,7 +403,6 @@ def mi_derivative_a2(
     a2 = inp.a2
     if a2 <= 0.0 or a2 >= 1.0:
         raise DegenerateInput("derivative requires 0 < a2 < 1")
-    a1 = 1.0 - a2
     s2 = ch.sigma2
     capacity = ch.power_budget is not None
     if capacity:
@@ -386,42 +421,36 @@ def mi_derivative_a2(
         x2sq = inp.x2**2
         x2sq_p = 0.0
         v_p = 0.0
-    big = x2sq + s2
-    big_p = x2sq_p
     v = s2 / x2sq
-    if abs(v - round(v)) < policy.deriv_guard:
+    if _near_integer(v, policy.deriv_guard):
         raise NearSingularAlpha(
             f"sigma^2/x2^2 = {v} too close to an integer (alpha near 1/n)"
         )
-    u = (a1 / a2) * (big / s2)
-    u_p = (-1.0 / a2**2) * (big / s2) + (a1 / a2) * (big_p / s2)
-    b0, b2 = 2.0 + v, 1.0 + v
-    fam0 = specfun.hyp2f1_1b(b0, u, policy.series)
-    fam2 = specfun.hyp2f1_1b(b2, u, policy.series)
+    return float(_dI_da2(a2, x2sq, x2sq_p, v_p, s2, policy.series))
 
-    def hyp_term_derivative(b, fam):
-        # d/da2 of (u/b) * 2F1(1, b; b+1; -u)
-        return (u_p * b - u * v_p) / b**2 * fam.value + (u / b) * (
-            v_p * fam.d_db - u_p * fam.d_dz
-        )
 
-    j0 = (
-        -s2 / big + math.log(a2) - math.log(big) + math.log1p(u)
-        - (u / b0) * fam0.value
-    )
-    j2 = (
-        -1.0 + math.log(a2) - math.log(big) + math.log1p(u)
-        - (u / b2) * fam2.value
-    )
-    j0_p = (
-        s2 * big_p / big**2 + 1.0 / a2 - big_p / big + u_p / (1.0 + u)
-        - hyp_term_derivative(b0, fam0)
-    )
-    j2_p = (
-        1.0 / a2 - big_p / big + u_p / (1.0 + u)
-        - hyp_term_derivative(b2, fam2)
-    )
-    return (
-        math.log(s2) - math.log(big) - a2 * big_p / big
-        + j0 - a1 * j0_p - j2 - a2 * j2_p
-    )
+def mi_derivative_a2_capacity(
+    a2,
+    ch: ChannelParams,
+    policy: EvalPolicy = DEFAULT_POLICY,
+) -> tuple[np.ndarray, np.ndarray]:
+    """dI/da2 with x2^2 = P/a2 at every entry of the array a2, in one kernel
+    call: the formula of mi_derivative_a2 in capacity mode, batched.
+
+    Returns (values, near_singular).  Entries where mi_derivative_a2 would
+    raise NearSingularAlpha are flagged in near_singular and left NaN in
+    values, so the caller chooses their fallback.
+    """
+    a2 = np.asarray(a2, dtype=float)
+    if not ((a2 > 0.0) & (a2 < 1.0)).all():
+        raise DegenerateInput("derivative requires 0 < a2 < 1")
+    if ch.power_budget is None:
+        raise MissingPowerBudget("capacity mode needs ChannelParams.power_budget")
+    p_bud, s2 = ch.power_budget, ch.sigma2
+    x2sq = p_bud / a2
+    near = _near_integer(s2 / x2sq, policy.deriv_guard)
+    ok = ~near
+    values = np.full(a2.shape, np.nan)
+    values[ok] = _dI_da2(a2[ok], x2sq[ok], -p_bud / a2[ok] ** 2, s2 / p_bud,
+                         s2, policy.series)
+    return values, near

@@ -1,16 +1,18 @@
 """Real-argument special functions used by the closed-form expressions.
 
-Everything here is scalar double-precision: Pochhammer symbols, the
-generalized hypergeometric series pFq with truncation diagnostics, the Gauss
-2F1 on the real axis left of z = 1, the digamma function, the (real branch
-of the) incomplete beta integral, and partial sums of the alternating
-log(1+q) series.  A dedicated evaluator for the family 2F1(1, b; b+1; -u)
-together with its parameter and argument derivatives backs the analytic
-mutual-information derivative.
+Scalar double-precision: Pochhammer symbols, the generalized
+hypergeometric series pFq with truncation diagnostics, the Gauss 2F1 on the
+real axis left of z = 1, the digamma function, the (real branch of the)
+incomplete beta integral, and partial sums of the alternating log(1+q)
+series.  A dedicated evaluator for the family 2F1(1, b; b+1; -u) together
+with its parameter and argument derivatives backs the analytic
+mutual-information derivative; it takes scalars or arrays of (b, u) through
+one vectorized code path.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,22 +90,39 @@ def _term_ratio(numer, denom, z, k):
     return r
 
 
+@functools.lru_cache(maxsize=8)
+def _euler_weights(n: int, dtype: np.dtype) -> np.ndarray:
+    """(n, n) matrix whose row L maps n partial sums to the last entry of
+    their L-th iterated pairwise average: weights 2^-L C(L, j) on the last
+    L+1 columns, built by halving Pascal's rule in the target dtype."""
+    w = np.zeros((n, n), dtype=dtype)
+    row = np.ones(1, dtype=dtype)
+    w[0, -1] = 1.0
+    for level in range(1, n):
+        row = 0.5 * (np.append(row, 0.0) + np.append(0.0, row)).astype(dtype)
+        w[level, n - 1 - level:] = row
+    w.setflags(write=False)
+    return w
+
+
 def _euler_average(terms):
     """Sum an (eventually) alternating tail by iterated pairwise averaging
-    of its partial sums.  Returns (value, error_estimate); the value keeps
-    the dtype of the input terms."""
-    s = np.cumsum(terms)
-    prev = s[-1]
-    best = prev
-    best_err = abs(float(terms[-1]))
-    while s.size > 1:
-        s = 0.5 * (s[:-1] + s[1:])
-        cur = s[-1]
-        err = abs(float(cur - prev))
-        if err < best_err:
-            best, best_err = cur, err
-        prev = cur
-    return best, best_err
+    of its partial sums.
+
+    The tail runs along the last axis of terms; every averaging level is
+    formed at once and the first level with the smallest change from the
+    level before it is kept (level 0 is judged by the size of the last
+    term).  Returns (value, error_estimate) with the leading shape of terms,
+    numpy scalars for a 1-D tail; the value keeps the dtype of the terms."""
+    s = np.cumsum(terms, axis=-1)
+    n = s.shape[-1]
+    levels = np.einsum("...j,lj->...l", s, _euler_weights(n, s.dtype)).reshape(-1, n)
+    err = np.empty_like(levels)
+    err[:, 0] = np.abs(terms.reshape(-1, n)[:, -1])
+    np.abs(levels[:, 1:] - levels[:, :-1], out=err[:, 1:])
+    rows, pick = np.arange(levels.shape[0]), err.argmin(axis=1)
+    shape = terms.shape[:-1]
+    return levels[rows, pick].reshape(shape)[()], err[rows, pick].reshape(shape)[()]
 
 
 def hyp_pfq(numer, denom, z, cfg: SpecfunConfig = DEFAULT_CONFIG) -> SeriesResult:
@@ -327,29 +346,30 @@ def pi_csc_recip(alpha: float) -> float:
     return float(_PI_LD / s)
 
 
-def _sin_cos_pi_ld(b_ld):
-    """sin(pi*b) and cos(pi*b) in long double with exact period reduction."""
-    n = int(np.rint(float(b_ld)))
-    r = b_ld - _LD(n)
-    s = np.sin(_PI_LD * r)
-    c = np.cos(_PI_LD * r)
-    if n % 2 == 1:
-        s, c = -s, -c
-    return s, c
-
-
 @dataclass(frozen=True)
 class F21Family:
-    """2F1(1, b; b+1; -u) with partial derivatives d/db and d/dz at z=-u."""
+    """2F1(1, b; b+1; -u) with partial derivatives d/db and d/dz at z=-u.
 
-    value: float
-    d_db: float
-    d_dz: float
+    Floats for a scalar call, arrays of the broadcast (b, u) shape
+    otherwise."""
+
+    value: float | np.ndarray
+    d_db: float | np.ndarray
+    d_dz: float | np.ndarray
 
 
-def hyp2f1_1b(b: float, u: float, cfg: SpecfunConfig = DEFAULT_CONFIG) -> F21Family:
+# Near u = 1 the alternating series are summed over a direct head and a
+# tail resummed by _euler_average.
+_EULER_HEAD, _EULER_TAIL = 24, 72
+
+
+def hyp2f1_1b(b, u, cfg: SpecfunConfig = DEFAULT_CONFIG) -> F21Family:
     """Evaluate phi(b, u) = 2F1(1, b; b+1; -u) together with its partials
     for u >= 0 and b > 0 (b bounded away from integers when u >= 1).
+
+    b and u are scalars or arrays that broadcast together; all elements are
+    evaluated in one vectorized pass, a scalar call being the size-1 case,
+    and one invalid element raises for the whole call.
 
     The same mathematical objects written as hypergeometric series are
     d/dz phi = [b/(1+b)] 2F1(2, 1+b; 2+b; z) and
@@ -363,85 +383,113 @@ def hyp2f1_1b(b: float, u: float, cfg: SpecfunConfig = DEFAULT_CONFIG) -> F21Fam
     (and its derivatives) in extended precision; near u = 1 the alternating
     tails are resummed by iterated pairwise averaging.
     """
-    b = float(b)
-    u = float(u)
-    if u < 0.0:
+    b_arr, u_arr = np.broadcast_arrays(np.asarray(b, dtype=float),
+                                       np.asarray(u, dtype=float))
+    if not (u_arr >= 0.0).all():
         raise DomainError("hyp2f1_1b expects u >= 0 (argument z = -u)")
-    if b <= 0.0:
+    if not (b_arr > 0.0).all():
         raise DomainError("hyp2f1_1b expects b > 0")
-    dist = abs(b - np.rint(b))
-    if u >= 1.0 and dist < 1e-8:
-        raise DomainError(
-            f"b={b} too close to an integer for the continuation formula"
-        )
-    if u < 1.0:
-        return _family_direct(b, u, cfg)
-    return _family_star(b, u)
+    bf, uf = b_arr.ravel(), u_arr.ravel()
+    star = uf >= 1.0
+    out = np.empty((3, bf.size))
+    if star.any():
+        bs = bf[star]
+        near = np.abs(bs - np.rint(bs)) < 1e-8
+        if near.any():
+            raise DomainError(
+                f"b={bs[near][0]} too close to an integer for the "
+                "continuation formula"
+            )
+        out[:, star] = _family_star(bs, uf[star])
+    direct = ~star
+    if direct.any():
+        out[:, direct] = _family_direct(bf[direct], uf[direct], cfg)
+    value, d_db, d_dz = out.reshape((3,) + b_arr.shape)
+    if b_arr.ndim == 0:
+        return F21Family(float(value), float(d_db), float(d_dz))
+    return F21Family(value, d_db, d_dz)
+
+
+def _geometric(first, ratio, n):
+    """first * ratio^k for k < n along a new last axis (one row per element
+    of ratio), by cumulative product in long double."""
+    g = np.empty((ratio.size, n), dtype=_LD)
+    g[:, 0] = first
+    g[:, 1:] = ratio[:, None]
+    return np.cumprod(g, axis=1, out=g)
+
+
+def _series_sums(make_terms, n_terms, euler, *cols):
+    """Sums (3, rows) of the three term rows make_terms(*cols, n) returns,
+    each row over its first n_terms[row] terms; rows flagged euler sum a
+    head directly and resum the tail.  Rows are padded in blocks of similar
+    length, so a short row never costs more than twice its own terms."""
+    out = np.empty((3, n_terms.size), dtype=_LD)
+    size_class = np.frexp(n_terms)[1]
+    for size in np.unique(size_class):
+        rows = size_class == size
+        n = n_terms[rows]
+        terms = make_terms(*(c[rows] for c in cols), int(n.max()))
+        terms *= np.arange(terms.shape[-1]) < n[:, None]
+        sums = terms.sum(axis=-1)
+        tail = euler[rows]
+        if tail.any():
+            block = terms[:, tail, :_EULER_HEAD + _EULER_TAIL]
+            sums[:, tail] = (block[..., :_EULER_HEAD].sum(axis=-1)
+                             + _euler_average(block[..., _EULER_HEAD:])[0])
+        out[:, rows] = sums
+    return out
+
+
+def _direct_terms(b, u, n):
+    k = np.arange(n, dtype=float)
+    bc = b[:, None]
+    zk = _geometric(1.0, -u, n).astype(float)  # (-u)^k
+    t_dz = np.zeros_like(zk)
+    t_dz[:, 1:] = (bc * k[1:] / (bc + k[1:])) * zk[:, :-1]
+    return np.array([(bc / (bc + k)) * zk, (k / (bc + k) ** 2) * zk, t_dz])
 
 
 def _family_direct(b, u, cfg):
-    if u == 0.0:
-        return F21Family(1.0, 0.0, b / (b + 1.0))
-    if u <= 0.8:
-        n = max(8, int(math.ceil(math.log(cfg.abs_tol) / math.log(u))) + 6)
-        n = min(n, 4000)
-        euler_from = None
-    else:
-        n, euler_from = 24 + 72, 24
-    k = np.arange(n, dtype=float)
-    zk = (-u) ** k
-    t_phi = (b / (b + k)) * zk
-    t_db = (k / (b + k) ** 2) * zk
-    t_dz = np.zeros(n)
-    t_dz[1:] = (b * k[1:] / (b + k[1:])) * (-u) ** (k[1:] - 1.0)
-    if euler_from is None:
-        return F21Family(float(t_phi.sum()), float(t_db.sum()), float(t_dz.sum()))
-    m0 = euler_from
-    p, _ = _euler_average(t_phi[m0:])
-    dbv, _ = _euler_average(t_db[m0:])
-    dzv, _ = _euler_average(t_dz[m0:])
-    return F21Family(
-        float(t_phi[:m0].sum() + p),
-        float(t_db[:m0].sum() + dbv),
-        float(t_dz[:m0].sum() + dzv),
-    )
+    """Power series in -u for 0 <= u < 1: rows (value, d/db, d/dz)."""
+    euler = u > 0.8
+    n_plain = np.ceil(math.log(cfg.abs_tol) / np.log(np.maximum(u, 1e-300))) + 6
+    n_terms = np.where(euler, _EULER_HEAD + _EULER_TAIL,
+                       np.minimum(np.maximum(n_plain, 8), 4000)).astype(int)
+    return _series_sums(_direct_terms, n_terms, euler, b, u).astype(float)
+
+
+def _star_terms(b_ld, inv_u, n):
+    m1 = np.arange(1, n + 1).astype(_LD)  # m + 1
+    rd = 1 / (m1 - b_ld[:, None])
+    t_T = _geometric(inv_u, -inv_u, n) * rd  # (-1)^m u^-(m+1) / (m+1-b)
+    return np.array([t_T, t_T * rd, -m1 * t_T * inv_u[:, None]])
 
 
 def _family_star(b, u):
-    # reflection head + power series in 1/u, in long double: the head and
-    # the m = round(b)-1 term cancel to O(1) near integer b
-    b_ld = _LD(b)
-    u_ld = _LD(u)
+    """Continuation in powers of 1/u for u >= 1: rows (value, d/db, d/dz).
+
+    Reflection head + power series in 1/u, in long double: the head and
+    the m = round(b)-1 term cancel to O(1) near integer b."""
     euler = u < 1.25
-    if euler:
-        n, m0 = 24 + 72, 24
-    else:
-        n = min(40000, max(12, int(math.ceil(40.0 / math.log(u))) + 8))
-        m0 = None
+    n_far = np.ceil(40.0 / np.log(np.maximum(u, 1.25))) + 8
+    n_terms = np.where(euler, _EULER_HEAD + _EULER_TAIL,
+                       np.minimum(np.maximum(n_far, 12), 40000)).astype(int)
+    b_ld = b.astype(_LD)
+    u_ld = u.astype(_LD)
+    inv_u = 1 / u_ld
     lu = np.log(u_ld)
-    sb, cb = _sin_cos_pi_ld(b_ld)
-    ub = np.exp(-b_ld * lu)
-    head = _PI_LD * b_ld * ub / sb
-    head_db = (
-        _PI_LD * ub / sb
-        - _PI_LD * b_ld * ub * lu / sb
-        - _PI_LD * _PI_LD * b_ld * ub * cb / (sb * sb)
-    )
-    head_du = -_PI_LD * b_ld * b_ld * np.exp(-(b_ld + 1) * lu) / sb
-    m = np.arange(n).astype(_LD)
-    sgn = _LD(-1.0) ** (np.arange(n) % 2)
-    um1 = np.exp(-(m + 1) * lu)
-    d = m + _LD(1.0) - b_ld
-    t_T = sgn * um1 / d
-    t_Tb = sgn * um1 / (d * d)
-    t_Tu = -sgn * (m + 1) * np.exp(-(m + 2) * lu) / d
-    if euler:
-        T = t_T[:m0].sum() + _euler_average(t_T[m0:])[0]
-        Tb = t_Tb[:m0].sum() + _euler_average(t_Tb[m0:])[0]
-        Tu = t_Tu[:m0].sum() + _euler_average(t_Tu[m0:])[0]
-    else:
-        T, Tb, Tu = t_T.sum(), t_Tb.sum(), t_Tu.sum()
-    value = float(head - b_ld * T)
-    d_db = float(head_db - T - b_ld * Tb)
-    d_dz = float(-(head_du - b_ld * Tu))
-    return F21Family(value, d_db, d_dz)
+    # sin(pi b) and cos(pi b) with the period reduced exactly
+    n_int = np.rint(b_ld)
+    flip = 1 - 2 * (n_int % 2)
+    sb = flip * np.sin(_PI_LD * (b_ld - n_int))
+    cb = flip * np.cos(_PI_LD * (b_ld - n_int))
+    head = _PI_LD * b_ld * np.exp(-b_ld * lu) / sb
+    head_db = head * (1 / b_ld - lu - _PI_LD * cb / sb)
+    head_du = -b_ld * inv_u * head
+    T, Tb, Tu = _series_sums(_star_terms, n_terms, euler, b_ld, inv_u)
+    return np.array([
+        head - b_ld * T,
+        head_db - T - b_ld * Tb,
+        -(head_du - b_ld * Tu),
+    ], dtype=float)

@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from noncoh import mi
-from noncoh.capacity import SweepConfig, classify_regime, mi_profile, solve_a2_star, sweep
-from noncoh.channel import ChannelParams, TwoPointInput
+from noncoh import capacity, mi
+from noncoh.capacity import (
+    CapacityPoint,
+    SweepConfig,
+    classify_regime,
+    mi_profile,
+    solve_a2_star,
+    sweep,
+)
+from noncoh.channel import ChannelParams, TwoPointInput, snr_to_db
 from noncoh.errors import SolverFailure
 
 LOG2 = math.log(2.0)
@@ -59,6 +66,35 @@ class TestSolve:
             solve_a2_star(0.0)
 
 
+def _scalar_grid_derivs(grid, ch, policy):
+    """The bracketing scan one scalar derivative at a time."""
+    return np.array([capacity._deriv_at(float(a), ch, policy) for a in grid])
+
+
+@pytest.mark.parametrize("sigma2", [1.0, 7.3])
+@pytest.mark.parametrize("snr_db", [-10.0, 0.0, 10.0, 30.0])
+class TestBatchedGridScan:
+    def test_matches_scalar_derivatives(self, snr_db, sigma2):
+        snr = 10.0 ** (snr_db / 10.0)
+        ch = ChannelParams(sigma2=sigma2, power_budget=snr * sigma2)
+        grid = np.linspace(1e-6, 1.0 - 1e-6, SweepConfig().grid_points_for_bracketing)
+        batched = capacity._grid_derivs(grid, ch, mi.DEFAULT_POLICY)
+        scalar = _scalar_grid_derivs(grid, ch, mi.DEFAULT_POLICY)
+        _, near = mi.mi_derivative_a2_capacity(grid, ch)
+        assert near[0]  # a2 = 1e-6 sits in the guard band
+        assert np.array_equal(batched[near], scalar[near])
+        np.testing.assert_allclose(batched, scalar, rtol=1e-12, atol=0.0)
+        assert np.array_equal(np.sign(batched), np.sign(scalar))
+
+    def test_solver_unchanged(self, snr_db, sigma2, monkeypatch):
+        snr = 10.0 ** (snr_db / 10.0)
+        batched = solve_a2_star(snr, sigma2=sigma2)
+        monkeypatch.setattr(capacity, "_grid_derivs", _scalar_grid_derivs)
+        scalar = solve_a2_star(snr, sigma2=sigma2)
+        assert batched.roots_found == scalar.roots_found
+        assert batched.a2_star == pytest.approx(scalar.a2_star, abs=1e-12)
+
+
 class TestRegime:
     def test_thresholds(self):
         assert classify_regime(-3.0) == "Capacity"
@@ -94,6 +130,26 @@ class TestSweep:
         points = sweep(cfg)
         vals = [p.a2_star for p in points]
         assert all(b >= a - 1e-6 for a, b in zip(vals, vals[1:]))
+
+    def test_grid_stops_at_the_stop(self):
+        # (1 - 0) / 0.6 rounds to 2 steps, which would write a 1.2 dB row
+        points = sweep(SweepConfig(snr_db_start=0.0, snr_db_stop=1.0, snr_db_step=0.6))
+        assert [p.snr_db for p in points] == pytest.approx([0.0, 0.6])
+
+    @pytest.mark.parametrize("start,stop,step,count", [
+        *((-10.0 + off, -10.0 + off + 80 * 0.5, 0.5, 81)
+          for off in (0.0, 0.123456789, 0.25, 0.4999999)),
+        (0.0, 0.3, 0.1, 4),  # 0.3 / 0.1 = 2.9999999999999996
+    ])
+    def test_grid_keeps_the_stop(self, start, stop, step, count, monkeypatch):
+        def solve_stub(snr_linear, cfg, *, sigma2, policy):
+            return CapacityPoint(snr_to_db(snr_linear), snr_linear, 0.5, 1.0,
+                                 math.log1p(snr_linear), "Capacity", 1, 0.0)
+
+        monkeypatch.setattr(capacity, "solve_a2_star", solve_stub)
+        points = sweep(SweepConfig(snr_db_start=start, snr_db_stop=stop, snr_db_step=step))
+        assert len(points) == count
+        assert points[-1].snr_db == pytest.approx(stop)
 
     def test_thirty_db_endpoint(self):
         cfg = SweepConfig(snr_db_start=30.0, snr_db_stop=30.0, snr_db_step=1.0)

@@ -4,6 +4,9 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from noncoh import capacity
 from noncoh.cli import main
 
 RUN = [sys.executable, "-m", "noncoh.cli"]
@@ -168,3 +171,31 @@ class TestConfigFile:
         cfg.write_text("not_a_key = 1\n")
         res = run_cli(["--config", str(cfg), "mi", "--a2", "0.4", "--x2", "2"])
         assert res.returncode == 2
+
+
+class TestSolverTolPrecedence:
+    """--solver-tol beats the config file's solver_tol, which beats 1e-10."""
+
+    @pytest.mark.parametrize("flags,config,expected", [
+        ([], None, 1e-10),
+        ([], "solver_tol = 1e-3\n", 1e-3),
+        (["--solver-tol", "1e-6"], None, 1e-6),
+        (["--solver-tol", "1e-6"], "solver_tol = 1e-3\n", 1e-6),
+    ], ids=["default", "config", "flag", "flag-over-config"])
+    def test_levels(self, tmp_path, monkeypatch, flags, config, expected):
+        seen = []
+
+        def sweep_stub(cfg, ch, *, policy):
+            seen.append(cfg.solver_tol)
+            return []
+
+        monkeypatch.setattr(capacity, "sweep", sweep_stub)
+        argv = []
+        if config is not None:
+            path = tmp_path / "noncoh.cfg"
+            path.write_text(config)
+            argv += ["--config", str(path)]
+        argv += ["sweep", "--from-db", "0", "--to-db", "0", "--step-db", "1",
+                 "--out", str(tmp_path / "s.csv"), *flags]
+        assert main(argv) == 0
+        assert seen == [expected]

@@ -10,6 +10,7 @@ from noncoh.errors import DivergenceError, DomainError, NoConvergence, PoleError
 from noncoh.specfun import (
     EULER_GAMMA,
     SpecfunConfig,
+    _euler_average,
     digamma,
     digamma_series_oracle,
     gauss_2f1,
@@ -296,8 +297,66 @@ class TestF21Family:
         assert fam.d_db == pytest.approx(db_fd, rel=2e-8, abs=1e-12)
         assert fam.d_dz == pytest.approx(dz_fd, rel=2e-8, abs=1e-12)
 
+    def test_array_call_matches_scalar_calls(self):
+        # b in (0, 5], u on both sides of 0.8, 1 and 1.25 and up to 1e12; u >= 1
+        # excludes integer b
+        bs = [0.05, 0.5, 1.3, 2.00001, 2.5, 3.9, 4.95, 5.0]
+        us = [0.0, 1e-3, 0.3, 0.79, 0.8, 0.81, 0.99, 1.0, 1.01, 1.24, 1.25, 1.26,
+              3.0, 1e3, 1e6, 1e12]
+        pairs = [(b, u) for b in bs for u in us if u < 1.0 or b != round(b)]
+        b, u = np.array(pairs).T
+        fam = hyp2f1_1b(b, u)
+        for i, (bi, ui) in enumerate(pairs):
+            one = hyp2f1_1b(bi, ui)
+            for name in ("value", "d_db", "d_dz"):
+                assert getattr(fam, name)[i] == pytest.approx(
+                    getattr(one, name), rel=1e-14, abs=0.0), (bi, ui, name)
+
+    def test_array_call_shapes(self):
+        fam = hyp2f1_1b(np.array([[1.5], [2.5]]), np.array([0.3, 3.0]))
+        assert fam.value.shape == fam.d_db.shape == fam.d_dz.shape == (2, 2)
+        assert fam.value[1, 1] == hyp2f1_1b(2.5, 3.0).value
+        assert isinstance(hyp2f1_1b(1.5, 0.3).value, float)
+
     def test_guards(self):
         with pytest.raises(DomainError):
             hyp2f1_1b(2.0 + 1e-12, 3.0)
         with pytest.raises(DomainError):
             hyp2f1_1b(1.5, -0.5)
+        with pytest.raises(DomainError):
+            hyp2f1_1b(np.array([1.5, 2.0]), np.array([3.0, 3.0]))
+        with pytest.raises(DomainError):
+            hyp2f1_1b(np.array([1.5, 0.0]), 0.5)
+
+
+def _euler_average_loop(terms):
+    """Reference: pairwise averaging one level at a time, keeping the first
+    level with the smallest change."""
+    s = np.cumsum(terms)
+    prev = s[-1]
+    best = prev
+    best_err = abs(float(terms[-1]))
+    while s.size > 1:
+        s = 0.5 * (s[:-1] + s[1:])
+        cur = s[-1]
+        err = abs(float(cur - prev))
+        if err < best_err:
+            best, best_err = cur, err
+        prev = cur
+    return best, best_err
+
+
+class TestEulerAverage:
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_matches_levelwise_averaging(self, dtype):
+        k = np.arange(24, 96)
+        tails = np.array([(-u) ** k / (b + k)
+                          for u in (0.81, 0.95, 1.0, 1 / 1.1, 1 / 1.24)
+                          for b in (0.3, 1.7, 4.2)]).astype(dtype)
+        values, errs = _euler_average(tails)
+        assert values.dtype == dtype and values.shape == (15,)
+        for tail, value, err in zip(tails, values, errs):
+            ref, ref_err = _euler_average_loop(tail)
+            for v, e in ((value, err), _euler_average(tail)):
+                assert float(v) == pytest.approx(float(ref), rel=0.0, abs=1e-15)
+                assert float(e) == pytest.approx(ref_err, rel=0.0, abs=1e-15)
