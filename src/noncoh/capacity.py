@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .channel import ChannelParams, TwoPointInput, snr_to_db
-from .errors import NearSingularAlpha, SolverFailure
+from .errors import SolverFailure
 from .mi import (
     DEFAULT_POLICY,
     EvalPolicy,
@@ -77,28 +77,9 @@ def _mi_at(a2: float, ch: ChannelParams, policy: EvalPolicy) -> float:
     return mutual_information(inp, ch, policy).nats
 
 
-def _fd_deriv_bounded(f, x: float, lo: float, hi: float) -> float:
-    """Five-point central difference with the step shrunk to stay in (lo, hi)."""
-    eps = float(np.finfo(float).eps)
-    h = min(eps ** 0.2 * max(1.0, abs(x)), 0.45 * (x - lo), 0.45 * (hi - x))
-    return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12.0 * h)
-
-
 def _deriv_at(a2: float, ch: ChannelParams, policy: EvalPolicy) -> float:
     inp = TwoPointInput(a2=a2, x2=math.sqrt(ch.power_budget / a2))
-    try:
-        return mi_derivative_a2(inp, ch, policy)
-    except NearSingularAlpha:
-        return _fd_deriv_bounded(lambda t: _mi_at(t, ch, policy), a2, 0.0, 1.0)
-
-
-def _grid_derivs(grid, ch: ChannelParams, policy: EvalPolicy) -> np.ndarray:
-    """dI/da2 on the bracketing grid from one array call; each entry next to
-    alpha = 1/n goes through _deriv_at and its finite-difference fallback."""
-    dvals, near = mi_derivative_a2_capacity(grid, ch, policy)
-    for i in np.flatnonzero(near):
-        dvals[i] = _deriv_at(float(grid[i]), ch, policy)
-    return dvals
+    return mi_derivative_a2(inp, ch, policy)
 
 
 def _golden_max(f, lo, hi, tol):
@@ -128,9 +109,11 @@ def solve_a2_star(
 ) -> CapacityPoint:
     """Locate a2* = argmax of the two-point mutual information at this SNR.
 
-    Scans dI/da2 on a bracketing grid over (eps, 1-eps), refines every sign
-    change, and returns the root with maximal I (grid endpoints included as
-    candidates).  If no sign change is found, falls back to golden-section
+    Scans dI/da2 on a bracketing grid over (eps, 1-eps) with one batched
+    analytic call (every entry, alpha = 1/n included, comes from the closed
+    form), refines every sign change by brentq on the scalar analytic
+    derivative, and returns the root with maximal I (grid endpoints included
+    as candidates).  If no sign change is found, falls back to golden-section
     maximization of I and reports roots_found = 0.
     """
     if snr_linear <= 0.0:
@@ -138,7 +121,7 @@ def solve_a2_star(
     ch = ChannelParams(sigma2=sigma2, power_budget=snr_linear * sigma2)
     deriv = lambda a2: _deriv_at(a2, ch, policy)
     grid = np.linspace(_A2_EDGE, 1.0 - _A2_EDGE, cfg.grid_points_for_bracketing)
-    dvals = _grid_derivs(grid, ch, policy)
+    dvals = mi_derivative_a2_capacity(grid, ch, policy)
     roots = []
     for i in range(len(grid) - 1):
         lo, hi = float(grid[i]), float(grid[i + 1])

@@ -25,7 +25,6 @@ class Case(enum.Enum):
     CASE_I = "CaseI"
     CASE_II = "CaseII"
     CASE_III = "CaseIII"
-    ORACLE_FALLBACK = "OracleFallback"
     DEGENERATE = "Degenerate"
 
 
@@ -88,8 +87,8 @@ def nearest_reciprocal(alpha: float) -> tuple[int, float]:
 
 
 # Routing constants.  Within SNAP_TOL of 1/n (n <= SNAP_N_MAX) the finite-sum
-# case applies; inside the wider GUARD_TOL band the closed forms lose
-# precision to cancellation and evaluation falls back to quadrature.
+# case applies; inside the wider GUARD_TOL band the beta<1 closed form loses
+# precision to cancellation, so J takes the beta>=1 form there.
 SNAP_TOL = 1e-9
 GUARD_TOL = 1e-5
 SNAP_N_MAX = 64

@@ -66,7 +66,6 @@ def _load_config(path: str | None) -> dict:
         "transform_threshold": float,
         "snap_tol": float,
         "guard_tol": float,
-        "deriv_guard": float,
         "quad_abs_tol": float,
         "solver_tol": float,
     }
@@ -94,7 +93,6 @@ def _build_policy(cfg: dict) -> EvalPolicy:
     return EvalPolicy(
         snap_tol=cfg.get("snap_tol", 1e-9),
         guard_tol=cfg.get("guard_tol", 1e-5),
-        deriv_guard=cfg.get("deriv_guard", 1e-5),
         series=series,
         quadrature=quad,
     )

@@ -9,6 +9,11 @@ closed forms:
 * a 2F1-at-(-1/beta) form with no removable indeterminations, the default
   for beta >= 1 (by analytic continuation it is valid for every beta > 0).
 
+Next to alpha = 1/n the second form cancels, so there a beta < 1 value takes
+the third form with its 2F1 from specfun.hyp2f1_1b, whose continuation past
+u = 1/beta >= 1 has its integer-b pole removed analytically.  Every J is a
+closed form; quadrature is only an oracle.
+
 Mutual information assembles as
 
     I = -a1 - a1 log s2 - a2 - a2 log(x2^2 + s2) - a1 J(0) - a2 J(x2),
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import oracle, specfun
+from . import specfun
 from .channel import (
     Case,
     ChannelParams,
@@ -43,7 +48,6 @@ from .errors import (
     DomainError,
     MissingPowerBudget,
     NearSingularAlpha,
-    NoConvergence,
 )
 from .oracle import QuadratureConfig
 from .specfun import SpecfunConfig
@@ -66,7 +70,6 @@ class EvalPolicy:
     # degrades in wide bands around alpha = 1/n, while the beta>=1 form has
     # no singular factors; route small alpha there unconditionally
     case2_alpha_min: float = 1.0 / 64.5
-    deriv_guard: float = 1e-5
     series: SpecfunConfig = field(default_factory=SpecfunConfig)
     quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
 
@@ -76,10 +79,13 @@ DEFAULT_POLICY = EvalPolicy()
 
 @dataclass(frozen=True)
 class JEval:
+    """One J value with the series diagnostics of its route; None where the
+    route reports none (the hyp2f1_1b continuation)."""
+
     value: float
     case: Case
-    terms_used: int
-    truncation_bound: float
+    terms_used: int | None
+    truncation_bound: float | None
 
 
 @dataclass(frozen=True)
@@ -146,22 +152,27 @@ def _case2_value(x, inp, ch, alpha, beta, cfg):
     return value, res
 
 
-def _case3_value(x, inp, ch, alpha, beta, cfg):
+def _case3_from_2f1(x, inp, ch, alpha, beta, f21):
+    """The beta>=1 closed form given f21 = 2F1(1, b; b+1; -1/beta),
+    b = (alpha+1)/alpha."""
     s2 = ch.sigma2
     big = inp.x2**2 + s2
-    res = specfun.gauss_2f1_diag(
-        1.0, (alpha + 1.0) / alpha, (2.0 * alpha + 1.0) / alpha, -1.0 / beta, cfg
-    )
-    hyp_term = alpha / (beta * (alpha + 1.0)) * res.value
+    hyp_term = alpha / (beta * (alpha + 1.0)) * f21
     if _FAULT_FLIP_SIGN:
         hyp_term = -hyp_term
-    value = (
+    return (
         -(x * x + s2) / big
         + math.log(inp.a2 / big)
         + math.log1p(1.0 / beta)
         - hyp_term
     )
-    return value, res
+
+
+def _case3_value(x, inp, ch, alpha, beta, cfg):
+    res = specfun.gauss_2f1_diag(
+        1.0, (alpha + 1.0) / alpha, (2.0 * alpha + 1.0) / alpha, -1.0 / beta, cfg
+    )
+    return _case3_from_2f1(x, inp, ch, alpha, beta, res.value), res
 
 
 def j_case1(x: float, inp: TwoPointInput, ch: ChannelParams,
@@ -209,26 +220,18 @@ def _j_eval(x, inp, ch, policy: EvalPolicy) -> JEval:
     n, dist = nearest_reciprocal(alpha)
     if dist < policy.snap_tol and n <= policy.snap_n_max:
         return JEval(_case1_value(x, inp, ch, n), Case.CASE_I, n, 0.0)
-    value = math.nan
-    case = Case.ORACLE_FALLBACK
-    terms, bound = 0, math.nan
-    in_guard = dist < policy.guard_tol and n <= policy.snap_n_max
-    if not (in_guard and beta < 1.0):
-        try:
-            if beta < 1.0 and alpha >= policy.case2_alpha_min and not in_guard:
-                value, res = _case2_value(x, inp, ch, alpha, beta, policy.series)
-                case = Case.CASE_II
-            else:
-                value, res = _case3_value(x, inp, ch, alpha, beta, policy.series)
-                case = Case.CASE_III
-            terms, bound = res.terms_used, res.truncation_bound
-        except (NoConvergence, DomainError, OverflowError):
-            value = math.nan
-    if not math.isfinite(value):
-        value = oracle.j_quadrature(x, inp, ch, policy.quadrature)
-        case = Case.ORACLE_FALLBACK
-        terms, bound = 0, policy.quadrature.abs_tol
-    return JEval(value, case, terms, bound)
+    if beta < 1.0:
+        if dist < policy.guard_tol and n <= policy.snap_n_max:
+            # the beta<1 form cancels here; the beta>=1 form needs its 2F1
+            # at -1/beta < -1, where only the kernel's continuation converges
+            f21 = specfun.hyp2f1_1b(1.0 + 1.0 / alpha, 1.0 / beta, policy.series).value
+            return JEval(_case3_from_2f1(x, inp, ch, alpha, beta, f21),
+                         Case.CASE_III, None, None)
+        if alpha >= policy.case2_alpha_min:
+            value, res = _case2_value(x, inp, ch, alpha, beta, policy.series)
+            return JEval(value, Case.CASE_II, res.terms_used, res.truncation_bound)
+    value, res = _case3_value(x, inp, ch, alpha, beta, policy.series)
+    return JEval(value, Case.CASE_III, res.terms_used, res.truncation_bound)
 
 
 def mutual_information(
@@ -351,12 +354,6 @@ def hyp3f2_sin_identity_residual(
     return s - specfun.pi_csc_recip(alpha)
 
 
-def _near_integer(v, guard):
-    """sigma^2/x2^2 within guard of an integer, where alpha nears 1/n and
-    the derivative kernel loses its accuracy."""
-    return np.abs(v - np.rint(v)) < guard
-
-
 def _dI_da2(a2, x2sq, x2sq_p, v_p, s2, cfg):
     """The chain rule for dI/da2 over the beta>=1 closed form of both J
     integrals, elementwise over a2 and x2sq (floats or arrays), with one
@@ -376,12 +373,16 @@ def _dI_da2(a2, x2sq, x2sq_p, v_p, s2, cfg):
     hyp_p = (u_p * b - u * v_p) / b**2 * fam.value + (u / b) * (
         v_p * fam.d_db - u_p * fam.d_dz
     )
-    j0 = -s2 / big + np.log(a2) - np.log(big) + np.log1p(u) - hyp[0]
-    j2 = -1.0 + np.log(a2) - np.log(big) + np.log1p(u) - hyp[1]
-    j0_p = s2 * big_p / big**2 + 1.0 / a2 - big_p / big + u_p / (1.0 + u) - hyp_p[0]
-    j2_p = 1.0 / a2 - big_p / big + u_p / (1.0 + u) - hyp_p[1]
+    # the terms J(0) and J(x2) share, and their a2-derivative
+    log_big = np.log(big)
+    common = np.log(a2) - log_big + np.log1p(u)
+    common_p = 1.0 / a2 - big_p / big + u_p / (1.0 + u)
+    j0 = -s2 / big + common - hyp[0]
+    j2 = -1.0 + common - hyp[1]
+    j0_p = s2 * big_p / big**2 + common_p - hyp_p[0]
+    j2_p = common_p - hyp_p[1]
     return (
-        np.log(s2) - np.log(big) - a2 * big_p / big
+        np.log(s2) - log_big - a2 * big_p / big
         + j0 - a1 * j0_p - j2 - a2 * j2_p
     )
 
@@ -392,7 +393,8 @@ def mi_derivative_a2(
     policy: EvalPolicy = DEFAULT_POLICY,
 ) -> float:
     """Analytic dI/da2, assembled by the chain rule over the beta>=1 closed
-    form for both J integrals (the indetermination-free route).
+    form for both J integrals (the indetermination-free route), valid at
+    alpha = 1/n too.
 
     With ch.power_budget present the nonzero mass point is tied to the
     probability through x2^2 = P/a2; otherwise x2 is held fixed.  The
@@ -421,11 +423,6 @@ def mi_derivative_a2(
         x2sq = inp.x2**2
         x2sq_p = 0.0
         v_p = 0.0
-    v = s2 / x2sq
-    if _near_integer(v, policy.deriv_guard):
-        raise NearSingularAlpha(
-            f"sigma^2/x2^2 = {v} too close to an integer (alpha near 1/n)"
-        )
     return float(_dI_da2(a2, x2sq, x2sq_p, v_p, s2, policy.series))
 
 
@@ -433,24 +430,13 @@ def mi_derivative_a2_capacity(
     a2,
     ch: ChannelParams,
     policy: EvalPolicy = DEFAULT_POLICY,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """dI/da2 with x2^2 = P/a2 at every entry of the array a2, in one kernel
-    call: the formula of mi_derivative_a2 in capacity mode, batched.
-
-    Returns (values, near_singular).  Entries where mi_derivative_a2 would
-    raise NearSingularAlpha are flagged in near_singular and left NaN in
-    values, so the caller chooses their fallback.
-    """
+    call: the formula of mi_derivative_a2 in capacity mode, batched."""
     a2 = np.asarray(a2, dtype=float)
     if not ((a2 > 0.0) & (a2 < 1.0)).all():
         raise DegenerateInput("derivative requires 0 < a2 < 1")
     if ch.power_budget is None:
         raise MissingPowerBudget("capacity mode needs ChannelParams.power_budget")
     p_bud, s2 = ch.power_budget, ch.sigma2
-    x2sq = p_bud / a2
-    near = _near_integer(s2 / x2sq, policy.deriv_guard)
-    ok = ~near
-    values = np.full(a2.shape, np.nan)
-    values[ok] = _dI_da2(a2[ok], x2sq[ok], -p_bud / a2[ok] ** 2, s2 / p_bud,
-                         s2, policy.series)
-    return values, near
+    return _dI_da2(a2, p_bud / a2, -p_bud / a2**2, s2 / p_bud, s2, policy.series)

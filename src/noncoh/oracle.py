@@ -69,6 +69,11 @@ class MonteCarloConfig:
 DEFAULT_QUAD = QuadratureConfig()
 
 
+def _logaddexp(a: float, b: float) -> float:
+    """log(e^a + e^b) in plain floats (either argument may be -inf)."""
+    return max(a, b) + math.log1p(math.exp(-abs(a - b)))
+
+
 def j_quadrature(
     x: float,
     inp: TwoPointInput,
@@ -102,7 +107,7 @@ def j_quadrature(
 
     def integrand(t):
         # e^t * log(A e^(pt) + B e^(qt)), evaluated in log space
-        return (q * t + np.logaddexp(log_b, log_a + (p - q) * t)) * math.exp(t)
+        return (q * t + _logaddexp(log_b, log_a + (p - q) * t)) * math.exp(t)
 
     # breakpoints at the decay scales and at the mixture crossover keep the
     # extrapolation honest (QAGS can falsely converge on long, nearly empty
@@ -133,7 +138,7 @@ def j_quadrature_direct(
 
     def integrand(y):
         y2 = y * y
-        mix = np.logaddexp(log_a - y2 / s2, log_b - y2 / big)
+        mix = _logaddexp(log_a - y2 / s2, log_b - y2 / big)
         return 2.0 * y / a * math.exp(-y2 / a) * mix
 
     # the Rayleigh weight lives on the scale sqrt(a), which can be far
@@ -148,27 +153,31 @@ def j_quadrature_direct(
     return _quad_checked(integrand, 0.0, y_max, cfg, points or None)
 
 
-def mi_quadrature(
-    inp: TwoPointInput,
-    ch: ChannelParams,
-    cfg: QuadratureConfig = DEFAULT_QUAD,
-) -> float:
-    """Mutual information via the quadrature J's.  The input integral
-    collapses onto the two mass points, so no 2-D quadrature is needed."""
-    if inp.is_degenerate():
-        return 0.0
+def mi_from_j(inp: TwoPointInput, ch: ChannelParams, j0: float, j_x2: float) -> float:
+    """Mutual information from J(0) and J(x2).  The input integral collapses
+    onto the two mass points, so no 2-D quadrature is needed."""
     s2 = ch.sigma2
     big = inp.x2**2 + s2
-    j0 = j_quadrature(0.0, inp, ch, cfg)
-    j2 = j_quadrature(inp.x2, inp, ch, cfg)
     return (
         -inp.a1
         - inp.a1 * math.log(s2)
         - inp.a2
         - inp.a2 * math.log(big)
         - inp.a1 * j0
-        - inp.a2 * j2
+        - inp.a2 * j_x2
     )
+
+
+def mi_quadrature(
+    inp: TwoPointInput,
+    ch: ChannelParams,
+    cfg: QuadratureConfig = DEFAULT_QUAD,
+) -> float:
+    """Mutual information via the quadrature J's."""
+    if inp.is_degenerate():
+        return 0.0
+    return mi_from_j(inp, ch, j_quadrature(0.0, inp, ch, cfg),
+                     j_quadrature(inp.x2, inp, ch, cfg))
 
 
 def mi_monte_carlo(

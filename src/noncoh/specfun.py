@@ -6,8 +6,9 @@ real axis left of z = 1, the digamma function, the (real branch of the)
 incomplete beta integral, and partial sums of the alternating log(1+q)
 series.  A dedicated evaluator for the family 2F1(1, b; b+1; -u) together
 with its parameter and argument derivatives backs the analytic
-mutual-information derivative; it takes scalars or arrays of (b, u) through
-one vectorized code path.
+mutual-information derivative and the beta>=1 form of J next to
+alpha = 1/n; it holds for every b > 0 and u >= 0 and takes scalars or
+arrays of (b, u) through one vectorized code path.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -358,14 +360,42 @@ class F21Family:
     d_dz: float | np.ndarray
 
 
-# Near u = 1 the alternating series are summed over a direct head and a
-# tail resummed by _euler_average.
-_EULER_HEAD, _EULER_TAIL = 24, 72
+def _reflection_series():
+    """Long-double (33, 4) matrix of power-series coefficients: columns 0
+    and 1 give c(eps)/eps and c'(eps) in eps^2, where
+    c(eps) = pi/sin(pi eps) - 1/eps; columns 2 and 3 give h(x) = expm1(x)/x
+    and h'(x) in x.  The series in eps^2 reaches long-double precision for
+    |eps| <= 1/2, the one in x for |x| < 1/2."""
+    n = 33
+    # y/sin y = sum_k d_k y^(2k), the reciprocal of sin(y)/y
+    sinc = [Fraction((-1) ** k, math.factorial(2 * k + 1)) for k in range(n + 1)]
+    d = [Fraction(1)]
+    for k in range(1, n + 1):
+        d.append(-sum(sinc[j] * d[k - j] for j in range(1, k + 1)))
+    # c(eps) = pi^2 eps sum_{k>=1} d_k (pi eps)^(2k-2)
+    cols = (
+        [d[k + 1] for k in range(n)],
+        [(2 * k + 1) * d[k + 1] for k in range(n)],
+        [Fraction(1, math.factorial(k + 1)) if k < 17 else Fraction(0) for k in range(n)],
+        [Fraction(k + 1, math.factorial(k + 2)) if k < 17 else Fraction(0) for k in range(n)],
+    )
+    m = np.array([[_LD(c.numerator) / _LD(c.denominator) for c in col] for col in cols],
+                 dtype=_LD).T.copy()
+    m[:, :2] *= (_PI_LD * _PI_LD) ** np.arange(1, n + 1)[:, None]
+    m.setflags(write=False)
+    return m
+
+
+_REFLECTION_SERIES = _reflection_series()
+
+# Below this u the continuation's alternating series in 1/u converges too
+# slowly; Pfaff's series, with ratio below u/(1+u) < 0.56, takes over.
+_STAR_MIN_U = 1.25
 
 
 def hyp2f1_1b(b, u, cfg: SpecfunConfig = DEFAULT_CONFIG) -> F21Family:
     """Evaluate phi(b, u) = 2F1(1, b; b+1; -u) together with its partials
-    for u >= 0 and b > 0 (b bounded away from integers when u >= 1).
+    for every b > 0 and u >= 0, integer b included.
 
     b and u are scalars or arrays that broadcast together; all elements are
     evaluated in one vectorized pass, a scalar call being the size-1 case,
@@ -374,122 +404,176 @@ def hyp2f1_1b(b, u, cfg: SpecfunConfig = DEFAULT_CONFIG) -> F21Family:
     The same mathematical objects written as hypergeometric series are
     d/dz phi = [b/(1+b)] 2F1(2, 1+b; 2+b; z) and
     d/db phi = [z/(1+b)^2] 3F2(2, 1+b, 1+b; 2+b, 2+b; z); those series only
-    converge for |z| < 1, so for u >= 1 this routine evaluates the exact
-    elementary continuation
+    converge for |z| < 1.  Below u = 1.25 this routine sums Pfaff's
+    transformation of phi (see _family_pfaff); from there on it evaluates
+    the exact elementary continuation
 
         phi(b, -u) = pi b u^(-b)/sin(pi b)
                      - b sum_{m>=0} (-1)^m u^(-(m+1)) / (m+1-b)
 
-    (and its derivatives) in extended precision; near u = 1 the alternating
-    tails are resummed by iterated pairwise averaging.
+    (and its derivatives), with the pole the two pieces share at integer b
+    removed analytically (see _family_star).  Both run in extended
+    precision, with a number of terms that does not grow with b; cfg.abs_tol
+    sets the truncation of the Pfaff series.
     """
-    b_arr, u_arr = np.broadcast_arrays(np.asarray(b, dtype=float),
-                                       np.asarray(u, dtype=float))
-    if not (u_arr >= 0.0).all():
+    b_arr = np.asarray(b, dtype=float)
+    u_arr = np.asarray(u, dtype=float)
+    shape = np.broadcast(b_arr, u_arr).shape
+    # broadcast by assignment: np.broadcast_arrays costs as much as a
+    # quarter of a two-element call
+    bu = np.empty((2,) + shape)
+    bu[0], bu[1] = b_arr, u_arr
+    bf, uf = bu.reshape(2, -1)
+    if not (uf >= 0.0).all():
         raise DomainError("hyp2f1_1b expects u >= 0 (argument z = -u)")
-    if not (b_arr > 0.0).all():
+    if not (bf > 0.0).all():
         raise DomainError("hyp2f1_1b expects b > 0")
-    bf, uf = b_arr.ravel(), u_arr.ravel()
-    star = uf >= 1.0
-    out = np.empty((3, bf.size))
-    if star.any():
-        bs = bf[star]
-        near = np.abs(bs - np.rint(bs)) < 1e-8
-        if near.any():
-            raise DomainError(
-                f"b={bs[near][0]} too close to an integer for the "
-                "continuation formula"
-            )
-        out[:, star] = _family_star(bs, uf[star])
-    direct = ~star
-    if direct.any():
-        out[:, direct] = _family_direct(bf[direct], uf[direct], cfg)
-    value, d_db, d_dz = out.reshape((3,) + b_arr.shape)
-    if b_arr.ndim == 0:
+    star = uf >= _STAR_MIN_U
+    if star.all():
+        out = _family_star(bf, uf)
+    elif not star.any():
+        out = _family_pfaff(bf, uf, cfg)
+    else:
+        out = np.empty((3, bf.size))
+        out[:, star] = _family_star(bf[star], uf[star])
+        out[:, ~star] = _family_pfaff(bf[~star], uf[~star], cfg)
+    value, d_db, d_dz = out.reshape((3,) + shape)
+    if not shape:
         return F21Family(float(value), float(d_db), float(d_dz))
     return F21Family(value, d_db, d_dz)
 
 
-def _geometric(first, ratio, n):
+def _geometric(first, ratio, n, out=None):
     """first * ratio^k for k < n along a new last axis (one row per element
     of ratio), by cumulative product in long double."""
-    g = np.empty((ratio.size, n), dtype=_LD)
+    g = np.empty((ratio.size, n), dtype=_LD) if out is None else out
     g[:, 0] = first
     g[:, 1:] = ratio[:, None]
     return np.cumprod(g, axis=1, out=g)
 
 
-def _series_sums(make_terms, n_terms, euler, *cols):
+def _series_sums(make_terms, n_terms, *cols):
     """Sums (3, rows) of the three term rows make_terms(*cols, n) returns,
-    each row over its first n_terms[row] terms; rows flagged euler sum a
-    head directly and resum the tail.  Rows are padded in blocks of similar
-    length, so a short row never costs more than twice its own terms."""
+    each row over its first n_terms[row] terms.  Rows are padded in blocks
+    of similar length, so a short row never costs more than twice its own
+    terms."""
     out = np.empty((3, n_terms.size), dtype=_LD)
     size_class = np.frexp(n_terms)[1]
-    for size in np.unique(size_class):
-        rows = size_class == size
+    sizes = np.unique(size_class)
+    for size in sizes:
+        rows = size_class == size if sizes.size > 1 else slice(None)
         n = n_terms[rows]
         terms = make_terms(*(c[rows] for c in cols), int(n.max()))
         terms *= np.arange(terms.shape[-1]) < n[:, None]
-        sums = terms.sum(axis=-1)
-        tail = euler[rows]
-        if tail.any():
-            block = terms[:, tail, :_EULER_HEAD + _EULER_TAIL]
-            sums[:, tail] = (block[..., :_EULER_HEAD].sum(axis=-1)
-                             + _euler_average(block[..., _EULER_HEAD:])[0])
-        out[:, rows] = sums
+        out[:, rows] = terms.sum(axis=-1)
     return out
 
 
-def _direct_terms(b, u, n):
-    k = np.arange(n, dtype=float)
-    bc = b[:, None]
-    zk = _geometric(1.0, -u, n).astype(float)  # (-u)^k
-    t_dz = np.zeros_like(zk)
-    t_dz[:, 1:] = (bc * k[1:] / (bc + k[1:])) * zk[:, :-1]
-    return np.array([(bc / (bc + k)) * zk, (k / (bc + k) ** 2) * zk, t_dz])
+def _pfaff_terms(b_ld, w, n):
+    """For k = 1..n, with c_k = k!/(b+1)_k and g_k = c_k w^(k-1): the terms
+    w g_k of 2F1(1, 1; b+1; w) - 1, their b-partials -w g_k H_k
+    (H_k = sum_{j<=k} 1/(b+j)), and the terms k g_k of its w-derivative."""
+    k = np.arange(1, n + 1, dtype=_LD)
+    r = 1 / (b_ld[:, None] + k)  # 1/(b+k)
+    terms = np.empty((3, b_ld.size, n), dtype=_LD)
+    g = terms[2]
+    np.multiply(w[:, None] * k, r, out=g)  # g_k / g_(k-1)
+    g[:, 0] = r[:, 0]
+    np.cumprod(g, axis=1, out=g)
+    np.multiply(g, w[:, None], out=terms[0])
+    np.multiply(terms[0], -np.cumsum(r, axis=1), out=terms[1])
+    g *= k
+    return terms
 
 
-def _family_direct(b, u, cfg):
-    """Power series in -u for 0 <= u < 1: rows (value, d/db, d/dz)."""
-    euler = u > 0.8
-    n_plain = np.ceil(math.log(cfg.abs_tol) / np.log(np.maximum(u, 1e-300))) + 6
-    n_terms = np.where(euler, _EULER_HEAD + _EULER_TAIL,
-                       np.minimum(np.maximum(n_plain, 8), 4000)).astype(int)
-    return _series_sums(_direct_terms, n_terms, euler, b, u).astype(float)
+def _family_pfaff(b, u, cfg):
+    """Pfaff's transformation for u < _STAR_MIN_U: rows (value, d/db, d/dz).
+
+        phi(b, u) = F(w)/(1+u),  F = 2F1(1, 1; b+1; w),  w = u/(1+u),
+
+    where F = sum_k k!/(b+1)_k w^k has positive terms whose ratio stays
+    below w, so log(abs_tol)/log(w) + 6 terms leave a remainder of F
+    below abs_tol/10 for any b.  The partials follow from
+    d/db (b+1)_k^-1 = -(b+1)_k^-1 H_k and dw/du = (1+u)^-2.
+    """
+    b_ld = b.astype(_LD)
+    u_ld = u.astype(_LD)
+    v = 1 / (1 + u_ld)
+    w = u_ld * v
+    n_terms = np.ceil(math.log(cfg.abs_tol) / np.log(np.maximum(u / (1 + u), 1e-300))) + 6
+    F, F_b, F_w = _series_sums(_pfaff_terms, np.maximum(n_terms, 8).astype(int), b_ld, w)
+    F += 1
+    out = np.empty((3, b.size))
+    out[0] = F * v
+    out[1] = F_b * v
+    out[2] = (F - F_w * v) * v * v
+    return out
 
 
-def _star_terms(b_ld, inv_u, n):
-    m1 = np.arange(1, n + 1).astype(_LD)  # m + 1
-    rd = 1 / (m1 - b_ld[:, None])
-    t_T = _geometric(inv_u, -inv_u, n) * rd  # (-1)^m u^-(m+1) / (m+1-b)
-    return np.array([t_T, t_T * rd, -m1 * t_T * inv_u[:, None]])
+def _star_terms(b_ld, n_int, inv_u, n):
+    """Terms t_m = (-1)^m u^-(m+1)/(m+1-b) of the continuation, their
+    b-partials t_m/(m+1-b), and (m+1) t_m (the u-partial times -u), the
+    term m + 1 = round(b) left out."""
+    m1 = np.arange(1, n + 1, dtype=_LD)  # m + 1
+    rd = 1 / np.where(m1 == n_int[:, None], np.inf, m1 - b_ld[:, None])
+    terms = np.empty((3, b_ld.size, n), dtype=_LD)
+    t = _geometric(inv_u, -inv_u, n, out=terms[0])
+    t *= rd
+    np.multiply(t, rd, out=terms[1])
+    np.multiply(t, m1, out=terms[2])
+    return terms
 
 
 def _family_star(b, u):
-    """Continuation in powers of 1/u for u >= 1: rows (value, d/db, d/dz).
+    """Continuation in powers of 1/u for u >= _STAR_MIN_U: rows (value,
+    d/db, d/dz).
 
-    Reflection head + power series in 1/u, in long double: the head and
-    the m = round(b)-1 term cancel to O(1) near integer b."""
-    euler = u < 1.25
-    n_far = np.ceil(40.0 / np.log(np.maximum(u, 1.25))) + 8
-    n_terms = np.where(euler, _EULER_HEAD + _EULER_TAIL,
-                       np.minimum(np.maximum(n_far, 12), 40000)).astype(int)
+    With N = round(b), eps = b - N and L = log u, the reflection head and
+    the series term m = N - 1 share a pole at eps = 0; together they are
+
+        (-1)^N u^(-N) R,  R = b e^(-eps L) c(eps) + b (e^(-eps L) - 1)/eps,
+
+    c(eps) = pi/sin(pi eps) - 1/eps, which is smooth through eps = 0 with
+    its b- and L-partials (for N = 0 there is no such series term and the
+    second term of R is the head's own b e^(-eps L)/eps = e^(-b L)).  c and
+    (e^x - 1)/x near x = 0 come from power series, so nothing cancels; the
+    remaining series runs without the m = N - 1 term.  Everything is in
+    long double.
+    """
+    r = b.size
     b_ld = b.astype(_LD)
-    u_ld = u.astype(_LD)
-    inv_u = 1 / u_ld
-    lu = np.log(u_ld)
-    # sin(pi b) and cos(pi b) with the period reduced exactly
+    inv_u = 1 / u.astype(_LD)
+    lu = -np.log(inv_u)
     n_int = np.rint(b_ld)
-    flip = 1 - 2 * (n_int % 2)
-    sb = flip * np.sin(_PI_LD * (b_ld - n_int))
-    cb = flip * np.cos(_PI_LD * (b_ld - n_int))
-    head = _PI_LD * b_ld * np.exp(-b_ld * lu) / sb
-    head_db = head * (1 / b_ld - lu - _PI_LD * cb / sb)
-    head_du = -b_ld * inv_u * head
-    T, Tb, Tu = _series_sums(_star_terms, n_terms, euler, b_ld, inv_u)
-    return np.array([
-        head - b_ld * T,
-        head_db - T - b_ld * Tb,
-        -(head_du - b_ld * Tu),
-    ], dtype=float)
+    eps = b_ld - n_int
+    x = -eps * lu
+    coef = _REFLECTION_SERIES
+    series = np.dot(_geometric(1, np.concatenate([eps * eps, x]), coef.shape[0]), coef)
+    c, dc = eps * series[:r, 0], series[:r, 1]
+    h, dh = series[r:, 2], series[r:, 3]  # (e^x - 1)/x and its derivative
+    e = np.exp(x)  # u^-eps
+    far = np.abs(x) >= 0.5
+    if far.any():
+        xf = x[far]
+        h[far] = np.expm1(xf) / xf
+        dh[far] = (e[far] - h[far]) / xf
+    # b (e^(-eps L) - 1)/eps = -b L h and its b-partial
+    bl = b_ld * lu
+    q = -bl * h
+    q_db = lu * (bl * dh - h)
+    at_zero = n_int == 0
+    if at_zero.any():  # b < 1/2: the head's own b e^(-eps L)/eps = e^(-b L)
+        q[at_zero] = e[at_zero]
+        q_db[at_zero] = -lu[at_zero] * e[at_zero]
+    be = b_ld * e
+    rv = be * c + q
+    r_db = e * c * (1 - bl) + be * dc + q_db
+    r_dl = -be * (eps * c + 1)
+    scale = np.power(-inv_u, n_int)  # (-1)^N u^-N
+    n_terms = np.maximum(np.ceil(40.0 / np.log(u)) + 8, 12).astype(int)
+    T, Tb, Tm = _series_sums(_star_terms, n_terms, b_ld, n_int, inv_u)
+    out = np.empty((3, r))
+    out[0] = scale * rv - b_ld * T
+    out[1] = scale * r_db - T - b_ld * Tb
+    out[2] = -inv_u * (scale * (r_dl - n_int * rv) + b_ld * Tm)
+    return out

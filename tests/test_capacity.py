@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mp_reference import mi_derivative_a2 as mp_mi_derivative_a2
 from noncoh import capacity, mi
 from noncoh.capacity import (
     CapacityPoint,
@@ -66,7 +67,7 @@ class TestSolve:
             solve_a2_star(0.0)
 
 
-def _scalar_grid_derivs(grid, ch, policy):
+def _scalar_grid_derivs(grid, ch, policy=mi.DEFAULT_POLICY):
     """The bracketing scan one scalar derivative at a time."""
     return np.array([capacity._deriv_at(float(a), ch, policy) for a in grid])
 
@@ -78,18 +79,20 @@ class TestBatchedGridScan:
         snr = 10.0 ** (snr_db / 10.0)
         ch = ChannelParams(sigma2=sigma2, power_budget=snr * sigma2)
         grid = np.linspace(1e-6, 1.0 - 1e-6, SweepConfig().grid_points_for_bracketing)
-        batched = capacity._grid_derivs(grid, ch, mi.DEFAULT_POLICY)
-        scalar = _scalar_grid_derivs(grid, ch, mi.DEFAULT_POLICY)
-        _, near = mi.mi_derivative_a2_capacity(grid, ch)
-        assert near[0]  # a2 = 1e-6 sits in the guard band
-        assert np.array_equal(batched[near], scalar[near])
+        batched = mi.mi_derivative_a2_capacity(grid, ch)
+        scalar = _scalar_grid_derivs(grid, ch)
+        # a2 = 1e-6 puts sigma^2/x2^2 = a2/snr within 1e-5 of an integer
+        # (alpha next to 1/n); it takes the same analytic formula
+        assert grid[0] / snr < 1e-5
+        assert batched[0] == pytest.approx(
+            mp_mi_derivative_a2(grid[0], sigma2, power_budget=snr * sigma2), rel=1e-10)
         np.testing.assert_allclose(batched, scalar, rtol=1e-12, atol=0.0)
         assert np.array_equal(np.sign(batched), np.sign(scalar))
 
     def test_solver_unchanged(self, snr_db, sigma2, monkeypatch):
         snr = 10.0 ** (snr_db / 10.0)
         batched = solve_a2_star(snr, sigma2=sigma2)
-        monkeypatch.setattr(capacity, "_grid_derivs", _scalar_grid_derivs)
+        monkeypatch.setattr(capacity, "mi_derivative_a2_capacity", _scalar_grid_derivs)
         scalar = solve_a2_star(snr, sigma2=sigma2)
         assert batched.roots_found == scalar.roots_found
         assert batched.a2_star == pytest.approx(scalar.a2_star, abs=1e-12)

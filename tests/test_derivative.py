@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from mp_reference import mi_derivative_a2 as mp_mi_derivative_a2
 from noncoh import capacity
 from noncoh.channel import ChannelParams, TwoPointInput
-from noncoh.errors import DegenerateInput, DomainError, NearSingularAlpha
+from noncoh.errors import DegenerateInput, DomainError
 from noncoh.mi import mi_derivative_a2, mutual_information
 from noncoh.oracle import FDOrder, fd_derivative
 
@@ -33,10 +34,7 @@ class TestFixedX2Mode:
             a2 = float(rng.uniform(0.1, 0.9))
             x2 = float(10 ** rng.uniform(-0.4, 0.8))
             ch = ChannelParams(1.0)
-            try:
-                ana = mi_derivative_a2(TwoPointInput(a2, x2), ch)
-            except NearSingularAlpha:
-                continue
+            ana = mi_derivative_a2(TwoPointInput(a2, x2), ch)
             num = fd_derivative(
                 lambda t: mutual_information(TwoPointInput(t, x2), ch).nats,
                 a2,
@@ -84,10 +82,28 @@ class TestCapacityMode:
             mi_derivative_a2(TwoPointInput(0.0, 1.0), ch)
 
     def test_guard_band(self):
-        # sigma^2/x2^2 integer => alpha = 1/n
-        ch = ChannelParams(sigma2=1.0)
-        with pytest.raises(NearSingularAlpha):
-            mi_derivative_a2(TwoPointInput(0.4, 1.0), ch)
+        # sigma^2/x2^2 at or next to an integer => alpha at or next to 1/n
+        for a2, x2, snr in (
+            (0.4, 1.0, None),  # sigma^2/x2^2 = 1: alpha = 1/2 and 1
+            (0.4, 1.0 / math.sqrt(3.0 + 4e-6), None),
+            (0.3, None, 0.3),  # capacity mode, sigma^2/x2^2 = 1
+            (1e-6, None, 10.0 ** -0.5),  # the bracketing grid's first entry
+        ):
+            if snr is None:
+                ch = ChannelParams(sigma2=1.0)
+                inp = TwoPointInput(a2, x2)
+                ref = mp_mi_derivative_a2(a2, 1.0, x2=x2)
+                f = lambda t: mutual_information(TwoPointInput(t, x2), ch).nats
+            else:
+                ch = ChannelParams(sigma2=1.0, power_budget=snr)
+                inp = TwoPointInput(a2, math.sqrt(snr / a2))
+                ref = mp_mi_derivative_a2(a2, 1.0, power_budget=snr)
+                f = lambda t: _mi_capacity(t, snr)
+            ana = mi_derivative_a2(inp, ch)
+            assert ana == pytest.approx(ref, rel=1e-10), (a2, x2, snr)
+            if a2 > 1e-3:
+                num = fd_derivative(f, a2, FDOrder.CENTRAL5)
+                assert ana == pytest.approx(num, rel=1e-5), (a2, x2, snr)
 
 
 class TestRandomGrid:

@@ -1,11 +1,19 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from mp_reference import j_closed_form
 from noncoh import oracle
-from noncoh.channel import Case, ChannelParams, TwoPointInput, derive_params
+from noncoh.channel import (
+    Case,
+    ChannelParams,
+    TwoPointInput,
+    derive_params,
+    nearest_reciprocal,
+)
 from noncoh.errors import (
     CaseMismatch,
     DegenerateInput,
@@ -13,6 +21,7 @@ from noncoh.errors import (
 )
 from noncoh.mi import (
     DEFAULT_POLICY,
+    _j_eval,
     continuation_residual,
     conditional_entropy,
     hyp3f2_sin_identity_residual,
@@ -228,16 +237,72 @@ class TestMutualInformation:
             res = mutual_information(TwoPointInput(a2, x2), ChannelParams(1.0))
             assert 0.0 <= res.nats <= min(input_entropy(TwoPointInput(a2, x2)), LOG2) + 1e-12
 
-    def test_guard_band_falls_back_to_oracle(self):
+    def test_guard_band_uses_closed_form(self):
         s2 = 1.0
         alpha = 0.5 + 3e-6
         x2 = math.sqrt(s2 * alpha / (1.0 - alpha))
         inp = TwoPointInput(0.4, x2)
         res = mutual_information(inp, ChannelParams(s2))
-        assert res.case_j0 is Case.ORACLE_FALLBACK
-        assert res.nats == pytest.approx(
-            oracle.mi_quadrature(inp, ChannelParams(s2)), abs=1e-7
+        assert res.case_j0 is Case.CASE_III
+        assert res.j0 == pytest.approx(
+            oracle.j_quadrature(0.0, inp, ChannelParams(s2)), abs=1e-10
         )
+        assert res.nats == pytest.approx(
+            oracle.mi_quadrature(inp, ChannelParams(s2)), abs=1e-9
+        )
+
+
+def _guard_band_inputs():
+    """(x, input, channel) with alpha(x) within the 1/n guard band, n = 1..64:
+    J(0) for n >= 2 (alpha(0) = x2^2/(x2^2 + s2) < 1) and J(x2) for every n
+    (alpha(x2) = x2^2/s2), at beta on both sides of 1."""
+    s2 = 1.7
+    out = []
+    for n in range(1, 65):
+        for delta in (3e-6, -7e-6, 2e-9):
+            alpha = 1.0 / n + delta
+            x2 = math.sqrt(alpha * s2)
+            cases = [(x2, x2)]
+            if n >= 2:
+                cases.append((0.0, math.sqrt(s2 * alpha / (1.0 - alpha))))
+            for x, x2 in cases:
+                for a2 in (0.3, 0.95):
+                    out.append((x, TwoPointInput(a2, x2), ChannelParams(s2)))
+    return out
+
+
+class TestWholeDomain:
+    """Every valid input takes a closed form: no quadrature route, no
+    exception, 0 <= I <= H(X)."""
+
+    def test_seeded_field(self):
+        # the log-uniform field of the benchmark's mi-field workload
+        rng = np.random.default_rng(20261018)
+        n = 4096
+        a2 = 10.0 ** rng.uniform(-6.0, math.log10(1.0 - 1e-6), n)
+        ratio = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        s2 = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        routes = set()
+        for a, r, s in zip(a2.tolist(), ratio.tolist(), s2.tolist()):
+            inp = TwoPointInput(a, r * math.sqrt(s))
+            res = mutual_information(inp, ChannelParams(s))
+            routes.update((res.case_j0, res.case_jx2))
+            assert 0.0 <= res.nats <= input_entropy(inp) + 1e-10, (a, r, s)
+        assert routes <= {Case.CASE_I, Case.CASE_II, Case.CASE_III}
+
+    def test_guard_bands_against_quadrature(self):
+        for x, inp, ch in _guard_band_inputs():
+            _, dist = nearest_reciprocal(derive_params(x, inp, ch).alpha)
+            assert DEFAULT_POLICY.snap_tol < dist < DEFAULT_POLICY.guard_tol
+            ev = _j_eval(x, inp, ch, DEFAULT_POLICY)
+            assert ev.case is Case.CASE_III
+            assert ev.value == pytest.approx(oracle.j_quadrature(x, inp, ch), abs=1e-10)
+            with mp.workdps(30):
+                ref = j_closed_form(mp.mpf(x), mp.mpf(inp.a2), mp.mpf(inp.x2),
+                                    mp.mpf(ch.sigma2))
+            assert ev.value == pytest.approx(float(ref), abs=1e-12)
+            res = mutual_information(inp, ch)
+            assert 0.0 <= res.nats <= input_entropy(inp) + 1e-10
 
 
 class TestEntropies:

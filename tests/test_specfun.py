@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from mp_reference import hyp2f1_family
 from noncoh.errors import DivergenceError, DomainError, NoConvergence, PoleError
 from noncoh.specfun import (
     EULER_GAMMA,
@@ -298,12 +299,12 @@ class TestF21Family:
         assert fam.d_dz == pytest.approx(dz_fd, rel=2e-8, abs=1e-12)
 
     def test_array_call_matches_scalar_calls(self):
-        # b in (0, 5], u on both sides of 0.8, 1 and 1.25 and up to 1e12; u >= 1
-        # excludes integer b
-        bs = [0.05, 0.5, 1.3, 2.00001, 2.5, 3.9, 4.95, 5.0]
+        # b in (0, 5] plus 65, integers included, u on both sides of 0.8, 1
+        # and 1.25 and up to 1e12
+        bs = [0.05, 0.5, 1.0, 1.3, 2.00001, 2.5, 3.0, 3.9, 4.95, 5.0, 65.0]
         us = [0.0, 1e-3, 0.3, 0.79, 0.8, 0.81, 0.99, 1.0, 1.01, 1.24, 1.25, 1.26,
               3.0, 1e3, 1e6, 1e12]
-        pairs = [(b, u) for b in bs for u in us if u < 1.0 or b != round(b)]
+        pairs = [(b, u) for b in bs for u in us]
         b, u = np.array(pairs).T
         fam = hyp2f1_1b(b, u)
         for i, (bi, ui) in enumerate(pairs):
@@ -319,14 +320,32 @@ class TestF21Family:
         assert isinstance(hyp2f1_1b(1.5, 0.3).value, float)
 
     def test_guards(self):
-        with pytest.raises(DomainError):
-            hyp2f1_1b(2.0 + 1e-12, 3.0)
+        # b next to or at an integer is in the domain for every u
+        for b, u in ((2.0 + 1e-12, 3.0), (2.0, 3.0)):
+            fam = hyp2f1_1b(b, u)
+            for got, want in zip((fam.value, fam.d_db, fam.d_dz), hyp2f1_family(b, u)):
+                assert got == pytest.approx(want, rel=1e-13, abs=1e-16)
+        fam = hyp2f1_1b(np.array([1.5, 2.0]), np.array([3.0, 3.0]))
+        assert fam.value[1] == hyp2f1_1b(2.0, 3.0).value
         with pytest.raises(DomainError):
             hyp2f1_1b(1.5, -0.5)
         with pytest.raises(DomainError):
-            hyp2f1_1b(np.array([1.5, 2.0]), np.array([3.0, 3.0]))
-        with pytest.raises(DomainError):
             hyp2f1_1b(np.array([1.5, 0.0]), 0.5)
+
+    @pytest.mark.parametrize("b", [
+        2.00001, 2.99998, 4.00003,
+        *(n + d for n in (1.0, 2.0, 3.0, 4.0, 65.0) for d in (0.0, 1e-12, -1e-12)),
+    ])
+    def test_near_integer_b_matches_mpmath(self, b):
+        # the continuation's head and its m = round(b) - 1 term share a pole
+        # at integer b; the kernel removes it analytically
+        us = [1.0, 1.05, 1.3, 2.0, 17.0, 1e3, 1e6, 1e11]
+        fam = hyp2f1_1b(b, np.array(us))
+        for i, u in enumerate(us):
+            ref = hyp2f1_family(b, u)
+            for name, got, want in zip(("value", "d_db", "d_dz"),
+                                       (fam.value[i], fam.d_db[i], fam.d_dz[i]), ref):
+                assert abs(got - want) <= max(1e-12 * abs(want), 1e-15), (u, name)
 
 
 def _euler_average_loop(terms):
