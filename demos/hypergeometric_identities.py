@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """The special-function layer under the closed forms, shown through the
 identities it must satisfy: the Gauss-series log identity, the continuation
-formula connecting the two closed-form routes, the reduction of two
-3F2(-1) sums to pi/sin(pi/alpha), and the digamma reflection rules.
+formula connecting the two closed-form routes, and the reduction of two
+3F2(-1) sums to pi/sin(pi/alpha).
 
 Run:  python demos/hypergeometric_identities.py
 """
@@ -11,7 +11,6 @@ import math
 
 from noncoh import (
     continuation_residual,
-    digamma,
     gauss_2f1,
     hyp3f2_sin_identity_residual,
     hyp_pfq,
@@ -49,12 +48,6 @@ for alpha in (0.6, 2.0, 5.5):
     r = hyp3f2_sin_identity_residual(alpha)
     print(f"   alpha={alpha}: residual = {r:+.2e} "
           f"(pi/sin = {math.pi / math.sin(math.pi / alpha):+.6f})")
-
-print("\nDigamma reflection rules used in that reduction:")
-for q in (0.1, 0.23, 0.4):
-    refl = digamma(1.0 - q) - digamma(q) - math.pi / math.tan(math.pi * q)
-    half = digamma(0.5 + q) - digamma(0.5 - q) - math.pi * math.tan(math.pi * q)
-    print(f"   q={q}: reflection residual {refl:+.1e}, half-shift {half:+.1e}")
 
 print("\nSeries diagnostics are part of every evaluation:")
 res = hyp_pfq([1.0, 1.0, 1.5], [2.0, 2.5], -1.0)

@@ -3,7 +3,6 @@ noncoherent SISO Rayleigh-fading channel under two-mass-point inputs,
 with independent quadrature / Monte-Carlo / finite-difference oracles."""
 
 from .channel import (
-    Case,
     ChannelParams,
     DerivedParams,
     TwoPointInput,
@@ -15,6 +14,7 @@ from .channel import (
 )
 from .capacity import CapacityPoint, SweepConfig, mi_profile, solve_a2_star, sweep
 from .mi import (
+    Case,
     EvalPolicy,
     MIResult,
     conditional_entropy,
@@ -39,12 +39,10 @@ from .oracle import (
 from .specfun import (
     SeriesResult,
     SpecfunConfig,
-    digamma,
     gauss_2f1,
     hyp_pfq,
     incomplete_beta,
     log1p_series_partial_sum,
-    pochhammer,
 )
 
 __version__ = "0.1.0"
@@ -66,7 +64,6 @@ __all__ = [
     "conditional_entropy",
     "continuation_residual",
     "derive_params",
-    "digamma",
     "fd_derivative",
     "gauss_2f1",
     "hyp3f2_sin_identity_residual",
@@ -83,7 +80,6 @@ __all__ = [
     "mi_profile",
     "mi_quadrature",
     "mutual_information",
-    "pochhammer",
     "snr_from_db",
     "snr_of",
     "snr_to_db",

@@ -8,24 +8,17 @@ quantities
     alpha = (x2^2/(x2^2+sigma^2)) * ((x^2+sigma^2)/sigma^2)
     beta  = (a2/(1-a2)) * (sigma^2/(x2^2+sigma^2))
 
-select which closed-form route applies, and for beta < 1 the crossover
-magnitude y* makes the two weighted conditional densities equal.
+are the parameters of the closed forms for J(x) (which route each value
+takes is decided in mi), and for beta < 1 the crossover magnitude y* makes
+the two weighted conditional densities equal.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 from .errors import DegenerateInput, DomainError, MissingPowerBudget
-
-
-class Case(enum.Enum):
-    CASE_I = "CaseI"
-    CASE_II = "CaseII"
-    CASE_III = "CaseIII"
-    DEGENERATE = "Degenerate"
 
 
 @dataclass(frozen=True)
@@ -73,7 +66,6 @@ class DerivedParams:
     alpha: float
     beta: float
     y_star_sq: float | None
-    case: Case
 
 
 def nearest_reciprocal(alpha: float) -> tuple[int, float]:
@@ -86,22 +78,8 @@ def nearest_reciprocal(alpha: float) -> tuple[int, float]:
     return best, abs(alpha - 1.0 / best)
 
 
-# Routing constants.  Within SNAP_TOL of 1/n (n <= SNAP_N_MAX) the finite-sum
-# case applies; inside the wider GUARD_TOL band the beta<1 closed form loses
-# precision to cancellation, so J takes the beta>=1 form there.
-SNAP_TOL = 1e-9
-GUARD_TOL = 1e-5
-SNAP_N_MAX = 64
-
-
-def derive_params(
-    x: float,
-    inp: TwoPointInput,
-    ch: ChannelParams,
-    snap_tol: float = SNAP_TOL,
-    snap_n_max: int = SNAP_N_MAX,
-) -> DerivedParams:
-    """alpha, beta, y*^2 and the closed-form case for evaluating J(x).
+def derive_params(x: float, inp: TwoPointInput, ch: ChannelParams) -> DerivedParams:
+    """alpha, beta and y*^2 for evaluating J(x).
 
     x must be one of the two mass points {0, x2}.
     """
@@ -118,14 +96,7 @@ def derive_params(
     y_star_sq = None
     if beta < 1.0:
         y_star_sq = -s2 * big / inp.x2**2 * math.log(beta)
-    n, dist = nearest_reciprocal(alpha)
-    if dist < snap_tol and n <= snap_n_max:
-        case = Case.CASE_I
-    elif beta < 1.0:
-        case = Case.CASE_II
-    else:
-        case = Case.CASE_III
-    return DerivedParams(alpha=alpha, beta=beta, y_star_sq=y_star_sq, case=case)
+    return DerivedParams(alpha=alpha, beta=beta, y_star_sq=y_star_sq)
 
 
 def transition_density(y: float, x: float, ch: ChannelParams) -> float:

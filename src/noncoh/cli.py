@@ -64,8 +64,6 @@ def _load_config(path: str | None) -> dict:
         "series_abs_tol": float,
         "series_max_terms": int,
         "transform_threshold": float,
-        "snap_tol": float,
-        "guard_tol": float,
         "quad_abs_tol": float,
         "solver_tol": float,
     }
@@ -90,12 +88,7 @@ def _build_policy(cfg: dict) -> EvalPolicy:
         transform_threshold=cfg.get("transform_threshold", 0.5),
     )
     quad = QuadratureConfig(abs_tol=cfg.get("quad_abs_tol", 1e-10))
-    return EvalPolicy(
-        snap_tol=cfg.get("snap_tol", 1e-9),
-        guard_tol=cfg.get("guard_tol", 1e-5),
-        series=series,
-        quadrature=quad,
-    )
+    return EvalPolicy(series=series, quadrature=quad)
 
 
 def cmd_mi(args, policy) -> int:

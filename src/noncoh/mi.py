@@ -3,16 +3,20 @@
 The core integral J(x) (the Rayleigh-weighted log mixture density) has three
 closed forms:
 
-* a finite sum when alpha = 1/n for a positive integer n,
+* a finite sum when alpha = 1/n for a positive integer n (j_case1, kept as
+  the paper's reference form),
 * a 2F1-at-(-beta) form with a pi/sin(pi/alpha) reflection term, convergent
   for beta < 1,
-* a 2F1-at-(-1/beta) form with no removable indeterminations, the default
-  for beta >= 1 (by analytic continuation it is valid for every beta > 0).
+* a 2F1-at-(-1/beta) form with no removable indeterminations, valid for
+  every beta > 0 by analytic continuation.
 
-Next to alpha = 1/n the second form cancels, so there a beta < 1 value takes
-the third form with its 2F1 from specfun.hyp2f1_1b, whose continuation past
-u = 1/beta >= 1 has its integer-b pole removed analytically.  Every J is a
-closed form; quadrature is only an oracle.
+_j_eval picks the route of every J, in one place: a beta < 1 value takes
+the second form unless alpha is below CASE2_ALPHA_MIN or within GUARD_TOL of
+some 1/n (1/n itself included), where that form cancels; those values and
+every beta >= 1 take the third form.  Next to 1/n its 2F1 at -1/beta < -1
+comes from specfun.hyp2f1_1b, whose continuation has its integer-b pole
+removed analytically, and elsewhere from specfun.gauss_2f1_diag.  Every J
+is a closed form; quadrature is only an oracle.
 
 Mutual information assembles as
 
@@ -24,6 +28,7 @@ feeds the capacity root-finder.
 
 from __future__ import annotations
 
+import enum
 import math
 import os
 from dataclasses import dataclass, field
@@ -31,16 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfun
-from .channel import (
-    Case,
-    ChannelParams,
-    TwoPointInput,
-    derive_params,
-    nearest_reciprocal,
-    GUARD_TOL,
-    SNAP_N_MAX,
-    SNAP_TOL,
-)
+from .channel import ChannelParams, TwoPointInput, derive_params, nearest_reciprocal
 from .errors import (
     CaseMismatch,
     ConsistencyError,
@@ -54,22 +50,32 @@ from .specfun import SpecfunConfig
 
 LOG2 = math.log(2.0)
 
+# Routing of J.  The beta<1 form cancels like 1/|alpha - 1/n| next to
+# alpha = 1/n, and below CASE2_ALPHA_MIN (1/alpha past 64.5) it degrades in
+# bands around 1/n wide enough to cover the axis.
+GUARD_TOL = 1e-5
+CASE2_ALPHA_MIN = 1.0 / 64.5
+# j_case1 and j_case2 treat alpha as 1/n within this distance.
+RECIPROCAL_TOL = 1e-9
+
 # Test hook: deliberately corrupt the beta>=1 closed form so that the
 # end-to-end verification suite can demonstrate sensitivity to sign faults.
 _FAULT_FLIP_SIGN = os.environ.get("NONCOH_FAULT_INJECT", "") == "flip-2f1-sign"
 
 
+class Case(enum.Enum):
+    """The closed form a J value came from (DEGENERATE: none, I = 0)."""
+
+    CASE_II = "CaseII"
+    CASE_III = "CaseIII"
+    DEGENERATE = "Degenerate"
+
+
 @dataclass(frozen=True)
 class EvalPolicy:
-    """Routing and tolerance knobs for the closed-form evaluation."""
+    """Series and quadrature tolerances for the closed-form evaluation; the
+    route of each J is fixed (see the module docstring)."""
 
-    snap_tol: float = SNAP_TOL
-    guard_tol: float = GUARD_TOL
-    snap_n_max: int = SNAP_N_MAX
-    # below this alpha (i.e. 1/alpha beyond the snap table) the beta<1 form
-    # degrades in wide bands around alpha = 1/n, while the beta>=1 form has
-    # no singular factors; route small alpha there unconditionally
-    case2_alpha_min: float = 1.0 / 64.5
     series: SpecfunConfig = field(default_factory=SpecfunConfig)
     quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
 
@@ -175,14 +181,13 @@ def _case3_value(x, inp, ch, alpha, beta, cfg):
     return _case3_from_2f1(x, inp, ch, alpha, beta, res.value), res
 
 
-def j_case1(x: float, inp: TwoPointInput, ch: ChannelParams,
-            policy: EvalPolicy = DEFAULT_POLICY) -> float:
+def j_case1(x: float, inp: TwoPointInput, ch: ChannelParams) -> float:
     """Finite-sum closed form, valid when alpha is the reciprocal of a
     positive integer (any beta > 0)."""
-    dp = derive_params(x, inp, ch, policy.snap_tol, policy.snap_n_max)
-    n, dist = nearest_reciprocal(dp.alpha)
-    if dist >= policy.snap_tol or n > policy.snap_n_max:
-        raise CaseMismatch(f"alpha={dp.alpha} is not 1/n within {policy.snap_tol}")
+    alpha = derive_params(x, inp, ch).alpha
+    n, dist = nearest_reciprocal(alpha)
+    if dist >= RECIPROCAL_TOL:
+        raise CaseMismatch(f"alpha={alpha} is not 1/n within {RECIPROCAL_TOL}")
     return _case1_value(x, inp, ch, n)
 
 
@@ -193,13 +198,13 @@ def j_case2(x: float, inp: TwoPointInput, ch: ChannelParams,
     Convergence-oriented route for beta < 1; by analytic continuation it is
     valid for all beta > 0 away from alpha = 1/n.
     """
-    dp = derive_params(x, inp, ch, policy.snap_tol, policy.snap_n_max)
+    dp = derive_params(x, inp, ch)
     _, dist = nearest_reciprocal(dp.alpha)
-    if dist < policy.snap_tol:
+    if dist < RECIPROCAL_TOL:
         raise CaseMismatch(
             f"the beta<1 form is undefined at alpha = 1/n (alpha={dp.alpha})"
         )
-    if dist < policy.guard_tol:
+    if dist < GUARD_TOL:
         raise NearSingularAlpha(
             f"alpha={dp.alpha} within the cancellation guard band around 1/n"
         )
@@ -210,26 +215,24 @@ def j_case3(x: float, inp: TwoPointInput, ch: ChannelParams,
             policy: EvalPolicy = DEFAULT_POLICY) -> float:
     """Closed form with the 2F1 at -1/beta; free of indeterminations and
     valid for every alpha, beta > 0 (default route for beta >= 1)."""
-    dp = derive_params(x, inp, ch, policy.snap_tol, policy.snap_n_max)
+    dp = derive_params(x, inp, ch)
     return _case3_value(x, inp, ch, dp.alpha, dp.beta, policy.series)[0]
 
 
 def _j_eval(x, inp, ch, policy: EvalPolicy) -> JEval:
-    dp = derive_params(x, inp, ch, policy.snap_tol, policy.snap_n_max)
-    alpha, beta = dp.alpha, dp.beta
-    n, dist = nearest_reciprocal(alpha)
-    if dist < policy.snap_tol and n <= policy.snap_n_max:
-        return JEval(_case1_value(x, inp, ch, n), Case.CASE_I, n, 0.0)
-    if beta < 1.0:
-        if dist < policy.guard_tol and n <= policy.snap_n_max:
-            # the beta<1 form cancels here; the beta>=1 form needs its 2F1
-            # at -1/beta < -1, where only the kernel's continuation converges
-            f21 = specfun.hyp2f1_1b(1.0 + 1.0 / alpha, 1.0 / beta, policy.series).value
-            return JEval(_case3_from_2f1(x, inp, ch, alpha, beta, f21),
-                         Case.CASE_III, None, None)
-        if alpha >= policy.case2_alpha_min:
+    s2 = ch.sigma2
+    big = inp.x2**2 + s2
+    alpha = (inp.x2**2 / big) * ((x * x + s2) / s2)
+    beta = (inp.a2 / inp.a1) * (s2 / big)
+    if beta < 1.0 and alpha >= CASE2_ALPHA_MIN:
+        if nearest_reciprocal(alpha)[1] >= GUARD_TOL:
             value, res = _case2_value(x, inp, ch, alpha, beta, policy.series)
             return JEval(value, Case.CASE_II, res.terms_used, res.truncation_bound)
+        # the beta>=1 form needs its 2F1 at -1/beta < -1, where only the
+        # kernel's continuation converges
+        f21 = specfun.hyp2f1_1b(1.0 + 1.0 / alpha, 1.0 / beta, policy.series).value
+        return JEval(_case3_from_2f1(x, inp, ch, alpha, beta, f21),
+                     Case.CASE_III, None, None)
     value, res = _case3_value(x, inp, ch, alpha, beta, policy.series)
     return JEval(value, Case.CASE_III, res.terms_used, res.truncation_bound)
 
@@ -299,7 +302,6 @@ def continuation_residual(
     alpha: float,
     beta: float,
     cfg: SpecfunConfig = specfun.DEFAULT_CONFIG,
-    guard_tol: float = GUARD_TOL,
 ) -> float:
     """Difference between the two closed-form routes written as an identity:
 
@@ -313,7 +315,7 @@ def continuation_residual(
     if alpha <= 0.0 or beta <= 0.0:
         raise DomainError("continuation_residual requires alpha, beta > 0")
     _, dist = nearest_reciprocal(alpha)
-    if dist < guard_tol:
+    if dist < GUARD_TOL:
         raise NearSingularAlpha(f"alpha={alpha} within guard band of 1/n")
     lhs = (
         alpha * beta / (alpha - 1.0)
@@ -331,7 +333,6 @@ def continuation_residual(
 def hyp3f2_sin_identity_residual(
     alpha: float,
     cfg: SpecfunConfig = specfun.DEFAULT_CONFIG,
-    guard_tol: float = GUARD_TOL,
 ) -> float:
     """Residual of the reduction of two 3F2(-1) sums to pi/sin(pi/alpha):
 
@@ -342,7 +343,7 @@ def hyp3f2_sin_identity_residual(
     if alpha <= 0.0:
         raise DomainError("alpha must be positive")
     _, dist = nearest_reciprocal(alpha)
-    if dist < guard_tol:
+    if dist < GUARD_TOL:
         raise NearSingularAlpha(f"alpha={alpha} within guard band of 1/n")
     f1 = specfun.hyp_pfq(
         [1.0, 1.0, (alpha - 1.0) / alpha], [2.0, (2.0 * alpha - 1.0) / alpha], -1.0, cfg

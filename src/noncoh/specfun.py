@@ -187,13 +187,15 @@ def hyp_pfq(numer, denom, z, cfg: SpecfunConfig = DEFAULT_CONFIG) -> SeriesResul
     drift = abs(sum(numer) - sum(denom)) + 1.0
     term = 1.0
     total = 1.0
+    ratio = _term_ratio(numer, denom, z, 0)
     k = 0
     while k < cfg.max_terms:
-        term *= _term_ratio(numer, denom, z, k)
+        term *= ratio
         total += term
         k += 1
+        ratio = _term_ratio(numer, denom, z, k)
         if k >= k_min and abs(term) <= tol:
-            rho = abs(_term_ratio(numer, denom, z, k))
+            rho = abs(ratio)
             if p == q + 1:
                 rho = max(rho, abs(z) * (1.0 + drift / (k + 1.0)))
             rho = min(rho, 0.999)

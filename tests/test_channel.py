@@ -4,7 +4,6 @@ import pytest
 from scipy.integrate import quad
 
 from noncoh.channel import (
-    Case,
     ChannelParams,
     TwoPointInput,
     derive_params,
@@ -15,6 +14,7 @@ from noncoh.channel import (
     transition_density,
 )
 from noncoh.errors import DegenerateInput, DomainError, MissingPowerBudget
+from noncoh.mi import DEFAULT_POLICY, Case, _j_eval, mutual_information
 
 
 class TestParams:
@@ -40,9 +40,12 @@ class TestParams:
 class TestDeriveParams:
     def test_alpha_one_at_nonzero_mass_point(self):
         # x = x2 gives alpha = x2^2/sigma^2
-        dp = derive_params(1.0, TwoPointInput(0.3, 1.0), ChannelParams(1.0))
+        inp, ch = TwoPointInput(0.3, 1.0), ChannelParams(1.0)
+        dp = derive_params(1.0, inp, ch)
         assert dp.alpha == pytest.approx(1.0, abs=0)
-        assert dp.case is Case.CASE_I
+        # beta < 1 at alpha = 1/n takes the beta>=1 form through the kernel
+        assert dp.beta < 1.0
+        assert _j_eval(1.0, inp, ch, DEFAULT_POLICY).case is Case.CASE_III
 
     def test_half_point(self):
         dp = derive_params(0.0, TwoPointInput(0.5, 1.0), ChannelParams(1.0))
@@ -93,10 +96,18 @@ class TestDeriveParams:
         assert all(b1 > b2 for b1, b2 in zip(betas_in_x2, betas_in_x2[1:]))
 
     def test_case_routing(self):
+        # (J(0), J(x2)) routes: beta < 1 away from 1/n takes the beta<1 form,
+        # beta >= 1 and alpha = 1/n take the beta>=1 form
         ch = ChannelParams(1.0)
-        assert derive_params(0.0, TwoPointInput(0.9, 1.0), ch).case is Case.CASE_I
-        assert derive_params(0.0, TwoPointInput(0.2, 2.0), ch).case is Case.CASE_II
-        assert derive_params(0.0, TwoPointInput(0.9, 2.0), ch).case is Case.CASE_III
+        routes = {
+            (0.2, 2.0): (Case.CASE_II, Case.CASE_II),  # beta 0.05, alpha 0.8, 4
+            (0.9, 2.0): (Case.CASE_III, Case.CASE_III),  # beta 1.8
+            (0.9, 1.0): (Case.CASE_III, Case.CASE_III),  # beta 4.5, alpha 1/2, 1
+            (0.5, 1.0): (Case.CASE_III, Case.CASE_III),  # beta 0.5, alpha 1/2, 1
+        }
+        for (a2, x2), want in routes.items():
+            res = mutual_information(TwoPointInput(a2, x2), ch)
+            assert (res.case_j0, res.case_jx2) == want, (a2, x2)
 
 
 class TestNearestReciprocal:

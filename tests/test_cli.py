@@ -166,9 +166,11 @@ class TestConfigFile:
         rc = main(["--config", str(cfg), "mi", "--a2", "0.4", "--x2", "2", "--verify"])
         assert rc == 0
 
-    def test_unknown_key_exits_2(self, tmp_path):
+    # J's route takes no settings, so snap_tol and guard_tol are unknown keys
+    @pytest.mark.parametrize("key", ["not_a_key", "snap_tol", "guard_tol"])
+    def test_unknown_key_exits_2(self, tmp_path, key):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("not_a_key = 1\n")
+        cfg.write_text(f"{key} = 1\n")
         res = run_cli(["--config", str(cfg), "mi", "--a2", "0.4", "--x2", "2"])
         assert res.returncode == 2
 

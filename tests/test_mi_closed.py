@@ -8,7 +8,6 @@ from scipy.integrate import quad
 from mp_reference import j_closed_form
 from noncoh import oracle
 from noncoh.channel import (
-    Case,
     ChannelParams,
     TwoPointInput,
     derive_params,
@@ -20,7 +19,10 @@ from noncoh.errors import (
     NearSingularAlpha,
 )
 from noncoh.mi import (
+    CASE2_ALPHA_MIN,
     DEFAULT_POLICY,
+    GUARD_TOL,
+    Case,
     _j_eval,
     continuation_residual,
     conditional_entropy,
@@ -69,10 +71,14 @@ class TestJCase1:
             x2 = math.sqrt(s2 / (n - 1))
             for a2 in (0.2, 0.55, 0.92):
                 inp, ch = TwoPointInput(a2, x2), ChannelParams(s2)
-                assert derive_params(0.0, inp, ch).case is Case.CASE_I
-                assert j_case1(0.0, inp, ch) == pytest.approx(
+                exact = j_case1(0.0, inp, ch)
+                assert exact == pytest.approx(
                     oracle.j_quadrature(0.0, inp, ch), abs=1e-8
                 )
+                # the value path takes the beta>=1 form here
+                ev = _j_eval(0.0, inp, ch, DEFAULT_POLICY)
+                assert ev.case is Case.CASE_III
+                assert ev.value == pytest.approx(exact, abs=1e-13)
 
     def test_large_beta_stability(self):
         # beta^n blow-up must not poison the finite-sum route
@@ -105,10 +111,12 @@ class TestJCase2:
         assert got == pytest.approx(oracle.j_quadrature(0.0, inp, ch), abs=1e-8)
 
     def test_snapped_alpha_is_case1s_business(self):
-        # alpha = 1/2 exactly routes to the finite sum; the beta<1 formula
-        # is undefined there
+        # the beta<1 formula is undefined at alpha = 1/2 exactly; there J
+        # takes the beta>=1 form, which equals the finite sum
         inp, ch = TwoPointInput(0.5, 1.0), ChannelParams(1.0)
-        assert derive_params(0.0, inp, ch).case is Case.CASE_I
+        res = mutual_information(inp, ch)
+        assert res.case_j0 is Case.CASE_III
+        assert res.j0 == pytest.approx(j_case1(0.0, inp, ch), abs=1e-13)
         with pytest.raises(CaseMismatch):
             j_case2(0.0, inp, ch)
 
@@ -190,7 +198,7 @@ class TestCase1IsCase2Limit:
         a2 = 0.4
         inp, ch = TwoPointInput(a2, x2), ChannelParams(s2)
         dp = derive_params(x, inp, ch)
-        assert dp.case is Case.CASE_I
+        assert _j_eval(x, inp, ch, DEFAULT_POLICY).case is Case.CASE_III
         exact = j_case1(x, inp, ch)
         eps = 1e-4
         lo = self._j_alpha_decoupled(1.0 / n - eps, dp.beta, x, s2, inp.a1)
@@ -251,15 +259,33 @@ class TestMutualInformation:
             oracle.mi_quadrature(inp, ChannelParams(s2)), abs=1e-9
         )
 
+    @pytest.mark.parametrize("alpha,case,series", [
+        (0.3, Case.CASE_II, True),
+        (1.0 / 64.0, Case.CASE_III, False),
+        (0.9 * CASE2_ALPHA_MIN, Case.CASE_III, True),
+    ])
+    def test_beta_below_one_routes(self, alpha, case, series):
+        # the beta<1 form away from 1/n; the beta>=1 form through the kernel
+        # (no series diagnostics) next to 1/n, and through its series below
+        # CASE2_ALPHA_MIN
+        ch = ChannelParams(1.0)
+        inp = TwoPointInput(0.2, math.sqrt(alpha / (1.0 - alpha)))
+        assert derive_params(0.0, inp, ch).beta < 1.0
+        ev = _j_eval(0.0, inp, ch, DEFAULT_POLICY)
+        assert ev.case is case
+        assert (ev.terms_used is not None) is series
+        assert ev.value == pytest.approx(oracle.j_quadrature(0.0, inp, ch), abs=1e-10)
+
 
 def _guard_band_inputs():
-    """(x, input, channel) with alpha(x) within the 1/n guard band, n = 1..64:
-    J(0) for n >= 2 (alpha(0) = x2^2/(x2^2 + s2) < 1) and J(x2) for every n
-    (alpha(x2) = x2^2/s2), at beta on both sides of 1."""
+    """(x, input, channel) with alpha(x) within the 1/n guard band, n = 1..64,
+    alpha = 1/n itself included: J(0) for n >= 2 (alpha(0) = x2^2/(x2^2 + s2)
+    < 1) and J(x2) for every n (alpha(x2) = x2^2/s2), at beta on both sides
+    of 1."""
     s2 = 1.7
     out = []
     for n in range(1, 65):
-        for delta in (3e-6, -7e-6, 2e-9):
+        for delta in (3e-6, -7e-6, 2e-9, 0.0):
             alpha = 1.0 / n + delta
             x2 = math.sqrt(alpha * s2)
             cases = [(x2, x2)]
@@ -288,12 +314,12 @@ class TestWholeDomain:
             res = mutual_information(inp, ChannelParams(s))
             routes.update((res.case_j0, res.case_jx2))
             assert 0.0 <= res.nats <= input_entropy(inp) + 1e-10, (a, r, s)
-        assert routes <= {Case.CASE_I, Case.CASE_II, Case.CASE_III}
+        assert routes == {Case.CASE_II, Case.CASE_III}
 
     def test_guard_bands_against_quadrature(self):
         for x, inp, ch in _guard_band_inputs():
             _, dist = nearest_reciprocal(derive_params(x, inp, ch).alpha)
-            assert DEFAULT_POLICY.snap_tol < dist < DEFAULT_POLICY.guard_tol
+            assert dist < GUARD_TOL
             ev = _j_eval(x, inp, ch, DEFAULT_POLICY)
             assert ev.case is Case.CASE_III
             assert ev.value == pytest.approx(oracle.j_quadrature(x, inp, ch), abs=1e-10)
