@@ -15,7 +15,6 @@ from .channel import (
 from .capacity import CapacityPoint, SweepConfig, mi_profile, solve_a2_star, sweep
 from .mi import (
     Case,
-    EvalPolicy,
     MIResult,
     conditional_entropy,
     continuation_residual,
@@ -52,7 +51,6 @@ __all__ = [
     "CapacityPoint",
     "ChannelParams",
     "DerivedParams",
-    "EvalPolicy",
     "FDOrder",
     "MIResult",
     "MonteCarloConfig",

@@ -21,17 +21,12 @@ from scipy.optimize import brentq
 
 from .channel import ChannelParams, TwoPointInput, snr_to_db
 from .errors import SolverFailure
-from .mi import (
-    DEFAULT_POLICY,
-    EvalPolicy,
-    mi_derivative_a2,
-    mi_derivative_a2_capacity,
-    mutual_information,
-)
+from .mi import mi_derivative_a2, mi_derivative_a2_capacity, mutual_information
 
 LOG2 = math.log(2.0)
 
 _A2_EDGE = 1e-6  # x2^2 = P/a2 blows past float range at the ends; I -> 0 there
+_GRID_POINTS = 64  # the dI/da2 bracketing scan
 
 
 @dataclass(frozen=True)
@@ -52,7 +47,6 @@ class SweepConfig:
     snr_db_stop: float = 30.0
     snr_db_step: float = 1.0
     solver_tol: float = 1e-10
-    grid_points_for_bracketing: int = 64
 
     def __post_init__(self):
         if self.snr_db_step <= 0.0:
@@ -72,14 +66,14 @@ def classify_regime(snr_db: float) -> str:
     return "TwoPointOptimum"
 
 
-def _mi_at(a2: float, ch: ChannelParams, policy: EvalPolicy) -> float:
+def _mi_at(a2: float, ch: ChannelParams) -> float:
     inp = TwoPointInput(a2=a2, x2=math.sqrt(ch.power_budget / a2))
-    return mutual_information(inp, ch, policy).nats
+    return mutual_information(inp, ch).nats
 
 
-def _deriv_at(a2: float, ch: ChannelParams, policy: EvalPolicy) -> float:
+def _deriv_at(a2: float, ch: ChannelParams) -> float:
     inp = TwoPointInput(a2=a2, x2=math.sqrt(ch.power_budget / a2))
-    return mi_derivative_a2(inp, ch, policy)
+    return mi_derivative_a2(inp, ch)
 
 
 def _golden_max(f, lo, hi, tol):
@@ -105,7 +99,6 @@ def solve_a2_star(
     cfg: SweepConfig = SweepConfig(),
     *,
     sigma2: float = 1.0,
-    policy: EvalPolicy = DEFAULT_POLICY,
 ) -> CapacityPoint:
     """Locate a2* = argmax of the two-point mutual information at this SNR.
 
@@ -119,9 +112,9 @@ def solve_a2_star(
     if snr_linear <= 0.0:
         raise SolverFailure("snr_linear must be positive")
     ch = ChannelParams(sigma2=sigma2, power_budget=snr_linear * sigma2)
-    deriv = lambda a2: _deriv_at(a2, ch, policy)
-    grid = np.linspace(_A2_EDGE, 1.0 - _A2_EDGE, cfg.grid_points_for_bracketing)
-    dvals = mi_derivative_a2_capacity(grid, ch, policy)
+    deriv = lambda a2: _deriv_at(a2, ch)
+    grid = np.linspace(_A2_EDGE, 1.0 - _A2_EDGE, _GRID_POINTS)
+    dvals = mi_derivative_a2_capacity(grid, ch)
     roots = []
     for i in range(len(grid) - 1):
         lo, hi = float(grid[i]), float(grid[i + 1])
@@ -139,11 +132,11 @@ def solve_a2_star(
         roots.append(float(grid[-1]))
     candidates = list(roots) + [float(grid[0]), float(grid[-1])]
     if not roots:
-        candidates.append(_golden_max(lambda a: _mi_at(a, ch, policy),
+        candidates.append(_golden_max(lambda a: _mi_at(a, ch),
                                       _A2_EDGE, 1.0 - _A2_EDGE, cfg.solver_tol))
     best_a2, best_i = None, -math.inf
     for a2 in candidates:
-        val = _mi_at(a2, ch, policy)
+        val = _mi_at(a2, ch)
         if val > best_i:
             best_a2, best_i = a2, val
     if best_a2 is None or not best_i > 0.0:
@@ -160,12 +153,7 @@ def solve_a2_star(
     )
 
 
-def sweep(
-    cfg: SweepConfig,
-    ch: ChannelParams | None = None,
-    *,
-    policy: EvalPolicy = DEFAULT_POLICY,
-) -> list[CapacityPoint]:
+def sweep(cfg: SweepConfig, ch: ChannelParams | None = None) -> list[CapacityPoint]:
     """One CapacityPoint per SNR grid value, ordered ascending in SNR.
 
     Failed points are recorded with regime "FAILED" rather than dropped.
@@ -179,8 +167,7 @@ def sweep(
     for i in range(n_steps + 1):
         db = cfg.snr_db_start + i * cfg.snr_db_step
         try:
-            points.append(solve_a2_star(10.0 ** (db / 10.0), cfg, sigma2=sigma2,
-                                        policy=policy))
+            points.append(solve_a2_star(10.0 ** (db / 10.0), cfg, sigma2=sigma2))
         except SolverFailure:
             points.append(CapacityPoint(db, 10.0 ** (db / 10.0), math.nan, math.nan,
                                         math.nan, "FAILED", 0, math.nan))
@@ -202,7 +189,6 @@ def mi_profile(
     a2_grid,
     *,
     sigma2: float = 1.0,
-    policy: EvalPolicy = DEFAULT_POLICY,
 ) -> list[tuple[float, float]]:
     """Mutual information along a grid of a2 values with x2^2 = P/a2."""
     ch = ChannelParams(sigma2=sigma2, power_budget=snr_linear * sigma2)
@@ -210,5 +196,5 @@ def mi_profile(
     for a2 in a2_grid:
         if not 0.0 < a2 < 1.0:
             raise SolverFailure("profile grid values must lie in (0, 1)")
-        out.append((float(a2), _mi_at(float(a2), ch, policy)))
+        out.append((float(a2), _mi_at(float(a2), ch)))
     return out

@@ -21,9 +21,7 @@ from . import capacity, mi, oracle, verify
 from .capacity import SweepConfig
 from .channel import ChannelParams, TwoPointInput, snr_from_db
 from .errors import ConsistencyError, NoncohError
-from .mi import EvalPolicy
-from .oracle import MonteCarloConfig, QuadratureConfig
-from .specfun import SpecfunConfig
+from .oracle import MonteCarloConfig
 
 SCHEMA_VERSION = "1"
 
@@ -56,47 +54,12 @@ def _emit(record: dict, as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
-def _load_config(path: str | None) -> dict:
-    """key=value overrides; unknown keys are rejected."""
-    if not path:
-        return {}
-    known = {
-        "series_abs_tol": float,
-        "series_max_terms": int,
-        "transform_threshold": float,
-        "quad_abs_tol": float,
-        "solver_tol": float,
-    }
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in known:
-                raise ValueError(f"unknown config key: {key}")
-            out[key] = known[key](value.strip())
-    return out
-
-
-def _build_policy(cfg: dict) -> EvalPolicy:
-    series = SpecfunConfig(
-        abs_tol=cfg.get("series_abs_tol", 1e-14),
-        max_terms=cfg.get("series_max_terms", 10**7),
-        transform_threshold=cfg.get("transform_threshold", 0.5),
-    )
-    quad = QuadratureConfig(abs_tol=cfg.get("quad_abs_tol", 1e-10))
-    return EvalPolicy(series=series, quadrature=quad)
-
-
-def cmd_mi(args, policy) -> int:
+def cmd_mi(args) -> int:
     inp = TwoPointInput(a2=args.a2, x2=args.x2)
     ch = ChannelParams(sigma2=args.sigma2)
-    res = mi.mutual_information(inp, ch, policy)
+    res = mi.mutual_information(inp, ch)
     hx = mi.input_entropy(inp)
-    hxy = mi.conditional_entropy(inp, ch, policy)
+    hxy = mi.conditional_entropy(inp, ch)
     results = {
         "i_nats": res.nats,
         "input_entropy_nats": hx,
@@ -115,7 +78,7 @@ def cmd_mi(args, policy) -> int:
     ]
     diagnostics = dict(res.diagnostics)
     if args.verify and not inp.is_degenerate():
-        ref = oracle.mi_quadrature(inp, ch, policy.quadrature)
+        ref = oracle.mi_quadrature(inp, ch)
         delta = abs(res.nats - ref)
         diagnostics["oracle_delta"] = delta
         lines.append(f"|closed - oracle| = {delta:.3e}")
@@ -128,7 +91,7 @@ def cmd_mi(args, policy) -> int:
     return EXIT_OK
 
 
-def cmd_deriv(args, policy) -> int:
+def cmd_deriv(args) -> int:
     if args.snr_db is not None:
         snr = snr_from_db(args.snr_db)
         ch = ChannelParams(sigma2=args.sigma2, power_budget=snr * args.sigma2)
@@ -138,7 +101,7 @@ def cmd_deriv(args, policy) -> int:
         ch = ChannelParams(sigma2=args.sigma2)
         inp = TwoPointInput(a2=args.a2, x2=args.x2)
         mode = "fixed x2"
-    value = mi.mi_derivative_a2(inp, ch, policy)
+    value = mi.mi_derivative_a2(inp, ch)
     results = {"dI_da2": value, "mode": mode, "x2": inp.x2}
     lines = [f"dI/da2 = {_fmt(value)}  [{mode}]"]
     diagnostics = {}
@@ -146,12 +109,10 @@ def cmd_deriv(args, policy) -> int:
         if args.snr_db is not None:
             snr = snr_from_db(args.snr_db)
             f = lambda t: mi.mutual_information(
-                TwoPointInput(t, math.sqrt(snr * args.sigma2 / t)), ch, policy
+                TwoPointInput(t, math.sqrt(snr * args.sigma2 / t)), ch
             ).nats
         else:
-            f = lambda t: mi.mutual_information(
-                TwoPointInput(t, args.x2), ch, policy
-            ).nats
+            f = lambda t: mi.mutual_information(TwoPointInput(t, args.x2), ch).nats
         num = oracle.fd_derivative(f, args.a2, oracle.FDOrder.CENTRAL5)
         rel = abs(value - num) / max(abs(num), 1e-12)
         diagnostics["fd_relative_delta"] = rel
@@ -165,12 +126,12 @@ def cmd_deriv(args, policy) -> int:
     return EXIT_OK
 
 
-def cmd_profile(args, policy) -> int:
+def cmd_profile(args) -> int:
     import numpy as np
 
     snr = snr_from_db(args.snr_db)
     grid = np.linspace(1e-6, 1.0 - 1e-6, args.points)
-    pairs = capacity.mi_profile(snr, grid, policy=policy)
+    pairs = capacity.mi_profile(snr, grid)
     rows = ["a2,i_nats"] + [f"{_fmt(a)},{_fmt(v)}" for a, v in pairs]
     text = "\n".join(rows) + "\n"
     if args.out:
@@ -185,14 +146,14 @@ def cmd_profile(args, policy) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args, policy) -> int:
+def cmd_sweep(args) -> int:
     cfg = SweepConfig(
         snr_db_start=args.from_db,
         snr_db_stop=args.to_db,
         snr_db_step=args.step_db,
         solver_tol=args.solver_tol,
     )
-    points = capacity.sweep(cfg, ChannelParams(sigma2=args.sigma2), policy=policy)
+    points = capacity.sweep(cfg, ChannelParams(sigma2=args.sigma2))
     header = "snr_db,snr_linear,a2_star,x2_star,i_star_nats,regime,roots_found,solver_residual"
     rows = [header]
     for p in points:
@@ -221,7 +182,7 @@ def cmd_sweep(args, policy) -> int:
     return EXIT_INCONSISTENT if n_failed else EXIT_OK
 
 
-def cmd_verify(args, policy) -> int:
+def cmd_verify(args) -> int:
     results = verify.run_checks(quick=args.quick)
     lines = [r.line() for r in results]
     failures = [r for r in results if not r.passed]
@@ -245,12 +206,12 @@ def cmd_verify(args, policy) -> int:
     return EXIT_OK
 
 
-def cmd_mc(args, policy) -> int:
+def cmd_mc(args) -> int:
     inp = TwoPointInput(a2=args.a2, x2=args.x2)
     ch = ChannelParams(sigma2=args.sigma2)
     cfg = MonteCarloConfig(samples=args.samples, seed=args.seed)
     est, se = oracle.mi_monte_carlo(inp, ch, cfg)
-    closed = mi.mutual_information(inp, ch, policy).nats
+    closed = mi.mutual_information(inp, ch).nats
     z = (est - closed) / se if se > 0 else math.inf
     results = {
         "estimate_nats": est,
@@ -268,8 +229,7 @@ def cmd_mc(args, policy) -> int:
 
 
 def vars_of(args) -> dict:
-    skip = {"func", "config"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mutual information and capacity of the noncoherent "
         "Rayleigh-fading channel under two-mass-point inputs.",
     )
-    parser.add_argument("--config", help="key=value file overriding tolerances")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mi", help="closed-form mutual information at one point")
@@ -315,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-db", type=float, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--sigma2", type=float, default=1.0)
-    p.add_argument("--solver-tol", type=float, default=None,
-                   help="root tolerance (default: config solver_tol, else 1e-10)")
+    p.add_argument("--solver-tol", type=float, default=SweepConfig.solver_tol,
+                   help="root tolerance (default: %(default)g)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
@@ -340,15 +299,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        policy = _build_policy(cfg)
-    except (OSError, ValueError) as exc:
-        parser.error(str(exc))  # exits 2
-    if args.command == "sweep" and args.solver_tol is None:
-        # flags beat config, config beats defaults
-        args.solver_tol = cfg.get("solver_tol", SweepConfig.solver_tol)
-    try:
-        return args.func(args, policy)
+        return args.func(args)
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT

@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,8 +45,6 @@ from .errors import (
     MissingPowerBudget,
     NearSingularAlpha,
 )
-from .oracle import QuadratureConfig
-from .specfun import SpecfunConfig
 
 LOG2 = math.log(2.0)
 
@@ -57,6 +55,10 @@ GUARD_TOL = 1e-5
 CASE2_ALPHA_MIN = 1.0 / 64.5
 # j_case1 and j_case2 treat alpha as 1/n within this distance.
 RECIPROCAL_TOL = 1e-9
+
+# c(eps) = pi/sin(pi eps) - 1/eps = eps sum_k m_k eps^(2k), to double
+# precision for eps <= 1/2; the m_k highest first, for Horner's rule
+_PI_CSC_SERIES = tuple(float(m) for m in specfun._REFLECTION_SERIES[::-1, 0])
 
 # Test hook: deliberately corrupt the beta>=1 closed form so that the
 # end-to-end verification suite can demonstrate sensitivity to sign faults.
@@ -69,18 +71,6 @@ class Case(enum.Enum):
     CASE_II = "CaseII"
     CASE_III = "CaseIII"
     DEGENERATE = "Degenerate"
-
-
-@dataclass(frozen=True)
-class EvalPolicy:
-    """Series and quadrature tolerances for the closed-form evaluation; the
-    route of each J is fixed (see the module docstring)."""
-
-    series: SpecfunConfig = field(default_factory=SpecfunConfig)
-    quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
-
-
-DEFAULT_POLICY = EvalPolicy()
 
 
 @dataclass(frozen=True)
@@ -143,17 +133,41 @@ def _case1_value(x, inp, ch, n):
     return j11 + j12 + j13
 
 
-def _case2_value(x, inp, ch, alpha, beta, cfg):
+def _case2_value(x, inp, ch, alpha, beta):
     res = specfun.gauss_2f1_diag(
-        1.0, (alpha - 1.0) / alpha, (2.0 * alpha - 1.0) / alpha, -beta, cfg
+        1.0, (alpha - 1.0) / alpha, (2.0 * alpha - 1.0) / alpha, -beta
     )
+    s2 = ch.sigma2
+    log_a1 = math.log(inp.a1 / s2)
+    hyp_term = alpha * beta / (alpha - 1.0) * res.value
+    if alpha < 2.0:
+        value = (
+            -1.0
+            - x * x / s2
+            + log_a1
+            + math.log1p(beta)
+            - hyp_term
+            + _beta_pow_recip_alpha(beta, alpha) * specfun.pi_csc_recip(alpha)
+        )
+        return value, res
+    # pi beta^(1/alpha)/sin(pi/alpha) ~ alpha cancels against -x^2/s2; with
+    # eps = 1/alpha it is beta^eps c(eps) + alpha + alpha (beta^eps - 1), and
+    # alpha - x^2/s2 = (x2^2 - x^2)/(x2^2 + s2) exactly
+    eps = 1.0 / alpha
+    eps2 = eps * eps
+    c = 0.0
+    for m in _PI_CSC_SERIES:
+        c = c * eps2 + m
+    log_pow = math.log(beta) / alpha
+    x2sq = inp.x2**2
     value = (
         -1.0
-        - x * x / ch.sigma2
-        + math.log(inp.a1 / ch.sigma2)
+        + (x2sq - x * x) / (x2sq + s2)
+        + log_a1
         + math.log1p(beta)
-        - alpha * beta / (alpha - 1.0) * res.value
-        + _beta_pow_recip_alpha(beta, alpha) * specfun.pi_csc_recip(alpha)
+        - hyp_term
+        + math.exp(log_pow) * eps * c
+        + alpha * math.expm1(log_pow)
     )
     return value, res
 
@@ -174,9 +188,9 @@ def _case3_from_2f1(x, inp, ch, alpha, beta, f21):
     )
 
 
-def _case3_value(x, inp, ch, alpha, beta, cfg):
+def _case3_value(x, inp, ch, alpha, beta):
     res = specfun.gauss_2f1_diag(
-        1.0, (alpha + 1.0) / alpha, (2.0 * alpha + 1.0) / alpha, -1.0 / beta, cfg
+        1.0, (alpha + 1.0) / alpha, (2.0 * alpha + 1.0) / alpha, -1.0 / beta
     )
     return _case3_from_2f1(x, inp, ch, alpha, beta, res.value), res
 
@@ -191,8 +205,7 @@ def j_case1(x: float, inp: TwoPointInput, ch: ChannelParams) -> float:
     return _case1_value(x, inp, ch, n)
 
 
-def j_case2(x: float, inp: TwoPointInput, ch: ChannelParams,
-            policy: EvalPolicy = DEFAULT_POLICY) -> float:
+def j_case2(x: float, inp: TwoPointInput, ch: ChannelParams) -> float:
     """Closed form with the 2F1 at -beta and the pi/sin reflection term.
 
     Convergence-oriented route for beta < 1; by analytic continuation it is
@@ -208,48 +221,43 @@ def j_case2(x: float, inp: TwoPointInput, ch: ChannelParams,
         raise NearSingularAlpha(
             f"alpha={dp.alpha} within the cancellation guard band around 1/n"
         )
-    return _case2_value(x, inp, ch, dp.alpha, dp.beta, policy.series)[0]
+    return _case2_value(x, inp, ch, dp.alpha, dp.beta)[0]
 
 
-def j_case3(x: float, inp: TwoPointInput, ch: ChannelParams,
-            policy: EvalPolicy = DEFAULT_POLICY) -> float:
+def j_case3(x: float, inp: TwoPointInput, ch: ChannelParams) -> float:
     """Closed form with the 2F1 at -1/beta; free of indeterminations and
     valid for every alpha, beta > 0 (default route for beta >= 1)."""
     dp = derive_params(x, inp, ch)
-    return _case3_value(x, inp, ch, dp.alpha, dp.beta, policy.series)[0]
+    return _case3_value(x, inp, ch, dp.alpha, dp.beta)[0]
 
 
-def _j_eval(x, inp, ch, policy: EvalPolicy) -> JEval:
+def _j_eval(x, inp, ch) -> JEval:
     s2 = ch.sigma2
     big = inp.x2**2 + s2
     alpha = (inp.x2**2 / big) * ((x * x + s2) / s2)
     beta = (inp.a2 / inp.a1) * (s2 / big)
     if beta < 1.0 and alpha >= CASE2_ALPHA_MIN:
         if nearest_reciprocal(alpha)[1] >= GUARD_TOL:
-            value, res = _case2_value(x, inp, ch, alpha, beta, policy.series)
+            value, res = _case2_value(x, inp, ch, alpha, beta)
             return JEval(value, Case.CASE_II, res.terms_used, res.truncation_bound)
         # the beta>=1 form needs its 2F1 at -1/beta < -1, where only the
         # kernel's continuation converges
-        f21 = specfun.hyp2f1_1b(1.0 + 1.0 / alpha, 1.0 / beta, policy.series).value
+        f21 = specfun.hyp2f1_1b(1.0 + 1.0 / alpha, 1.0 / beta).value
         return JEval(_case3_from_2f1(x, inp, ch, alpha, beta, f21),
                      Case.CASE_III, None, None)
-    value, res = _case3_value(x, inp, ch, alpha, beta, policy.series)
+    value, res = _case3_value(x, inp, ch, alpha, beta)
     return JEval(value, Case.CASE_III, res.terms_used, res.truncation_bound)
 
 
-def mutual_information(
-    inp: TwoPointInput,
-    ch: ChannelParams,
-    policy: EvalPolicy = DEFAULT_POLICY,
-) -> MIResult:
+def mutual_information(inp: TwoPointInput, ch: ChannelParams) -> MIResult:
     """I(X;Y) in nats for the two-mass-point input, each J routed by case.
 
     Degenerate inputs (a2 in {0, 1} or x2 = 0) return exactly 0.
     """
     if inp.is_degenerate():
         return MIResult(0.0, math.nan, math.nan, Case.DEGENERATE, Case.DEGENERATE, {})
-    j0 = _j_eval(0.0, inp, ch, policy)
-    j2 = _j_eval(inp.x2, inp, ch, policy)
+    j0 = _j_eval(0.0, inp, ch)
+    j2 = _j_eval(inp.x2, inp, ch)
     s2 = ch.sigma2
     big = inp.x2**2 + s2
     nats = (
@@ -284,13 +292,9 @@ def input_entropy(inp: TwoPointInput) -> float:
     return -a1 * math.log(a1) - a2 * math.log(a2)
 
 
-def conditional_entropy(
-    inp: TwoPointInput,
-    ch: ChannelParams,
-    policy: EvalPolicy = DEFAULT_POLICY,
-) -> float:
+def conditional_entropy(inp: TwoPointInput, ch: ChannelParams) -> float:
     """H(X|Y) = H(X) - I(X;Y), clamped to zero within rounding (1e-10)."""
-    h = input_entropy(inp) - mutual_information(inp, ch, policy).nats
+    h = input_entropy(inp) - mutual_information(inp, ch).nats
     if h < 0.0:
         if h < -1e-10:
             raise ConsistencyError(f"conditional entropy came out negative: {h}")
@@ -298,11 +302,7 @@ def conditional_entropy(
     return h
 
 
-def continuation_residual(
-    alpha: float,
-    beta: float,
-    cfg: SpecfunConfig = specfun.DEFAULT_CONFIG,
-) -> float:
+def continuation_residual(alpha: float, beta: float) -> float:
     """Difference between the two closed-form routes written as an identity:
 
         alpha*beta/(alpha-1) 2F1(1,(a-1)/a;(2a-1)/a;-beta) + alpha
@@ -319,21 +319,18 @@ def continuation_residual(
         raise NearSingularAlpha(f"alpha={alpha} within guard band of 1/n")
     lhs = (
         alpha * beta / (alpha - 1.0)
-        * specfun.gauss_2f1(1.0, (alpha - 1.0) / alpha, (2.0 * alpha - 1.0) / alpha, -beta, cfg)
+        * specfun.gauss_2f1(1.0, (alpha - 1.0) / alpha, (2.0 * alpha - 1.0) / alpha, -beta)
         + alpha
         - _beta_pow_recip_alpha(beta, alpha) * specfun.pi_csc_recip(alpha)
     )
     rhs = (
         alpha / (beta * (alpha + 1.0))
-        * specfun.gauss_2f1(1.0, (alpha + 1.0) / alpha, (2.0 * alpha + 1.0) / alpha, -1.0 / beta, cfg)
+        * specfun.gauss_2f1(1.0, (alpha + 1.0) / alpha, (2.0 * alpha + 1.0) / alpha, -1.0 / beta)
     )
     return lhs - rhs
 
 
-def hyp3f2_sin_identity_residual(
-    alpha: float,
-    cfg: SpecfunConfig = specfun.DEFAULT_CONFIG,
-) -> float:
+def hyp3f2_sin_identity_residual(alpha: float) -> float:
     """Residual of the reduction of two 3F2(-1) sums to pi/sin(pi/alpha):
 
         alpha + 3F2(1,1,(a-1)/a; 2,(2a-1)/a; -1)/(alpha-1)
@@ -346,16 +343,16 @@ def hyp3f2_sin_identity_residual(
     if dist < GUARD_TOL:
         raise NearSingularAlpha(f"alpha={alpha} within guard band of 1/n")
     f1 = specfun.hyp_pfq(
-        [1.0, 1.0, (alpha - 1.0) / alpha], [2.0, (2.0 * alpha - 1.0) / alpha], -1.0, cfg
+        [1.0, 1.0, (alpha - 1.0) / alpha], [2.0, (2.0 * alpha - 1.0) / alpha], -1.0
     )
     f2 = specfun.hyp_pfq(
-        [1.0, 1.0, (alpha + 1.0) / alpha], [2.0, (2.0 * alpha + 1.0) / alpha], -1.0, cfg
+        [1.0, 1.0, (alpha + 1.0) / alpha], [2.0, (2.0 * alpha + 1.0) / alpha], -1.0
     )
     s = alpha + f1.value / (alpha - 1.0) + f2.value / (alpha + 1.0)
     return s - specfun.pi_csc_recip(alpha)
 
 
-def _dI_da2(a2, x2sq, x2sq_p, v_p, s2, cfg):
+def _dI_da2(a2, x2sq, x2sq_p, v_p, s2):
     """The chain rule for dI/da2 over the beta>=1 closed form of both J
     integrals, elementwise over a2 and x2sq (floats or arrays), with one
     kernel call for all of them.  x2sq_p and v_p are the a2-derivatives of
@@ -368,7 +365,7 @@ def _dI_da2(a2, x2sq, x2sq_p, v_p, s2, cfg):
     u_p = (-1.0 / a2**2) * (big / s2) + (a1 / a2) * (big_p / s2)
     # row 0 serves J(0), row 1 serves J(x2)
     b = np.array([2.0 + v, 1.0 + v])
-    fam = specfun.hyp2f1_1b(b, u, cfg)
+    fam = specfun.hyp2f1_1b(b, u)
     # (u/b) * 2F1(1, b; b+1; -u) and its a2-derivative
     hyp = (u / b) * fam.value
     hyp_p = (u_p * b - u * v_p) / b**2 * fam.value + (u / b) * (
@@ -388,11 +385,7 @@ def _dI_da2(a2, x2sq, x2sq_p, v_p, s2, cfg):
     )
 
 
-def mi_derivative_a2(
-    inp: TwoPointInput,
-    ch: ChannelParams,
-    policy: EvalPolicy = DEFAULT_POLICY,
-) -> float:
+def mi_derivative_a2(inp: TwoPointInput, ch: ChannelParams) -> float:
     """Analytic dI/da2, assembled by the chain rule over the beta>=1 closed
     form for both J integrals (the indetermination-free route), valid at
     alpha = 1/n too.
@@ -424,14 +417,10 @@ def mi_derivative_a2(
         x2sq = inp.x2**2
         x2sq_p = 0.0
         v_p = 0.0
-    return float(_dI_da2(a2, x2sq, x2sq_p, v_p, s2, policy.series))
+    return float(_dI_da2(a2, x2sq, x2sq_p, v_p, s2))
 
 
-def mi_derivative_a2_capacity(
-    a2,
-    ch: ChannelParams,
-    policy: EvalPolicy = DEFAULT_POLICY,
-) -> np.ndarray:
+def mi_derivative_a2_capacity(a2, ch: ChannelParams) -> np.ndarray:
     """dI/da2 with x2^2 = P/a2 at every entry of the array a2, in one kernel
     call: the formula of mi_derivative_a2 in capacity mode, batched."""
     a2 = np.asarray(a2, dtype=float)
@@ -440,4 +429,4 @@ def mi_derivative_a2_capacity(
     if ch.power_budget is None:
         raise MissingPowerBudget("capacity mode needs ChannelParams.power_budget")
     p_bud, s2 = ch.power_budget, ch.sigma2
-    return _dI_da2(a2, p_bud / a2, -p_bud / a2**2, s2 / p_bud, s2, policy.series)
+    return _dI_da2(a2, p_bud / a2, -p_bud / a2**2, s2 / p_bud, s2)

@@ -1,14 +1,14 @@
 """Real-argument special functions used by the closed-form expressions.
 
-Scalar double-precision: Pochhammer symbols, the generalized
-hypergeometric series pFq with truncation diagnostics, the Gauss 2F1 on the
-real axis left of z = 1, the digamma function, the (real branch of the)
-incomplete beta integral, and partial sums of the alternating log(1+q)
-series.  A dedicated evaluator for the family 2F1(1, b; b+1; -u) together
-with its parameter and argument derivatives backs the analytic
-mutual-information derivative and the beta>=1 form of J next to
-alpha = 1/n; it holds for every b > 0 and u >= 0 and takes scalars or
-arrays of (b, u) through one vectorized code path.
+Scalar double-precision: the generalized hypergeometric series pFq with
+truncation diagnostics, the Gauss 2F1 on the real axis left of z = 1, the
+digamma function, the (real branch of the) incomplete beta integral, and
+partial sums of the alternating log(1+q) series.  A dedicated evaluator
+for the family 2F1(1, b; b+1; -u) together with its parameter and argument
+derivatives backs the analytic mutual-information derivative and the
+beta>=1 form of J next to alpha = 1/n; it holds for every b > 0 and
+u >= 0 and takes scalars or arrays of (b, u) through one vectorized code
+path.
 """
 
 from __future__ import annotations
@@ -31,27 +31,24 @@ _PI_LD = _LD("3.14159265358979323846264338327950288")
 
 @dataclass(frozen=True)
 class SpecfunConfig:
-    """Series evaluation knobs.
-
-    abs_tol is the truncation target for the absolute remainder,
-    max_terms caps the number of summed terms, and transform_threshold is
-    the |z| above which gauss_2f1 switches to the z/(z-1) transformation.
-    """
+    """Truncation of hyp_pfq: abs_tol is the target for the absolute
+    remainder and max_terms caps the number of summed terms.  gauss_2f1
+    and the Pfaff series of hyp2f1_1b use DEFAULT_CONFIG."""
 
     abs_tol: float = 1e-14
     max_terms: int = 10**7
-    transform_threshold: float = 0.5
 
     def __post_init__(self):
         if not (0.0 < self.abs_tol < 1.0):
             raise ValueError("abs_tol must be in (0, 1)")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
-        if not (0.0 < self.transform_threshold < 1.0):
-            raise ValueError("transform_threshold must be in (0, 1)")
 
 
 DEFAULT_CONFIG = SpecfunConfig()
+
+# gauss_2f1 maps z below -_TRANSFORM_THRESHOLD to z/(z-1) before summing.
+_TRANSFORM_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -61,21 +58,6 @@ class SeriesResult:
     value: float
     terms_used: int
     truncation_bound: float
-
-
-def pochhammer(a: float, k: int) -> float:
-    """Rising factorial a(a+1)...(a+k-1); equals 1 for k = 0.
-
-    Overflow saturates to +-inf and propagates.
-    """
-    if k < 0:
-        raise DomainError("pochhammer requires k >= 0")
-    out = 1.0
-    x = float(a)
-    for _ in range(k):
-        out *= x
-        x += 1.0
-    return out
 
 
 def _term_ratio(numer, denom, z, k):
@@ -207,12 +189,12 @@ def hyp_pfq(numer, denom, z, cfg: SpecfunConfig = DEFAULT_CONFIG) -> SeriesResul
     )
 
 
-def gauss_2f1_diag(xi1, xi2, eta1, z, cfg: SpecfunConfig = DEFAULT_CONFIG) -> SeriesResult:
+def gauss_2f1_diag(xi1, xi2, eta1, z) -> SeriesResult:
     """Gauss 2F1(xi1, xi2; eta1; z) for real z < 1, with series diagnostics.
 
-    Inside |z| <= cfg.transform_threshold (and for 0 < z < 1) the defining
-    series is summed directly; for z below -transform_threshold the argument
-    transformation w = z/(z-1) maps into (0, 1) first:
+    For -1/2 <= z < 1 the defining series is summed directly; below
+    z = -1/2 the argument transformation w = z/(z-1) maps into (1/3, 1)
+    first:
 
         2F1(a, b; c; z) = (1-z)^(-a) 2F1(a, c-b; c; w).
     """
@@ -221,17 +203,17 @@ def gauss_2f1_diag(xi1, xi2, eta1, z, cfg: SpecfunConfig = DEFAULT_CONFIG) -> Se
         raise DomainError(f"2F1 is evaluated only for z < 1 (z={z})")
     if eta1 <= 0.0 and eta1 == math.floor(eta1):
         raise DomainError(f"2F1 undefined for nonpositive integer eta1={eta1}")
-    if z < -cfg.transform_threshold:
+    if z < -_TRANSFORM_THRESHOLD:
         w = z / (z - 1.0)
-        res = hyp_pfq([xi1, eta1 - xi2], [eta1], w, cfg)
+        res = hyp_pfq([xi1, eta1 - xi2], [eta1], w)
         pref = (1.0 - z) ** (-xi1)
         return SeriesResult(pref * res.value, res.terms_used, pref * res.truncation_bound)
-    return hyp_pfq([xi1, xi2], [eta1], z, cfg)
+    return hyp_pfq([xi1, xi2], [eta1], z)
 
 
-def gauss_2f1(xi1, xi2, eta1, z, cfg: SpecfunConfig = DEFAULT_CONFIG) -> float:
+def gauss_2f1(xi1, xi2, eta1, z) -> float:
     """Value of the analytic continuation of 2F1 at real z < 1."""
-    return gauss_2f1_diag(xi1, xi2, eta1, z, cfg).value
+    return gauss_2f1_diag(xi1, xi2, eta1, z).value
 
 
 def digamma(x: float) -> float:
@@ -395,7 +377,7 @@ _REFLECTION_SERIES = _reflection_series()
 _STAR_MIN_U = 1.25
 
 
-def hyp2f1_1b(b, u, cfg: SpecfunConfig = DEFAULT_CONFIG) -> F21Family:
+def hyp2f1_1b(b, u) -> F21Family:
     """Evaluate phi(b, u) = 2F1(1, b; b+1; -u) together with its partials
     for every b > 0 and u >= 0, integer b included.
 
@@ -415,8 +397,8 @@ def hyp2f1_1b(b, u, cfg: SpecfunConfig = DEFAULT_CONFIG) -> F21Family:
 
     (and its derivatives), with the pole the two pieces share at integer b
     removed analytically (see _family_star).  Both run in extended
-    precision, with a number of terms that does not grow with b; cfg.abs_tol
-    sets the truncation of the Pfaff series.
+    precision, with a number of terms that does not grow with b; the Pfaff
+    series is truncated at DEFAULT_CONFIG.abs_tol.
     """
     b_arr = np.asarray(b, dtype=float)
     u_arr = np.asarray(u, dtype=float)
@@ -434,11 +416,11 @@ def hyp2f1_1b(b, u, cfg: SpecfunConfig = DEFAULT_CONFIG) -> F21Family:
     if star.all():
         out = _family_star(bf, uf)
     elif not star.any():
-        out = _family_pfaff(bf, uf, cfg)
+        out = _family_pfaff(bf, uf)
     else:
         out = np.empty((3, bf.size))
         out[:, star] = _family_star(bf[star], uf[star])
-        out[:, ~star] = _family_pfaff(bf[~star], uf[~star], cfg)
+        out[:, ~star] = _family_pfaff(bf[~star], uf[~star])
     value, d_db, d_dz = out.reshape((3,) + shape)
     if not shape:
         return F21Family(float(value), float(d_db), float(d_dz))
@@ -488,7 +470,7 @@ def _pfaff_terms(b_ld, w, n):
     return terms
 
 
-def _family_pfaff(b, u, cfg):
+def _family_pfaff(b, u):
     """Pfaff's transformation for u < _STAR_MIN_U: rows (value, d/db, d/dz).
 
         phi(b, u) = F(w)/(1+u),  F = 2F1(1, 1; b+1; w),  w = u/(1+u),
@@ -502,7 +484,8 @@ def _family_pfaff(b, u, cfg):
     u_ld = u.astype(_LD)
     v = 1 / (1 + u_ld)
     w = u_ld * v
-    n_terms = np.ceil(math.log(cfg.abs_tol) / np.log(np.maximum(u / (1 + u), 1e-300))) + 6
+    log_w = np.log(np.maximum(u / (1 + u), 1e-300))
+    n_terms = np.ceil(math.log(DEFAULT_CONFIG.abs_tol) / log_w) + 6
     F, F_b, F_w = _series_sums(_pfaff_terms, np.maximum(n_terms, 8).astype(int), b_ld, w)
     F += 1
     out = np.empty((3, b.size))

@@ -71,7 +71,7 @@ def check_oracle_equivalence(
             inp = TwoPointInput(a2=float(a2), x2=float(r))
             j_quad = []
             for x in (0.0, float(r)):
-                ev = mi._j_eval(x, inp, ch, mi.DEFAULT_POLICY)
+                ev = mi._j_eval(x, inp, ch)
                 j_quad.append(oracle.j_quadrature(x, inp, ch))
                 worst_j = max(worst_j, abs(ev.value - j_quad[-1]))
             res = mi.mutual_information(inp, ch)

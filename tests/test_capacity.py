@@ -67,9 +67,9 @@ class TestSolve:
             solve_a2_star(0.0)
 
 
-def _scalar_grid_derivs(grid, ch, policy=mi.DEFAULT_POLICY):
+def _scalar_grid_derivs(grid, ch):
     """The bracketing scan one scalar derivative at a time."""
-    return np.array([capacity._deriv_at(float(a), ch, policy) for a in grid])
+    return np.array([capacity._deriv_at(float(a), ch) for a in grid])
 
 
 @pytest.mark.parametrize("sigma2", [1.0, 7.3])
@@ -78,7 +78,7 @@ class TestBatchedGridScan:
     def test_matches_scalar_derivatives(self, snr_db, sigma2):
         snr = 10.0 ** (snr_db / 10.0)
         ch = ChannelParams(sigma2=sigma2, power_budget=snr * sigma2)
-        grid = np.linspace(1e-6, 1.0 - 1e-6, SweepConfig().grid_points_for_bracketing)
+        grid = np.linspace(1e-6, 1.0 - 1e-6, capacity._GRID_POINTS)
         batched = mi.mi_derivative_a2_capacity(grid, ch)
         scalar = _scalar_grid_derivs(grid, ch)
         # a2 = 1e-6 puts sigma^2/x2^2 = a2/snr within 1e-5 of an integer
@@ -145,7 +145,7 @@ class TestSweep:
         (0.0, 0.3, 0.1, 4),  # 0.3 / 0.1 = 2.9999999999999996
     ])
     def test_grid_keeps_the_stop(self, start, stop, step, count, monkeypatch):
-        def solve_stub(snr_linear, cfg, *, sigma2, policy):
+        def solve_stub(snr_linear, cfg, *, sigma2):
             return CapacityPoint(snr_to_db(snr_linear), snr_linear, 0.5, 1.0,
                                  math.log1p(snr_linear), "Capacity", 1, 0.0)
 

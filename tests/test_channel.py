@@ -14,7 +14,7 @@ from noncoh.channel import (
     transition_density,
 )
 from noncoh.errors import DegenerateInput, DomainError, MissingPowerBudget
-from noncoh.mi import DEFAULT_POLICY, Case, _j_eval, mutual_information
+from noncoh.mi import Case, _j_eval, mutual_information
 
 
 class TestParams:
@@ -45,7 +45,7 @@ class TestDeriveParams:
         assert dp.alpha == pytest.approx(1.0, abs=0)
         # beta < 1 at alpha = 1/n takes the beta>=1 form through the kernel
         assert dp.beta < 1.0
-        assert _j_eval(1.0, inp, ch, DEFAULT_POLICY).case is Case.CASE_III
+        assert _j_eval(1.0, inp, ch).case is Case.CASE_III
 
     def test_half_point(self):
         dp = derive_params(0.0, TwoPointInput(0.5, 1.0), ChannelParams(1.0))

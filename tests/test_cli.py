@@ -159,45 +159,31 @@ class TestMcCommand:
         assert first == second
 
 
-class TestConfigFile:
-    def test_override(self, tmp_path, capsys):
-        cfg = tmp_path / "noncoh.cfg"
-        cfg.write_text("quad_abs_tol = 1e-9\nseries_abs_tol = 1e-13\n")
-        rc = main(["--config", str(cfg), "mi", "--a2", "0.4", "--x2", "2", "--verify"])
-        assert rc == 0
-
-    # J's route takes no settings, so snap_tol and guard_tol are unknown keys
-    @pytest.mark.parametrize("key", ["not_a_key", "snap_tol", "guard_tol"])
-    def test_unknown_key_exits_2(self, tmp_path, key):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"{key} = 1\n")
-        res = run_cli(["--config", str(cfg), "mi", "--a2", "0.4", "--x2", "2"])
+class TestNoConfigFile:
+    def test_config_flag_is_a_usage_error(self):
+        # the tolerances are fixed; a script still passing --config gets a
+        # usage error, not a traceback
+        res = run_cli(["--config", "x", "mi", "--a2", "0.4", "--x2", "2"])
         assert res.returncode == 2
+        assert "Traceback" not in res.stderr
 
 
 class TestSolverTolPrecedence:
-    """--solver-tol beats the config file's solver_tol, which beats 1e-10."""
+    """--solver-tol beats SweepConfig's default of 1e-10."""
 
-    @pytest.mark.parametrize("flags,config,expected", [
-        ([], None, 1e-10),
-        ([], "solver_tol = 1e-3\n", 1e-3),
-        (["--solver-tol", "1e-6"], None, 1e-6),
-        (["--solver-tol", "1e-6"], "solver_tol = 1e-3\n", 1e-6),
-    ], ids=["default", "config", "flag", "flag-over-config"])
-    def test_levels(self, tmp_path, monkeypatch, flags, config, expected):
+    @pytest.mark.parametrize("flags,expected", [
+        ([], 1e-10),
+        (["--solver-tol", "1e-6"], 1e-6),
+    ], ids=["default", "flag"])
+    def test_levels(self, tmp_path, monkeypatch, flags, expected):
         seen = []
 
-        def sweep_stub(cfg, ch, *, policy):
+        def sweep_stub(cfg, ch):
             seen.append(cfg.solver_tol)
             return []
 
         monkeypatch.setattr(capacity, "sweep", sweep_stub)
-        argv = []
-        if config is not None:
-            path = tmp_path / "noncoh.cfg"
-            path.write_text(config)
-            argv += ["--config", str(path)]
-        argv += ["sweep", "--from-db", "0", "--to-db", "0", "--step-db", "1",
-                 "--out", str(tmp_path / "s.csv"), *flags]
+        argv = ["sweep", "--from-db", "0", "--to-db", "0", "--step-db", "1",
+                "--out", str(tmp_path / "s.csv"), *flags]
         assert main(argv) == 0
         assert seen == [expected]

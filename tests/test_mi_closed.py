@@ -20,7 +20,6 @@ from noncoh.errors import (
 )
 from noncoh.mi import (
     CASE2_ALPHA_MIN,
-    DEFAULT_POLICY,
     GUARD_TOL,
     Case,
     _j_eval,
@@ -76,7 +75,7 @@ class TestJCase1:
                     oracle.j_quadrature(0.0, inp, ch), abs=1e-8
                 )
                 # the value path takes the beta>=1 form here
-                ev = _j_eval(0.0, inp, ch, DEFAULT_POLICY)
+                ev = _j_eval(0.0, inp, ch)
                 assert ev.case is Case.CASE_III
                 assert ev.value == pytest.approx(exact, abs=1e-13)
 
@@ -135,6 +134,21 @@ class TestJCase2:
         assert j_case2(0.0, inp, ch) == pytest.approx(
             oracle.j_quadrature(0.0, inp, ch), abs=1e-8
         )
+
+    @pytest.mark.parametrize("s2", [1.0, 7.3])
+    def test_large_alpha_matches_mpmath(self, s2):
+        # at J(x2), alpha = x2^2/s2 up to 1e6: the pi/sin(pi/alpha) term is
+        # about alpha and must not cancel against -x^2/s2 in floating point
+        for ratio in (3.0, 30.0, 300.0, 1000.0):
+            for a2 in (1e-6, 1e-3, 0.1, 0.4):
+                inp, ch = TwoPointInput(a2, ratio * math.sqrt(s2)), ChannelParams(s2)
+                assert _j_eval(inp.x2, inp, ch).case is Case.CASE_II
+                for x in (0.0, inp.x2):
+                    with mp.workdps(30):
+                        ref = j_closed_form(mp.mpf(x), mp.mpf(a2), mp.mpf(inp.x2),
+                                            mp.mpf(s2))
+                    assert _j_eval(x, inp, ch).value == pytest.approx(
+                        float(ref), abs=1e-13), (ratio, a2, x)
 
 
 class TestJCase3:
@@ -198,7 +212,7 @@ class TestCase1IsCase2Limit:
         a2 = 0.4
         inp, ch = TwoPointInput(a2, x2), ChannelParams(s2)
         dp = derive_params(x, inp, ch)
-        assert _j_eval(x, inp, ch, DEFAULT_POLICY).case is Case.CASE_III
+        assert _j_eval(x, inp, ch).case is Case.CASE_III
         exact = j_case1(x, inp, ch)
         eps = 1e-4
         lo = self._j_alpha_decoupled(1.0 / n - eps, dp.beta, x, s2, inp.a1)
@@ -271,7 +285,7 @@ class TestMutualInformation:
         ch = ChannelParams(1.0)
         inp = TwoPointInput(0.2, math.sqrt(alpha / (1.0 - alpha)))
         assert derive_params(0.0, inp, ch).beta < 1.0
-        ev = _j_eval(0.0, inp, ch, DEFAULT_POLICY)
+        ev = _j_eval(0.0, inp, ch)
         assert ev.case is case
         assert (ev.terms_used is not None) is series
         assert ev.value == pytest.approx(oracle.j_quadrature(0.0, inp, ch), abs=1e-10)
@@ -320,7 +334,7 @@ class TestWholeDomain:
         for x, inp, ch in _guard_band_inputs():
             _, dist = nearest_reciprocal(derive_params(x, inp, ch).alpha)
             assert dist < GUARD_TOL
-            ev = _j_eval(x, inp, ch, DEFAULT_POLICY)
+            ev = _j_eval(x, inp, ch)
             assert ev.case is Case.CASE_III
             assert ev.value == pytest.approx(oracle.j_quadrature(x, inp, ch), abs=1e-10)
             with mp.workdps(30):

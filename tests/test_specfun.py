@@ -19,29 +19,7 @@ from noncoh.specfun import (
     hyp_pfq,
     incomplete_beta,
     log1p_series_partial_sum,
-    pochhammer,
 )
-
-
-class TestPochhammer:
-    def test_empty_product(self):
-        assert pochhammer(3.0, 0) == 1.0
-
-    def test_factorial(self):
-        assert pochhammer(1.0, 4) == 24.0
-
-    def test_half(self):
-        assert pochhammer(0.5, 3) == pytest.approx(1.875, abs=0)
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(DomainError):
-            pochhammer(1.0, -1)
-
-    @given(st.floats(-5, 5), st.integers(0, 30))
-    def test_recurrence(self, a, k):
-        assert pochhammer(a, k + 1) == pytest.approx(
-            pochhammer(a, k) * (a + k), rel=1e-12, abs=1e-300
-        )
 
 
 class TestHypPfq:
