@@ -1,29 +1,30 @@
 """Closed-form mutual information of the two-mass-point magnitude channel.
 
 The core integral J(x) (the Rayleigh-weighted log mixture density) has three
-closed forms:
+closed forms, kept as the paper's reference forms:
 
-* a finite sum when alpha = 1/n for a positive integer n (j_case1, kept as
-  the paper's reference form),
+* a finite sum when alpha = 1/n for a positive integer n (j_case1),
 * a 2F1-at-(-beta) form with a pi/sin(pi/alpha) reflection term, convergent
-  for beta < 1,
+  for beta < 1 and cancelling next to alpha = 1/n (j_case2),
 * a 2F1-at-(-1/beta) form with no removable indeterminations, valid for
-  every beta > 0 by analytic continuation.
+  every alpha, beta > 0 by analytic continuation (j_case3).
 
-_j_eval picks the route of every J, in one place: a beta < 1 value takes
-the second form unless alpha is below CASE2_ALPHA_MIN or within GUARD_TOL of
-some 1/n (1/n itself included), where that form cancels; those values and
-every beta >= 1 take the third form.  Next to 1/n its 2F1 at -1/beta < -1
-comes from specfun.hyp2f1_1b, whose continuation has its integer-b pole
-removed analytically, and elsewhere from specfun.gauss_2f1_diag.  Every J
-is a closed form; quadrature is only an oracle.
+Every value comes from the third form, with no route decision.  Its 2F1 is
+phi(b, u) = 2F1(1, b; b+1; -u) with u = 1/beta, b = 2+v for J(0) and
+b = 1+v for J(x2), v = sigma^2/x2^2, and the contiguous relation
+
+    u phi(b+1, u)/(b+1) = (1 - phi(b, u))/b
+
+gives both J from the one value phi = phi(1+v, u) of
+specfun.hyp2f1_1b_value, whose continuation has its integer-b pole removed
+analytically.  Quadrature is only an oracle.
 
 Mutual information assembles as
 
     I = -a1 - a1 log s2 - a2 - a2 log(x2^2 + s2) - a1 J(0) - a2 J(x2),
 
-and the analytic derivative dI/da2 (with x2^2 = P/a2 tied in capacity mode)
-feeds the capacity root-finder.
+and the analytic derivative dI/da2 (with x2^2 = P/a2 tied in capacity mode),
+the chain rule over the same two J, feeds the capacity root-finder.
 """
 
 from __future__ import annotations
@@ -46,42 +47,22 @@ from .errors import (
     NearSingularAlpha,
 )
 
-LOG2 = math.log(2.0)
-
-# Routing of J.  The beta<1 form cancels like 1/|alpha - 1/n| next to
-# alpha = 1/n, and below CASE2_ALPHA_MIN (1/alpha past 64.5) it degrades in
-# bands around 1/n wide enough to cover the axis.
+# j_case2 and the identity residuals refuse alpha this close to 1/n, where
+# the beta<1 form cancels like 1/|alpha - 1/n|.
 GUARD_TOL = 1e-5
-CASE2_ALPHA_MIN = 1.0 / 64.5
 # j_case1 and j_case2 treat alpha as 1/n within this distance.
 RECIPROCAL_TOL = 1e-9
 
-# c(eps) = pi/sin(pi eps) - 1/eps = eps sum_k m_k eps^(2k), to double
-# precision for eps <= 1/2; the m_k highest first, for Horner's rule
-_PI_CSC_SERIES = tuple(float(m) for m in specfun._REFLECTION_SERIES[::-1, 0])
-
-# Test hook: deliberately corrupt the beta>=1 closed form so that the
-# end-to-end verification suite can demonstrate sensitivity to sign faults.
+# Test hook: deliberately corrupt the closed form of the value path so that
+# the end-to-end verification suite can demonstrate sensitivity to sign faults.
 _FAULT_FLIP_SIGN = os.environ.get("NONCOH_FAULT_INJECT", "") == "flip-2f1-sign"
 
 
 class Case(enum.Enum):
     """The closed form a J value came from (DEGENERATE: none, I = 0)."""
 
-    CASE_II = "CaseII"
     CASE_III = "CaseIII"
     DEGENERATE = "Degenerate"
-
-
-@dataclass(frozen=True)
-class JEval:
-    """One J value with the series diagnostics of its route; None where the
-    route reports none (the hyp2f1_1b continuation)."""
-
-    value: float
-    case: Case
-    terms_used: int | None
-    truncation_bound: float | None
 
 
 @dataclass(frozen=True)
@@ -134,14 +115,14 @@ def _case1_value(x, inp, ch, n):
 
 
 def _case2_value(x, inp, ch, alpha, beta):
-    res = specfun.gauss_2f1_diag(
+    f21 = specfun.gauss_2f1(
         1.0, (alpha - 1.0) / alpha, (2.0 * alpha - 1.0) / alpha, -beta
     )
     s2 = ch.sigma2
     log_a1 = math.log(inp.a1 / s2)
-    hyp_term = alpha * beta / (alpha - 1.0) * res.value
+    hyp_term = alpha * beta / (alpha - 1.0) * f21
     if alpha < 2.0:
-        value = (
+        return (
             -1.0
             - x * x / s2
             + log_a1
@@ -149,50 +130,34 @@ def _case2_value(x, inp, ch, alpha, beta):
             - hyp_term
             + _beta_pow_recip_alpha(beta, alpha) * specfun.pi_csc_recip(alpha)
         )
-        return value, res
     # pi beta^(1/alpha)/sin(pi/alpha) ~ alpha cancels against -x^2/s2; with
     # eps = 1/alpha it is beta^eps c(eps) + alpha + alpha (beta^eps - 1), and
     # alpha - x^2/s2 = (x2^2 - x^2)/(x2^2 + s2) exactly
-    eps = 1.0 / alpha
-    eps2 = eps * eps
-    c = 0.0
-    for m in _PI_CSC_SERIES:
-        c = c * eps2 + m
     log_pow = math.log(beta) / alpha
     x2sq = inp.x2**2
-    value = (
+    return (
         -1.0
         + (x2sq - x * x) / (x2sq + s2)
         + log_a1
         + math.log1p(beta)
         - hyp_term
-        + math.exp(log_pow) * eps * c
+        + math.exp(log_pow) * specfun.pi_csc_minus_recip(1.0 / alpha)
         + alpha * math.expm1(log_pow)
-    )
-    return value, res
-
-
-def _case3_from_2f1(x, inp, ch, alpha, beta, f21):
-    """The beta>=1 closed form given f21 = 2F1(1, b; b+1; -1/beta),
-    b = (alpha+1)/alpha."""
-    s2 = ch.sigma2
-    big = inp.x2**2 + s2
-    hyp_term = alpha / (beta * (alpha + 1.0)) * f21
-    if _FAULT_FLIP_SIGN:
-        hyp_term = -hyp_term
-    return (
-        -(x * x + s2) / big
-        + math.log(inp.a2 / big)
-        + math.log1p(1.0 / beta)
-        - hyp_term
     )
 
 
 def _case3_value(x, inp, ch, alpha, beta):
-    res = specfun.gauss_2f1_diag(
+    f21 = specfun.gauss_2f1(
         1.0, (alpha + 1.0) / alpha, (2.0 * alpha + 1.0) / alpha, -1.0 / beta
     )
-    return _case3_from_2f1(x, inp, ch, alpha, beta, res.value), res
+    s2 = ch.sigma2
+    big = inp.x2**2 + s2
+    return (
+        -(x * x + s2) / big
+        + math.log(inp.a2 / big)
+        + math.log1p(1.0 / beta)
+        - alpha / (beta * (alpha + 1.0)) * f21
+    )
 
 
 def j_case1(x: float, inp: TwoPointInput, ch: ChannelParams) -> float:
@@ -221,66 +186,60 @@ def j_case2(x: float, inp: TwoPointInput, ch: ChannelParams) -> float:
         raise NearSingularAlpha(
             f"alpha={dp.alpha} within the cancellation guard band around 1/n"
         )
-    return _case2_value(x, inp, ch, dp.alpha, dp.beta)[0]
+    return _case2_value(x, inp, ch, dp.alpha, dp.beta)
 
 
 def j_case3(x: float, inp: TwoPointInput, ch: ChannelParams) -> float:
     """Closed form with the 2F1 at -1/beta; free of indeterminations and
-    valid for every alpha, beta > 0 (default route for beta >= 1)."""
+    valid for every alpha, beta > 0.  The form of the value path, here
+    evaluated on gauss_2f1 as an independent reference."""
     dp = derive_params(x, inp, ch)
-    return _case3_value(x, inp, ch, dp.alpha, dp.beta)[0]
-
-
-def _j_eval(x, inp, ch) -> JEval:
-    s2 = ch.sigma2
-    big = inp.x2**2 + s2
-    alpha = (inp.x2**2 / big) * ((x * x + s2) / s2)
-    beta = (inp.a2 / inp.a1) * (s2 / big)
-    if beta < 1.0 and alpha >= CASE2_ALPHA_MIN:
-        if nearest_reciprocal(alpha)[1] >= GUARD_TOL:
-            value, res = _case2_value(x, inp, ch, alpha, beta)
-            return JEval(value, Case.CASE_II, res.terms_used, res.truncation_bound)
-        # the beta>=1 form needs its 2F1 at -1/beta < -1, where only the
-        # kernel's continuation converges
-        f21 = specfun.hyp2f1_1b(1.0 + 1.0 / alpha, 1.0 / beta).value
-        return JEval(_case3_from_2f1(x, inp, ch, alpha, beta, f21),
-                     Case.CASE_III, None, None)
-    value, res = _case3_value(x, inp, ch, alpha, beta)
-    return JEval(value, Case.CASE_III, res.terms_used, res.truncation_bound)
+    return _case3_value(x, inp, ch, dp.alpha, dp.beta)
 
 
 def mutual_information(inp: TwoPointInput, ch: ChannelParams) -> MIResult:
-    """I(X;Y) in nats for the two-mass-point input, each J routed by case.
+    """I(X;Y) in nats for the two-mass-point input, both J from the beta>=1
+    closed form and one phi value (see the module docstring).
 
-    Degenerate inputs (a2 in {0, 1} or x2 = 0) return exactly 0.
+    Degenerate inputs (a2 in {0, 1} or x2 = 0) return exactly 0.  I is
+    clamped into [0, H(X)] within rounding (1e-10); past that it raises
+    ConsistencyError.  The diagnostics give the series terms behind each J
+    and phi's truncation bound carried into each J.
     """
     if inp.is_degenerate():
         return MIResult(0.0, math.nan, math.nan, Case.DEGENERATE, Case.DEGENERATE, {})
-    j0 = _j_eval(0.0, inp, ch)
-    j2 = _j_eval(inp.x2, inp, ch)
+    a1, a2 = inp.a1, inp.a2
     s2 = ch.sigma2
-    big = inp.x2**2 + s2
-    nats = (
-        -inp.a1
-        - inp.a1 * math.log(s2)
-        - inp.a2
-        - inp.a2 * math.log(big)
-        - inp.a1 * j0.value
-        - inp.a2 * j2.value
-    )
+    x2sq = inp.x2**2
+    big = x2sq + s2
+    b = 1.0 + s2 / x2sq
+    u = (a1 / a2) * (big / s2)
+    phi = specfun.hyp2f1_1b_value(b, u)
+    # alpha/(beta (alpha+1)) 2F1(...) of J(0) and of J(x2)
+    hyp0 = (1.0 - phi.value) / b
+    hyp2 = u * phi.value / b
+    if _FAULT_FLIP_SIGN:
+        hyp0, hyp2 = -hyp0, -hyp2
+    common = math.log(a2 / big) + math.log1p(u)
+    j0 = -s2 / big + common - hyp0
+    j2 = -1.0 + common - hyp2
+    nats = -a1 - a1 * math.log(s2) - a2 - a2 * math.log(big) - a1 * j0 - a2 * j2
     if nats < 0.0:
         if nats < -1e-10:
             raise ConsistencyError(f"mutual information came out negative: {nats}")
         nats = 0.0
-    if nats > LOG2 + 1e-10:
-        raise ConsistencyError(f"mutual information exceeds log 2: {nats}")
+    h_x = input_entropy(inp)
+    if nats > h_x:
+        if nats > h_x + 1e-10:
+            raise ConsistencyError(f"mutual information {nats} exceeds H(X) = {h_x}")
+        nats = h_x
     diagnostics = {
-        "j0_terms": j0.terms_used,
-        "j0_truncation_bound": j0.truncation_bound,
-        "jx2_terms": j2.terms_used,
-        "jx2_truncation_bound": j2.truncation_bound,
+        "j0_terms": phi.terms_used,
+        "j0_truncation_bound": phi.truncation_bound / b,
+        "jx2_terms": phi.terms_used,
+        "jx2_truncation_bound": phi.truncation_bound * u / b,
     }
-    return MIResult(nats, j0.value, j2.value, j0.case, j2.case, diagnostics)
+    return MIResult(nats, j0, j2, Case.CASE_III, Case.CASE_III, diagnostics)
 
 
 def input_entropy(inp: TwoPointInput) -> float:
@@ -293,13 +252,9 @@ def input_entropy(inp: TwoPointInput) -> float:
 
 
 def conditional_entropy(inp: TwoPointInput, ch: ChannelParams) -> float:
-    """H(X|Y) = H(X) - I(X;Y), clamped to zero within rounding (1e-10)."""
-    h = input_entropy(inp) - mutual_information(inp, ch).nats
-    if h < 0.0:
-        if h < -1e-10:
-            raise ConsistencyError(f"conditional entropy came out negative: {h}")
-        h = 0.0
-    return h
+    """H(X|Y) = H(X) - I(X;Y), nonnegative since mutual_information keeps
+    I within [0, H(X)]."""
+    return input_entropy(inp) - mutual_information(inp, ch).nats
 
 
 def continuation_residual(alpha: float, beta: float) -> float:
@@ -355,30 +310,33 @@ def hyp3f2_sin_identity_residual(alpha: float) -> float:
 def _dI_da2(a2, x2sq, x2sq_p, v_p, s2):
     """The chain rule for dI/da2 over the beta>=1 closed form of both J
     integrals, elementwise over a2 and x2sq (floats or arrays), with one
-    kernel call for all of them.  x2sq_p and v_p are the a2-derivatives of
-    x2^2 and of sigma^2/x2^2."""
+    kernel call for all of them and one kernel row per a2.  x2sq_p and v_p
+    are the a2-derivatives of x2^2 and of sigma^2/x2^2."""
     a1 = 1.0 - a2
     big = x2sq + s2
     big_p = x2sq_p
     v = s2 / x2sq
     u = (a1 / a2) * (big / s2)
     u_p = (-1.0 / a2**2) * (big / s2) + (a1 / a2) * (big_p / s2)
-    # row 0 serves J(0), row 1 serves J(x2)
-    b = np.array([2.0 + v, 1.0 + v])
+    # phi(b, u) = 2F1(1, b; b+1; -u) at b = 1+v and its a2-derivative
+    b = 1.0 + v
     fam = specfun.hyp2f1_1b(b, u)
-    # (u/b) * 2F1(1, b; b+1; -u) and its a2-derivative
-    hyp = (u / b) * fam.value
-    hyp_p = (u_p * b - u * v_p) / b**2 * fam.value + (u / b) * (
-        v_p * fam.d_db - u_p * fam.d_dz
-    )
+    phi = fam.value
+    phi_p = v_p * fam.d_db - u_p * fam.d_dz
+    # the hyp terms of J(0), (1 - phi)/b, and of J(x2), u phi/b, with their
+    # a2-derivatives
+    hyp0 = (1.0 - phi) / b
+    hyp0_p = -(phi_p + hyp0 * v_p) / b
+    hyp2 = u * phi / b
+    hyp2_p = (u_p * phi + u * phi_p - hyp2 * v_p) / b
     # the terms J(0) and J(x2) share, and their a2-derivative
     log_big = np.log(big)
     common = np.log(a2) - log_big + np.log1p(u)
     common_p = 1.0 / a2 - big_p / big + u_p / (1.0 + u)
-    j0 = -s2 / big + common - hyp[0]
-    j2 = -1.0 + common - hyp[1]
-    j0_p = s2 * big_p / big**2 + common_p - hyp_p[0]
-    j2_p = common_p - hyp_p[1]
+    j0 = -s2 / big + common - hyp0
+    j2 = -1.0 + common - hyp2
+    j0_p = s2 * big_p / big**2 + common_p - hyp0_p
+    j2_p = common_p - hyp2_p
     return (
         np.log(s2) - log_big - a2 * big_p / big
         + j0 - a1 * j0_p - j2 - a2 * j2_p

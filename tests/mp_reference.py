@@ -4,6 +4,12 @@ so they share no series code with noncoh."""
 import mpmath as mp
 
 
+def hyp2f1_value(b: float, u: float, dps: int = 50) -> float:
+    """2F1(1, b; b+1; -u) alone."""
+    with mp.workdps(dps):
+        return float(mp.hyp2f1(1, mp.mpf(b), mp.mpf(b) + 1, -mp.mpf(u)))
+
+
 def hyp2f1_family(b: float, u: float, dps: int = 50) -> tuple[float, float, float]:
     """2F1(1, b; b+1; -u) with its partials d/db and d/dz at z = -u."""
     with mp.workdps(dps):

@@ -14,7 +14,7 @@ from noncoh.channel import (
     transition_density,
 )
 from noncoh.errors import DegenerateInput, DomainError, MissingPowerBudget
-from noncoh.mi import Case, _j_eval, mutual_information
+from noncoh.mi import Case, j_case3, mutual_information
 
 
 class TestParams:
@@ -43,9 +43,9 @@ class TestDeriveParams:
         inp, ch = TwoPointInput(0.3, 1.0), ChannelParams(1.0)
         dp = derive_params(1.0, inp, ch)
         assert dp.alpha == pytest.approx(1.0, abs=0)
-        # beta < 1 at alpha = 1/n takes the beta>=1 form through the kernel
+        # beta < 1 at alpha = 1/n takes the beta>=1 form like every J
         assert dp.beta < 1.0
-        assert _j_eval(1.0, inp, ch).case is Case.CASE_III
+        assert mutual_information(inp, ch).case_jx2 is Case.CASE_III
 
     def test_half_point(self):
         dp = derive_params(0.0, TwoPointInput(0.5, 1.0), ChannelParams(1.0))
@@ -96,18 +96,21 @@ class TestDeriveParams:
         assert all(b1 > b2 for b1, b2 in zip(betas_in_x2, betas_in_x2[1:]))
 
     def test_case_routing(self):
-        # (J(0), J(x2)) routes: beta < 1 away from 1/n takes the beta<1 form,
-        # beta >= 1 and alpha = 1/n take the beta>=1 form
+        # one route for every J: beta < 1 away from 1/n, beta >= 1 and
+        # alpha = 1/n all take the beta>=1 form, and agree with its
+        # reference evaluation through gauss_2f1
         ch = ChannelParams(1.0)
-        routes = {
-            (0.2, 2.0): (Case.CASE_II, Case.CASE_II),  # beta 0.05, alpha 0.8, 4
-            (0.9, 2.0): (Case.CASE_III, Case.CASE_III),  # beta 1.8
-            (0.9, 1.0): (Case.CASE_III, Case.CASE_III),  # beta 4.5, alpha 1/2, 1
-            (0.5, 1.0): (Case.CASE_III, Case.CASE_III),  # beta 0.5, alpha 1/2, 1
-        }
-        for (a2, x2), want in routes.items():
-            res = mutual_information(TwoPointInput(a2, x2), ch)
-            assert (res.case_j0, res.case_jx2) == want, (a2, x2)
+        for a2, x2 in (
+            (0.2, 2.0),  # beta 0.05, alpha 0.8, 4
+            (0.9, 2.0),  # beta 1.8
+            (0.9, 1.0),  # beta 4.5, alpha 1/2, 1
+            (0.5, 1.0),  # beta 0.5, alpha 1/2, 1
+        ):
+            inp = TwoPointInput(a2, x2)
+            res = mutual_information(inp, ch)
+            assert (res.case_j0, res.case_jx2) == (Case.CASE_III, Case.CASE_III)
+            assert res.j0 == pytest.approx(j_case3(0.0, inp, ch), abs=1e-13)
+            assert res.j_x2 == pytest.approx(j_case3(x2, inp, ch), abs=1e-13)
 
 
 class TestNearestReciprocal:

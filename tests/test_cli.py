@@ -50,6 +50,15 @@ class TestMiCommand:
         assert doc["command"] == "mi"
         assert "i_nats" in doc["results"]
 
+    def test_json_series_diagnostics(self, capsys):
+        # alpha(x2) = 1 with beta < 1: both J still report their series
+        rc = main(["mi", "--a2", "0.2", "--x2", "1", "--json"])
+        diag = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert rc == 0
+        for j in ("j0", "jx2"):
+            assert diag[f"{j}_terms"] > 0
+            assert 0.0 <= diag[f"{j}_truncation_bound"] <= 1e-16
+
     def test_invalid_a2_exits_2(self):
         res = run_cli(["mi", "--a2", "1.5", "--x2", "1"])
         assert res.returncode == 2

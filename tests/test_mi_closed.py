@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mp_reference import j_closed_form
@@ -19,10 +21,8 @@ from noncoh.errors import (
     NearSingularAlpha,
 )
 from noncoh.mi import (
-    CASE2_ALPHA_MIN,
     GUARD_TOL,
     Case,
-    _j_eval,
     continuation_residual,
     conditional_entropy,
     hyp3f2_sin_identity_residual,
@@ -45,6 +45,13 @@ J_REF = {
 }
 I_REF_04_2_1 = 0.21666532350838016
 HB_03 = 0.6108643020548935
+
+
+def _j_mp(x, inp, ch):
+    """J(x) from the 30-digit mpmath closed form."""
+    with mp.workdps(30):
+        return float(j_closed_form(mp.mpf(x), mp.mpf(inp.a2), mp.mpf(inp.x2),
+                                   mp.mpf(ch.sigma2)))
 
 
 class TestJCase1:
@@ -74,10 +81,10 @@ class TestJCase1:
                 assert exact == pytest.approx(
                     oracle.j_quadrature(0.0, inp, ch), abs=1e-8
                 )
-                # the value path takes the beta>=1 form here
-                ev = _j_eval(0.0, inp, ch)
-                assert ev.case is Case.CASE_III
-                assert ev.value == pytest.approx(exact, abs=1e-13)
+                # the value path's beta>=1 form equals the finite sum here
+                res = mutual_information(inp, ch)
+                assert res.case_j0 is Case.CASE_III
+                assert res.j0 == pytest.approx(exact, abs=1e-13)
 
     def test_large_beta_stability(self):
         # beta^n blow-up must not poison the finite-sum route
@@ -138,17 +145,16 @@ class TestJCase2:
     @pytest.mark.parametrize("s2", [1.0, 7.3])
     def test_large_alpha_matches_mpmath(self, s2):
         # at J(x2), alpha = x2^2/s2 up to 1e6: the pi/sin(pi/alpha) term is
-        # about alpha and must not cancel against -x^2/s2 in floating point
+        # about alpha and must not cancel against -x^2/s2 in floating point;
+        # the value path's J must match there too
         for ratio in (3.0, 30.0, 300.0, 1000.0):
             for a2 in (1e-6, 1e-3, 0.1, 0.4):
                 inp, ch = TwoPointInput(a2, ratio * math.sqrt(s2)), ChannelParams(s2)
-                assert _j_eval(inp.x2, inp, ch).case is Case.CASE_II
-                for x in (0.0, inp.x2):
-                    with mp.workdps(30):
-                        ref = j_closed_form(mp.mpf(x), mp.mpf(a2), mp.mpf(inp.x2),
-                                            mp.mpf(s2))
-                    assert _j_eval(x, inp, ch).value == pytest.approx(
-                        float(ref), abs=1e-13), (ratio, a2, x)
+                ref0, ref2 = _j_mp(0.0, inp, ch), _j_mp(inp.x2, inp, ch)
+                assert j_case2(inp.x2, inp, ch) == pytest.approx(ref2, abs=1e-13)
+                res = mutual_information(inp, ch)
+                assert res.j0 == pytest.approx(ref0, abs=1e-13), (ratio, a2)
+                assert res.j_x2 == pytest.approx(ref2, abs=1e-13), (ratio, a2)
 
 
 class TestJCase3:
@@ -212,8 +218,9 @@ class TestCase1IsCase2Limit:
         a2 = 0.4
         inp, ch = TwoPointInput(a2, x2), ChannelParams(s2)
         dp = derive_params(x, inp, ch)
-        assert _j_eval(x, inp, ch).case is Case.CASE_III
         exact = j_case1(x, inp, ch)
+        res = mutual_information(inp, ch)
+        assert (res.j0 if x == 0.0 else res.j_x2) == pytest.approx(exact, abs=1e-13)
         eps = 1e-4
         lo = self._j_alpha_decoupled(1.0 / n - eps, dp.beta, x, s2, inp.a1)
         hi = self._j_alpha_decoupled(1.0 / n + eps, dp.beta, x, s2, inp.a1)
@@ -273,22 +280,18 @@ class TestMutualInformation:
             oracle.mi_quadrature(inp, ChannelParams(s2)), abs=1e-9
         )
 
-    @pytest.mark.parametrize("alpha,case,series", [
-        (0.3, Case.CASE_II, True),
-        (1.0 / 64.0, Case.CASE_III, False),
-        (0.9 * CASE2_ALPHA_MIN, Case.CASE_III, True),
-    ])
-    def test_beta_below_one_routes(self, alpha, case, series):
-        # the beta<1 form away from 1/n; the beta>=1 form through the kernel
-        # (no series diagnostics) next to 1/n, and through its series below
-        # CASE2_ALPHA_MIN
+    @pytest.mark.parametrize("alpha", [0.3, 1.0 / 64.0, 0.9 / 64.5])
+    def test_beta_below_one_routes(self, alpha):
+        # beta < 1 away from 1/n, at 1/n and below 1/64: the one closed form,
+        # with series diagnostics every time
         ch = ChannelParams(1.0)
         inp = TwoPointInput(0.2, math.sqrt(alpha / (1.0 - alpha)))
         assert derive_params(0.0, inp, ch).beta < 1.0
-        ev = _j_eval(0.0, inp, ch)
-        assert ev.case is case
-        assert (ev.terms_used is not None) is series
-        assert ev.value == pytest.approx(oracle.j_quadrature(0.0, inp, ch), abs=1e-10)
+        res = mutual_information(inp, ch)
+        assert res.case_j0 is Case.CASE_III
+        assert res.diagnostics["j0_terms"] > 0
+        assert res.diagnostics["j0_truncation_bound"] <= 1e-16
+        assert res.j0 == pytest.approx(oracle.j_quadrature(0.0, inp, ch), abs=1e-10)
 
 
 def _guard_band_inputs():
@@ -328,21 +331,67 @@ class TestWholeDomain:
             res = mutual_information(inp, ChannelParams(s))
             routes.update((res.case_j0, res.case_jx2))
             assert 0.0 <= res.nats <= input_entropy(inp) + 1e-10, (a, r, s)
-        assert routes == {Case.CASE_II, Case.CASE_III}
+        assert routes == {Case.CASE_III}
 
     def test_guard_bands_against_quadrature(self):
         for x, inp, ch in _guard_band_inputs():
             _, dist = nearest_reciprocal(derive_params(x, inp, ch).alpha)
             assert dist < GUARD_TOL
-            ev = _j_eval(x, inp, ch)
-            assert ev.case is Case.CASE_III
-            assert ev.value == pytest.approx(oracle.j_quadrature(x, inp, ch), abs=1e-10)
-            with mp.workdps(30):
-                ref = j_closed_form(mp.mpf(x), mp.mpf(inp.a2), mp.mpf(inp.x2),
-                                    mp.mpf(ch.sigma2))
-            assert ev.value == pytest.approx(float(ref), abs=1e-12)
             res = mutual_information(inp, ch)
+            j = res.j0 if x == 0.0 else res.j_x2
+            assert j == pytest.approx(oracle.j_quadrature(x, inp, ch), abs=1e-10)
+            assert j == pytest.approx(_j_mp(x, inp, ch), abs=1e-12)
             assert 0.0 <= res.nats <= input_entropy(inp) + 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_near_reciprocal_alpha_matches_mpmath(self, n):
+        # alpha(x) = 1/n +- {1.2e-5, 1e-4, 1e-3}, just outside the 1e-5
+        # band, where the beta<1 form cancels like 1/|alpha - 1/n|
+        s2 = 1.7
+        for delta in (1.2e-5, -1.2e-5, 1e-4, -1e-4, 1e-3, -1e-3):
+            alpha = 1.0 / n + delta
+            x2s = [math.sqrt(alpha * s2)]  # alpha(x2) = x2^2/s2
+            if alpha < 1.0:  # alpha(0) = x2^2/(x2^2 + s2)
+                x2s.append(math.sqrt(s2 * alpha / (1.0 - alpha)))
+            for x2 in x2s:
+                for a2 in (0.05, 0.3):
+                    inp, ch = TwoPointInput(a2, x2), ChannelParams(s2)
+                    res = mutual_information(inp, ch)
+                    assert res.j0 == pytest.approx(_j_mp(0.0, inp, ch), abs=1e-13)
+                    assert res.j_x2 == pytest.approx(_j_mp(x2, inp, ch), abs=1e-13)
+
+    @pytest.mark.parametrize("a2,x2,s2", [
+        (0.4040370343972663, 0.02992088226694697, 0.05078903561971215),
+        (0.4107321963584328, 0.054300877356785064, 0.17343770150543222),
+    ])
+    def test_mi_field_points_match_mpmath(self, a2, x2, s2):
+        # two draws of the benchmark's mi-field workload, alpha(x2) about
+        # 1/56.7 and 1/58.8
+        inp, ch = TwoPointInput(a2, x2), ChannelParams(s2)
+        res = mutual_information(inp, ch)
+        assert res.j0 == pytest.approx(_j_mp(0.0, inp, ch), abs=1e-13)
+        assert res.j_x2 == pytest.approx(_j_mp(x2, inp, ch), abs=1e-13)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(1e-12, 1.0 - 1e-12),
+        st.floats(-4.0, 4.0),
+        st.floats(-6.0, 6.0),
+        st.floats(-3.0, 3.0),
+    )
+    # far-apart mass points at tiny a2: I rounded 2.6e-15 above H(X) = 2.9e-11
+    @example(1e-12, 4.0, -6.0, -3.0)
+    def test_bounds_and_scale_invariance(self, a2, log_ratio, log_s2, log_c):
+        # a2 in [1e-12, 1 - 1e-12], x2/sigma in [1e-4, 1e4], sigma^2 in
+        # [1e-6, 1e6], and the same input with x2^2 and sigma^2 scaled by c
+        ratio, s2, c = 10.0**log_ratio, 10.0**log_s2, 10.0**log_c
+        inp = TwoPointInput(a2, ratio * math.sqrt(s2))
+        nats = mutual_information(inp, ChannelParams(s2)).nats
+        assert math.isfinite(nats)
+        assert 0.0 <= nats <= input_entropy(inp)
+        scaled = mutual_information(TwoPointInput(a2, ratio * math.sqrt(s2 * c)),
+                                    ChannelParams(s2 * c)).nats
+        assert abs(nats - scaled) <= 1e-12
 
 
 class TestEntropies:

@@ -6,16 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from mp_reference import hyp2f1_family
-from noncoh.errors import DivergenceError, DomainError, NoConvergence, PoleError
+from mp_reference import hyp2f1_family, hyp2f1_value
+from noncoh.errors import DivergenceError, DomainError, NoConvergence
 from noncoh.specfun import (
-    EULER_GAMMA,
     SpecfunConfig,
     _euler_average,
-    digamma,
-    digamma_series_oracle,
     gauss_2f1,
     hyp2f1_1b,
+    hyp2f1_1b_value,
     hyp_pfq,
     incomplete_beta,
     log1p_series_partial_sum,
@@ -133,44 +131,6 @@ class TestGauss2F1:
         )
 
 
-class TestDigamma:
-    def test_at_one(self):
-        assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-13)
-
-    def test_at_two_telescoped_series(self):
-        # series at q = 1 telescopes to 1
-        assert digamma(2.0) == pytest.approx(1.0 - EULER_GAMMA, abs=1e-13)
-
-    def test_half_against_series_oracle(self):
-        assert digamma(0.5) == pytest.approx(digamma_series_oracle(-0.5), abs=1e-10)
-
-    @pytest.mark.parametrize("x", [0.25, 1.0, 2.0, 3.7, 9.5, 0.9])
-    def test_series_oracle_on_unit_interval_shifts(self, x):
-        assert digamma(x) == pytest.approx(digamma_series_oracle(x - 1.0), abs=1e-12)
-
-    @pytest.mark.parametrize("q", [0.1, 0.23, 0.4])
-    def test_reflection_identity(self, q):
-        lhs = digamma(1.0 - q)
-        rhs = digamma(q) + math.pi / math.tan(math.pi * q)
-        assert abs(lhs - rhs) <= 1e-10
-
-    @pytest.mark.parametrize("q", [0.1, 0.23, 0.4])
-    def test_half_shift_identity(self, q):
-        lhs = digamma(0.5 + q)
-        rhs = digamma(0.5 - q) + math.pi * math.tan(math.pi * q)
-        assert abs(lhs - rhs) <= 1e-10
-
-    def test_negative_noninteger(self):
-        # recurrence continues below zero: psi(x+1) = psi(x) + 1/x
-        x = -2.3
-        assert digamma(x + 1.0) == pytest.approx(digamma(x) + 1.0 / x, rel=1e-12)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -7.0])
-    def test_poles(self, x):
-        with pytest.raises(PoleError):
-            digamma(x)
-
-
 class TestIncompleteBeta:
     def test_empty_integral(self):
         assert incomplete_beta(0.0, 2.0, 1.0) == 0.0
@@ -237,6 +197,19 @@ class TestLog1pPartialSum:
         )
 
 
+# b next to and at integers, and a wide b grid, integers included; u on
+# both sides of 0.8, 1 and 1.25 (where the continuation takes over from
+# Pfaff's series) and up to 1e12
+NEAR_INTEGER_B = [
+    2.00001, 2.99998, 4.00003,
+    *(n + d for n in (1.0, 2.0, 3.0, 4.0, 65.0) for d in (0.0, 1e-12, -1e-12)),
+]
+NEAR_INTEGER_U = [1.0, 1.05, 1.3, 2.0, 17.0, 1e3, 1e6, 1e11]
+WIDE_B = [0.05, 0.5, 1.0, 1.3, 2.00001, 2.5, 3.0, 3.9, 4.95, 5.0, 65.0]
+WIDE_U = [0.0, 1e-3, 0.3, 0.79, 0.8, 0.81, 0.99, 1.0, 1.01, 1.24, 1.25, 1.26,
+          3.0, 1e3, 1e6, 1e12]
+
+
 class TestF21Family:
     """The 2F1(1, b; b+1; z) kernel and its partials behind the analytic
     mutual-information derivative."""
@@ -279,10 +252,7 @@ class TestF21Family:
     def test_array_call_matches_scalar_calls(self):
         # b in (0, 5] plus 65, integers included, u on both sides of 0.8, 1
         # and 1.25 and up to 1e12
-        bs = [0.05, 0.5, 1.0, 1.3, 2.00001, 2.5, 3.0, 3.9, 4.95, 5.0, 65.0]
-        us = [0.0, 1e-3, 0.3, 0.79, 0.8, 0.81, 0.99, 1.0, 1.01, 1.24, 1.25, 1.26,
-              3.0, 1e3, 1e6, 1e12]
-        pairs = [(b, u) for b in bs for u in us]
+        pairs = [(b, u) for b in WIDE_B for u in WIDE_U]
         b, u = np.array(pairs).T
         fam = hyp2f1_1b(b, u)
         for i, (bi, ui) in enumerate(pairs):
@@ -310,14 +280,11 @@ class TestF21Family:
         with pytest.raises(DomainError):
             hyp2f1_1b(np.array([1.5, 0.0]), 0.5)
 
-    @pytest.mark.parametrize("b", [
-        2.00001, 2.99998, 4.00003,
-        *(n + d for n in (1.0, 2.0, 3.0, 4.0, 65.0) for d in (0.0, 1e-12, -1e-12)),
-    ])
+    @pytest.mark.parametrize("b", NEAR_INTEGER_B)
     def test_near_integer_b_matches_mpmath(self, b):
         # the continuation's head and its m = round(b) - 1 term share a pole
         # at integer b; the kernel removes it analytically
-        us = [1.0, 1.05, 1.3, 2.0, 17.0, 1e3, 1e6, 1e11]
+        us = NEAR_INTEGER_U
         fam = hyp2f1_1b(b, np.array(us))
         for i, u in enumerate(us):
             ref = hyp2f1_family(b, u)
@@ -357,3 +324,35 @@ class TestEulerAverage:
             for v, e in ((value, err), _euler_average(tail)):
                 assert float(v) == pytest.approx(float(ref), rel=0.0, abs=1e-15)
                 assert float(e) == pytest.approx(ref_err, rel=0.0, abs=1e-15)
+
+
+class TestF21Value:
+    """The scalar, value-only 2F1(1, b; b+1; -u) behind every J."""
+
+    @pytest.mark.parametrize("b,us", [
+        *((b, NEAR_INTEGER_U) for b in NEAR_INTEGER_B),
+        *((b, WIDE_U) for b in WIDE_B),
+    ])
+    def test_matches_mpmath_and_kernel(self, b, us):
+        eps = np.finfo(float).eps
+        for u in us:
+            res = hyp2f1_1b_value(b, u)
+            ref = hyp2f1_value(b, u)
+            kernel = hyp2f1_1b(b, u).value
+            assert res.value == pytest.approx(ref, rel=1e-14, abs=0.0), u
+            assert res.value == pytest.approx(kernel, rel=1e-14, abs=0.0), u
+            # the claimed bound covers the truncation; rounding is the rest
+            err = abs(res.value - ref)
+            assert err <= res.truncation_bound + 4.0 * eps * abs(res.value), u
+            assert res.terms_used >= 1
+
+    def test_at_zero(self):
+        res = hyp2f1_1b_value(2.3, 0.0)
+        assert (res.value, res.truncation_bound) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("b,u", [(0.0, 1.0), (-1.0, 1.0), (-0.5, 3.0),
+                                     (1.5, -0.5), (1.5, -3.0), (math.nan, 1.0),
+                                     (1.5, math.nan)])
+    def test_domain(self, b, u):
+        with pytest.raises(DomainError):
+            hyp2f1_1b_value(b, u)
