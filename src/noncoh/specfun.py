@@ -2,9 +2,10 @@
 
 Scalar double-precision: the generalized hypergeometric series pFq with
 truncation diagnostics, the Gauss 2F1 on the real axis left of z = 1, the
-(real branch of the) incomplete beta integral, and partial sums of the
-alternating log(1+q) series.  The family phi(b, u) = 2F1(1, b; b+1; -u)
-has two dedicated evaluators, both valid for every b > 0 and u >= 0:
+digamma function, the (real branch of the) incomplete beta integral, and
+partial sums of the alternating log(1+q) series.  The family
+phi(b, u) = 2F1(1, b; b+1; -u) has two dedicated evaluators, both valid
+for every b > 0 and u >= 0:
 hyp2f1_1b_value, a scalar plain-float value with series diagnostics, from
 which every J and I(X;Y) is built, and hyp2f1_1b, the value with its
 parameter and argument derivatives for scalars or arrays of (b, u) through
@@ -20,7 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, NoConvergence
+from .errors import DivergenceError, DomainError, NoConvergence, PoleError
+
+# Euler's constant to 30 significant digits (series oracle for digamma).
+EULER_GAMMA = 0.577215664901532860606512090082
 
 _LD = np.longdouble
 _PI_LD = _LD("3.14159265358979323846264338327950288")
@@ -211,6 +215,54 @@ def gauss_2f1_diag(xi1, xi2, eta1, z) -> SeriesResult:
 def gauss_2f1(xi1, xi2, eta1, z) -> float:
     """Value of the analytic continuation of 2F1 at real z < 1."""
     return gauss_2f1_diag(xi1, xi2, eta1, z).value
+
+
+def digamma(x: float) -> float:
+    """Logarithmic derivative of the gamma function, for real x away from
+    the poles at nonpositive integers, to absolute error below 1e-13.
+
+    Uses the upward recurrence psi(x+1) = psi(x) + 1/x to shift the argument
+    above 10, then the asymptotic expansion in 1/x^2.
+    """
+    x = float(x)
+    if x <= 0.0 and x == math.floor(x):
+        raise PoleError(f"digamma has a pole at {x}")
+    acc = 0.0
+    while x < 10.0:
+        acc -= 1.0 / x
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    # Bernoulli tail: 1/12 - 1/(120 x^2) + 1/(252 x^4) - 1/(240 x^6)
+    #                 + 1/(132 x^8) - 691/(32760 x^10)
+    tail = inv2 * (
+        1.0 / 12.0
+        - inv2
+        * (
+            1.0 / 120.0
+            - inv2
+            * (
+                1.0 / 252.0
+                - inv2 * (1.0 / 240.0 - inv2 * (1.0 / 132.0 - inv2 * 691.0 / 32760.0))
+            )
+        )
+    )
+    return acc + math.log(x) - 0.5 / x - tail
+
+
+def digamma_series_oracle(q: float, terms: int = 2_000_000) -> float:
+    """Independent test oracle for digamma:
+
+        psi(q+1) = -gamma + sum_{k>=0} q/((k+1)(k+1+q)).
+
+    The raw series converges like 1/K, so the truncated remainder is
+    replaced by its Euler-Maclaurin value log(1 + q/(K+1)) + f(K)/2
+    (error O(1/K^2) of the half-term, i.e. ~1e-13 at the default K).
+    """
+    k = np.arange(terms, dtype=float)
+    head = float(np.sum(q / ((k + 1.0) * (k + 1.0 + q))))
+    kk = float(terms)
+    tail = math.log1p(q / (kk + 1.0)) + 0.5 * q / ((kk + 1.0) * (kk + 1.0 + q))
+    return -EULER_GAMMA + head + tail
 
 
 def incomplete_beta(z: float, b: float, one_minus_a: float) -> float:
