@@ -3,25 +3,28 @@
 For each SNR the nonzero mass point is tied to its probability through
 x2^2 = P/a2, so the mutual information becomes a function of a2 alone;
 the optimum satisfies dI/da2 = 0 and is located by scanning the analytic
-derivative for sign changes and refining each bracket.  The whole scan grid
-is evaluated in one array-valued dI/da2 call; brentq then refines each
-bracket with scalar calls.  A sweep solves its SNR points in order on the
-calling thread.  The maximum only depends on P and sigma^2 through their
-ratio.
+derivative for sign changes and refining each bracket.  All SNR points of a
+call are solved in lock-step: one array-valued dI/da2 call scans the
+bracketing grids of every point (P as a column), one call of scipy's
+vectorized bracketing root-finder (Chandrupatla's method) refines every
+sign change, and one more batched call gives the residuals.  Only the
+candidate I values, about three per point, are scalar calls.  The maximum
+only depends on P and sigma^2 through their ratio.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq  # noqa: F401 - unused; bench/ traces this name
+from scipy.optimize.elementwise import find_root
 
 from .channel import ChannelParams, TwoPointInput, snr_to_db
 from .errors import SolverFailure
-from .mi import mi_derivative_a2, mi_derivative_a2_capacity, mutual_information
+from .mi import _dI_da2, mi_derivative_a2, mutual_information  # noqa: F401 - as brentq
 
 LOG2 = math.log(2.0)
 
@@ -31,6 +34,9 @@ _GRID_POINTS = 64  # the dI/da2 bracketing scan
 
 @dataclass(frozen=True)
 class CapacityPoint:
+    """The optimum at one SNR.  diagnostics holds the solver's work for the
+    point (see solve_a2_star); it takes no part in comparisons."""
+
     snr_db: float
     snr_linear: float
     a2_star: float
@@ -39,6 +45,7 @@ class CapacityPoint:
     regime: str
     roots_found: int
     solver_residual: float
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)
@@ -71,9 +78,10 @@ def _mi_at(a2: float, ch: ChannelParams) -> float:
     return mutual_information(inp, ch).nats
 
 
-def _deriv_at(a2: float, ch: ChannelParams) -> float:
-    inp = TwoPointInput(a2=a2, x2=math.sqrt(ch.power_budget / a2))
-    return mi_derivative_a2(inp, ch)
+def _deriv(a2, p, s2):
+    """dI/da2 with x2^2 = p/a2, elementwise over a2 and p (arrays that
+    broadcast together), in one kernel call."""
+    return _dI_da2(a2, p / a2, -p / a2**2, s2 / p, s2)
 
 
 def _golden_max(f, lo, hi, tol):
@@ -94,67 +102,119 @@ def _golden_max(f, lo, hi, tol):
     return 0.5 * (a + b)
 
 
+def _solve(snr: list[float], cfg: SweepConfig, sigma2: float):
+    """Every SNR point in lock-step: one (CapacityPoint, failure reason or
+    None) per point, a failed point as a FAILED row."""
+    n = len(snr)
+    p = np.array(snr) * sigma2
+    grid = np.linspace(_A2_EDGE, 1.0 - _A2_EDGE, _GRID_POINTS)
+    dvals = _deriv(grid, p[:, None], sigma2)
+    # each point's roots in grid order: its exact zeros on the grid and one
+    # in every sign change
+    roots = np.where(dvals == 0.0, grid, np.nan)
+    pt, lo = np.nonzero(dvals[:, :-1] * dvals[:, 1:] < 0.0)
+    # xatol bounds the root location; the residual contract needs
+    # |dI/da2| <= solver_tol, so refine well past it
+    res = find_root(
+        lambda a2, pp: _deriv(a2, pp, sigma2), (grid[lo], grid[lo + 1]), args=(p[pt],),
+        tolerances={"xatol": max(1e-14, 0.01 * cfg.solver_tol), "xrtol": 8.9e-16},
+    )
+    roots[pt, lo] = res.x
+    unconverged = np.bincount(pt[~res.success], minlength=n)
+    nit = np.bincount(pt, res.nit, minlength=n)
+    nfev = np.bincount(pt, res.nfev, minlength=n)
+
+    a2_star = np.full(n, np.nan)
+    found = []  # per point: (roots found, i*, failure reason, diagnostics)
+    for k in range(n):
+        cand = roots[k][~np.isnan(roots[k])].tolist()
+        n_roots = len(cand)
+        diag = {"grid_rows": _GRID_POINTS, "root_iterations": int(nit[k]),
+                "root_evaluations": int(nfev[k]), "mi_calls": 0,
+                "golden_fallback": not n_roots}
+        best_a2, best_i = None, -math.inf
+        if unconverged[k]:
+            found.append((n_roots, best_i, f"root-finder did not converge at snr={snr[k]}",
+                          diag))
+            continue
+        ch = ChannelParams(sigma2=sigma2, power_budget=float(p[k]))
+
+        def score(a2):
+            diag["mi_calls"] += 1
+            return _mi_at(a2, ch)
+
+        cand += [float(grid[0]), float(grid[-1])]
+        if not n_roots:
+            cand.append(_golden_max(score, _A2_EDGE, 1.0 - _A2_EDGE, cfg.solver_tol))
+        for a2 in cand:
+            val = score(a2)
+            if val > best_i:
+                best_a2, best_i = a2, val
+        reason = None
+        if best_a2 is None or not best_i > 0.0:
+            reason = f"no positive-MI optimum found at snr={snr[k]}"
+        else:
+            a2_star[k] = best_a2
+        found.append((n_roots, best_i, reason, diag))
+
+    solved = ~np.isnan(a2_star)
+    residual = np.full(n, np.nan)
+    residual[solved] = np.abs(_deriv(a2_star[solved], p[solved], sigma2))
+    out = []
+    for k, (n_roots, i_star, reason, diag) in enumerate(found):
+        db = snr_to_db(snr[k])
+        if reason is not None:
+            out.append((CapacityPoint(db, snr[k], math.nan, math.nan, math.nan,
+                                      "FAILED", 0, math.nan, diag), reason))
+            continue
+        a2 = float(a2_star[k])
+        out.append((CapacityPoint(db, snr[k], a2, math.sqrt(p[k] / a2), i_star,
+                                  classify_regime(db), n_roots, float(residual[k]), diag),
+                    None))
+    return out
+
+
 def solve_a2_star(
-    snr_linear: float,
+    snr_linear,
     cfg: SweepConfig = SweepConfig(),
     *,
     sigma2: float = 1.0,
-) -> CapacityPoint:
-    """Locate a2* = argmax of the two-point mutual information at this SNR.
+):
+    """Locate a2* = argmax of the two-point mutual information at each SNR.
 
-    Scans dI/da2 on a bracketing grid over (eps, 1-eps) with one batched
-    analytic call (every entry, alpha = 1/n included, comes from the closed
-    form), refines every sign change by brentq on the scalar analytic
-    derivative, and returns the root with maximal I (grid endpoints included
-    as candidates).  If no sign change is found, falls back to golden-section
-    maximization of I and reports roots_found = 0.
+    snr_linear is a float or a 1-D array of SNRs.  All points are solved
+    in lock-step: dI/da2 is scanned on a 64-point bracketing grid over
+    (eps, 1-eps) for every point in one batched analytic call (every entry,
+    alpha = 1/n included, comes from the closed form); every sign change is
+    refined in one call of scipy's vectorized find_root, to the xtol of
+    solver_tol/100; each point's root with maximal I wins, the grid
+    endpoints included as candidates.  A point with no sign change falls
+    back to golden-section maximization of I and reports roots_found = 0.
+
+    An array returns one CapacityPoint per SNR; a point whose root-finder
+    did not converge, or with no positive I, is a FAILED row.  A float
+    returns its CapacityPoint and raises SolverFailure instead.  Each
+    point's diagnostics give its grid rows, the root-finder's iterations
+    and evaluations over its brackets, its I calls and whether the
+    golden-section fallback ran.
     """
-    if snr_linear <= 0.0:
+    snr = np.asarray(snr_linear, dtype=float)
+    if snr.ndim > 1:
+        raise SolverFailure("snr_linear must be a float or a 1-D array")
+    if not (snr > 0.0).all():
         raise SolverFailure("snr_linear must be positive")
-    ch = ChannelParams(sigma2=sigma2, power_budget=snr_linear * sigma2)
-    deriv = lambda a2: _deriv_at(a2, ch)
-    grid = np.linspace(_A2_EDGE, 1.0 - _A2_EDGE, _GRID_POINTS)
-    dvals = mi_derivative_a2_capacity(grid, ch)
-    roots = []
-    for i in range(len(grid) - 1):
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        dlo, dhi = dvals[i], dvals[i + 1]
-        if dlo == 0.0:
-            roots.append(lo)
-        elif dlo * dhi < 0.0:
-            # xtol bounds the root location; the residual contract needs
-            # |dI/da2| <= solver_tol, so refine well past it
-            roots.append(
-                brentq(deriv, lo, hi, xtol=max(1e-14, 0.01 * cfg.solver_tol),
-                       rtol=8.9e-16)
-            )
-    if dvals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    candidates = list(roots) + [float(grid[0]), float(grid[-1])]
-    if not roots:
-        candidates.append(_golden_max(lambda a: _mi_at(a, ch),
-                                      _A2_EDGE, 1.0 - _A2_EDGE, cfg.solver_tol))
-    best_a2, best_i = None, -math.inf
-    for a2 in candidates:
-        val = _mi_at(a2, ch)
-        if val > best_i:
-            best_a2, best_i = a2, val
-    if best_a2 is None or not best_i > 0.0:
-        raise SolverFailure(f"no positive-MI optimum found at snr={snr_linear}")
-    return CapacityPoint(
-        snr_db=snr_to_db(snr_linear),
-        snr_linear=snr_linear,
-        a2_star=best_a2,
-        x2_star=math.sqrt(ch.power_budget / best_a2),
-        i_star_nats=best_i,
-        regime=classify_regime(snr_to_db(snr_linear)),
-        roots_found=len(roots),
-        solver_residual=abs(deriv(best_a2)),
-    )
+    out = _solve(np.atleast_1d(snr).tolist(), cfg, sigma2)
+    if snr.ndim:
+        return [point for point, _ in out]
+    ((point, reason),) = out
+    if reason is not None:
+        raise SolverFailure(reason)
+    return point
 
 
 def sweep(cfg: SweepConfig, ch: ChannelParams | None = None) -> list[CapacityPoint]:
-    """One CapacityPoint per SNR grid value, ordered ascending in SNR.
+    """One CapacityPoint per SNR grid value, ordered ascending in SNR, from
+    one lock-step solve_a2_star call over the whole grid.
 
     Failed points are recorded with regime "FAILED" rather than dropped.
     A nonmonotone i_star sequence (beyond 1e-9) raises a warning.
@@ -163,14 +223,9 @@ def sweep(cfg: SweepConfig, ch: ChannelParams | None = None) -> list[CapacityPoi
     # the slack absorbs rounding in the quotient without admitting a point
     # past snr_db_stop
     n_steps = math.floor((cfg.snr_db_stop - cfg.snr_db_start) / cfg.snr_db_step + 1e-9)
-    points = []
-    for i in range(n_steps + 1):
-        db = cfg.snr_db_start + i * cfg.snr_db_step
-        try:
-            points.append(solve_a2_star(10.0 ** (db / 10.0), cfg, sigma2=sigma2))
-        except SolverFailure:
-            points.append(CapacityPoint(db, 10.0 ** (db / 10.0), math.nan, math.nan,
-                                        math.nan, "FAILED", 0, math.nan))
+    snr = [10.0 ** ((cfg.snr_db_start + i * cfg.snr_db_step) / 10.0)
+           for i in range(n_steps + 1)]
+    points = solve_a2_star(np.array(snr), cfg, sigma2=sigma2)
     for prev, cur in zip(points, points[1:]):
         if (
             math.isfinite(prev.i_star_nats)

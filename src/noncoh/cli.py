@@ -178,7 +178,9 @@ def cmd_sweep(args) -> int:
     results = {"rows": len(points), "failed": n_failed, "out": args.out}
     lines = [f"wrote {len(points)} data rows to {args.out}"
              + (f" ({n_failed} FAILED)" if n_failed else "")]
-    _emit(_record("sweep", vars_of(args), results), args.json, lines)
+    # the solver's work per point; the CSV leaves it out
+    diagnostics = {"points": [{"snr_db": p.snr_db, **p.diagnostics} for p in points]}
+    _emit(_record("sweep", vars_of(args), results, diagnostics), args.json, lines)
     return EXIT_INCONSISTENT if n_failed else EXIT_OK
 
 

@@ -381,6 +381,11 @@ _STAR_MIN_U = 1.25
 # precision for |eps| <= 1/2; the m_k highest first, for Horner's rule
 _PI_CSC_SERIES = tuple(float(m) for m in _REFLECTION_SERIES[::-1, 0])
 
+# hyp2f1_1b evaluates at most this many rows per pass: its long-double term
+# arrays take kilobytes a row, and one pass over a whole sweep's scan (81 x 64
+# rows) raised the sweep's peak memory by about 6 MB and saved no time
+_PASS_ROWS = 512
+
 # hyp2f1_1b_value stops Pfaff's series once the bound on its remainder is
 # below this; the sum F is at least 1, so that is under half an ulp of F
 _PFAFF_REL_TOL = 2.0**-56
@@ -459,9 +464,10 @@ def hyp2f1_1b(b, u) -> F21Family:
     """Evaluate phi(b, u) = 2F1(1, b; b+1; -u) together with its partials
     for every b > 0 and u >= 0, integer b included.
 
-    b and u are scalars or arrays that broadcast together; all elements are
-    evaluated in one vectorized pass, a scalar call being the size-1 case,
-    and one invalid element raises for the whole call.
+    b and u are scalars or arrays that broadcast together; the elements are
+    evaluated in vectorized passes of at most 512 rows (_PASS_ROWS), a
+    scalar call being the size-1 case, and one invalid element raises for
+    the whole call.
 
     The same mathematical objects written as hypergeometric series are
     d/dz phi = [b/(1+b)] 2F1(2, 1+b; 2+b; z) and
@@ -490,15 +496,18 @@ def hyp2f1_1b(b, u) -> F21Family:
         raise DomainError("hyp2f1_1b expects u >= 0 (argument z = -u)")
     if not (bf > 0.0).all():
         raise DomainError("hyp2f1_1b expects b > 0")
-    star = uf >= _STAR_MIN_U
-    if star.all():
-        out = _family_star(bf, uf)
-    elif not star.any():
-        out = _family_pfaff(bf, uf)
-    else:
-        out = np.empty((3, bf.size))
-        out[:, star] = _family_star(bf[star], uf[star])
-        out[:, ~star] = _family_pfaff(bf[~star], uf[~star])
+    out = np.empty((3, bf.size))
+    for start in range(0, bf.size, _PASS_ROWS):
+        rows = slice(start, start + _PASS_ROWS)
+        b_p, u_p, out_p = bf[rows], uf[rows], out[:, rows]
+        star = u_p >= _STAR_MIN_U
+        if star.all():
+            out_p[:] = _family_star(b_p, u_p)
+        elif not star.any():
+            out_p[:] = _family_pfaff(b_p, u_p)
+        else:
+            out_p[:, star] = _family_star(b_p[star], u_p[star])
+            out_p[:, ~star] = _family_pfaff(b_p[~star], u_p[~star])
     value, d_db, d_dz = out.reshape((3,) + shape)
     if not shape:
         return F21Family(float(value), float(d_db), float(d_dz))

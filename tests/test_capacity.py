@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mp_reference import mi_derivative_a2 as mp_mi_derivative_a2
-from noncoh import capacity, mi
+from noncoh import capacity, cli, mi, specfun
 from noncoh.capacity import (
     CapacityPoint,
     SweepConfig,
@@ -67,9 +67,20 @@ class TestSolve:
             solve_a2_star(0.0)
 
 
+def _scalar_deriv(a2, ch):
+    return mi.mi_derivative_a2(TwoPointInput(a2, math.sqrt(ch.power_budget / a2)), ch)
+
+
 def _scalar_grid_derivs(grid, ch):
     """The bracketing scan one scalar derivative at a time."""
-    return np.array([capacity._deriv_at(float(a), ch) for a in grid])
+    return np.array([_scalar_deriv(float(a), ch) for a in grid])
+
+
+def _scalar_lock_step_derivs(a2, p, s2):
+    """capacity._deriv one scalar derivative at a time."""
+    a2, p = np.broadcast_arrays(a2, p)
+    return np.array([_scalar_deriv(float(a), ChannelParams(sigma2=s2, power_budget=float(q)))
+                     for a, q in zip(a2.flat, p.flat)]).reshape(a2.shape)
 
 
 @pytest.mark.parametrize("sigma2", [1.0, 7.3])
@@ -92,10 +103,97 @@ class TestBatchedGridScan:
     def test_solver_unchanged(self, snr_db, sigma2, monkeypatch):
         snr = 10.0 ** (snr_db / 10.0)
         batched = solve_a2_star(snr, sigma2=sigma2)
-        monkeypatch.setattr(capacity, "mi_derivative_a2_capacity", _scalar_grid_derivs)
+        monkeypatch.setattr(capacity, "_deriv", _scalar_lock_step_derivs)
         scalar = solve_a2_star(snr, sigma2=sigma2)
         assert batched.roots_found == scalar.roots_found
         assert batched.a2_star == pytest.approx(scalar.a2_star, abs=1e-12)
+
+
+# the benchmark's sweep shape: 81 points at 0.5 dB from about -10 dB
+LOCK_STEP_GRIDS = [(0.1, -10.13), (1.0, -10.0), (7.3, -9.77)]
+
+
+def _bench_sweep(sigma2, start):
+    cfg = SweepConfig(snr_db_start=start, snr_db_stop=start + 40.0, snr_db_step=0.5)
+    return cfg, sweep(cfg, ChannelParams(sigma2=sigma2))
+
+
+class TestLockStep:
+    @pytest.mark.parametrize("sigma2,start", LOCK_STEP_GRIDS)
+    def test_matches_per_point_solves(self, sigma2, start):
+        cfg, points = _bench_sweep(sigma2, start)
+        assert len(points) == 81
+        for pt in points:
+            one = solve_a2_star(pt.snr_linear, cfg, sigma2=sigma2)
+            assert pt.roots_found == one.roots_found
+            assert pt.a2_star == pytest.approx(one.a2_star, abs=1e-12, rel=0.0)
+            assert pt.i_star_nats == pytest.approx(one.i_star_nats, abs=1e-13, rel=0.0)
+            assert pt.solver_residual <= cfg.solver_tol
+
+    def test_array_and_float_calls(self):
+        pts = solve_a2_star(np.array([0.5, 2.0]))
+        assert [p.snr_linear for p in pts] == [0.5, 2.0]
+        assert solve_a2_star(2.0) == pts[1]
+        with pytest.raises(SolverFailure):
+            solve_a2_star(np.array([1.0, -1.0]))
+
+    def test_one_failed_bracket_fails_only_its_point(self, monkeypatch, tmp_path):
+        real = capacity.find_root
+        failed_p = []
+
+        def failing_find_root(f, init, *, args, tolerances):
+            res = real(f, init, args=args, tolerances=tolerances)
+            k = min(3, res.success.size - 1)
+            res.success[k], res.status[k] = False, -2
+            failed_p.append(float(args[0][k]))
+            return res
+
+        monkeypatch.setattr(capacity, "find_root", failing_find_root)
+        points = sweep(SweepConfig(snr_db_start=-10.0, snr_db_stop=30.0, snr_db_step=0.5))
+        bad = [p for p in points if p.regime == "FAILED"]
+        assert len(points) == 81 and len(bad) == 1
+        assert bad[0].snr_linear == pytest.approx(failed_p[0])
+        assert all(0.0 < p.a2_star < 1.0 and p.solver_residual <= 1e-10
+                   for p in points if p is not bad[0])
+        with pytest.raises(SolverFailure, match="did not converge"):
+            solve_a2_star(1.0)
+        argv = ["sweep", "--from-db", "-10", "--to-db", "30", "--step-db", "0.5",
+                "--out", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == 3
+        rows = (tmp_path / "s.csv").read_text().splitlines()[1:]
+        assert len(rows) == 81 and sum(",FAILED," in r for r in rows) == 1
+
+    @pytest.mark.parametrize("golden", [False, True], ids=["roots", "golden"])
+    def test_diagnostics_count_the_work(self, golden, monkeypatch):
+        kernel_rows, mi_calls = [], []
+        real_kernel, real_mi, real_deriv = specfun.hyp2f1_1b, capacity._mi_at, capacity._deriv
+
+        def counting_kernel(b, u):
+            kernel_rows.append(np.broadcast(b, u).size)
+            return real_kernel(b, u)
+
+        def counting_mi(a2, ch):
+            mi_calls.append(a2)
+            return real_mi(a2, ch)
+
+        monkeypatch.setattr(specfun, "hyp2f1_1b", counting_kernel)
+        monkeypatch.setattr(capacity, "_mi_at", counting_mi)
+        if golden:  # no sign change anywhere: every point falls back
+            monkeypatch.setattr(capacity, "_deriv",
+                                lambda a2, p, s2: np.abs(real_deriv(a2, p, s2)) + 1.0)
+        cfg = SweepConfig(snr_db_start=-10.0, snr_db_stop=30.0, snr_db_step=5.0)
+        points = sweep(cfg)
+        diags = [p.diagnostics for p in points]
+        assert all(d["golden_fallback"] is golden for d in diags)
+        assert all(p.roots_found == (0 if golden else 1) for p in points)
+        assert all(d["grid_rows"] == capacity._GRID_POINTS for d in diags)
+        assert all((d["root_evaluations"] == 0) is golden for d in diags)
+        assert all(d["root_iterations"] <= d["root_evaluations"] for d in diags)
+        # the scan, the root-finder and one residual row per point
+        assert sum(kernel_rows) == sum(d["grid_rows"] + d["root_evaluations"] + 1
+                                       for d in diags)
+        assert len(mi_calls) == sum(d["mi_calls"] for d in diags)
+        assert all(d["mi_calls"] > 3 if golden else d["mi_calls"] == 3 for d in diags)
 
 
 class TestRegime:
@@ -146,8 +244,8 @@ class TestSweep:
     ])
     def test_grid_keeps_the_stop(self, start, stop, step, count, monkeypatch):
         def solve_stub(snr_linear, cfg, *, sigma2):
-            return CapacityPoint(snr_to_db(snr_linear), snr_linear, 0.5, 1.0,
-                                 math.log1p(snr_linear), "Capacity", 1, 0.0)
+            return [CapacityPoint(snr_to_db(snr), snr, 0.5, 1.0, math.log1p(snr),
+                                  "Capacity", 1, 0.0) for snr in snr_linear.tolist()]
 
         monkeypatch.setattr(capacity, "solve_a2_star", solve_stub)
         points = sweep(SweepConfig(snr_db_start=start, snr_db_stop=stop, snr_db_step=step))

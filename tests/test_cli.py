@@ -122,6 +122,20 @@ class TestSweepCommand:
         regimes = {line.split(",")[5] for line in lines[1:]}
         assert regimes <= {"Capacity", "LowerBound", "TwoPointOptimum"}
 
+    def test_json_reports_the_solver_work_per_point(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        rc = main(["sweep", "--from-db", "-4", "--to-db", "4", "--step-db", "2",
+                   "--out", str(out), "--json"])
+        record = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        points = record["diagnostics"]["points"]
+        assert [p["snr_db"] for p in points] == pytest.approx([-4, -2, 0, 2, 4])
+        for p in points:
+            assert p["grid_rows"] == capacity._GRID_POINTS
+            assert p["root_evaluations"] >= p["root_iterations"] > 0
+            assert p["mi_calls"] == 3 and p["golden_fallback"] is False
+        assert out.read_text().splitlines()[0].endswith("roots_found,solver_residual")
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["--from-db", "-3", "--to-db", "3", "--step-db", "1"]

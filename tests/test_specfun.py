@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mp_reference import hyp2f1_family, hyp2f1_value
+from noncoh import specfun
 from noncoh.errors import DivergenceError, DomainError, NoConvergence, PoleError
 from noncoh.specfun import (
     EULER_GAMMA,
@@ -297,6 +298,22 @@ class TestF21Family:
         b, u = np.array(pairs).T
         fam = hyp2f1_1b(b, u)
         for i, (bi, ui) in enumerate(pairs):
+            one = hyp2f1_1b(bi, ui)
+            for name in ("value", "d_db", "d_dz"):
+                assert getattr(fam, name)[i] == pytest.approx(
+                    getattr(one, name), rel=1e-14, abs=0.0), (bi, ui, name)
+
+    def test_array_call_over_several_passes(self):
+        # more rows than one pass holds, both u regimes mixed in every pass
+        rng = np.random.default_rng(8)
+        b = np.exp(rng.uniform(np.log(0.05), np.log(65.0), 1300))
+        u = np.exp(rng.uniform(np.log(1e-3), np.log(1e12), 1300))
+        assert b.size > 2 * specfun._PASS_ROWS
+        for start in range(0, u.size, specfun._PASS_ROWS):
+            rows = u[start:start + specfun._PASS_ROWS]
+            assert (rows < specfun._STAR_MIN_U).any() and (rows >= specfun._STAR_MIN_U).any()
+        fam = hyp2f1_1b(b, u)
+        for i, (bi, ui) in enumerate(zip(b.tolist(), u.tolist())):
             one = hyp2f1_1b(bi, ui)
             for name in ("value", "d_db", "d_dz"):
                 assert getattr(fam, name)[i] == pytest.approx(
