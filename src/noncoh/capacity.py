@@ -24,7 +24,8 @@ from scipy.optimize.elementwise import find_root
 
 from .channel import ChannelParams, TwoPointInput, snr_to_db
 from .errors import SolverFailure
-from .mi import _dI_da2, mi_derivative_a2, mutual_information  # noqa: F401 - as brentq
+from .mi import _dI_da2, mutual_information
+from .mi import mi_derivative_a2  # noqa: F401 - unused; bench/ traces this name
 
 LOG2 = math.log(2.0)
 

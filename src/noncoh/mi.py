@@ -43,7 +43,6 @@ from .errors import (
     ConsistencyError,
     DegenerateInput,
     DomainError,
-    MissingPowerBudget,
     NearSingularAlpha,
 )
 
@@ -376,15 +375,3 @@ def mi_derivative_a2(inp: TwoPointInput, ch: ChannelParams) -> float:
         x2sq_p = 0.0
         v_p = 0.0
     return float(_dI_da2(a2, x2sq, x2sq_p, v_p, s2))
-
-
-def mi_derivative_a2_capacity(a2, ch: ChannelParams) -> np.ndarray:
-    """dI/da2 with x2^2 = P/a2 at every entry of the array a2, in one kernel
-    call: the formula of mi_derivative_a2 in capacity mode, batched."""
-    a2 = np.asarray(a2, dtype=float)
-    if not ((a2 > 0.0) & (a2 < 1.0)).all():
-        raise DegenerateInput("derivative requires 0 < a2 < 1")
-    if ch.power_budget is None:
-        raise MissingPowerBudget("capacity mode needs ChannelParams.power_budget")
-    p_bud, s2 = ch.power_budget, ch.sigma2
-    return _dI_da2(a2, p_bud / a2, -p_bud / a2**2, s2 / p_bud, s2)

@@ -90,7 +90,7 @@ class TestBatchedGridScan:
         snr = 10.0 ** (snr_db / 10.0)
         ch = ChannelParams(sigma2=sigma2, power_budget=snr * sigma2)
         grid = np.linspace(1e-6, 1.0 - 1e-6, capacity._GRID_POINTS)
-        batched = mi.mi_derivative_a2_capacity(grid, ch)
+        batched = capacity._deriv(grid, snr * sigma2, sigma2)
         scalar = _scalar_grid_derivs(grid, ch)
         # a2 = 1e-6 puts sigma^2/x2^2 = a2/snr within 1e-5 of an integer
         # (alpha next to 1/n); it takes the same analytic formula
