@@ -37,7 +37,6 @@ from .oracle import (
 )
 from .specfun import (
     SeriesResult,
-    SpecfunConfig,
     gauss_2f1,
     hyp_pfq,
     incomplete_beta,
@@ -56,7 +55,6 @@ __all__ = [
     "MonteCarloConfig",
     "QuadratureConfig",
     "SeriesResult",
-    "SpecfunConfig",
     "SweepConfig",
     "TwoPointInput",
     "conditional_entropy",

@@ -23,7 +23,7 @@ from scipy.optimize import brentq  # noqa: F401 - unused; bench/ traces this nam
 from scipy.optimize.elementwise import find_root
 
 from .channel import ChannelParams, TwoPointInput, snr_to_db
-from .errors import SolverFailure
+from .errors import DomainError, SolverFailure
 from .mi import _dI_da2, mutual_information
 from .mi import mi_derivative_a2  # noqa: F401 - unused; bench/ traces this name
 
@@ -58,9 +58,9 @@ class SweepConfig:
 
     def __post_init__(self):
         if self.snr_db_step <= 0.0:
-            raise ValueError("snr_db_step must be positive")
+            raise DomainError("snr_db_step must be positive")
         if self.snr_db_start > self.snr_db_stop:
-            raise ValueError("snr_db_start must not exceed snr_db_stop")
+            raise DomainError("snr_db_start must not exceed snr_db_stop")
 
 
 def classify_regime(snr_db: float) -> str:
@@ -82,7 +82,7 @@ def _mi_at(a2: float, ch: ChannelParams) -> float:
 def _deriv(a2, p, s2):
     """dI/da2 with x2^2 = p/a2, elementwise over a2 and p (arrays that
     broadcast together), in one kernel call."""
-    return _dI_da2(a2, p / a2, -p / a2**2, s2 / p, s2)
+    return _dI_da2(a2, p / a2, s2, True)
 
 
 def _golden_max(f, lo, hi, tol):

@@ -20,7 +20,7 @@ import sys
 from . import capacity, mi, oracle, verify
 from .capacity import SweepConfig
 from .channel import ChannelParams, TwoPointInput, snr_from_db
-from .errors import ConsistencyError, NoncohError
+from .errors import ConsistencyError, DomainError, NoncohError
 from .oracle import MonteCarloConfig
 
 SCHEMA_VERSION = "1"
@@ -129,6 +129,8 @@ def cmd_deriv(args) -> int:
 def cmd_profile(args) -> int:
     import numpy as np
 
+    if args.points < 1:
+        raise DomainError(f"--points must be >= 1 (got {args.points})")
     snr = snr_from_db(args.snr_db)
     grid = np.linspace(1e-6, 1.0 - 1e-6, args.points)
     pairs = capacity.mi_profile(snr, grid)

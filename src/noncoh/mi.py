@@ -23,8 +23,11 @@ Mutual information assembles as
 
     I = -a1 - a1 log s2 - a2 - a2 log(x2^2 + s2) - a1 J(0) - a2 J(x2),
 
-and the analytic derivative dI/da2 (with x2^2 = P/a2 tied in capacity mode),
-the chain rule over the same two J, feeds the capacity root-finder.
+so with the information density i(x) = -1 - log(x^2 + s2) - J(x) it is
+I = a1 i(0) + a2 i(x2).  The analytic derivative dI/da2 is i(x2) - i(0)
+from the same phi, plus, with x2^2 = P/a2 tied in capacity mode, one term
+in the b-partial of phi for the moving mass point; it feeds the capacity
+root-finder.
 """
 
 from __future__ import annotations
@@ -306,52 +309,43 @@ def hyp3f2_sin_identity_residual(alpha: float) -> float:
     return s - specfun.pi_csc_recip(alpha)
 
 
-def _dI_da2(a2, x2sq, x2sq_p, v_p, s2):
-    """The chain rule for dI/da2 over the beta>=1 closed form of both J
-    integrals, elementwise over a2 and x2sq (floats or arrays), with one
-    kernel call for all of them and one kernel row per a2.  x2sq_p and v_p
-    are the a2-derivatives of x2^2 and of sigma^2/x2^2."""
-    a1 = 1.0 - a2
+def _dI_da2(a2, x2sq, s2, capacity):
+    """dI/da2 from the information density i(x) = -1 - log(x^2+s2) - J(x),
+    elementwise over a2 and x2sq (floats or arrays), with one kernel call
+    for all of them and one kernel row per a2.
+
+    With x2 held fixed, dI/da2 = i(x2) - i(0).  With x2^2 = P/a2
+    (capacity) the mass point moves too, adding a2 (dx2^2/da2) di/dx^2 at
+    x2 = -x2^2 di/dx^2 (the change of the output density drops out: it
+    integrates to zero against the conditional density).  J(x2) holds x
+    only in b = 1 + 1/alpha, whose x^2-derivative at x2 is -v/(x2^2+s2),
+    v = s2/x2^2, so with phi = phi(b, u) and phi_b its b-partial
+    (see mutual_information)
+
+        i(x2) - i(0) = log(s2/big) + x2^2/big + ((1+u) phi - 1)/b,
+        -x2^2 di/dx^2 = u s2 (phi_b - phi/b) / (big b).
+    """
     big = x2sq + s2
-    big_p = x2sq_p
-    v = s2 / x2sq
-    u = (a1 / a2) * (big / s2)
-    u_p = (-1.0 / a2**2) * (big / s2) + (a1 / a2) * (big_p / s2)
-    # phi(b, u) = 2F1(1, b; b+1; -u) at b = 1+v and its a2-derivative
-    b = 1.0 + v
+    b = 1.0 + s2 / x2sq
+    u = ((1.0 - a2) / a2) * (big / s2)
     fam = specfun.hyp2f1_1b(b, u)
     phi = fam.value
-    phi_p = v_p * fam.d_db - u_p * fam.d_dz
-    # the hyp terms of J(0), (1 - phi)/b, and of J(x2), u phi/b, with their
-    # a2-derivatives
-    hyp0 = (1.0 - phi) / b
-    hyp0_p = -(phi_p + hyp0 * v_p) / b
-    hyp2 = u * phi / b
-    hyp2_p = (u_p * phi + u * phi_p - hyp2 * v_p) / b
-    # the terms J(0) and J(x2) share, and their a2-derivative
-    log_big = np.log(big)
-    common = np.log(a2) - log_big + np.log1p(u)
-    common_p = 1.0 / a2 - big_p / big + u_p / (1.0 + u)
-    j0 = -s2 / big + common - hyp0
-    j2 = -1.0 + common - hyp2
-    j0_p = s2 * big_p / big**2 + common_p - hyp0_p
-    j2_p = common_p - hyp2_p
-    return (
-        np.log(s2) - log_big - a2 * big_p / big
-        + j0 - a1 * j0_p - j2 - a2 * j2_p
-    )
+    d = np.log(s2 / big) + x2sq / big + ((1.0 + u) * phi - 1.0) / b
+    if capacity:
+        d = d + u * s2 * (fam.d_db - phi / b) / (big * b)
+    return d
 
 
 def mi_derivative_a2(inp: TwoPointInput, ch: ChannelParams) -> float:
-    """Analytic dI/da2, assembled by the chain rule over the beta>=1 closed
-    form for both J integrals (the indetermination-free route), valid at
+    """Analytic dI/da2 from the information density at the two mass points
+    (see _dI_da2), through the beta>=1 closed form of J, valid at
     alpha = 1/n too.
 
     With ch.power_budget present the nonzero mass point is tied to the
     probability through x2^2 = P/a2; otherwise x2 is held fixed.  The
-    hypergeometric building blocks are the argument and parameter partials
-    of 2F1(1, b; b+1; z), i.e. the 2F1(2, 1+b; 2+b; z) and
-    3F2(2, 1+b, 1+b; 2+b, 2+b; z) terms in series form.
+    hypergeometric building blocks are phi = 2F1(1, b; b+1; -u) and, in
+    capacity mode, its b-partial, i.e. the
+    3F2(2, 1+b, 1+b; 2+b, 2+b; -u) term in series form.
     """
     a2 = inp.a2
     if a2 <= 0.0 or a2 >= 1.0:
@@ -366,12 +360,8 @@ def mi_derivative_a2(inp: TwoPointInput, ch: ChannelParams) -> float:
                 "capacity mode requires x2^2 = power_budget / a2 "
                 f"(got x2^2={inp.x2 ** 2}, expected {x2sq})"
             )
-        x2sq_p = -p_bud / a2**2
-        v_p = s2 / p_bud
     else:
         if inp.x2 <= 0.0:
             raise DegenerateInput("derivative requires x2 > 0")
         x2sq = inp.x2**2
-        x2sq_p = 0.0
-        v_p = 0.0
-    return float(_dI_da2(a2, x2sq, x2sq_p, v_p, s2))
+    return float(_dI_da2(a2, x2sq, s2, capacity))

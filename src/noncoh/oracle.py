@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .channel import ChannelParams, TwoPointInput
-from .errors import DegenerateInput, ToleranceNotMet
+from .errors import DegenerateInput, DomainError, ToleranceNotMet
 
 LOG2 = math.log(2.0)
 
@@ -51,9 +51,9 @@ class QuadratureConfig:
 
     def __post_init__(self):
         if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be positive")
+            raise DomainError("abs_tol must be positive")
         if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+            raise DomainError("max_subdivisions must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class MonteCarloConfig:
 
     def __post_init__(self):
         if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+            raise DomainError("samples must be >= 1")
 
 
 DEFAULT_QUAD = QuadratureConfig()

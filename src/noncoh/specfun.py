@@ -8,8 +8,8 @@ phi(b, u) = 2F1(1, b; b+1; -u) has two dedicated evaluators, both valid
 for every b > 0 and u >= 0:
 hyp2f1_1b_value, a scalar plain-float value with series diagnostics, from
 which every J and I(X;Y) is built, and hyp2f1_1b, the value with its
-parameter and argument derivatives for scalars or arrays of (b, u) through
-one vectorized code path, which backs the analytic dI/da2.
+b-partial for scalars or arrays of (b, u) through one vectorized code path,
+which backs the analytic dI/da2.
 """
 
 from __future__ import annotations
@@ -30,23 +30,11 @@ _LD = np.longdouble
 _PI_LD = _LD("3.14159265358979323846264338327950288")
 
 
-@dataclass(frozen=True)
-class SpecfunConfig:
-    """Truncation of hyp_pfq: abs_tol is the target for the absolute
-    remainder and max_terms caps the number of summed terms.  gauss_2f1
-    and the Pfaff series of hyp2f1_1b use DEFAULT_CONFIG."""
-
-    abs_tol: float = 1e-14
-    max_terms: int = 10**7
-
-    def __post_init__(self):
-        if not (0.0 < self.abs_tol < 1.0):
-            raise ValueError("abs_tol must be in (0, 1)")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-
-
-DEFAULT_CONFIG = SpecfunConfig()
+# Truncation of hyp_pfq (and so gauss_2f1): the target for the absolute
+# remainder and the cap on summed terms.  The Pfaff series of hyp2f1_1b
+# also truncates at ABS_TOL, and incomplete_beta stops at MAX_TERMS.
+ABS_TOL = 1e-14
+MAX_TERMS = 10**7
 
 # gauss_2f1 maps z below -_TRANSFORM_THRESHOLD to z/(z-1) before summing.
 _TRANSFORM_THRESHOLD = 0.5
@@ -110,12 +98,12 @@ def _euler_average(terms):
     return levels[rows, pick].reshape(shape)[()], err[rows, pick].reshape(shape)[()]
 
 
-def hyp_pfq(numer, denom, z, cfg: SpecfunConfig = DEFAULT_CONFIG) -> SeriesResult:
+def hyp_pfq(numer, denom, z) -> SeriesResult:
     """Generalized hypergeometric series sum_k [prod (xi)_k / prod (eta)_k] z^k / k!.
 
     Raises DomainError when a denominator parameter is a nonpositive integer
     reached before truncation, DivergenceError outside the convergence
-    region, and NoConvergence when max_terms is exhausted above abs_tol.
+    region, and NoConvergence when MAX_TERMS terms leave it above ABS_TOL.
     """
     numer = [float(a) for a in numer]
     denom = [float(b) for b in denom]
@@ -132,7 +120,7 @@ def hyp_pfq(numer, denom, z, cfg: SpecfunConfig = DEFAULT_CONFIG) -> SeriesResul
         if z == -1.0 and s <= -1.0:
             raise DivergenceError("series diverges at z = -1 (sum(eta) - sum(xi) <= -1)")
 
-    tol = cfg.abs_tol
+    tol = ABS_TOL
 
     # Near z = -1 with p = q + 1 the terms decay like a power of k and plain
     # summation stalls; sum a head directly and accelerate the alternating
@@ -142,7 +130,7 @@ def hyp_pfq(numer, denom, z, cfg: SpecfunConfig = DEFAULT_CONFIG) -> SeriesResul
         p == q + 1
         and z < 0.0
         and abs(z) >= 0.9
-        and cfg.max_terms >= int(max(48.0, (max(neg) if neg else 0.0) + 16.0)) + 72
+        and MAX_TERMS >= int(max(48.0, (max(neg) if neg else 0.0) + 16.0)) + 72
     ):
         m0 = int(max(48.0, (max(neg) if neg else 0.0) + 16.0))
         term = 1.0
@@ -172,7 +160,7 @@ def hyp_pfq(numer, denom, z, cfg: SpecfunConfig = DEFAULT_CONFIG) -> SeriesResul
     total = 1.0
     ratio = _term_ratio(numer, denom, z, 0)
     k = 0
-    while k < cfg.max_terms:
+    while k < MAX_TERMS:
         term *= ratio
         total += term
         k += 1
@@ -186,7 +174,7 @@ def hyp_pfq(numer, denom, z, cfg: SpecfunConfig = DEFAULT_CONFIG) -> SeriesResul
             if bound <= tol:
                 return SeriesResult(total, k, bound)
     raise NoConvergence(
-        f"series did not reach abs_tol={tol} within {cfg.max_terms} terms"
+        f"series did not reach abs_tol={tol} within {MAX_TERMS} terms"
     )
 
 
@@ -294,7 +282,7 @@ def incomplete_beta(z: float, b: float, one_minus_a: float) -> float:
     total = 1.0 / b
     k = 0
     zk = 1.0
-    while k < DEFAULT_CONFIG.max_terms:
+    while k < MAX_TERMS:
         coef *= (a + k) / (k + 1.0)
         zk *= z
         term = coef * zk / (b + k + 1.0)
@@ -335,14 +323,13 @@ def pi_csc_recip(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class F21Family:
-    """2F1(1, b; b+1; -u) with partial derivatives d/db and d/dz at z=-u.
+    """2F1(1, b; b+1; -u) with its partial derivative d/db.
 
     Floats for a scalar call, arrays of the broadcast (b, u) shape
     otherwise."""
 
     value: float | np.ndarray
     d_db: float | np.ndarray
-    d_dz: float | np.ndarray
 
 
 def _reflection_series():
@@ -381,10 +368,10 @@ _STAR_MIN_U = 1.25
 # precision for |eps| <= 1/2; the m_k highest first, for Horner's rule
 _PI_CSC_SERIES = tuple(float(m) for m in _REFLECTION_SERIES[::-1, 0])
 
-# hyp2f1_1b evaluates at most this many rows per pass: its long-double term
-# arrays take kilobytes a row, so one pass over a sweep's whole scan grows
-# peak memory with the sweep's length (a 201 x 64-row scan peaks ~20 MB
-# higher than in passes of 512), though the sweep runs ~10% faster
+# hyp2f1_1b evaluates at most this many rows per pass, so a sweep's memory
+# does not grow with its length: the two long-double term arrays take
+# kilobytes a row, and one pass over a 201 x 64-row scan peaks ~18 MB
+# higher than passes of 512 (2-CPU host), for a sweep ~10% faster
 _PASS_ROWS = 512
 
 # hyp2f1_1b_value stops Pfaff's series once the bound on its remainder is
@@ -462,7 +449,7 @@ def hyp2f1_1b_value(b: float, u: float) -> SeriesResult:
 
 
 def hyp2f1_1b(b, u) -> F21Family:
-    """Evaluate phi(b, u) = 2F1(1, b; b+1; -u) together with its partials
+    """Evaluate phi(b, u) = 2F1(1, b; b+1; -u) together with its b-partial
     for every b > 0 and u >= 0, integer b included.
 
     b and u are scalars or arrays that broadcast together; the elements are
@@ -470,20 +457,19 @@ def hyp2f1_1b(b, u) -> F21Family:
     scalar call being the size-1 case, and one invalid element raises for
     the whole call.
 
-    The same mathematical objects written as hypergeometric series are
-    d/dz phi = [b/(1+b)] 2F1(2, 1+b; 2+b; z) and
-    d/db phi = [z/(1+b)^2] 3F2(2, 1+b, 1+b; 2+b, 2+b; z); those series only
-    converge for |z| < 1.  Below u = 1.25 this routine sums Pfaff's
+    As a hypergeometric series the b-partial is
+    d/db phi = [z/(1+b)^2] 3F2(2, 1+b, 1+b; 2+b, 2+b; z), which only
+    converges for |z| < 1.  Below u = 1.25 this routine sums Pfaff's
     transformation of phi (see _family_pfaff); from there on it evaluates
     the exact elementary continuation
 
         phi(b, -u) = pi b u^(-b)/sin(pi b)
                      - b sum_{m>=0} (-1)^m u^(-(m+1)) / (m+1-b)
 
-    (and its derivatives), with the pole the two pieces share at integer b
+    (and its b-partial), with the pole the two pieces share at integer b
     removed analytically (see _family_star).  Both run in extended
     precision, with a number of terms that does not grow with b; the Pfaff
-    series is truncated at DEFAULT_CONFIG.abs_tol.
+    series is truncated at ABS_TOL.
     """
     b_arr = np.asarray(b, dtype=float)
     u_arr = np.asarray(u, dtype=float)
@@ -497,7 +483,7 @@ def hyp2f1_1b(b, u) -> F21Family:
         raise DomainError("hyp2f1_1b expects u >= 0 (argument z = -u)")
     if not (bf > 0.0).all():
         raise DomainError("hyp2f1_1b expects b > 0")
-    out = np.empty((3, bf.size))
+    out = np.empty((2, bf.size))
     for start in range(0, bf.size, _PASS_ROWS):
         rows = slice(start, start + _PASS_ROWS)
         b_p, u_p, out_p = bf[rows], uf[rows], out[:, rows]
@@ -509,10 +495,10 @@ def hyp2f1_1b(b, u) -> F21Family:
         else:
             out_p[:, star] = _family_star(b_p[star], u_p[star])
             out_p[:, ~star] = _family_pfaff(b_p[~star], u_p[~star])
-    value, d_db, d_dz = out.reshape((3,) + shape)
+    value, d_db = out.reshape((2,) + shape)
     if not shape:
-        return F21Family(float(value), float(d_db), float(d_dz))
-    return F21Family(value, d_db, d_dz)
+        return F21Family(float(value), float(d_db))
+    return F21Family(value, d_db)
 
 
 def _geometric(first, ratio, n, out=None):
@@ -525,11 +511,11 @@ def _geometric(first, ratio, n, out=None):
 
 
 def _series_sums(make_terms, n_terms, *cols):
-    """Sums (3, rows) of the three term rows make_terms(*cols, n) returns,
-    each row over its first n_terms[row] terms.  Rows are padded in blocks
-    of similar length, so a short row never costs more than twice its own
-    terms."""
-    out = np.empty((3, n_terms.size), dtype=_LD)
+    """Sums (2, rows) of the value and b-partial term rows
+    make_terms(*cols, n) returns, each row over its first n_terms[row]
+    terms.  Rows are padded in blocks of similar length, so a short row
+    never costs more than twice its own terms."""
+    out = np.empty((2, n_terms.size), dtype=_LD)
     size_class = np.frexp(n_terms)[1]
     sizes = np.unique(size_class)
     for size in sizes:
@@ -542,64 +528,55 @@ def _series_sums(make_terms, n_terms, *cols):
 
 
 def _pfaff_terms(b_ld, w, n):
-    """For k = 1..n, with c_k = k!/(b+1)_k and g_k = c_k w^(k-1): the terms
-    w g_k of 2F1(1, 1; b+1; w) - 1, their b-partials -w g_k H_k
-    (H_k = sum_{j<=k} 1/(b+j)), and the terms k g_k of its w-derivative."""
+    """For k = 1..n: the terms c_k w^k, c_k = k!/(b+1)_k, of
+    2F1(1, 1; b+1; w) - 1 and their b-partials -c_k w^k H_k
+    (H_k = sum_{j<=k} 1/(b+j))."""
     k = np.arange(1, n + 1, dtype=_LD)
     r = 1 / (b_ld[:, None] + k)  # 1/(b+k)
-    terms = np.empty((3, b_ld.size, n), dtype=_LD)
-    g = terms[2]
-    np.multiply(w[:, None] * k, r, out=g)  # g_k / g_(k-1)
-    g[:, 0] = r[:, 0]
-    np.cumprod(g, axis=1, out=g)
-    np.multiply(g, w[:, None], out=terms[0])
-    np.multiply(terms[0], -np.cumsum(r, axis=1), out=terms[1])
-    g *= k
+    terms = np.empty((2, b_ld.size, n), dtype=_LD)
+    t = terms[0]
+    np.multiply(w[:, None] * k, r, out=t)  # t_k / t_(k-1)
+    t[:, 0] = w * r[:, 0]
+    np.cumprod(t, axis=1, out=t)
+    np.multiply(t, -np.cumsum(r, axis=1), out=terms[1])
     return terms
 
 
 def _family_pfaff(b, u):
-    """Pfaff's transformation for u < _STAR_MIN_U: rows (value, d/db, d/dz).
+    """Pfaff's transformation for u < _STAR_MIN_U: rows (value, d/db).
 
         phi(b, u) = F(w)/(1+u),  F = 2F1(1, 1; b+1; w),  w = u/(1+u),
 
     where F = sum_k k!/(b+1)_k w^k has positive terms whose ratio stays
-    below w, so log(abs_tol)/log(w) + 6 terms leave a remainder of F
-    below abs_tol/10 for any b.  The partials follow from
-    d/db (b+1)_k^-1 = -(b+1)_k^-1 H_k and dw/du = (1+u)^-2.
+    below w, so log(ABS_TOL)/log(w) + 6 terms leave a remainder of F
+    below ABS_TOL/10 for any b.  The b-partial follows from
+    d/db (b+1)_k^-1 = -(b+1)_k^-1 H_k.
     """
     b_ld = b.astype(_LD)
     u_ld = u.astype(_LD)
     v = 1 / (1 + u_ld)
     w = u_ld * v
     log_w = np.log(np.maximum(u / (1 + u), 1e-300))
-    n_terms = np.ceil(math.log(DEFAULT_CONFIG.abs_tol) / log_w) + 6
-    F, F_b, F_w = _series_sums(_pfaff_terms, np.maximum(n_terms, 8).astype(int), b_ld, w)
-    F += 1
-    out = np.empty((3, b.size))
-    out[0] = F * v
-    out[1] = F_b * v
-    out[2] = (F - F_w * v) * v * v
-    return out
+    n_terms = np.ceil(math.log(ABS_TOL) / log_w) + 6
+    F, F_b = _series_sums(_pfaff_terms, np.maximum(n_terms, 8).astype(int), b_ld, w)
+    return np.array([(F + 1) * v, F_b * v], dtype=float)
 
 
 def _star_terms(b_ld, n_int, inv_u, n):
-    """Terms t_m = (-1)^m u^-(m+1)/(m+1-b) of the continuation, their
-    b-partials t_m/(m+1-b), and (m+1) t_m (the u-partial times -u), the
-    term m + 1 = round(b) left out."""
+    """Terms t_m = (-1)^m u^-(m+1)/(m+1-b) of the continuation and their
+    b-partials t_m/(m+1-b), the term m + 1 = round(b) left out."""
     m1 = np.arange(1, n + 1, dtype=_LD)  # m + 1
     rd = 1 / np.where(m1 == n_int[:, None], np.inf, m1 - b_ld[:, None])
-    terms = np.empty((3, b_ld.size, n), dtype=_LD)
+    terms = np.empty((2, b_ld.size, n), dtype=_LD)
     t = _geometric(inv_u, -inv_u, n, out=terms[0])
     t *= rd
     np.multiply(t, rd, out=terms[1])
-    np.multiply(t, m1, out=terms[2])
     return terms
 
 
 def _family_star(b, u):
     """Continuation in powers of 1/u for u >= _STAR_MIN_U: rows (value,
-    d/db, d/dz).
+    d/db).
 
     With N = round(b), eps = b - N and L = log u, the reflection head and
     the series term m = N - 1 share a pole at eps = 0; together they are
@@ -607,7 +584,7 @@ def _family_star(b, u):
         (-1)^N u^(-N) R,  R = b e^(-eps L) c(eps) + b (e^(-eps L) - 1)/eps,
 
     c(eps) = pi/sin(pi eps) - 1/eps, which is smooth through eps = 0 with
-    its b- and L-partials (for N = 0 there is no such series term and the
+    its b-partial (for N = 0 there is no such series term and the
     second term of R is the head's own b e^(-eps L)/eps = e^(-b L)).  c and
     (e^x - 1)/x near x = 0 come from power series, so nothing cancels; the
     remaining series runs without the m = N - 1 term.  Everything is in
@@ -641,12 +618,7 @@ def _family_star(b, u):
     be = b_ld * e
     rv = be * c + q
     r_db = e * c * (1 - bl) + be * dc + q_db
-    r_dl = -be * (eps * c + 1)
     scale = np.power(-inv_u, n_int)  # (-1)^N u^-N
     n_terms = np.maximum(np.ceil(40.0 / np.log(u)) + 8, 12).astype(int)
-    T, Tb, Tm = _series_sums(_star_terms, n_terms, b_ld, n_int, inv_u)
-    out = np.empty((3, r))
-    out[0] = scale * rv - b_ld * T
-    out[1] = scale * r_db - T - b_ld * Tb
-    out[2] = -inv_u * (scale * (r_dl - n_int * rv) + b_ld * Tm)
-    return out
+    T, Tb = _series_sums(_star_terms, n_terms, b_ld, n_int, inv_u)
+    return np.array([scale * rv - b_ld * T, scale * r_db - T - b_ld * Tb], dtype=float)

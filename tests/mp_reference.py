@@ -10,14 +10,13 @@ def hyp2f1_value(b: float, u: float, dps: int = 50) -> float:
         return float(mp.hyp2f1(1, mp.mpf(b), mp.mpf(b) + 1, -mp.mpf(u)))
 
 
-def hyp2f1_family(b: float, u: float, dps: int = 50) -> tuple[float, float, float]:
-    """2F1(1, b; b+1; -u) with its partials d/db and d/dz at z = -u."""
+def hyp2f1_family(b: float, u: float, dps: int = 50) -> tuple[float, float]:
+    """2F1(1, b; b+1; -u) with its partial d/db."""
     with mp.workdps(dps):
         b, z = mp.mpf(b), -mp.mpf(u)
         value = mp.hyp2f1(1, b, b + 1, z)
         d_db = mp.diff(lambda bb: mp.hyp2f1(1, bb, bb + 1, z), b)
-        d_dz = b / (b + 1) * mp.hyp2f1(2, b + 1, b + 2, z)
-        return float(value), float(d_db), float(d_dz)
+        return float(value), float(d_db)
 
 
 def j_closed_form(x, a2, x2, s2):

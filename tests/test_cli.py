@@ -143,14 +143,6 @@ class TestSweepCommand:
         assert main(["sweep", *args, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_env_does_not_change_bytes(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["sweep", "--from-db", "-2", "--to-db", "2", "--step-db", "1"]
-        r1 = run_cli(args + ["--out", str(a)], env_extra={"NONCOH_THREADS": "1"})
-        r2 = run_cli(args + ["--out", str(b)], env_extra={"NONCOH_THREADS": "4"})
-        assert r1.returncode == 0 and r2.returncode == 0
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestVerifyCommand:
     def test_quick_passes(self, capsys):
@@ -180,6 +172,24 @@ class TestMcCommand:
         second = json.loads(capsys.readouterr().out)
         assert rc == rc2 == 0
         assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--from-db", "0", "--to-db", "1", "--step-db", "0"],
+    ["sweep", "--from-db", "5", "--to-db", "0", "--step-db", "1"],
+    ["profile", "--snr-db", "0", "--points", "0"],
+    ["profile", "--snr-db", "0", "--points", "-3"],
+    ["mc", "--a2", "0.5", "--x2", "1", "--samples", "0", "--seed", "1"],
+], ids=["sweep-step-zero", "sweep-reversed", "profile-points-zero",
+        "profile-points-negative", "mc-samples-zero"])
+def test_invalid_values_exit_2(argv, tmp_path, capsys):
+    # the invalid-arguments code, not 1 (verification failed) with a traceback
+    if argv[0] == "sweep":
+        argv = [*argv, "--out", str(tmp_path / "s.csv")]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestNoConfigFile:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mp_reference import mi_derivative_a2 as mp_mi_derivative_a2
 from noncoh import capacity
@@ -137,3 +139,49 @@ class TestFdDerivative:
         assert mi_derivative_a2(TwoPointInput(0.4, 2.0), ch) == pytest.approx(
             num, rel=1e-5
         )
+
+
+class TestAgainstMpmath:
+    """dI/da2 against the 30-digit derivative of the mpmath closed form."""
+
+    @pytest.mark.parametrize("a2", [1e-6, 1e-4])
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 10.0, 30.0])
+    def test_capacity_mode_at_small_a2(self, snr_db, a2):
+        # the first points of the solver's bracketing grid
+        snr = 10.0 ** (snr_db / 10.0)
+        ch = ChannelParams(sigma2=1.0, power_budget=snr)
+        ana = mi_derivative_a2(TwoPointInput(a2, math.sqrt(snr / a2)), ch)
+        assert abs(ana - mp_mi_derivative_a2(a2, 1.0, power_budget=snr)) <= 1e-12
+
+    @pytest.mark.parametrize("a2", [1e-6, 1e-3])
+    def test_fixed_mode_close_mass_points(self, a2):
+        ana = mi_derivative_a2(TwoPointInput(a2, 0.03), ChannelParams(1.0))
+        assert abs(ana - mp_mi_derivative_a2(a2, 1.0, x2=0.03)) <= 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(1e-12, 1.0 - 1e-12),
+        st.floats(-4.0, 4.0),
+        st.floats(-6.0, 6.0),
+        st.booleans(),
+    )
+    # the domain's corners: tiny a2 with far-apart mass points, and the
+    # other way round
+    @example(1e-12, 4.0, -6.0, True)
+    @example(1e-12, -4.0, 6.0, False)
+    @example(1.0 - 1e-12, -4.0, 6.0, True)
+    @example(1.0 - 1e-12, 4.0, -6.0, False)
+    def test_whole_domain(self, a2, log_ratio, log_s2, capacity_mode):
+        # a2 in [1e-12, 1 - 1e-12], x2/sigma in [1e-4, 1e4], sigma^2 in
+        # [1e-6, 1e6]; capacity mode ties x2^2 = P/a2 at the drawn x2
+        s2 = 10.0**log_s2
+        x2 = 10.0**log_ratio * math.sqrt(s2)
+        if capacity_mode:
+            p = a2 * x2 * x2
+            ch = ChannelParams(sigma2=s2, power_budget=p)
+            ref = mp_mi_derivative_a2(a2, s2, power_budget=p)
+        else:
+            ch = ChannelParams(sigma2=s2)
+            ref = mp_mi_derivative_a2(a2, s2, x2=x2)
+        ana = mi_derivative_a2(TwoPointInput(a2, x2), ch)
+        assert abs(ana - ref) <= 1e-12 * max(1.0, abs(ref))
