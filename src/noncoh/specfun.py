@@ -4,12 +4,12 @@ Scalar double-precision: the generalized hypergeometric series pFq with
 truncation diagnostics, the Gauss 2F1 on the real axis left of z = 1, the
 digamma function, the (real branch of the) incomplete beta integral, and
 partial sums of the alternating log(1+q) series.  The family
-phi(b, u) = 2F1(1, b; b+1; -u) has two dedicated evaluators, both valid
-for every b > 0 and u >= 0:
-hyp2f1_1b_value, a scalar plain-float value with series diagnostics, from
-which every J and I(X;Y) is built, and hyp2f1_1b, the value with its
-b-partial for scalars or arrays of (b, u) through one vectorized code path,
-which backs the analytic dI/da2.
+phi(b, u) = 2F1(1, b; b+1; -u) has one set of float64 series and
+formulas, valid for every finite b > 0 and u >= 0, behind two entry
+points: hyp2f1_1b_value, a scalar plain-float value with series
+diagnostics, from which every J and I(X;Y) is built, and hyp2f1_1b, the
+value with its b-partial for scalars or arrays of (b, u) through one
+vectorized code path, which backs the analytic dI/da2.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
+from scipy.special import zeta
 
 from .errors import DivergenceError, DomainError, NoConvergence, PoleError
 
@@ -31,8 +31,8 @@ _PI_LD = _LD("3.14159265358979323846264338327950288")
 
 
 # Truncation of hyp_pfq (and so gauss_2f1): the target for the absolute
-# remainder and the cap on summed terms.  The Pfaff series of hyp2f1_1b
-# also truncates at ABS_TOL, and incomplete_beta stops at MAX_TERMS.
+# remainder and the cap on summed terms; incomplete_beta also stops at
+# MAX_TERMS.
 ABS_TOL = 1e-14
 MAX_TERMS = 10**7
 
@@ -332,50 +332,30 @@ class F21Family:
     d_db: float | np.ndarray
 
 
-def _reflection_series():
-    """Long-double (33, 4) matrix of power-series coefficients: columns 0
-    and 1 give c(eps)/eps and c'(eps) in eps^2, where
-    c(eps) = pi/sin(pi eps) - 1/eps; columns 2 and 3 give h(x) = expm1(x)/x
-    and h'(x) in x.  The series in eps^2 reaches long-double precision for
-    |eps| <= 1/2, the one in x for |x| < 1/2."""
-    n = 33
-    # y/sin y = sum_k d_k y^(2k), the reciprocal of sin(y)/y
-    sinc = [Fraction((-1) ** k, math.factorial(2 * k + 1)) for k in range(n + 1)]
-    d = [Fraction(1)]
-    for k in range(1, n + 1):
-        d.append(-sum(sinc[j] * d[k - j] for j in range(1, k + 1)))
-    # c(eps) = pi^2 eps sum_{k>=1} d_k (pi eps)^(2k-2)
-    cols = (
-        [d[k + 1] for k in range(n)],
-        [(2 * k + 1) * d[k + 1] for k in range(n)],
-        [Fraction(1, math.factorial(k + 1)) if k < 17 else Fraction(0) for k in range(n)],
-        [Fraction(k + 1, math.factorial(k + 2)) if k < 17 else Fraction(0) for k in range(n)],
-    )
-    m = np.array([[_LD(c.numerator) / _LD(c.denominator) for c in col] for col in cols],
-                 dtype=_LD).T.copy()
-    m[:, :2] *= (_PI_LD * _PI_LD) ** np.arange(1, n + 1)[:, None]
-    m.setflags(write=False)
-    return m
-
-
-_REFLECTION_SERIES = _reflection_series()
-
 # Below this u the continuation's alternating series in 1/u converges too
 # slowly; Pfaff's series, with ratio below u/(1+u) < 0.56, takes over.
 _STAR_MIN_U = 1.25
 
-# c(eps) = pi/sin(pi eps) - 1/eps = eps sum_k m_k eps^(2k), to double
-# precision for |eps| <= 1/2; the m_k highest first, for Horner's rule
-_PI_CSC_SERIES = tuple(float(m) for m in _REFLECTION_SERIES[::-1, 0])
+# c(eps) = pi/sin(pi eps) - 1/eps = sum_{k>=1} m_k eps^(2k-1) with
+# m_k = 2 (1 - 2^(1-2k)) zeta(2k), to double precision for |eps| <= 1/2;
+# the m_k highest first, for Horner's rule
+_PI_CSC_SERIES = tuple(
+    2.0 * (1.0 - 2.0 ** (1 - 2 * k)) * float(zeta(2 * k)) for k in range(33, 0, -1)
+)
+
+# h'(x) = sum_k (k+1) x^k/(k+2)! for h(x) = expm1(x)/x, to double precision
+# for |x| < 1/2
+_EXPM1_RATIO_D_SERIES = np.array([(k + 1) / math.factorial(k + 2) for k in range(17)])
 
 # hyp2f1_1b evaluates at most this many rows per pass, so a sweep's memory
-# does not grow with its length: the two long-double term arrays take
-# kilobytes a row, and one pass over a 201 x 64-row scan peaks ~18 MB
-# higher than passes of 512 (2-CPU host), for a sweep ~10% faster
+# does not grow with its length: one pass over the 201 x 64-row scan of a
+# 201-point sweep peaks ~11 MB higher than passes of 512 (2-CPU host), for
+# an 81-point sweep ~12% faster
 _PASS_ROWS = 512
 
-# hyp2f1_1b_value stops Pfaff's series once the bound on its remainder is
-# below this; the sum F is at least 1, so that is under half an ulp of F
+# Pfaff's series stops at the first term t_k with t_k u (k+3) below this
+# times t_1, which bounds the remainders of the value and of its b-partial
+# both relative to the sum (see _family_pfaff)
 _PFAFF_REL_TOL = 2.0**-56
 
 
@@ -389,16 +369,23 @@ def pi_csc_minus_recip(eps: float) -> float:
     return eps * c
 
 
-def hyp2f1_1b_value(b: float, u: float) -> SeriesResult:
-    """phi(b, u) = 2F1(1, b; b+1; -u) alone, for scalar b > 0 and u >= 0,
-    integer b included, in plain floats, with the number of series terms
-    summed and a bound on the truncated remainder.
+def _star_count(log_u):
+    """Terms of the continuation's series in 1/u at log u = log_u (float or
+    array): 8 past the point where u^-(m+1) falls below e^-40."""
+    return 8.0 - (-40.0 // log_u)
 
-    The series are those of hyp2f1_1b.  Below u = 1.25, Pfaff's
-    phi = F(w)/(1+u), F = sum_k k!/(b+1)_k w^k, w = u/(1+u): its terms are
-    positive with ratio below w, so the remainder after the term t_k is at
-    most t_k w/(1-w).  From there on, the continuation in powers of 1/u
-    with the integer-b pole removed (see _family_star); its terms past
+
+def hyp2f1_1b_value(b: float, u: float) -> SeriesResult:
+    """phi(b, u) = 2F1(1, b; b+1; -u) alone, for scalar finite b > 0 and
+    u >= 0, integer b included, in plain floats, with the number of series
+    terms summed and a bound on the truncated remainder.
+
+    The series, and the tests that end them, are those of hyp2f1_1b.  Below
+    u = 1.25, Pfaff's phi = F(w)/(1+u), F = sum_k k!/(b+1)_k w^k,
+    w = u/(1+u): its terms are positive with ratio below w, so the
+    remainder after the term t_k is at most t_k w/(1-w); the sum stops as
+    _family_pfaff sets out.  From there on, the continuation in powers of
+    1/u with the integer-b pole removed (see _family_star); its terms past
     m + 1 = b alternate with falling size, so the remainder is at most the
     first omitted term, and before that each term is at most 2b u^-(m+1).
     Both sums go through math.fsum, which rounds each sum once; on the
@@ -411,11 +398,12 @@ def hyp2f1_1b_value(b: float, u: float) -> SeriesResult:
         raise DomainError(f"hyp2f1_1b_value expects finite u >= 0 (u={u})")
     if u < _STAR_MIN_U:
         w = u / (1.0 + u)
+        stop = _PFAFF_REL_TOL * w / (b + 1.0)  # times t_1
         terms = [1.0]
         term = 1.0
         k = 0
         # w/(1-w) = u
-        while term * u > _PFAFF_REL_TOL:
+        while term * u * (k + 3) > stop:
             k += 1
             term *= k * w / (b + k)
             terms.append(term)
@@ -428,12 +416,10 @@ def hyp2f1_1b_value(b: float, u: float) -> SeriesResult:
     e = u**-eps
     if n_int == 0:  # the head's own b e^(-eps L)/eps
         q = e
-    elif abs(x) >= 0.5:  # b (e^(-eps L) - 1)/eps, nothing cancels
-        q = b * (e - 1.0) / eps
-    else:  # the same as -b L expm1(x)/x
+    else:  # b (e^(-eps L) - 1)/eps
         q = -b * log_u * (math.expm1(x) / x if x != 0.0 else 1.0)
     head = (-inv_u) ** n_int * (b * e * pi_csc_minus_recip(eps) + q)
-    n_terms = max(math.ceil(40.0 / log_u) + 8, 12)
+    n_terms = int(_star_count(log_u))
     t = inv_u  # (-1)^m u^-(m+1)
     terms = []
     for m1 in range(1, n_terms + 1):  # m + 1
@@ -450,12 +436,12 @@ def hyp2f1_1b_value(b: float, u: float) -> SeriesResult:
 
 def hyp2f1_1b(b, u) -> F21Family:
     """Evaluate phi(b, u) = 2F1(1, b; b+1; -u) together with its b-partial
-    for every b > 0 and u >= 0, integer b included.
+    for every finite b > 0 and finite u >= 0, integer b included.
 
     b and u are scalars or arrays that broadcast together; the elements are
     evaluated in vectorized passes of at most 512 rows (_PASS_ROWS), a
-    scalar call being the size-1 case, and one invalid element raises for
-    the whole call.
+    scalar call being the size-1 case, and one invalid element raises
+    DomainError for the whole call.
 
     As a hypergeometric series the b-partial is
     d/db phi = [z/(1+b)^2] 3F2(2, 1+b, 1+b; 2+b, 2+b; z), which only
@@ -467,9 +453,9 @@ def hyp2f1_1b(b, u) -> F21Family:
                      - b sum_{m>=0} (-1)^m u^(-(m+1)) / (m+1-b)
 
     (and its b-partial), with the pole the two pieces share at integer b
-    removed analytically (see _family_star).  Both run in extended
-    precision, with a number of terms that does not grow with b; the Pfaff
-    series is truncated at ABS_TOL.
+    removed analytically (see _family_star).  These are the series and
+    formulas of hyp2f1_1b_value, in float64 arrays, with a number of terms
+    that does not grow with b.
     """
     b_arr = np.asarray(b, dtype=float)
     u_arr = np.asarray(u, dtype=float)
@@ -479,10 +465,10 @@ def hyp2f1_1b(b, u) -> F21Family:
     bu = np.empty((2,) + shape)
     bu[0], bu[1] = b_arr, u_arr
     bf, uf = bu.reshape(2, -1)
-    if not (uf >= 0.0).all():
-        raise DomainError("hyp2f1_1b expects u >= 0 (argument z = -u)")
-    if not (bf > 0.0).all():
-        raise DomainError("hyp2f1_1b expects b > 0")
+    if not ((0.0 < bf) & (bf < math.inf)).all():
+        raise DomainError("hyp2f1_1b expects finite b > 0")
+    if not ((0.0 <= uf) & (uf < math.inf)).all():
+        raise DomainError("hyp2f1_1b expects finite u >= 0 (argument z = -u)")
     out = np.empty((2, bf.size))
     for start in range(0, bf.size, _PASS_ROWS):
         rows = slice(start, start + _PASS_ROWS)
@@ -503,8 +489,8 @@ def hyp2f1_1b(b, u) -> F21Family:
 
 def _geometric(first, ratio, n, out=None):
     """first * ratio^k for k < n along a new last axis (one row per element
-    of ratio), by cumulative product in long double."""
-    g = np.empty((ratio.size, n), dtype=_LD) if out is None else out
+    of ratio), by cumulative product."""
+    g = np.empty((ratio.size, n)) if out is None else out
     g[:, 0] = first
     g[:, 1:] = ratio[:, None]
     return np.cumprod(g, axis=1, out=g)
@@ -514,8 +500,10 @@ def _series_sums(make_terms, n_terms, *cols):
     """Sums (2, rows) of the value and b-partial term rows
     make_terms(*cols, n) returns, each row over its first n_terms[row]
     terms.  Rows are padded in blocks of similar length, so a short row
-    never costs more than twice its own terms."""
-    out = np.empty((2, n_terms.size), dtype=_LD)
+    never costs more than twice its own terms, and summed smallest term
+    first, one term at a time, so a row's sums do not depend on its
+    padding, nor so on the other rows of the call."""
+    out = np.empty((2, n_terms.size))
     size_class = np.frexp(n_terms)[1]
     sizes = np.unique(size_class)
     for size in sizes:
@@ -523,20 +511,19 @@ def _series_sums(make_terms, n_terms, *cols):
         n = n_terms[rows]
         terms = make_terms(*(c[rows] for c in cols), int(n.max()))
         terms *= np.arange(terms.shape[-1]) < n[:, None]
-        out[:, rows] = terms.sum(axis=-1)
+        out[:, rows] = np.cumsum(terms[..., ::-1], axis=-1)[..., -1]
     return out
 
 
-def _pfaff_terms(b_ld, w, n):
+def _pfaff_terms(b, w, n):
     """For k = 1..n: the terms c_k w^k, c_k = k!/(b+1)_k, of
     2F1(1, 1; b+1; w) - 1 and their b-partials -c_k w^k H_k
     (H_k = sum_{j<=k} 1/(b+j))."""
-    k = np.arange(1, n + 1, dtype=_LD)
-    r = 1 / (b_ld[:, None] + k)  # 1/(b+k)
-    terms = np.empty((2, b_ld.size, n), dtype=_LD)
+    k = np.arange(1, n + 1)
+    r = 1.0 / (b[:, None] + k)  # 1/(b+k)
+    terms = np.empty((2, b.size, n))
     t = terms[0]
     np.multiply(w[:, None] * k, r, out=t)  # t_k / t_(k-1)
-    t[:, 0] = w * r[:, 0]
     np.cumprod(t, axis=1, out=t)
     np.multiply(t, -np.cumsum(r, axis=1), out=terms[1])
     return terms
@@ -547,30 +534,32 @@ def _family_pfaff(b, u):
 
         phi(b, u) = F(w)/(1+u),  F = 2F1(1, 1; b+1; w),  w = u/(1+u),
 
-    where F = sum_k k!/(b+1)_k w^k has positive terms whose ratio stays
-    below w, so log(ABS_TOL)/log(w) + 6 terms leave a remainder of F
-    below ABS_TOL/10 for any b.  The b-partial follows from
-    d/db (b+1)_k^-1 = -(b+1)_k^-1 H_k.
+    where F = sum_k t_k, t_k = k!/(b+1)_k w^k, has positive terms whose
+    ratio stays below w.  The b-partial F_b = -sum_k t_k H_k follows from
+    d/db (b+1)_k^-1 = -(b+1)_k^-1 H_k, and H_j <= j/(b+1).  So past t_k the
+    remainder of F is at most t_k w/(1-w) = t_k u, and that of F_b at most
+    t_k u (k+1+u)/(b+1), against F >= 1 and |F_b| >= t_1/(b+1): once
+    t_k u (k+3) <= tol t_1 (tol = _PFAFF_REL_TOL) both are below tol
+    relative.  hyp2f1_1b_value tests this on its terms; here t_k/t_1 <=
+    w^(k-1) gives the count, log(tol)/log(w) + 10 terms.
     """
-    b_ld = b.astype(_LD)
-    u_ld = u.astype(_LD)
-    v = 1 / (1 + u_ld)
-    w = u_ld * v
-    log_w = np.log(np.maximum(u / (1 + u), 1e-300))
-    n_terms = np.ceil(math.log(ABS_TOL) / log_w) + 6
-    F, F_b = _series_sums(_pfaff_terms, np.maximum(n_terms, 8).astype(int), b_ld, w)
-    return np.array([(F + 1) * v, F_b * v], dtype=float)
+    v = 1.0 / (1.0 + u)
+    w = u * v
+    n_terms = np.ceil(math.log(_PFAFF_REL_TOL) / np.log(np.maximum(w, 1e-300))) + 10
+    F, F_b = _series_sums(_pfaff_terms, n_terms.astype(int), b, w)
+    return np.array([(F + 1.0) * v, F_b * v])
 
 
-def _star_terms(b_ld, n_int, inv_u, n):
-    """Terms t_m = (-1)^m u^-(m+1)/(m+1-b) of the continuation and their
-    b-partials t_m/(m+1-b), the term m + 1 = round(b) left out."""
-    m1 = np.arange(1, n + 1, dtype=_LD)  # m + 1
-    rd = 1 / np.where(m1 == n_int[:, None], np.inf, m1 - b_ld[:, None])
-    terms = np.empty((2, b_ld.size, n), dtype=_LD)
+def _star_terms(b, n_int, inv_u, n):
+    """Terms t_m = (-1)^m u^-(m+1)/(m+1-b) of the continuation and the
+    b-partials (m+1) t_m/(m+1-b) of b t_m, the term m + 1 = round(b) left
+    out."""
+    m1 = np.arange(1, n + 1)  # m + 1
+    rd = 1.0 / np.where(m1 == n_int[:, None], np.inf, m1 - b[:, None])
+    terms = np.empty((2, b.size, n))
     t = _geometric(inv_u, -inv_u, n, out=terms[0])
     t *= rd
-    np.multiply(t, rd, out=terms[1])
+    np.multiply(t, rd * m1, out=terms[1])
     return terms
 
 
@@ -585,40 +574,40 @@ def _family_star(b, u):
 
     c(eps) = pi/sin(pi eps) - 1/eps, which is smooth through eps = 0 with
     its b-partial (for N = 0 there is no such series term and the
-    second term of R is the head's own b e^(-eps L)/eps = e^(-b L)).  c and
-    (e^x - 1)/x near x = 0 come from power series, so nothing cancels; the
-    remaining series runs without the m = N - 1 term.  Everything is in
-    long double.
+    second term of R is the head's own b e^(-eps L)/eps = e^(-b L)).  c
+    and c' come from the power series of pi_csc_minus_recip, and the
+    second term of R is -b L h(x), h(x) = expm1(x)/x at x = -eps L, whose
+    derivative has its own series for |x| < 1/2, so nothing cancels; the
+    remaining series runs without the m = N - 1 term.  The b-partial of
+    b sum_m t_m is summed as sum_m (m+1) t_m/(m+1-b), not as the
+    difference of two sums of size 1/b.
     """
-    r = b.size
-    b_ld = b.astype(_LD)
-    inv_u = 1 / u.astype(_LD)
-    lu = -np.log(inv_u)
-    n_int = np.rint(b_ld)
-    eps = b_ld - n_int
-    x = -eps * lu
-    coef = _REFLECTION_SERIES
-    series = np.dot(_geometric(1, np.concatenate([eps * eps, x]), coef.shape[0]), coef)
-    c, dc = eps * series[:r, 0], series[:r, 1]
-    h, dh = series[r:, 2], series[r:, 3]  # (e^x - 1)/x and its derivative
+    inv_u = 1.0 / u
+    log_u = np.log(u)
+    n_int = np.floor(b + 0.5)
+    eps = b - n_int
+    x = -eps * log_u
     e = np.exp(x)  # u^-eps
+    m = np.array(_PI_CSC_SERIES[::-1])
+    eps_pow = _geometric(1.0, eps * eps, m.size)
+    c = eps * (eps_pow * m).sum(axis=1)
+    dc = (eps_pow * (np.arange(1, 2 * m.size, 2) * m)).sum(axis=1)
+    h = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+    dh = (_geometric(1.0, x, _EXPM1_RATIO_D_SERIES.size) * _EXPM1_RATIO_D_SERIES).sum(axis=1)
     far = np.abs(x) >= 0.5
     if far.any():
-        xf = x[far]
-        h[far] = np.expm1(xf) / xf
-        dh[far] = (e[far] - h[far]) / xf
+        dh[far] = (e[far] - h[far]) / x[far]
     # b (e^(-eps L) - 1)/eps = -b L h and its b-partial
-    bl = b_ld * lu
+    bl = b * log_u
     q = -bl * h
-    q_db = lu * (bl * dh - h)
+    q_db = log_u * (bl * dh - h)
     at_zero = n_int == 0
     if at_zero.any():  # b < 1/2: the head's own b e^(-eps L)/eps = e^(-b L)
         q[at_zero] = e[at_zero]
-        q_db[at_zero] = -lu[at_zero] * e[at_zero]
-    be = b_ld * e
-    rv = be * c + q
-    r_db = e * c * (1 - bl) + be * dc + q_db
+        q_db[at_zero] = -log_u[at_zero] * e[at_zero]
+    be = b * e
+    r = be * c + q
+    r_db = e * c * (1.0 - bl) + be * dc + q_db
     scale = np.power(-inv_u, n_int)  # (-1)^N u^-N
-    n_terms = np.maximum(np.ceil(40.0 / np.log(u)) + 8, 12).astype(int)
-    T, Tb = _series_sums(_star_terms, n_terms, b_ld, n_int, inv_u)
-    return np.array([scale * rv - b_ld * T, scale * r_db - T - b_ld * Tb], dtype=float)
+    T, S = _series_sums(_star_terms, _star_count(log_u).astype(int), b, n_int, inv_u)
+    return np.array([scale * r - b * T, scale * r_db - S])

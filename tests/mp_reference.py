@@ -19,6 +19,13 @@ def hyp2f1_family(b: float, u: float, dps: int = 50) -> tuple[float, float]:
         return float(value), float(d_db)
 
 
+def pi_csc_minus_recip_ref(eps: float, dps: int = 50) -> float:
+    """pi/sin(pi eps) - 1/eps."""
+    with mp.workdps(dps):
+        eps = mp.mpf(eps)
+        return float(mp.pi / mp.sin(mp.pi * eps) - 1 / eps)
+
+
 def j_closed_form(x, a2, x2, s2):
     """J(x) from the beta>=1 closed form, valid for every alpha, beta > 0
     (mpmath numbers in, mpmath number out)."""

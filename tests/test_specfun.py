@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from mp_reference import hyp2f1_family, hyp2f1_value
+from mp_reference import hyp2f1_family, hyp2f1_value, pi_csc_minus_recip_ref
 from noncoh import specfun
 from noncoh.errors import DivergenceError, DomainError, NoConvergence, PoleError
 from noncoh.specfun import (
@@ -20,6 +20,7 @@ from noncoh.specfun import (
     hyp_pfq,
     incomplete_beta,
     log1p_series_partial_sum,
+    pi_csc_minus_recip,
 )
 
 
@@ -328,11 +329,13 @@ class TestF21Family:
         with pytest.raises(DomainError):
             hyp2f1_1b(np.array([1.5, 0.0]), 0.5)
 
-    @pytest.mark.parametrize("b", NEAR_INTEGER_B)
-    def test_near_integer_b_matches_mpmath(self, b):
+    @pytest.mark.parametrize("b,us", [
+        *(pytest.param(b, NEAR_INTEGER_U, id=str(b)) for b in NEAR_INTEGER_B),
+        *(pytest.param(b, WIDE_U, id=f"wide-{b}") for b in WIDE_B),
+    ])
+    def test_near_integer_b_matches_mpmath(self, b, us):
         # the continuation's head and its m = round(b) - 1 term share a pole
         # at integer b; the kernel removes it analytically
-        us = NEAR_INTEGER_U
         fam = hyp2f1_1b(b, np.array(us))
         for i, u in enumerate(us):
             ref = hyp2f1_family(b, u)
@@ -400,7 +403,26 @@ class TestF21Value:
 
     @pytest.mark.parametrize("b,u", [(0.0, 1.0), (-1.0, 1.0), (-0.5, 3.0),
                                      (1.5, -0.5), (1.5, -3.0), (math.nan, 1.0),
-                                     (1.5, math.nan)])
+                                     (1.5, math.nan), (2.0, math.inf),
+                                     (math.inf, 1.0)])
     def test_domain(self, b, u):
         with pytest.raises(DomainError):
             hyp2f1_1b_value(b, u)
+        with pytest.raises(DomainError):
+            hyp2f1_1b(b, u)
+        with pytest.raises(DomainError):
+            hyp2f1_1b(np.array([1.5, b]), np.array([0.5, u]))
+
+
+class TestPiCscMinusRecip:
+    """c(eps) = pi/sin(pi eps) - 1/eps, the pole-free part of the
+    continuation's reflection head."""
+
+    @pytest.mark.parametrize("eps", [1e-12, -1e-12, 1e-6, 1e-3, -0.01, 0.1,
+                                     0.25, -0.3, 0.49, 0.5, -0.5])
+    def test_matches_mpmath(self, eps):
+        assert pi_csc_minus_recip(eps) == pytest.approx(
+            pi_csc_minus_recip_ref(eps), rel=1e-15, abs=0.0)
+
+    def test_at_zero(self):
+        assert pi_csc_minus_recip(0.0) == 0.0
