@@ -7,9 +7,9 @@ derivative for sign changes and refining each bracket.  All SNR points of a
 call are solved in lock-step: one array-valued dI/da2 call scans the
 bracketing grids of every point (P as a column), one call of scipy's
 vectorized bracketing root-finder (Chandrupatla's method) refines every
-sign change, and one more batched call gives the residuals.  Only the
-candidate I values, about three per point, are scalar calls.  The maximum
-only depends on P and sigma^2 through their ratio.
+sign change, and one more batched call scores every point's candidates
+(its roots and both scan edges) and gives the residual of the winner.  The
+maximum only depends on P and sigma^2 through their ratio.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ import numpy as np
 from scipy.optimize import brentq  # noqa: F401 - unused; bench/ traces this name
 from scipy.optimize.elementwise import find_root
 
-from .channel import ChannelParams, TwoPointInput, snr_to_db
+from .channel import ChannelParams, snr_to_db
 from .errors import DomainError, SolverFailure
-from .mi import _dI_da2, mutual_information
+from .mi import _mi_and_derivative
 from .mi import mi_derivative_a2  # noqa: F401 - unused; bench/ traces this name
-
-LOG2 = math.log(2.0)
+from .mi import mutual_information  # noqa: F401 - unused; bench/ traces this name
 
 _A2_EDGE = 1e-6  # x2^2 = P/a2 blows past float range at the ends; I -> 0 there
 _GRID_POINTS = 64  # the dI/da2 bracketing scan
@@ -57,6 +56,11 @@ class SweepConfig:
     solver_tol: float = 1e-10
 
     def __post_init__(self):
+        for name in ("snr_db_start", "snr_db_stop", "snr_db_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
+        if not 0.0 < self.solver_tol < math.inf:
+            raise DomainError("solver_tol must be finite and positive")
         if self.snr_db_step <= 0.0:
             raise DomainError("snr_db_step must be positive")
         if self.snr_db_start > self.snr_db_stop:
@@ -74,33 +78,10 @@ def classify_regime(snr_db: float) -> str:
     return "TwoPointOptimum"
 
 
-def _mi_at(a2: float, ch: ChannelParams) -> float:
-    inp = TwoPointInput(a2=a2, x2=math.sqrt(ch.power_budget / a2))
-    return mutual_information(inp, ch).nats
-
-
 def _deriv(a2, p, s2):
     """dI/da2 with x2^2 = p/a2, elementwise over a2 and p (arrays that
     broadcast together), in one kernel call."""
-    return _dI_da2(a2, p / a2, s2, True)
-
-
-def _golden_max(f, lo, hi, tol):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+    return _mi_and_derivative(a2, p / a2, s2, True)[1]
 
 
 def _solve(snr: list[float], cfg: SweepConfig, sigma2: float):
@@ -121,56 +102,44 @@ def _solve(snr: list[float], cfg: SweepConfig, sigma2: float):
         tolerances={"xatol": max(1e-14, 0.01 * cfg.solver_tol), "xrtol": 8.9e-16},
     )
     roots[pt, lo] = res.x
-    unconverged = np.bincount(pt[~res.success], minlength=n)
+    n_roots = np.count_nonzero(~np.isnan(roots), axis=1)
+    unconverged = np.bincount(pt[~res.success], minlength=n) > 0
     nit = np.bincount(pt, res.nit, minlength=n)
     nfev = np.bincount(pt, res.nfev, minlength=n)
 
-    a2_star = np.full(n, np.nan)
-    found = []  # per point: (roots found, i*, failure reason, diagnostics)
-    for k in range(n):
-        cand = roots[k][~np.isnan(roots[k])].tolist()
-        n_roots = len(cand)
-        diag = {"grid_rows": _GRID_POINTS, "root_iterations": int(nit[k]),
-                "root_evaluations": int(nfev[k]), "mi_calls": 0,
-                "golden_fallback": not n_roots}
-        best_a2, best_i = None, -math.inf
-        if unconverged[k]:
-            found.append((n_roots, best_i, f"root-finder did not converge at snr={snr[k]}",
-                          diag))
-            continue
-        ch = ChannelParams(sigma2=sigma2, power_budget=float(p[k]))
+    # each point's candidates, its roots and then both scan edges, scored in
+    # one call; the first maximum wins, and its dI/da2 is the residual
+    cand = np.column_stack([roots, np.full(n, grid[0]), np.full(n, grid[-1])])
+    cand[unconverged] = np.nan
+    kc, jc = np.nonzero(~np.isnan(cand))
+    i_val = np.full(cand.shape, -math.inf)
+    d_val = np.full(cand.shape, math.nan)
+    i_val[kc, jc], d_val[kc, jc] = _mi_and_derivative(
+        cand[kc, jc], p[kc] / cand[kc, jc], sigma2, True)
+    best = np.argmax(i_val, axis=1)
+    rows = np.arange(n)
+    a2_star, i_star = cand[rows, best], i_val[rows, best]
+    residual = np.abs(d_val[rows, best])
+    mi_calls = np.bincount(kc, minlength=n)
 
-        def score(a2):
-            diag["mi_calls"] += 1
-            return _mi_at(a2, ch)
-
-        cand += [float(grid[0]), float(grid[-1])]
-        if not n_roots:
-            cand.append(_golden_max(score, _A2_EDGE, 1.0 - _A2_EDGE, cfg.solver_tol))
-        for a2 in cand:
-            val = score(a2)
-            if val > best_i:
-                best_a2, best_i = a2, val
-        reason = None
-        if best_a2 is None or not best_i > 0.0:
-            reason = f"no positive-MI optimum found at snr={snr[k]}"
-        else:
-            a2_star[k] = best_a2
-        found.append((n_roots, best_i, reason, diag))
-
-    solved = ~np.isnan(a2_star)
-    residual = np.full(n, np.nan)
-    residual[solved] = np.abs(_deriv(a2_star[solved], p[solved], sigma2))
     out = []
-    for k, (n_roots, i_star, reason, diag) in enumerate(found):
+    for k in range(n):
         db = snr_to_db(snr[k])
+        diag = {"grid_rows": _GRID_POINTS, "root_iterations": int(nit[k]),
+                "root_evaluations": int(nfev[k]), "mi_calls": int(mi_calls[k])}
+        reason = None
+        if unconverged[k]:
+            reason = f"root-finder did not converge at snr={snr[k]}"
+        elif not i_star[k] > 0.0:
+            reason = f"no positive-MI optimum found at snr={snr[k]}"
         if reason is not None:
             out.append((CapacityPoint(db, snr[k], math.nan, math.nan, math.nan,
                                       "FAILED", 0, math.nan, diag), reason))
             continue
         a2 = float(a2_star[k])
-        out.append((CapacityPoint(db, snr[k], a2, math.sqrt(p[k] / a2), i_star,
-                                  classify_regime(db), n_roots, float(residual[k]), diag),
+        out.append((CapacityPoint(db, snr[k], a2, math.sqrt(p[k] / a2), float(i_star[k]),
+                                  classify_regime(db), int(n_roots[k]),
+                                  float(residual[k]), diag),
                     None))
     return out
 
@@ -188,16 +157,17 @@ def solve_a2_star(
     (eps, 1-eps) for every point in one batched analytic call (every entry,
     alpha = 1/n included, comes from the closed form); every sign change is
     refined in one call of scipy's vectorized find_root, to the xtol of
-    solver_tol/100; each point's root with maximal I wins, the grid
-    endpoints included as candidates.  A point with no sign change falls
-    back to golden-section maximization of I and reports roots_found = 0.
+    solver_tol/100; one more batched call gives I and dI/da2 at every
+    point's candidates, its roots and both grid endpoints, and the first
+    with maximal I wins, its |dI/da2| being the residual.  A point with no
+    sign change takes the better endpoint and reports roots_found = 0.
 
     An array returns one CapacityPoint per SNR; a point whose root-finder
     did not converge, or with no positive I, is a FAILED row.  A float
     returns its CapacityPoint and raises SolverFailure instead.  Each
     point's diagnostics give its grid rows, the root-finder's iterations
-    and evaluations over its brackets, its I calls and whether the
-    golden-section fallback ran.
+    and evaluations over its brackets, and its number of I values
+    (mi_calls).
     """
     snr = np.asarray(snr_linear, dtype=float)
     if snr.ndim > 1:
@@ -246,11 +216,11 @@ def mi_profile(
     *,
     sigma2: float = 1.0,
 ) -> list[tuple[float, float]]:
-    """Mutual information along a grid of a2 values with x2^2 = P/a2."""
+    """Mutual information along a grid of a2 values with x2^2 = P/a2, in
+    one batched call."""
     ch = ChannelParams(sigma2=sigma2, power_budget=snr_linear * sigma2)
-    out = []
-    for a2 in a2_grid:
-        if not 0.0 < a2 < 1.0:
-            raise SolverFailure("profile grid values must lie in (0, 1)")
-        out.append((float(a2), _mi_at(float(a2), ch)))
-    return out
+    a2 = np.asarray(a2_grid, dtype=float)
+    if not ((0.0 < a2) & (a2 < 1.0)).all():
+        raise SolverFailure("profile grid values must lie in (0, 1)")
+    nats, _ = _mi_and_derivative(a2, ch.power_budget / a2, sigma2, True)
+    return list(zip(a2.tolist(), nats.tolist()))

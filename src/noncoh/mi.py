@@ -27,7 +27,10 @@ so with the information density i(x) = -1 - log(x^2 + s2) - J(x) it is
 I = a1 i(0) + a2 i(x2).  The analytic derivative dI/da2 is i(x2) - i(0)
 from the same phi, plus, with x2^2 = P/a2 tied in capacity mode, one term
 in the b-partial of phi for the moving mass point; it feeds the capacity
-root-finder.
+root-finder.  One function, _assemble, takes phi to J(0), J(x2), I and
+dI/da2, for one input or an array of them: the scalar mutual_information
+feeds it phi from hyp2f1_1b_value, and the solver and the profile feed it
+phi and its b-partial from one hyp2f1_1b call.
 """
 
 from __future__ import annotations
@@ -199,9 +202,67 @@ def j_case3(x: float, inp: TwoPointInput, ch: ChannelParams) -> float:
     return _case3_value(x, inp, ch, dp.alpha, dp.beta)
 
 
+def _any(mask) -> bool:
+    """Whether a bool, or any element of a bool array, is set (numpy's
+    reductions, like its two-argument ufuncs, cost microseconds on a
+    scalar)."""
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _assemble(a2, x2sq, s2, phi, phi_b=None, xp=np):
+    """I, J(0), J(x2) and dI/da2 from phi = phi(b, u), b = 1 + s2/x2^2,
+    u = (a1/a2) big/s2, big = x2^2 + s2, elementwise over arrays that
+    broadcast together, or over floats with xp = math: the one assembly of
+    I behind mutual_information, the solver and the profile.  xp supplies
+    log and log1p; numpy's ufuncs on single floats made a scalar
+    mutual_information call about 30% slower.  It reads the sign-fault
+    test hook at each call.
+
+    J(0) and J(x2) come from phi through the contiguous relation (see the
+    module docstring); I = a1 i(0) + a2 i(x2) is clamped into [0, H(X)]
+    within rounding (1e-10), and past that ConsistencyError is raised.
+    With x2 held fixed, dI/da2 = i(x2) - i(0).  With x2^2 = P/a2
+    (capacity) the mass point moves too, adding a2 (dx2^2/da2) di/dx^2 at
+    x2 = -x2^2 di/dx^2 (the change of the output density drops out: it
+    integrates to zero against the conditional density).  J(x2) holds x
+    only in b = 1 + 1/alpha, whose x^2-derivative at x2 is -v/(x2^2+s2),
+    v = s2/x2^2, so with phi_b the b-partial of phi (given in capacity
+    mode only)
+
+        i(x2) - i(0) = log(s2/big) + x2^2/big + ((1+u) phi - 1)/b,
+        -x2^2 di/dx^2 = u s2 (phi_b - phi/b) / (big b).
+    """
+    a1 = 1.0 - a2
+    big = x2sq + s2
+    b = 1.0 + s2 / x2sq
+    u = (a1 / a2) * (big / s2)
+    # alpha/(beta (alpha+1)) 2F1(...) of J(0) and of J(x2)
+    hyp0 = (1.0 - phi) / b
+    hyp2 = u * phi / b
+    if _FAULT_FLIP_SIGN:
+        hyp0, hyp2 = -hyp0, -hyp2
+    common = xp.log(a2 / big) + xp.log1p(u)
+    j0 = -s2 / big + common - hyp0
+    j2 = -1.0 + common - hyp2
+    nats = -a1 - a1 * xp.log(s2) - a2 - a2 * xp.log(big) - a1 * j0 - a2 * j2
+    h_x = -a1 * xp.log(a1) - a2 * xp.log(a2)
+    if _any((nats < 0.0) | (nats > h_x)):
+        if _any(nats < -1e-10):
+            raise ConsistencyError(f"mutual information came out negative: {np.min(nats)}")
+        if _any(nats > h_x + 1e-10):
+            raise ConsistencyError(
+                f"mutual information exceeds H(X) by {np.max(nats - h_x)}")
+        nats = (np.clip(nats, 0.0, h_x) if isinstance(nats, np.ndarray)
+                else min(max(nats, 0.0), h_x))
+    d = xp.log(s2 / big) + x2sq / big + ((1.0 + u) * phi - 1.0) / b
+    if phi_b is not None:
+        d = d + u * s2 * (phi_b - phi / b) / (big * b)
+    return nats, j0, j2, d
+
+
 def mutual_information(inp: TwoPointInput, ch: ChannelParams) -> MIResult:
     """I(X;Y) in nats for the two-mass-point input, both J from the beta>=1
-    closed form and one phi value (see the module docstring).
+    closed form and one phi value (see the module docstring and _assemble).
 
     Degenerate inputs (a2 in {0, 1} or x2 = 0) return exactly 0.  I is
     clamped into [0, H(X)] within rounding (1e-10); past that it raises
@@ -210,38 +271,19 @@ def mutual_information(inp: TwoPointInput, ch: ChannelParams) -> MIResult:
     """
     if inp.is_degenerate():
         return MIResult(0.0, math.nan, math.nan, Case.DEGENERATE, Case.DEGENERATE, {})
-    a1, a2 = inp.a1, inp.a2
     s2 = ch.sigma2
     x2sq = inp.x2**2
-    big = x2sq + s2
     b = 1.0 + s2 / x2sq
-    u = (a1 / a2) * (big / s2)
+    u = (inp.a1 / inp.a2) * ((x2sq + s2) / s2)
     phi = specfun.hyp2f1_1b_value(b, u)
-    # alpha/(beta (alpha+1)) 2F1(...) of J(0) and of J(x2)
-    hyp0 = (1.0 - phi.value) / b
-    hyp2 = u * phi.value / b
-    if _FAULT_FLIP_SIGN:
-        hyp0, hyp2 = -hyp0, -hyp2
-    common = math.log(a2 / big) + math.log1p(u)
-    j0 = -s2 / big + common - hyp0
-    j2 = -1.0 + common - hyp2
-    nats = -a1 - a1 * math.log(s2) - a2 - a2 * math.log(big) - a1 * j0 - a2 * j2
-    if nats < 0.0:
-        if nats < -1e-10:
-            raise ConsistencyError(f"mutual information came out negative: {nats}")
-        nats = 0.0
-    h_x = input_entropy(inp)
-    if nats > h_x:
-        if nats > h_x + 1e-10:
-            raise ConsistencyError(f"mutual information {nats} exceeds H(X) = {h_x}")
-        nats = h_x
+    nats, j0, j2, _ = _assemble(inp.a2, x2sq, s2, phi.value, xp=math)
     diagnostics = {
         "j0_terms": phi.terms_used,
         "j0_truncation_bound": phi.truncation_bound / b,
         "jx2_terms": phi.terms_used,
         "jx2_truncation_bound": phi.truncation_bound * u / b,
     }
-    return MIResult(nats, j0, j2, Case.CASE_III, Case.CASE_III, diagnostics)
+    return MIResult(float(nats), j0, j2, Case.CASE_III, Case.CASE_III, diagnostics)
 
 
 def input_entropy(inp: TwoPointInput) -> float:
@@ -309,36 +351,20 @@ def hyp3f2_sin_identity_residual(alpha: float) -> float:
     return s - specfun.pi_csc_recip(alpha)
 
 
-def _dI_da2(a2, x2sq, s2, capacity):
-    """dI/da2 from the information density i(x) = -1 - log(x^2+s2) - J(x),
-    elementwise over a2 and x2sq (floats or arrays), with one kernel call
-    for all of them and one kernel row per a2.
-
-    With x2 held fixed, dI/da2 = i(x2) - i(0).  With x2^2 = P/a2
-    (capacity) the mass point moves too, adding a2 (dx2^2/da2) di/dx^2 at
-    x2 = -x2^2 di/dx^2 (the change of the output density drops out: it
-    integrates to zero against the conditional density).  J(x2) holds x
-    only in b = 1 + 1/alpha, whose x^2-derivative at x2 is -v/(x2^2+s2),
-    v = s2/x2^2, so with phi = phi(b, u) and phi_b its b-partial
-    (see mutual_information)
-
-        i(x2) - i(0) = log(s2/big) + x2^2/big + ((1+u) phi - 1)/b,
-        -x2^2 di/dx^2 = u s2 (phi_b - phi/b) / (big b).
-    """
-    big = x2sq + s2
+def _mi_and_derivative(a2, x2sq, s2, capacity):
+    """I and dI/da2 (see _assemble), elementwise over a2 and x2sq (floats
+    or arrays that broadcast together), from one hyp2f1_1b call with one
+    kernel row per a2; with capacity, x2^2 = P/a2 moves with a2."""
     b = 1.0 + s2 / x2sq
-    u = ((1.0 - a2) / a2) * (big / s2)
+    u = ((1.0 - a2) / a2) * ((x2sq + s2) / s2)
     fam = specfun.hyp2f1_1b(b, u)
-    phi = fam.value
-    d = np.log(s2 / big) + x2sq / big + ((1.0 + u) * phi - 1.0) / b
-    if capacity:
-        d = d + u * s2 * (fam.d_db - phi / b) / (big * b)
-    return d
+    nats, _, _, d = _assemble(a2, x2sq, s2, fam.value, fam.d_db if capacity else None)
+    return nats, d
 
 
 def mi_derivative_a2(inp: TwoPointInput, ch: ChannelParams) -> float:
     """Analytic dI/da2 from the information density at the two mass points
-    (see _dI_da2), through the beta>=1 closed form of J, valid at
+    (see _assemble), through the beta>=1 closed form of J, valid at
     alpha = 1/n too.
 
     With ch.power_budget present the nonzero mass point is tied to the
@@ -364,4 +390,4 @@ def mi_derivative_a2(inp: TwoPointInput, ch: ChannelParams) -> float:
         if inp.x2 <= 0.0:
             raise DegenerateInput("derivative requires x2 > 0")
         x2sq = inp.x2**2
-    return float(_dI_da2(a2, x2sq, s2, capacity))
+    return float(_mi_and_derivative(a2, x2sq, s2, capacity)[1])

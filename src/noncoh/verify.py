@@ -177,34 +177,30 @@ def check_route_consistency(points: int = 40, seed: int = 11) -> CheckResult:
                        worst <= 1e-8, f"({done} evaluations)")
 
 
+# (family, check function, its --quick arguments); the full pass runs each
+# check at its defaults.  The checks are looked up by name at call time, so a
+# wrapper installed on the module attribute sees every call.
+_FAMILIES = (
+    ("partial-sum bounds", "check_partial_sum_bounds", {"cases": 200}),
+    ("oracle equivalence", "check_oracle_equivalence", {"n_a2": 5, "n_ratio": 4}),
+    ("continuation identity", "check_continuation", {"n_alpha": 4, "n_beta": 4}),
+    ("3F2(-1) sin identity", "check_sin_identity", {"alphas": (0.6, 2.0, 5.5)}),
+    ("derivative", "check_derivative", {"points": 8}),
+    ("scale invariance", "check_scale_invariance", {"configs": 5}),
+    ("route consistency", "check_route_consistency", {"points": 10}),
+)
+
+
 def run_checks(quick: bool = False) -> list[CheckResult]:
-    if quick:
-        families = [
-            ("partial-sum bounds", lambda: [check_partial_sum_bounds(cases=200)]),
-            ("oracle equivalence", lambda: list(check_oracle_equivalence(5, 4))),
-            ("continuation identity", lambda: [check_continuation(4, 4)]),
-            ("3F2(-1) sin identity", lambda: [check_sin_identity((0.6, 2.0, 5.5))]),
-            ("derivative", lambda: [check_derivative(points=8)]),
-            ("scale invariance", lambda: [check_scale_invariance(configs=5)]),
-            ("route consistency", lambda: [check_route_consistency(points=10)]),
-        ]
-    else:
-        families = [
-            ("partial-sum bounds", lambda: [check_partial_sum_bounds()]),
-            ("oracle equivalence", lambda: list(check_oracle_equivalence())),
-            ("continuation identity", lambda: [check_continuation()]),
-            ("3F2(-1) sin identity", lambda: [check_sin_identity()]),
-            ("derivative", lambda: [check_derivative()]),
-            ("scale invariance", lambda: [check_scale_invariance()]),
-            ("route consistency", lambda: [check_route_consistency()]),
-        ]
     results: list[CheckResult] = []
-    for name, runner in families:
+    for name, check, quick_args in _FAMILIES:
         # a family that raises internally is a failed family, not a crash
         try:
-            results.extend(runner())
+            out = globals()[check](**(quick_args if quick else {}))
         except Exception as exc:  # noqa: BLE001 - verification must report
             results.append(
                 CheckResult(name, math.inf, 0.0, False, f"raised {type(exc).__name__}: {exc}")
             )
+            continue
+        results.extend(out if isinstance(out, tuple) else [out])
     return results

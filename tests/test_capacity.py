@@ -165,35 +165,41 @@ class TestLockStep:
 
     @pytest.mark.parametrize("golden", [False, True], ids=["roots", "golden"])
     def test_diagnostics_count_the_work(self, golden, monkeypatch):
-        kernel_rows, mi_calls = [], []
-        real_kernel, real_mi, real_deriv = specfun.hyp2f1_1b, capacity._mi_at, capacity._deriv
+        kernel_rows = []
+        real_kernel, real_deriv = specfun.hyp2f1_1b, capacity._deriv
 
         def counting_kernel(b, u):
             kernel_rows.append(np.broadcast(b, u).size)
             return real_kernel(b, u)
 
-        def counting_mi(a2, ch):
-            mi_calls.append(a2)
-            return real_mi(a2, ch)
-
         monkeypatch.setattr(specfun, "hyp2f1_1b", counting_kernel)
-        monkeypatch.setattr(capacity, "_mi_at", counting_mi)
-        if golden:  # no sign change anywhere: every point falls back
+        if golden:  # no sign change anywhere: only the scan edges are scored
             monkeypatch.setattr(capacity, "_deriv",
                                 lambda a2, p, s2: np.abs(real_deriv(a2, p, s2)) + 1.0)
         cfg = SweepConfig(snr_db_start=-10.0, snr_db_stop=30.0, snr_db_step=5.0)
         points = sweep(cfg)
         diags = [p.diagnostics for p in points]
-        assert all(d["golden_fallback"] is golden for d in diags)
         assert all(p.roots_found == (0 if golden else 1) for p in points)
         assert all(d["grid_rows"] == capacity._GRID_POINTS for d in diags)
         assert all((d["root_evaluations"] == 0) is golden for d in diags)
         assert all(d["root_iterations"] <= d["root_evaluations"] for d in diags)
-        # the scan, the root-finder and one residual row per point
-        assert sum(kernel_rows) == sum(d["grid_rows"] + d["root_evaluations"] + 1
+        # the scan, the root-finder and one row per scored candidate
+        assert sum(kernel_rows) == sum(d["grid_rows"] + d["root_evaluations"] + d["mi_calls"]
                                        for d in diags)
-        assert len(mi_calls) == sum(d["mi_calls"] for d in diags)
-        assert all(d["mi_calls"] > 3 if golden else d["mi_calls"] == 3 for d in diags)
+        # the roots, then both scan edges
+        assert all(d["mi_calls"] == (2 if golden else 3) for d in diags)
+        if golden:
+            edges = (capacity._A2_EDGE, 1.0 - capacity._A2_EDGE)
+            assert all(p.a2_star in edges for p in points)
+
+    @pytest.mark.parametrize("sigma2,start", LOCK_STEP_GRIDS)
+    def test_rows_agree_with_the_scalar_api(self, sigma2, start):
+        _, points = _bench_sweep(sigma2, start)
+        for pt in points:
+            ch = ChannelParams(sigma2=sigma2, power_budget=pt.snr_linear * sigma2)
+            inp = TwoPointInput(pt.a2_star, pt.x2_star)
+            assert abs(pt.i_star_nats - mi.mutual_information(inp, ch).nats) <= 1e-14
+            assert pt.solver_residual == abs(mi.mi_derivative_a2(inp, ch))
 
 
 class TestRegime:
@@ -285,3 +291,22 @@ class TestProfile:
     def test_rejects_out_of_range(self):
         with pytest.raises(SolverFailure):
             mi_profile(1.0, [0.0, 0.5])
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, math.nan])
+    def test_rejects_each_invalid_value(self, bad):
+        with pytest.raises(SolverFailure):
+            mi_profile(1.0, [0.5, bad])
+
+    def test_empty_grid(self):
+        assert mi_profile(1.0, []) == []
+
+    @pytest.mark.parametrize("snr_db", [-10.0, -5.0, 10.0])
+    def test_matches_scalar_calls(self, snr_db):
+        snr = 10.0 ** (snr_db / 10.0)
+        grid = np.linspace(1e-6, 1.0 - 1e-6, 200)
+        pairs = mi_profile(snr, grid, sigma2=7.3)
+        assert [a for a, _ in pairs] == grid.tolist()
+        ch = ChannelParams(sigma2=7.3, power_budget=snr * 7.3)
+        for a2, val in pairs:
+            inp = TwoPointInput(a2, math.sqrt(ch.power_budget / a2))
+            assert abs(val - mi.mutual_information(inp, ch).nats) <= 1e-14

@@ -133,7 +133,7 @@ class TestSweepCommand:
         for p in points:
             assert p["grid_rows"] == capacity._GRID_POINTS
             assert p["root_evaluations"] >= p["root_iterations"] > 0
-            assert p["mi_calls"] == 3 and p["golden_fallback"] is False
+            assert p["mi_calls"] == 3  # its root and both scan edges
         assert out.read_text().splitlines()[0].endswith("roots_found,solver_residual")
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -142,6 +142,19 @@ class TestSweepCommand:
         assert main(["sweep", *args, "--out", str(a)]) == 0
         assert main(["sweep", *args, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--from-db", "-10", "--to-db", "30", "--step-db", "1"],
+    ["profile", "--snr-db", "-5", "--points", "10"],
+], ids=["sweep", "profile"])
+def test_sign_fault_is_an_internal_consistency_failure(argv, tmp_path):
+    # the batched I keeps the [0, H(X)] check and reads the fault hook
+    res = run_cli([*argv, "--out", str(tmp_path / "out.csv")],
+                  env_extra={"NONCOH_FAULT_INJECT": "flip-2f1-sign"})
+    assert res.returncode == 3
+    assert "internal consistency failure" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 class TestVerifyCommand:
@@ -180,8 +193,14 @@ class TestMcCommand:
     ["profile", "--snr-db", "0", "--points", "0"],
     ["profile", "--snr-db", "0", "--points", "-3"],
     ["mc", "--a2", "0.5", "--x2", "1", "--samples", "0", "--seed", "1"],
+    ["sweep", "--from-db", "0", "--to-db", "1", "--step-db", "nan"],
+    ["sweep", "--from-db", "nan", "--to-db", "1", "--step-db", "1"],
+    ["sweep", "--from-db", "0", "--to-db", "inf", "--step-db", "1"],
+    ["sweep", "--from-db", "0", "--to-db", "1", "--step-db", "1", "--solver-tol", "nan"],
+    ["sweep", "--from-db", "0", "--to-db", "1", "--step-db", "1", "--solver-tol", "-1"],
 ], ids=["sweep-step-zero", "sweep-reversed", "profile-points-zero",
-        "profile-points-negative", "mc-samples-zero"])
+        "profile-points-negative", "mc-samples-zero", "sweep-step-nan", "sweep-from-nan",
+        "sweep-to-inf", "sweep-solver-tol-nan", "sweep-solver-tol-negative"])
 def test_invalid_values_exit_2(argv, tmp_path, capsys):
     # the invalid-arguments code, not 1 (verification failed) with a traceback
     if argv[0] == "sweep":
