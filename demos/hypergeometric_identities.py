@@ -14,7 +14,6 @@ from noncoh import (
     gauss_2f1,
     hyp3f2_sin_identity_residual,
     hyp_pfq,
-    incomplete_beta,
 )
 
 print(__doc__)
@@ -23,12 +22,6 @@ print("z * 2F1(1,1;2;-z) = log(1+z), summed as a series:")
 for z in (0.3, 0.9, 1.0):
     got = z * gauss_2f1(1.0, 1.0, 2.0, -z)
     print(f"   z={z}: series={got:.15f}  log1p={math.log1p(z):.15f}")
-
-print("\n2F1(a,b;b+1;z) = b z^-b B_z(b, 1-a) against the beta integral:")
-for (a, b, z) in [(0.3, 1.5, 0.4), (-0.5, 0.25, 0.9)]:
-    lhs = gauss_2f1(a, b, b + 1.0, z)
-    rhs = b * z ** (-b) * incomplete_beta(z, b, 1.0 - a)
-    print(f"   a={a:+.2f} b={b} z={z}: 2F1={lhs:.12f}  beta form={rhs:.12f}")
 
 print("""
 Continuation formula: the beta<1 route (2F1 at -beta, plus a pi/sin

@@ -13,7 +13,6 @@ import numpy as np
 
 from noncoh import (
     ChannelParams,
-    FDOrder,
     TwoPointInput,
     fd_derivative,
     mi_derivative_a2,
@@ -50,7 +49,6 @@ for a2 in (0.05, 0.1, opt, 0.4, 0.8):
     num = fd_derivative(
         lambda t: mutual_information(TwoPointInput(t, math.sqrt(snr / t)), ch).nats,
         a2,
-        FDOrder.CENTRAL5,
     )
     marker = "  <-- optimum" if a2 == opt else ""
     print(f"   a2={a2:8.6f}: analytic={ana:+.3e}  fd={num:+.3e}{marker}")

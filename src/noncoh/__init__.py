@@ -27,7 +27,6 @@ from .mi import (
     mutual_information,
 )
 from .oracle import (
-    FDOrder,
     MonteCarloConfig,
     QuadratureConfig,
     fd_derivative,
@@ -39,7 +38,6 @@ from .specfun import (
     SeriesResult,
     gauss_2f1,
     hyp_pfq,
-    incomplete_beta,
     log1p_series_partial_sum,
 )
 
@@ -50,7 +48,6 @@ __all__ = [
     "CapacityPoint",
     "ChannelParams",
     "DerivedParams",
-    "FDOrder",
     "MIResult",
     "MonteCarloConfig",
     "QuadratureConfig",
@@ -64,7 +61,6 @@ __all__ = [
     "gauss_2f1",
     "hyp3f2_sin_identity_residual",
     "hyp_pfq",
-    "incomplete_beta",
     "input_entropy",
     "j_case1",
     "j_case2",

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import brentq  # noqa: F401 - unused; bench/ traces this name
 from scipy.optimize.elementwise import find_root
 
-from .channel import ChannelParams, snr_to_db
+from .channel import ChannelParams, snr_from_db, snr_to_db
 from .errors import DomainError, SolverFailure
 from .mi import _mi_and_derivative
 from .mi import mi_derivative_a2  # noqa: F401 - unused; bench/ traces this name
@@ -194,8 +194,7 @@ def sweep(cfg: SweepConfig, ch: ChannelParams | None = None) -> list[CapacityPoi
     # the slack absorbs rounding in the quotient without admitting a point
     # past snr_db_stop
     n_steps = math.floor((cfg.snr_db_stop - cfg.snr_db_start) / cfg.snr_db_step + 1e-9)
-    snr = [10.0 ** ((cfg.snr_db_start + i * cfg.snr_db_step) / 10.0)
-           for i in range(n_steps + 1)]
+    snr = [snr_from_db(cfg.snr_db_start + i * cfg.snr_db_step) for i in range(n_steps + 1)]
     points = solve_a2_star(np.array(snr), cfg, sigma2=sigma2)
     for prev, cur in zip(points, points[1:]):
         if (

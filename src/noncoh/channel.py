@@ -47,6 +47,8 @@ class TwoPointInput:
             raise DomainError("a2 must be in [0, 1]")
         if self.x2 < 0.0:
             raise DomainError("x2 must be nonnegative")
+        if not self.x2 * self.x2 < math.inf:
+            raise DomainError("x2 must be finite, with a finite square")
 
     @property
     def a1(self) -> float:
@@ -58,7 +60,8 @@ class TwoPointInput:
         return self.a2 * self.x2**2
 
     def is_degenerate(self) -> bool:
-        return self.a2 in (0.0, 1.0) or self.x2 == 0.0
+        """One mass point: a2 in {0, 1}, or x2^2 = 0 in floats."""
+        return self.a2 in (0.0, 1.0) or self.x2 * self.x2 == 0.0
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,14 @@ def snr_of(ch: ChannelParams) -> float:
 
 
 def snr_from_db(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    """Linear SNR 10^(db/10); DomainError when it is not finite."""
+    try:
+        snr = 10.0 ** (db / 10.0)
+    except OverflowError:
+        snr = math.inf
+    if not snr < math.inf:
+        raise DomainError(f"SNR of {db} dB is not finite in linear units")
+    return snr
 
 
 def snr_to_db(snr_linear: float) -> float:

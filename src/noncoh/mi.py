@@ -387,7 +387,7 @@ def mi_derivative_a2(inp: TwoPointInput, ch: ChannelParams) -> float:
                 f"(got x2^2={inp.x2 ** 2}, expected {x2sq})"
             )
     else:
-        if inp.x2 <= 0.0:
-            raise DegenerateInput("derivative requires x2 > 0")
+        if inp.is_degenerate():
+            raise DegenerateInput("derivative requires x2^2 > 0")
         x2sq = inp.x2**2
     return float(_mi_and_derivative(a2, x2sq, s2, capacity)[1])

@@ -9,7 +9,6 @@ closed forms is a genuine cross-check.
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass
@@ -221,19 +220,11 @@ def mi_monte_carlo(
     return mean, std_err
 
 
-class FDOrder(enum.Enum):
-    CENTRAL3 = "central3"
-    CENTRAL5 = "central5"
-
-
 _EPS = float(np.finfo(float).eps)
 
 
-def fd_derivative(f, x: float, order: FDOrder = FDOrder.CENTRAL5) -> float:
-    """Central finite difference with step eps^(1/3) or eps^(1/5) scaled by
+def fd_derivative(f, x: float) -> float:
+    """Five-point central finite difference with step eps^(1/5) scaled by
     max(1, |x|)."""
-    if order is FDOrder.CENTRAL3:
-        h = _EPS ** (1.0 / 3.0) * max(1.0, abs(x))
-        return (f(x + h) - f(x - h)) / (2.0 * h)
     h = _EPS ** (1.0 / 5.0) * max(1.0, abs(x))
     return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12.0 * h)

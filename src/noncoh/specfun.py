@@ -2,8 +2,7 @@
 
 Scalar double-precision: the generalized hypergeometric series pFq with
 truncation diagnostics, the Gauss 2F1 on the real axis left of z = 1, the
-digamma function, the (real branch of the) incomplete beta integral, and
-partial sums of the alternating log(1+q) series.  The family
+digamma function, and partial sums of the alternating log(1+q) series.  The family
 phi(b, u) = 2F1(1, b; b+1; -u) has one set of float64 series and
 formulas, valid for every finite b > 0 and u >= 0, behind two entry
 points: hyp2f1_1b_value, a scalar plain-float value with series
@@ -31,8 +30,7 @@ _PI_LD = _LD("3.14159265358979323846264338327950288")
 
 
 # Truncation of hyp_pfq (and so gauss_2f1): the target for the absolute
-# remainder and the cap on summed terms; incomplete_beta also stops at
-# MAX_TERMS.
+# remainder and the cap on summed terms.
 ABS_TOL = 1e-14
 MAX_TERMS = 10**7
 
@@ -253,48 +251,6 @@ def digamma_series_oracle(q: float, terms: int = 2_000_000) -> float:
     return -EULER_GAMMA + head + tail
 
 
-def incomplete_beta(z: float, b: float, one_minus_a: float) -> float:
-    """Incomplete beta integral B_z(b, 1-a) = int_0^z t^(b-1) (1-t)^(-a) dt.
-
-    Real-valued; requires b > 0 and |z| < 1.  For z < 0 the integral along
-    the real segment is real only when b is an integer (the t^(b-1) factor
-    otherwise leaves the real axis), so noninteger b raises DomainError
-    there.
-    """
-    z, b = float(z), float(b)
-    a = 1.0 - float(one_minus_a)
-    if b <= 0.0:
-        raise DomainError("incomplete_beta requires b > 0")
-    if abs(z) >= 1.0:
-        raise DomainError("incomplete_beta requires |z| < 1")
-    if z == 0.0:
-        return 0.0
-    if z < 0.0:
-        if b != math.floor(b):
-            raise DomainError(
-                "B_z with z < 0 is real-valued only for integer b"
-            )
-        pref = (-1.0) ** int(b) * abs(z) ** b
-    else:
-        pref = z**b
-    # B_z(b, 1-a) = z^b sum_k (a)_k z^k / (k! (b+k)), ratio -> z
-    coef = 1.0  # (a)_k / k!
-    total = 1.0 / b
-    k = 0
-    zk = 1.0
-    while k < MAX_TERMS:
-        coef *= (a + k) / (k + 1.0)
-        zk *= z
-        term = coef * zk / (b + k + 1.0)
-        total += term
-        k += 1
-        if abs(term) <= 1e-16 * max(1.0, abs(total)) and abs(z) ** 2 < 1.0:
-            bound = abs(term) * abs(z) / (1.0 - abs(z))
-            if bound <= 1e-15 * max(1.0, abs(total)):
-                return pref * total
-    raise NoConvergence("incomplete_beta series stalled")
-
-
 def log1p_series_partial_sum(q: float, n: int) -> float:
     """Partial sum T_n = sum_{k=1..n} (-1)^(k+1) q^k / k of the log(1+q)
     series; satisfies 0 <= T_n <= q for 0 <= q <= 1."""
@@ -347,11 +303,10 @@ _PI_CSC_SERIES = tuple(
 # for |x| < 1/2
 _EXPM1_RATIO_D_SERIES = np.array([(k + 1) / math.factorial(k + 2) for k in range(17)])
 
-# hyp2f1_1b evaluates at most this many rows per pass, so a sweep's memory
-# does not grow with its length: one pass over the 201 x 64-row scan of a
-# 201-point sweep peaks ~11 MB higher than passes of 512 (2-CPU host), for
-# an 81-point sweep ~12% faster
-_PASS_ROWS = 512
+# hyp2f1_1b evaluates its rows in blocks whose padded series terms (rows
+# times the block's largest term count) stay below this, so its memory is
+# bounded by the terms it sums, not by its number of rows
+_BLOCK_TERMS = 2**14
 
 # Pfaff's series stops at the first term t_k with t_k u (k+3) below this
 # times t_1, which bounds the remainders of the value and of its b-partial
@@ -438,10 +393,12 @@ def hyp2f1_1b(b, u) -> F21Family:
     """Evaluate phi(b, u) = 2F1(1, b; b+1; -u) together with its b-partial
     for every finite b > 0 and finite u >= 0, integer b included.
 
-    b and u are scalars or arrays that broadcast together; the elements are
-    evaluated in vectorized passes of at most 512 rows (_PASS_ROWS), a
-    scalar call being the size-1 case, and one invalid element raises
-    DomainError for the whole call.
+    b and u are scalars or arrays that broadcast together, a scalar call
+    being the size-1 case, and one invalid element raises DomainError for
+    the whole call.  Each element is one row with a family (the series it
+    sums) and a term count; the rows are ordered by family and then by
+    count and evaluated in vectorized single-family blocks of at most
+    _BLOCK_TERMS padded terms, and a row's sums do not depend on its block.
 
     As a hypergeometric series the b-partial is
     d/db phi = [z/(1+b)^2] 3F2(2, 1+b, 1+b; 2+b, 2+b; z), which only
@@ -469,18 +426,26 @@ def hyp2f1_1b(b, u) -> F21Family:
         raise DomainError("hyp2f1_1b expects finite b > 0")
     if not ((0.0 <= uf) & (uf < math.inf)).all():
         raise DomainError("hyp2f1_1b expects finite u >= 0 (argument z = -u)")
+    star = uf >= _STAR_MIN_U
+    n_terms = np.empty(bf.size, dtype=int)
+    n_terms[star] = _star_count(np.log(uf[star]))
+    n_terms[~star] = _pfaff_count(uf[~star])
+    order = np.lexsort((n_terms, star))  # Pfaff rows first, then by count
+    counts = n_terms[order]
+    n_pfaff = bf.size - np.count_nonzero(star)
     out = np.empty((2, bf.size))
-    for start in range(0, bf.size, _PASS_ROWS):
-        rows = slice(start, start + _PASS_ROWS)
-        b_p, u_p, out_p = bf[rows], uf[rows], out[:, rows]
-        star = u_p >= _STAR_MIN_U
-        if star.all():
-            out_p[:] = _family_star(b_p, u_p)
-        elif not star.any():
-            out_p[:] = _family_pfaff(b_p, u_p)
-        else:
-            out_p[:, star] = _family_star(b_p[star], u_p[star])
-            out_p[:, ~star] = _family_pfaff(b_p[~star], u_p[~star])
+    start = 0
+    while start < bf.size:
+        # the longest run from start within its family whose rows times its
+        # last (largest) count fit the budget, one row at least
+        pfaff = start < n_pfaff
+        stop = min(n_pfaff if pfaff else bf.size, start + _BLOCK_TERMS // counts[start])
+        padded = np.arange(1, stop - start + 1) * counts[start:stop]
+        end = start + max(1, int(np.searchsorted(padded, _BLOCK_TERMS, side="right")))
+        rows = order[start:end]
+        family = _family_pfaff if pfaff else _family_star
+        out[:, rows] = family(bf[rows], uf[rows], counts[start:end])
+        start = end
     value, d_db = out.reshape((2,) + shape)
     if not shape:
         return F21Family(float(value), float(d_db))
@@ -496,23 +461,13 @@ def _geometric(first, ratio, n, out=None):
     return np.cumprod(g, axis=1, out=g)
 
 
-def _series_sums(make_terms, n_terms, *cols):
-    """Sums (2, rows) of the value and b-partial term rows
-    make_terms(*cols, n) returns, each row over its first n_terms[row]
-    terms.  Rows are padded in blocks of similar length, so a short row
-    never costs more than twice its own terms, and summed smallest term
+def _series_sums(terms, n_terms):
+    """Sums (2, rows) of the value and b-partial term rows terms (2, rows,
+    n), each row over its first n_terms[row] terms, summed smallest term
     first, one term at a time, so a row's sums do not depend on its
-    padding, nor so on the other rows of the call."""
-    out = np.empty((2, n_terms.size))
-    size_class = np.frexp(n_terms)[1]
-    sizes = np.unique(size_class)
-    for size in sizes:
-        rows = size_class == size if sizes.size > 1 else slice(None)
-        n = n_terms[rows]
-        terms = make_terms(*(c[rows] for c in cols), int(n.max()))
-        terms *= np.arange(terms.shape[-1]) < n[:, None]
-        out[:, rows] = np.cumsum(terms[..., ::-1], axis=-1)[..., -1]
-    return out
+    padding, nor so on the other rows of its block."""
+    terms *= np.arange(terms.shape[-1]) < n_terms[:, None]
+    return np.cumsum(terms[..., ::-1], axis=-1)[..., -1]
 
 
 def _pfaff_terms(b, w, n):
@@ -529,8 +484,16 @@ def _pfaff_terms(b, w, n):
     return terms
 
 
-def _family_pfaff(b, u):
-    """Pfaff's transformation for u < _STAR_MIN_U: rows (value, d/db).
+def _pfaff_count(u):
+    """Terms of Pfaff's series (see _family_pfaff) at u < _STAR_MIN_U
+    (array): t_k/t_1 <= w^(k-1) gives log(tol)/log(w) + 10."""
+    w = u * (1.0 / (1.0 + u))
+    return np.ceil(math.log(_PFAFF_REL_TOL) / np.log(np.maximum(w, 1e-300))) + 10
+
+
+def _family_pfaff(b, u, n_terms):
+    """Pfaff's transformation for u < _STAR_MIN_U: rows (value, d/db) of
+    one block, each row summing its n_terms (_pfaff_count).
 
         phi(b, u) = F(w)/(1+u),  F = 2F1(1, 1; b+1; w),  w = u/(1+u),
 
@@ -540,13 +503,12 @@ def _family_pfaff(b, u):
     remainder of F is at most t_k w/(1-w) = t_k u, and that of F_b at most
     t_k u (k+1+u)/(b+1), against F >= 1 and |F_b| >= t_1/(b+1): once
     t_k u (k+3) <= tol t_1 (tol = _PFAFF_REL_TOL) both are below tol
-    relative.  hyp2f1_1b_value tests this on its terms; here t_k/t_1 <=
-    w^(k-1) gives the count, log(tol)/log(w) + 10 terms.
+    relative.  hyp2f1_1b_value tests this on its terms; hyp2f1_1b takes
+    the count ahead from _pfaff_count.
     """
     v = 1.0 / (1.0 + u)
     w = u * v
-    n_terms = np.ceil(math.log(_PFAFF_REL_TOL) / np.log(np.maximum(w, 1e-300))) + 10
-    F, F_b = _series_sums(_pfaff_terms, n_terms.astype(int), b, w)
+    F, F_b = _series_sums(_pfaff_terms(b, w, int(n_terms.max())), n_terms)
     return np.array([(F + 1.0) * v, F_b * v])
 
 
@@ -563,9 +525,9 @@ def _star_terms(b, n_int, inv_u, n):
     return terms
 
 
-def _family_star(b, u):
+def _family_star(b, u, n_terms):
     """Continuation in powers of 1/u for u >= _STAR_MIN_U: rows (value,
-    d/db).
+    d/db) of one block, each row summing its n_terms (_star_count).
 
     With N = round(b), eps = b - N and L = log u, the reflection head and
     the series term m = N - 1 share a pole at eps = 0; together they are
@@ -609,5 +571,5 @@ def _family_star(b, u):
     r = be * c + q
     r_db = e * c * (1.0 - bl) + be * dc + q_db
     scale = np.power(-inv_u, n_int)  # (-1)^N u^-N
-    T, S = _series_sums(_star_terms, _star_count(log_u).astype(int), b, n_int, inv_u)
+    T, S = _series_sums(_star_terms(b, n_int, inv_u, int(n_terms.max())), n_terms)
     return np.array([scale * r - b * T, scale * r_db - S])

@@ -128,7 +128,7 @@ def check_derivative(points: int = 50, seed: int = 99) -> CheckResult:
                 TwoPointInput(t, math.sqrt(snr / t)), ch
             ).nats
         ana = mi.mi_derivative_a2(inp, ch)
-        num = oracle.fd_derivative(f, a2, oracle.FDOrder.CENTRAL5)
+        num = oracle.fd_derivative(f, a2)
         scale = max(abs(num), 1e-12)
         worst = max(worst, abs(ana - num) / scale)
     return CheckResult("analytic dI/da2 vs finite differences", worst, 1e-5,

@@ -198,9 +198,19 @@ class TestMcCommand:
     ["sweep", "--from-db", "0", "--to-db", "inf", "--step-db", "1"],
     ["sweep", "--from-db", "0", "--to-db", "1", "--step-db", "1", "--solver-tol", "nan"],
     ["sweep", "--from-db", "0", "--to-db", "1", "--step-db", "1", "--solver-tol", "-1"],
+    ["sweep", "--from-db", "3100", "--to-db", "3100", "--step-db", "1"],
+    ["profile", "--snr-db", "4000"],
+    ["deriv", "--a2", "0.3", "--snr-db", "4000"],
+    ["mi", "--a2", "0.5", "--x2", "1e200"],
+    ["deriv", "--a2", "0.5", "--x2", "1e200"],
+    ["mc", "--a2", "0.5", "--x2", "1e200", "--seed", "1"],
+    ["deriv", "--a2", "0.5", "--x2", "1e-200"],
 ], ids=["sweep-step-zero", "sweep-reversed", "profile-points-zero",
         "profile-points-negative", "mc-samples-zero", "sweep-step-nan", "sweep-from-nan",
-        "sweep-to-inf", "sweep-solver-tol-nan", "sweep-solver-tol-negative"])
+        "sweep-to-inf", "sweep-solver-tol-nan", "sweep-solver-tol-negative",
+        "sweep-snr-overflow", "profile-snr-overflow", "deriv-snr-overflow",
+        "mi-x2-square-overflow", "deriv-x2-square-overflow", "mc-x2-square-overflow",
+        "deriv-x2-square-underflow"])
 def test_invalid_values_exit_2(argv, tmp_path, capsys):
     # the invalid-arguments code, not 1 (verification failed) with a traceback
     if argv[0] == "sweep":
@@ -209,6 +219,14 @@ def test_invalid_values_exit_2(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_x2_square_underflow_is_degenerate(capsys):
+    # x2^2 = 0 in floats: a single mass point, so I = 0, not a division by 0
+    rc = main(["mi", "--a2", "0.5", "--x2", "1e-200", "--json"])
+    record = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert record["results"]["i_nats"] == 0.0
 
 
 class TestNoConfigFile:

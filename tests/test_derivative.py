@@ -10,7 +10,7 @@ from noncoh import capacity
 from noncoh.channel import ChannelParams, TwoPointInput
 from noncoh.errors import DegenerateInput, DomainError
 from noncoh.mi import mi_derivative_a2, mutual_information
-from noncoh.oracle import FDOrder, fd_derivative
+from noncoh.oracle import fd_derivative
 
 
 def _mi_capacity(a2, snr, sigma2=1.0):
@@ -26,7 +26,6 @@ class TestFixedX2Mode:
         num = fd_derivative(
             lambda t: mutual_information(TwoPointInput(t, 2.0), ch).nats,
             0.4,
-            FDOrder.CENTRAL5,
         )
         assert ana == pytest.approx(num, rel=1e-5)
 
@@ -40,7 +39,6 @@ class TestFixedX2Mode:
             num = fd_derivative(
                 lambda t: mutual_information(TwoPointInput(t, x2), ch).nats,
                 a2,
-                FDOrder.CENTRAL5,
             )
             assert ana == pytest.approx(num, rel=1e-5)
 
@@ -53,7 +51,7 @@ class TestCapacityMode:
         ch = ChannelParams(sigma2=1.0, power_budget=snr)
         inp = TwoPointInput(a2, math.sqrt(snr / a2))
         ana = mi_derivative_a2(inp, ch)
-        num = fd_derivative(lambda t: _mi_capacity(t, snr), a2, FDOrder.CENTRAL5)
+        num = fd_derivative(lambda t: _mi_capacity(t, snr), a2)
         assert ana == pytest.approx(num, rel=1e-5)
 
     def test_x2_tie_enforced(self):
@@ -104,7 +102,7 @@ class TestCapacityMode:
             ana = mi_derivative_a2(inp, ch)
             assert ana == pytest.approx(ref, rel=1e-10), (a2, x2, snr)
             if a2 > 1e-3:
-                num = fd_derivative(f, a2, FDOrder.CENTRAL5)
+                num = fd_derivative(f, a2)
                 assert ana == pytest.approx(num, rel=1e-5), (a2, x2, snr)
 
 
@@ -119,22 +117,16 @@ class TestRandomGrid:
 
 class TestFdDerivative:
     def test_square(self):
-        assert fd_derivative(lambda t: t * t, 3.0, FDOrder.CENTRAL5) == pytest.approx(
-            6.0, abs=1e-9
-        )
-        assert fd_derivative(lambda t: t * t, 3.0, FDOrder.CENTRAL3) == pytest.approx(
-            6.0, abs=1e-8
-        )
+        assert fd_derivative(lambda t: t * t, 3.0) == pytest.approx(6.0, abs=1e-9)
 
     def test_constant(self):
-        assert abs(fd_derivative(lambda t: 4.2, 0.3, FDOrder.CENTRAL5)) <= 1e-12
+        assert abs(fd_derivative(lambda t: 4.2, 0.3)) <= 1e-12
 
     def test_cross_oracle_on_mi(self):
         ch = ChannelParams(1.0)
         num = fd_derivative(
             lambda t: mutual_information(TwoPointInput(t, 2.0), ch).nats,
             0.4,
-            FDOrder.CENTRAL5,
         )
         assert mi_derivative_a2(TwoPointInput(0.4, 2.0), ch) == pytest.approx(
             num, rel=1e-5
