@@ -4,7 +4,6 @@ with independent quadrature / Monte-Carlo / finite-difference oracles."""
 
 from .channel import (
     ChannelParams,
-    DerivedParams,
     TwoPointInput,
     derive_params,
     snr_from_db,
@@ -47,7 +46,6 @@ __all__ = [
     "Case",
     "CapacityPoint",
     "ChannelParams",
-    "DerivedParams",
     "MIResult",
     "MonteCarloConfig",
     "QuadratureConfig",

@@ -24,7 +24,7 @@ from scipy.optimize.elementwise import find_root
 
 from .channel import ChannelParams, snr_from_db, snr_to_db
 from .errors import DomainError, SolverFailure
-from .mi import _mi_and_derivative
+from .mi import _check_snr, _mi_and_derivative
 from .mi import mi_derivative_a2  # noqa: F401 - unused; bench/ traces this name
 from .mi import mutual_information  # noqa: F401 - unused; bench/ traces this name
 
@@ -88,8 +88,9 @@ def _solve(snr: list[float], cfg: SweepConfig, sigma2: float):
     """Every SNR point in lock-step: one (CapacityPoint, failure reason or
     None) per point, a failed point as a FAILED row."""
     n = len(snr)
-    p = np.array(snr) * sigma2
     grid = np.linspace(_A2_EDGE, 1.0 - _A2_EDGE, _GRID_POINTS)
+    _check_snr(grid, snr, sigma2)
+    p = np.array(snr) * sigma2
     dvals = _deriv(grid, p[:, None], sigma2)
     # each point's roots in grid order: its exact zeros on the grid and one
     # in every sign change
@@ -221,5 +222,6 @@ def mi_profile(
     a2 = np.asarray(a2_grid, dtype=float)
     if not ((0.0 < a2) & (a2 < 1.0)).all():
         raise SolverFailure("profile grid values must lie in (0, 1)")
+    _check_snr(a2, snr_linear, sigma2)
     nats, _ = _mi_and_derivative(a2, ch.power_budget / a2, sigma2, True)
     return list(zip(a2.tolist(), nats.tolist()))

@@ -8,9 +8,8 @@ quantities
     alpha = (x2^2/(x2^2+sigma^2)) * ((x^2+sigma^2)/sigma^2)
     beta  = (a2/(1-a2)) * (sigma^2/(x2^2+sigma^2))
 
-are the parameters of the closed forms for J(x) (which route each value
-takes is decided in mi), and for beta < 1 the crossover magnitude y* makes
-the two weighted conditional densities equal.
+are the parameters of the paper's closed forms for J(x) at any magnitude
+x >= 0; derive_params gives them to mi's reference forms.
 """
 
 from __future__ import annotations
@@ -64,13 +63,6 @@ class TwoPointInput:
         return self.a2 in (0.0, 1.0) or self.x2 * self.x2 == 0.0
 
 
-@dataclass(frozen=True)
-class DerivedParams:
-    alpha: float
-    beta: float
-    y_star_sq: float | None
-
-
 def nearest_reciprocal(alpha: float) -> tuple[int, float]:
     """Nearest point 1/n (n a positive integer) to alpha, and the distance."""
     if alpha >= 1.5:
@@ -81,25 +73,18 @@ def nearest_reciprocal(alpha: float) -> tuple[int, float]:
     return best, abs(alpha - 1.0 / best)
 
 
-def derive_params(x: float, inp: TwoPointInput, ch: ChannelParams) -> DerivedParams:
-    """alpha, beta and y*^2 for evaluating J(x).
-
-    x must be one of the two mass points {0, x2}.
-    """
+def derive_params(x: float, inp: TwoPointInput, ch: ChannelParams) -> tuple[float, float]:
+    """(alpha, beta) of the closed forms for J(x), for any x >= 0 with a
+    finite square."""
     if inp.is_degenerate():
         raise DegenerateInput(
             "two-point input collapses to a single mass point (a2 in {0,1} or x2 = 0)"
         )
-    if x != 0.0 and x != inp.x2:
-        raise DomainError(f"x must be one of the mass points 0 or x2={inp.x2}")
+    if not (x >= 0.0 and x * x < math.inf):
+        raise DomainError(f"x must be nonnegative, with a finite square (x={x})")
     s2 = ch.sigma2
     big = inp.x2**2 + s2
-    alpha = (inp.x2**2 / big) * ((x * x + s2) / s2)
-    beta = (inp.a2 / inp.a1) * (s2 / big)
-    y_star_sq = None
-    if beta < 1.0:
-        y_star_sq = -s2 * big / inp.x2**2 * math.log(beta)
-    return DerivedParams(alpha=alpha, beta=beta, y_star_sq=y_star_sq)
+    return (inp.x2**2 / big) * ((x * x + s2) / s2), (inp.a2 / inp.a1) * (s2 / big)
 
 
 def transition_density(y: float, x: float, ch: ChannelParams) -> float:

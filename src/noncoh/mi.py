@@ -1,13 +1,18 @@
 """Closed-form mutual information of the two-mass-point magnitude channel.
 
 The core integral J(x) (the Rayleigh-weighted log mixture density) has three
-closed forms, kept as the paper's reference forms:
+closed forms, kept as the paper's reference forms at every magnitude x >= 0,
+with alpha and beta from channel.derive_params:
 
-* a finite sum when alpha = 1/n for a positive integer n (j_case1),
+* a finite sum when alpha = 1/n for a positive integer n (j_case1), which
+  for beta > 1 is the third form at alpha = 1/n,
 * a 2F1-at-(-beta) form with a pi/sin(pi/alpha) reflection term, convergent
   for beta < 1 and cancelling next to alpha = 1/n (j_case2),
 * a 2F1-at-(-1/beta) form with no removable indeterminations, valid for
   every alpha, beta > 0 by analytic continuation (j_case3).
+
+Their 2F1 pieces and the reflection piece are each written once, and the
+continuation identity's residual is their signed sum.
 
 Every value comes from the third form, with no route decision.  Its 2F1 is
 phi(b, u) = 2F1(1, b; b+1; -u) with u = 1/beta, b = 2+v for J(0) and
@@ -53,9 +58,10 @@ from .errors import (
 )
 
 # j_case2 and the identity residuals refuse alpha this close to 1/n, where
-# the beta<1 form cancels like 1/|alpha - 1/n|.
+# the beta<1 form cancels like 1/|alpha - 1/n| (see _guard).
 GUARD_TOL = 1e-5
-# j_case1 and j_case2 treat alpha as 1/n within this distance.
+# j_case1, j_case2 and the identity residuals treat alpha as 1/n within this
+# distance.
 RECIPROCAL_TOL = 1e-9
 
 # Test hook: deliberately corrupt the closed form of the value path so that
@@ -80,99 +86,66 @@ class MIResult:
     diagnostics: dict
 
 
-def _beta_pow_recip_alpha(beta: float, alpha: float) -> float:
-    """beta^(1/alpha) in log space to survive extreme beta and small alpha."""
-    return math.exp(math.log(beta) / alpha)
+def _guard(alpha):
+    """Refuse alpha at 1/n (CaseMismatch), where pi/sin(pi/alpha) has a pole,
+    and within GUARD_TOL of it (NearSingularAlpha), where the forms holding
+    that term cancel like 1/|alpha - 1/n|."""
+    _, dist = nearest_reciprocal(alpha)
+    if dist < RECIPROCAL_TOL:
+        raise CaseMismatch(f"alpha={alpha} is 1/n, a pole of pi/sin(pi/alpha)")
+    if dist < GUARD_TOL:
+        raise NearSingularAlpha(f"alpha={alpha} within the guard band of 1/n")
 
 
-def _case1_value(x, inp, ch, n):
-    s2 = ch.sigma2
-    big = inp.x2**2 + s2
-    beta = (inp.a2 / inp.a1) * (s2 / big)
-    j11 = -(x * x + s2) / big
-    j12 = math.log(inp.a2 / big)
-    if beta <= 1.0:
-        # (1 - (-beta)^n) log(1 + 1/beta) - sum_{k=1..n} (-beta)^(n-k)/k,
-        # all terms O(1) for beta <= 1
-        sign_n = -1.0 if n % 2 else 1.0
-        tail = 0.0
-        for k in range(1, n + 1):
-            m = n - k
-            sign = -1.0 if m % 2 else 1.0
-            tail += sign * beta**m / k
-        j13 = (1.0 - sign_n * beta**n) * math.log1p(1.0 / beta) - tail
-    else:
-        # same quantity with the beta^n blow-up cancelled analytically:
-        # J13 = log(1 + 1/beta) - sum_{j>=1} (-1)^(j+1) beta^(-j) / (n+j)
-        if beta >= 1.25:
-            n_terms = int(math.ceil(37.0 / math.log(beta))) + 4
-            j = np.arange(1, n_terms + 1, dtype=float)
-            signs = np.where(np.arange(1, n_terms + 1) % 2 == 1, 1.0, -1.0)
-            s = float(np.sum(signs * beta**(-j) / (n + j)))
-        else:
-            m0, n_tail = 24, 96
-            j = np.arange(1, m0 + n_tail + 1, dtype=float)
-            signs = np.where(np.arange(1, m0 + n_tail + 1) % 2 == 1, 1.0, -1.0)
-            terms = signs * beta**(-j) / (n + j)
-            s = float(terms[:m0].sum() + specfun._euler_average(terms[m0:])[0])
-        j13 = math.log1p(1.0 / beta) - s
-    return j11 + j12 + j13
+def _hyp_beta(alpha, beta):
+    """alpha beta/(alpha-1) 2F1(1,(a-1)/a;(2a-1)/a;-beta), the 2F1 piece of
+    the beta<1 form."""
+    return alpha * beta / (alpha - 1.0) * specfun.gauss_2f1(
+        1.0, (alpha - 1.0) / alpha, (2.0 * alpha - 1.0) / alpha, -beta)
 
 
-def _case2_value(x, inp, ch, alpha, beta):
-    f21 = specfun.gauss_2f1(
-        1.0, (alpha - 1.0) / alpha, (2.0 * alpha - 1.0) / alpha, -beta
-    )
-    s2 = ch.sigma2
-    log_a1 = math.log(inp.a1 / s2)
-    hyp_term = alpha * beta / (alpha - 1.0) * f21
-    if alpha < 2.0:
-        return (
-            -1.0
-            - x * x / s2
-            + log_a1
-            + math.log1p(beta)
-            - hyp_term
-            + _beta_pow_recip_alpha(beta, alpha) * specfun.pi_csc_recip(alpha)
-        )
-    # pi beta^(1/alpha)/sin(pi/alpha) ~ alpha cancels against -x^2/s2; with
-    # eps = 1/alpha it is beta^eps c(eps) + alpha + alpha (beta^eps - 1), and
-    # alpha - x^2/s2 = (x2^2 - x^2)/(x2^2 + s2) exactly
+def _hyp_inv_beta(alpha, beta):
+    """alpha/(beta(alpha+1)) 2F1(1,(a+1)/a;(2a+1)/a;-1/beta), the 2F1 piece
+    of the beta>=1 form."""
+    return alpha / (beta * (alpha + 1.0)) * specfun.gauss_2f1(
+        1.0, (alpha + 1.0) / alpha, (2.0 * alpha + 1.0) / alpha, -1.0 / beta)
+
+
+def _reflection(alpha, beta):
+    """pi beta^(1/alpha)/sin(pi/alpha) - alpha, the power taken in log space.
+    For alpha >= 2 its two terms, both about alpha, would cancel; with
+    eps = 1/alpha it is beta^eps c(eps) + alpha (beta^eps - 1) instead."""
     log_pow = math.log(beta) / alpha
-    x2sq = inp.x2**2
-    return (
-        -1.0
-        + (x2sq - x * x) / (x2sq + s2)
-        + log_a1
-        + math.log1p(beta)
-        - hyp_term
-        + math.exp(log_pow) * specfun.pi_csc_minus_recip(1.0 / alpha)
-        + alpha * math.expm1(log_pow)
-    )
+    if alpha < 2.0:
+        return math.exp(log_pow) * specfun.pi_csc_recip(alpha) - alpha
+    return (math.exp(log_pow) * specfun.pi_csc_minus_recip(1.0 / alpha)
+            + alpha * math.expm1(log_pow))
 
 
 def _case3_value(x, inp, ch, alpha, beta):
-    f21 = specfun.gauss_2f1(
-        1.0, (alpha + 1.0) / alpha, (2.0 * alpha + 1.0) / alpha, -1.0 / beta
-    )
-    s2 = ch.sigma2
-    big = inp.x2**2 + s2
-    return (
-        -(x * x + s2) / big
-        + math.log(inp.a2 / big)
-        + math.log1p(1.0 / beta)
-        - alpha / (beta * (alpha + 1.0)) * f21
-    )
+    big = inp.x2**2 + ch.sigma2
+    return (-(x * x + ch.sigma2) / big + math.log(inp.a2 / big)
+            + math.log1p(1.0 / beta) - _hyp_inv_beta(alpha, beta))
 
 
 def j_case1(x: float, inp: TwoPointInput, ch: ChannelParams) -> float:
     """Finite-sum closed form, valid when alpha is the reciprocal of a
     positive integer (any beta > 0)."""
-    alpha = derive_params(x, inp, ch).alpha
+    alpha, beta = derive_params(x, inp, ch)
     n, dist = nearest_reciprocal(alpha)
     if dist >= RECIPROCAL_TOL:
         raise CaseMismatch(f"alpha={alpha} is not 1/n within {RECIPROCAL_TOL}")
-    return _case1_value(x, inp, ch, n)
+    if beta > 1.0:
+        # past beta = 1 the sum's beta^n blow-up cancels analytically into
+        # sum_{j>=1} (-1)^(j+1) beta^-j/(n+j) = 2F1(1,n+1;n+2;-1/beta)/(beta(n+1)),
+        # the beta>=1 form at alpha = 1/n
+        return _case3_value(x, inp, ch, 1.0 / n, beta)
+    # (1 - (-beta)^n) log(1 + 1/beta) - sum_{k=1..n} (-beta)^(n-k)/k, all
+    # terms O(1) for beta <= 1
+    tail = sum((-beta) ** (n - k) / k for k in range(1, n + 1))
+    big = inp.x2**2 + ch.sigma2
+    return (-(x * x + ch.sigma2) / big + math.log(inp.a2 / big)
+            + (1.0 - (-beta) ** n) * math.log1p(1.0 / beta) - tail)
 
 
 def j_case2(x: float, inp: TwoPointInput, ch: ChannelParams) -> float:
@@ -181,25 +154,20 @@ def j_case2(x: float, inp: TwoPointInput, ch: ChannelParams) -> float:
     Convergence-oriented route for beta < 1; by analytic continuation it is
     valid for all beta > 0 away from alpha = 1/n.
     """
-    dp = derive_params(x, inp, ch)
-    _, dist = nearest_reciprocal(dp.alpha)
-    if dist < RECIPROCAL_TOL:
-        raise CaseMismatch(
-            f"the beta<1 form is undefined at alpha = 1/n (alpha={dp.alpha})"
-        )
-    if dist < GUARD_TOL:
-        raise NearSingularAlpha(
-            f"alpha={dp.alpha} within the cancellation guard band around 1/n"
-        )
-    return _case2_value(x, inp, ch, dp.alpha, dp.beta)
+    alpha, beta = derive_params(x, inp, ch)
+    _guard(alpha)
+    # pi beta^(1/alpha)/sin(pi/alpha) - x^2/s2 is the reflection piece plus
+    # alpha - x^2/s2 = (x2^2 - x^2)/(x2^2 + s2), exactly
+    x2sq = inp.x2**2
+    return (-1.0 + (x2sq - x * x) / (x2sq + ch.sigma2) + math.log(inp.a1 / ch.sigma2)
+            + math.log1p(beta) - _hyp_beta(alpha, beta) + _reflection(alpha, beta))
 
 
 def j_case3(x: float, inp: TwoPointInput, ch: ChannelParams) -> float:
     """Closed form with the 2F1 at -1/beta; free of indeterminations and
     valid for every alpha, beta > 0.  The form of the value path, here
     evaluated on gauss_2f1 as an independent reference."""
-    dp = derive_params(x, inp, ch)
-    return _case3_value(x, inp, ch, dp.alpha, dp.beta)
+    return _case3_value(x, inp, ch, *derive_params(x, inp, ch))
 
 
 def _any(mask) -> bool:
@@ -264,16 +232,17 @@ def mutual_information(inp: TwoPointInput, ch: ChannelParams) -> MIResult:
     """I(X;Y) in nats for the two-mass-point input, both J from the beta>=1
     closed form and one phi value (see the module docstring and _assemble).
 
-    Degenerate inputs (a2 in {0, 1} or x2 = 0) return exactly 0.  I is
+    Degenerate inputs (a2 in {0, 1}, or x2^2 zero or too small against
+    sigma^2 for b = 1 + sigma^2/x2^2 to be finite) return exactly 0.  I is
     clamped into [0, H(X)] within rounding (1e-10); past that it raises
     ConsistencyError.  The diagnostics give the series terms behind each J
     and phi's truncation bound carried into each J.
     """
-    if inp.is_degenerate():
-        return MIResult(0.0, math.nan, math.nan, Case.DEGENERATE, Case.DEGENERATE, {})
     s2 = ch.sigma2
     x2sq = inp.x2**2
-    b = 1.0 + s2 / x2sq
+    # an x2^2 so small against s2 that b overflows is one mass point too
+    if inp.is_degenerate() or not (b := 1.0 + s2 / x2sq) < math.inf:
+        return MIResult(0.0, math.nan, math.nan, Case.DEGENERATE, Case.DEGENERATE, {})
     u = (inp.a1 / inp.a2) * ((x2sq + s2) / s2)
     phi = specfun.hyp2f1_1b_value(b, u)
     nats, j0, j2, _ = _assemble(inp.a2, x2sq, s2, phi.value, xp=math)
@@ -308,25 +277,13 @@ def continuation_residual(alpha: float, beta: float) -> float:
         - pi beta^(1/alpha)/sin(pi/alpha)
         - alpha/(beta(alpha+1)) 2F1(1,(a+1)/a;(2a+1)/a;-1/beta)
 
-    evaluated with both hypergeometric series on convergent routes; zero for
-    every alpha, beta > 0 away from alpha = 1/n.
+    from the pieces of j_case2 and j_case3, both hypergeometric series on
+    convergent routes; zero for every alpha, beta > 0 away from alpha = 1/n.
     """
     if alpha <= 0.0 or beta <= 0.0:
         raise DomainError("continuation_residual requires alpha, beta > 0")
-    _, dist = nearest_reciprocal(alpha)
-    if dist < GUARD_TOL:
-        raise NearSingularAlpha(f"alpha={alpha} within guard band of 1/n")
-    lhs = (
-        alpha * beta / (alpha - 1.0)
-        * specfun.gauss_2f1(1.0, (alpha - 1.0) / alpha, (2.0 * alpha - 1.0) / alpha, -beta)
-        + alpha
-        - _beta_pow_recip_alpha(beta, alpha) * specfun.pi_csc_recip(alpha)
-    )
-    rhs = (
-        alpha / (beta * (alpha + 1.0))
-        * specfun.gauss_2f1(1.0, (alpha + 1.0) / alpha, (2.0 * alpha + 1.0) / alpha, -1.0 / beta)
-    )
-    return lhs - rhs
+    _guard(alpha)
+    return _hyp_beta(alpha, beta) - _reflection(alpha, beta) - _hyp_inv_beta(alpha, beta)
 
 
 def hyp3f2_sin_identity_residual(alpha: float) -> float:
@@ -338,9 +295,7 @@ def hyp3f2_sin_identity_residual(alpha: float) -> float:
     """
     if alpha <= 0.0:
         raise DomainError("alpha must be positive")
-    _, dist = nearest_reciprocal(alpha)
-    if dist < GUARD_TOL:
-        raise NearSingularAlpha(f"alpha={alpha} within guard band of 1/n")
+    _guard(alpha)
     f1 = specfun.hyp_pfq(
         [1.0, 1.0, (alpha - 1.0) / alpha], [2.0, (2.0 * alpha - 1.0) / alpha], -1.0
     )
@@ -351,12 +306,30 @@ def hyp3f2_sin_identity_residual(alpha: float) -> float:
     return s - specfun.pi_csc_recip(alpha)
 
 
+def _phi_args(a2, x2sq, s2):
+    """phi's arguments b = 1 + s2/x2^2 and u = (a1/a2)(x2^2 + s2)/s2."""
+    return 1.0 + s2 / x2sq, ((1.0 - a2) / a2) * ((x2sq + s2) / s2)
+
+
+def _check_snr(a2, snr, s2):
+    """DomainError, naming the SNR, where phi's arguments b and u at
+    x2^2 = P/a2, P = SNR s2, overflow at one of the a2 (SNR and a2 floats or
+    1-D arrays); b grows and u falls with a2, so between the a2 they stay
+    finite too."""
+    a2 = np.reshape(a2, -1)
+    with np.errstate(over="ignore", divide="ignore"):
+        b, u = _phi_args(a2, np.reshape(snr, (-1, 1)) * s2 / a2, s2)
+        fine = ((b < np.inf) & (u < np.inf)).all(axis=1)
+    if not fine.all():
+        raise DomainError(f"SNR {np.reshape(snr, -1)[~fine][0]:.6g} is out of range: "
+                          "2F1(1,b;b+1;-u) at x2^2 = P/a2 has b or u past the float range")
+
+
 def _mi_and_derivative(a2, x2sq, s2, capacity):
     """I and dI/da2 (see _assemble), elementwise over a2 and x2sq (floats
     or arrays that broadcast together), from one hyp2f1_1b call with one
     kernel row per a2; with capacity, x2^2 = P/a2 moves with a2."""
-    b = 1.0 + s2 / x2sq
-    u = ((1.0 - a2) / a2) * ((x2sq + s2) / s2)
+    b, u = _phi_args(a2, x2sq, s2)
     fam = specfun.hyp2f1_1b(b, u)
     nats, _, _, d = _assemble(a2, x2sq, s2, fam.value, fam.d_db if capacity else None)
     return nats, d
@@ -380,6 +353,7 @@ def mi_derivative_a2(inp: TwoPointInput, ch: ChannelParams) -> float:
     capacity = ch.power_budget is not None
     if capacity:
         p_bud = ch.power_budget
+        _check_snr(a2, p_bud / s2, s2)
         x2sq = p_bud / a2
         if inp.x2 > 0.0 and abs(inp.x2**2 - x2sq) > 1e-6 * x2sq:
             raise DomainError(
@@ -387,7 +361,7 @@ def mi_derivative_a2(inp: TwoPointInput, ch: ChannelParams) -> float:
                 f"(got x2^2={inp.x2 ** 2}, expected {x2sq})"
             )
     else:
-        if inp.is_degenerate():
-            raise DegenerateInput("derivative requires x2^2 > 0")
         x2sq = inp.x2**2
+        if inp.is_degenerate() or not s2 / x2sq < math.inf:
+            raise DegenerateInput("derivative requires x2^2 > 0")
     return float(_mi_and_derivative(a2, x2sq, s2, capacity)[1])

@@ -62,38 +62,31 @@ def _term_ratio(numer, denom, z, k):
 
 
 @functools.lru_cache(maxsize=8)
-def _euler_weights(n: int, dtype: np.dtype) -> np.ndarray:
+def _euler_weights(n: int) -> np.ndarray:
     """(n, n) matrix whose row L maps n partial sums to the last entry of
     their L-th iterated pairwise average: weights 2^-L C(L, j) on the last
-    L+1 columns, built by halving Pascal's rule in the target dtype."""
-    w = np.zeros((n, n), dtype=dtype)
-    row = np.ones(1, dtype=dtype)
+    L+1 columns, built by halving Pascal's rule."""
+    w = np.zeros((n, n))
+    row = np.ones(1)
     w[0, -1] = 1.0
     for level in range(1, n):
-        row = 0.5 * (np.append(row, 0.0) + np.append(0.0, row)).astype(dtype)
+        row = 0.5 * (np.append(row, 0.0) + np.append(0.0, row))
         w[level, n - 1 - level:] = row
     w.setflags(write=False)
     return w
 
 
 def _euler_average(terms):
-    """Sum an (eventually) alternating tail by iterated pairwise averaging
-    of its partial sums.
+    """Sum an (eventually) alternating 1-D tail by iterated pairwise
+    averaging of its partial sums.
 
-    The tail runs along the last axis of terms; every averaging level is
-    formed at once and the first level with the smallest change from the
-    level before it is kept (level 0 is judged by the size of the last
-    term).  Returns (value, error_estimate) with the leading shape of terms,
-    numpy scalars for a 1-D tail; the value keeps the dtype of the terms."""
-    s = np.cumsum(terms, axis=-1)
-    n = s.shape[-1]
-    levels = np.einsum("...j,lj->...l", s, _euler_weights(n, s.dtype)).reshape(-1, n)
-    err = np.empty_like(levels)
-    err[:, 0] = np.abs(terms.reshape(-1, n)[:, -1])
-    np.abs(levels[:, 1:] - levels[:, :-1], out=err[:, 1:])
-    rows, pick = np.arange(levels.shape[0]), err.argmin(axis=1)
-    shape = terms.shape[:-1]
-    return levels[rows, pick].reshape(shape)[()], err[rows, pick].reshape(shape)[()]
+    Every averaging level is formed at once and the first level with the
+    smallest change from the level before it is kept (level 0 is judged by
+    the size of the last term).  Returns (value, error_estimate)."""
+    levels = _euler_weights(terms.size) @ np.cumsum(terms)
+    err = np.abs(np.append(terms[-1], np.diff(levels)))
+    pick = err.argmin()
+    return float(levels[pick]), float(err[pick])
 
 
 def hyp_pfq(numer, denom, z) -> SeriesResult:
@@ -142,7 +135,7 @@ def hyp_pfq(numer, denom, z) -> SeriesResult:
             term *= _term_ratio(numer, denom, z, m0 - 1 + j)
             tail_terms[j] = term
         tail, err = _euler_average(tail_terms)
-        value = total + float(tail)
+        value = total + tail
         bound = max(err, abs(value) * 1e-16)
         if bound <= tol:
             return SeriesResult(value, m0 + n_tail, bound)

@@ -41,21 +41,20 @@ class TestDeriveParams:
     def test_alpha_one_at_nonzero_mass_point(self):
         # x = x2 gives alpha = x2^2/sigma^2
         inp, ch = TwoPointInput(0.3, 1.0), ChannelParams(1.0)
-        dp = derive_params(1.0, inp, ch)
-        assert dp.alpha == pytest.approx(1.0, abs=0)
+        alpha, beta = derive_params(1.0, inp, ch)
+        assert alpha == pytest.approx(1.0, abs=0)
         # beta < 1 at alpha = 1/n takes the beta>=1 form like every J
-        assert dp.beta < 1.0
+        assert beta < 1.0
         assert mutual_information(inp, ch).case_jx2 is Case.CASE_III
 
     def test_half_point(self):
-        dp = derive_params(0.0, TwoPointInput(0.5, 1.0), ChannelParams(1.0))
-        assert dp.alpha == pytest.approx(0.5)
-        assert dp.beta == pytest.approx(0.5)
-        assert dp.y_star_sq == pytest.approx(2.0 * math.log(2.0))
+        alpha, beta = derive_params(0.0, TwoPointInput(0.5, 1.0), ChannelParams(1.0))
+        assert alpha == pytest.approx(0.5)
+        assert beta == pytest.approx(0.5)
 
     def test_beta_direct_arithmetic(self):
-        dp = derive_params(0.0, TwoPointInput(0.9, 3.0), ChannelParams(1.0))
-        assert dp.beta == pytest.approx(0.9, rel=1e-14)
+        _, beta = derive_params(0.0, TwoPointInput(0.9, 3.0), ChannelParams(1.0))
+        assert beta == pytest.approx(0.9, rel=1e-14)
 
     def test_degenerate(self):
         for bad in (TwoPointInput(0.0, 1.0), TwoPointInput(1.0, 1.0),
@@ -63,34 +62,31 @@ class TestDeriveParams:
             with pytest.raises(DegenerateInput):
                 derive_params(0.0, bad, ChannelParams(1.0))
 
-    def test_x_restricted_to_mass_points(self):
+    def test_any_magnitude(self):
+        # alpha = (x2^2/(x2^2 + s2)) (x^2 + s2)/s2 off the mass points too;
+        # beta does not depend on x
+        inp, ch = TwoPointInput(0.5, 1.0), ChannelParams(2.0)
+        assert derive_params(0.7, inp, ch) == (
+            pytest.approx((1.0 / 3.0) * (2.49 / 2.0), rel=1e-15),
+            derive_params(0.0, inp, ch)[1])
+        assert derive_params(1e150, inp, ch)[0] == pytest.approx(1e300 / 6.0, rel=1e-15)
+
+    @pytest.mark.parametrize("x", [-0.7, -1e-300, math.nan, math.inf, 1e200],
+                             ids=["negative", "tiny-negative", "nan", "inf",
+                                  "square-overflow"])
+    def test_rejects_negative_or_nonfinite_x(self, x):
         with pytest.raises(DomainError):
-            derive_params(0.7, TwoPointInput(0.5, 1.0), ChannelParams(1.0))
-
-    def test_y_star_present_iff_beta_below_one(self):
-        dp = derive_params(0.0, TwoPointInput(0.9, 1.0), ChannelParams(1.0))
-        assert dp.beta > 1.0 and dp.y_star_sq is None
-        dp = derive_params(0.0, TwoPointInput(0.2, 1.0), ChannelParams(1.0))
-        assert dp.beta < 1.0 and dp.y_star_sq is not None
-
-    def test_crossover_equality(self):
-        # at y*, the two weighted conditional densities coincide
-        inp, ch = TwoPointInput(0.3, 2.0), ChannelParams(1.5)
-        dp = derive_params(0.0, inp, ch)
-        big = inp.x2**2 + ch.sigma2
-        lhs = inp.a1 / ch.sigma2 * math.exp(-dp.y_star_sq / ch.sigma2)
-        rhs = inp.a2 / big * math.exp(-dp.y_star_sq / big)
-        assert abs(lhs - rhs) <= 1e-10
+            derive_params(x, TwoPointInput(0.5, 1.0), ChannelParams(1.0))
 
     def test_beta_monotonicity(self):
         ch = ChannelParams(1.0)
         betas_in_a2 = [
-            derive_params(0.0, TwoPointInput(a2, 2.0), ch).beta
+            derive_params(0.0, TwoPointInput(a2, 2.0), ch)[1]
             for a2 in (0.1, 0.3, 0.5, 0.7, 0.9)
         ]
         assert all(b1 < b2 for b1, b2 in zip(betas_in_a2, betas_in_a2[1:]))
         betas_in_x2 = [
-            derive_params(0.0, TwoPointInput(0.5, x2), ch).beta
+            derive_params(0.0, TwoPointInput(0.5, x2), ch)[1]
             for x2 in (0.5, 1.0, 2.0, 4.0)
         ]
         assert all(b1 > b2 for b1, b2 in zip(betas_in_x2, betas_in_x2[1:]))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -205,20 +206,48 @@ class TestMcCommand:
     ["deriv", "--a2", "0.5", "--x2", "1e200"],
     ["mc", "--a2", "0.5", "--x2", "1e200", "--seed", "1"],
     ["deriv", "--a2", "0.5", "--x2", "1e-200"],
+    ["deriv", "--a2", "0.5", "--x2", "1e-160"],
+    ["profile", "--snr-db", "3000", "--points", "5"],
+    ["sweep", "--from-db", "3000", "--to-db", "3000", "--step-db", "1"],
+    ["sweep", "--from-db", "-3100", "--to-db", "-3100", "--step-db", "1"],
+    ["profile", "--snr-db", "-3100", "--points", "5"],
+    ["deriv", "--a2", "0.3", "--snr-db", "-3100"],
 ], ids=["sweep-step-zero", "sweep-reversed", "profile-points-zero",
         "profile-points-negative", "mc-samples-zero", "sweep-step-nan", "sweep-from-nan",
         "sweep-to-inf", "sweep-solver-tol-nan", "sweep-solver-tol-negative",
         "sweep-snr-overflow", "profile-snr-overflow", "deriv-snr-overflow",
         "mi-x2-square-overflow", "deriv-x2-square-overflow", "mc-x2-square-overflow",
-        "deriv-x2-square-underflow"])
+        "deriv-x2-square-underflow", "deriv-b-overflow", "profile-u-overflow",
+        "sweep-u-overflow", "sweep-b-overflow", "profile-b-overflow", "deriv-snr-b-overflow"])
 def test_invalid_values_exit_2(argv, tmp_path, capsys):
-    # the invalid-arguments code, not 1 (verification failed) with a traceback
+    # the invalid-arguments code, not 1 (verification failed) with a traceback;
+    # an SNR whose 2F1 arguments overflow is named, before the kernel sees it
     if argv[0] == "sweep":
         argv = [*argv, "--out", str(tmp_path / "s.csv")]
-    rc = main(argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:") and "Traceback" not in err
+    assert "hyp2f1_1b" not in err
+    if {"3000", "-3100"} & set(argv):
+        assert "SNR" in err
+    if "1e-160" in argv:
+        assert "requires x2^2 > 0" in err
+
+
+@pytest.mark.parametrize("command", ["mi", "mc"])
+def test_sigma2_over_x2_square_overflow_is_degenerate(command, capsys):
+    # x2^2 = 1e-320: sigma^2/x2^2, and so the 2F1 parameter b, overflows, and
+    # the input counts as one mass point like x2^2 = 0
+    argv = [command, "--a2", "0.5", "--x2", "1e-160", "--json"]
+    if command == "mc":
+        argv += ["--seed", "1", "--samples", "1000"]
+    rc = main(argv)
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert rc == 0
+    assert results["i_nats" if command == "mi" else "closed_form_nats"] == 0.0
 
 
 def test_x2_square_underflow_is_degenerate(capsys):

@@ -91,7 +91,7 @@ class TestJCase1:
         s2 = 1.0
         x2 = math.sqrt(s2 / 19.0)  # alpha0 = 1/20
         inp, ch = TwoPointInput(0.95, x2), ChannelParams(s2)
-        assert derive_params(0.0, inp, ch).beta > 15.0
+        assert derive_params(0.0, inp, ch)[1] > 15.0
         assert j_case1(0.0, inp, ch) == pytest.approx(
             oracle.j_quadrature(0.0, inp, ch), abs=1e-10
         )
@@ -104,8 +104,7 @@ class TestJCase1:
 class TestJCase2:
     def test_example_a(self):
         inp, ch = TwoPointInput(0.5, 2.0), ChannelParams(1.0)
-        dp = derive_params(0.0, inp, ch)
-        assert (dp.alpha, dp.beta) == (pytest.approx(0.8), pytest.approx(0.2))
+        assert derive_params(0.0, inp, ch) == (pytest.approx(0.8), pytest.approx(0.2))
         got = j_case2(0.0, inp, ch)
         assert got == pytest.approx(J_REF[(0.0, 2.0, 1.0, 0.5)], abs=1e-8)
         assert got == pytest.approx(oracle.j_quadrature(0.0, inp, ch), abs=1e-8)
@@ -137,7 +136,7 @@ class TestJCase2:
     def test_beta_above_one_still_matches(self):
         # continuation validity of the beta<1 form, exercised not relied on
         inp, ch = TwoPointInput(0.9, 2.0), ChannelParams(1.0)
-        assert derive_params(0.0, inp, ch).beta > 1.0
+        assert derive_params(0.0, inp, ch)[1] > 1.0
         assert j_case2(0.0, inp, ch) == pytest.approx(
             oracle.j_quadrature(0.0, inp, ch), abs=1e-8
         )
@@ -160,7 +159,7 @@ class TestJCase2:
 class TestJCase3:
     def test_beta_large(self):
         inp, ch = TwoPointInput(0.9, 1.0), ChannelParams(1.0)
-        assert derive_params(0.0, inp, ch).beta == pytest.approx(4.5)
+        assert derive_params(0.0, inp, ch)[1] == pytest.approx(4.5)
         got = j_case3(0.0, inp, ch)
         assert got == pytest.approx(J_REF[(0.0, 1.0, 1.0, 0.9)], abs=1e-8)
         assert got == pytest.approx(oracle.j_quadrature(0.0, inp, ch), abs=1e-8)
@@ -173,7 +172,7 @@ class TestJCase3:
 
     def test_continuation_validity_below_one(self):
         inp, ch = TwoPointInput(0.5, 2.0), ChannelParams(1.0)
-        assert derive_params(0.0, inp, ch).beta == pytest.approx(0.2)
+        assert derive_params(0.0, inp, ch)[1] == pytest.approx(0.2)
         assert j_case3(0.0, inp, ch) == pytest.approx(
             oracle.j_quadrature(0.0, inp, ch), abs=1e-8
         )
@@ -184,6 +183,44 @@ class TestJCase3:
         assert j_case3(0.0, inp, ch) == pytest.approx(
             oracle.j_quadrature(0.0, inp, ch), abs=1e-8
         )
+
+
+class TestAnyMagnitude:
+    """The reference forms at magnitudes x off the mass points, where J(x)
+    is the f(y|x)-weighted integral of the log output density."""
+
+    @pytest.mark.parametrize("factor", [0.3, 2.7, 10.0])
+    @pytest.mark.parametrize("a2,x2,s2", [(0.3, 2.0, 1.0), (0.9, 1.0, 1.0),
+                                          (0.05, 0.7, 2.5)])
+    def test_against_quadrature(self, a2, x2, s2, factor):
+        inp, ch = TwoPointInput(a2, x2), ChannelParams(s2)
+        x = factor * x2
+        ref = oracle.j_quadrature(x, inp, ch)
+        assert j_case3(x, inp, ch) == pytest.approx(ref, abs=1e-8)
+        assert j_case2(x, inp, ch) == pytest.approx(ref, abs=1e-8)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_case1_against_quadrature(self, n):
+        # alpha(x) = 1/n at x^2 = s2 ((x2^2 + s2)/(n x2^2) - 1), past x2
+        x2, s2 = 0.5, 1.0
+        x = math.sqrt(s2 * ((x2 * x2 + s2) / (n * x2 * x2) - 1.0))
+        for a2 in (0.2, 0.9):  # beta 0.05 and 1.8
+            inp, ch = TwoPointInput(a2, x2), ChannelParams(s2)
+            assert j_case1(x, inp, ch) == pytest.approx(
+                oracle.j_quadrature(x, inp, ch), abs=1e-8)
+
+    def test_routes_differ_by_the_continuation_residual(self):
+        # j_case2 - j_case3 = -continuation_residual(alpha(x), beta); x2 near
+        # sigma or above keeps beta^(1/alpha), the size of the cancelling
+        # pieces, below 250
+        for a2 in (0.05, 0.3, 0.6, 0.95):
+            for x2 in (1.2, 3.0):
+                inp, ch = TwoPointInput(a2, x2), ChannelParams(1.3)
+                for factor in (0.0, 0.3, 1.0, 2.7, 10.0):
+                    x = factor * x2
+                    residual = continuation_residual(*derive_params(x, inp, ch))
+                    got = j_case2(x, inp, ch) - j_case3(x, inp, ch) + residual
+                    assert abs(got) <= 1e-12, (a2, x2, factor)
 
 
 class TestCase1IsCase2Limit:
@@ -217,13 +254,13 @@ class TestCase1IsCase2Limit:
             x2 = math.sqrt(s2 / (n - 1))  # alpha0 = 1/n
         a2 = 0.4
         inp, ch = TwoPointInput(a2, x2), ChannelParams(s2)
-        dp = derive_params(x, inp, ch)
+        _, beta = derive_params(x, inp, ch)
         exact = j_case1(x, inp, ch)
         res = mutual_information(inp, ch)
         assert (res.j0 if x == 0.0 else res.j_x2) == pytest.approx(exact, abs=1e-13)
         eps = 1e-4
-        lo = self._j_alpha_decoupled(1.0 / n - eps, dp.beta, x, s2, inp.a1)
-        hi = self._j_alpha_decoupled(1.0 / n + eps, dp.beta, x, s2, inp.a1)
+        lo = self._j_alpha_decoupled(1.0 / n - eps, beta, x, s2, inp.a1)
+        hi = self._j_alpha_decoupled(1.0 / n + eps, beta, x, s2, inp.a1)
         assert min(lo, hi) - 1e-12 <= exact <= max(lo, hi) + 1e-12
         assert abs(hi - lo) < 1e-2  # the bracket is actually tight
 
@@ -286,7 +323,7 @@ class TestMutualInformation:
         # with series diagnostics every time
         ch = ChannelParams(1.0)
         inp = TwoPointInput(0.2, math.sqrt(alpha / (1.0 - alpha)))
-        assert derive_params(0.0, inp, ch).beta < 1.0
+        assert derive_params(0.0, inp, ch)[1] < 1.0
         res = mutual_information(inp, ch)
         assert res.case_j0 is Case.CASE_III
         assert res.diagnostics["j0_terms"] > 0
@@ -335,7 +372,7 @@ class TestWholeDomain:
 
     def test_guard_bands_against_quadrature(self):
         for x, inp, ch in _guard_band_inputs():
-            _, dist = nearest_reciprocal(derive_params(x, inp, ch).alpha)
+            _, dist = nearest_reciprocal(derive_params(x, inp, ch)[0])
             assert dist < GUARD_TOL
             res = mutual_information(inp, ch)
             j = res.j0 if x == 0.0 else res.j_x2

