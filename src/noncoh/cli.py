@@ -214,8 +214,17 @@ def cmd_mc(args) -> int:
     inp = TwoPointInput(a2=args.a2, x2=args.x2)
     ch = ChannelParams(sigma2=args.sigma2)
     cfg = MonteCarloConfig(samples=args.samples, seed=args.seed)
+    res = mi.mutual_information(inp, ch)
+    closed = res.nats
+    if res.case_j0 is mi.Case.DEGENERATE:
+        # one mass point: I = 0 exactly, with nothing to estimate
+        results = {"estimate_nats": None, "std_error": None,
+                   "closed_form_nats": closed, "z_score": None}
+        lines = ["Monte-Carlo I: not estimated, the input is one mass point",
+                 f"closed form   = {_fmt(closed)} nats"]
+        _emit(_record("mc", vars_of(args), results), args.json, lines)
+        return EXIT_OK
     est, se = oracle.mi_monte_carlo(inp, ch, cfg)
-    closed = mi.mutual_information(inp, ch).nats
     z = (est - closed) / se if se > 0 else math.inf
     results = {
         "estimate_nats": est,

@@ -244,6 +244,8 @@ def mutual_information(inp: TwoPointInput, ch: ChannelParams) -> MIResult:
     if inp.is_degenerate() or not (b := 1.0 + s2 / x2sq) < math.inf:
         return MIResult(0.0, math.nan, math.nan, Case.DEGENERATE, Case.DEGENERATE, {})
     u = (inp.a1 / inp.a2) * ((x2sq + s2) / s2)
+    if not u < math.inf:
+        raise _u_overflow(inp, s2)
     phi = specfun.hyp2f1_1b_value(b, u)
     nats, j0, j2, _ = _assemble(inp.a2, x2sq, s2, phi.value, xp=math)
     diagnostics = {
@@ -311,6 +313,13 @@ def _phi_args(a2, x2sq, s2):
     return 1.0 + s2 / x2sq, ((1.0 - a2) / a2) * ((x2sq + s2) / s2)
 
 
+def _u_overflow(inp, s2):
+    """The DomainError for a fixed x2 whose u = (a1/a2)(x2^2 + s2)/s2
+    overflows, naming the input."""
+    return DomainError(f"a2={inp.a2!r}, x2={inp.x2!r}, sigma2={s2!r} is out of range: "
+                       "u = (a1/a2)(x2^2 + sigma2)/sigma2 is past the float range")
+
+
 def _check_snr(a2, snr, s2):
     """DomainError, naming the SNR, where phi's arguments b and u at
     x2^2 = P/a2, P = SNR s2, overflow at one of the a2 (SNR and a2 floats or
@@ -364,4 +373,6 @@ def mi_derivative_a2(inp: TwoPointInput, ch: ChannelParams) -> float:
         x2sq = inp.x2**2
         if inp.is_degenerate() or not s2 / x2sq < math.inf:
             raise DegenerateInput("derivative requires x2^2 > 0")
+        if not _phi_args(a2, x2sq, s2)[1] < math.inf:
+            raise _u_overflow(inp, s2)
     return float(_mi_and_derivative(a2, x2sq, s2, capacity)[1])

@@ -272,10 +272,8 @@ def pi_csc_recip(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class F21Family:
-    """2F1(1, b; b+1; -u) with its partial derivative d/db.
-
-    Floats for a scalar call, arrays of the broadcast (b, u) shape
-    otherwise."""
+    """2F1(1, b; b+1; -u) with its partial derivative d/db: floats for a
+    scalar call, arrays of the broadcast (b, u) shape otherwise."""
 
     value: float | np.ndarray
     d_db: float | np.ndarray
@@ -291,10 +289,12 @@ _STAR_MIN_U = 1.25
 _PI_CSC_SERIES = tuple(
     2.0 * (1.0 - 2.0 ** (1 - 2 * k)) * float(zeta(2 * k)) for k in range(33, 0, -1)
 )
-
-# h'(x) = sum_k (k+1) x^k/(k+2)! for h(x) = expm1(x)/x, to double precision
-# for |x| < 1/2
-_EXPM1_RATIO_D_SERIES = np.array([(k + 1) / math.factorial(k + 2) for k in range(17)])
+# the head of the continuation (see _family_star) as coefficient rows (33,
+# 3, 1), lowest first: m_k and (2k-1) m_k of eps^(2k-2) in c(eps)/eps and
+# c'(eps), and (k+1)/(k+2)! of x^k (k < 17, to double precision for
+# |x| < 1/2; zeros after) in h'(x) for h(x) = expm1(x)/x
+_HEAD_SERIES = np.array([(m, (2 * k + 1) * m, (k + 1) / math.factorial(k + 2) * (k < 17))
+                         for k, m in enumerate(_PI_CSC_SERIES[::-1])])[..., None]
 
 # hyp2f1_1b evaluates its rows in blocks whose padded series terms (rows
 # times the block's largest term count) stay below this, so its memory is
@@ -391,7 +391,10 @@ def hyp2f1_1b(b, u) -> F21Family:
     the whole call.  Each element is one row with a family (the series it
     sums) and a term count; the rows are ordered by family and then by
     count and evaluated in vectorized single-family blocks of at most
-    _BLOCK_TERMS padded terms, and a row's sums do not depend on its block.
+    _BLOCK_TERMS padded terms, laid out as (terms, 2, rows), the value's
+    and the b-partial's terms side by side and zero past each row's count.
+    One reduction over the term axis (_sums) sums them smallest first, one
+    term at a time, so a row's sums do not depend on its block.
 
     As a hypergeometric series the b-partial is
     d/db phi = [z/(1+b)^2] 3F2(2, 1+b, 1+b; 2+b, 2+b; z), which only
@@ -403,9 +406,8 @@ def hyp2f1_1b(b, u) -> F21Family:
                      - b sum_{m>=0} (-1)^m u^(-(m+1)) / (m+1-b)
 
     (and its b-partial), with the pole the two pieces share at integer b
-    removed analytically (see _family_star).  These are the series and
-    formulas of hyp2f1_1b_value, in float64 arrays, with a number of terms
-    that does not grow with b.
+    removed analytically (see _family_star): the series and formulas of
+    hyp2f1_1b_value in float64 arrays, with term counts not growing with b.
     """
     b_arr = np.asarray(b, dtype=float)
     u_arr = np.asarray(u, dtype=float)
@@ -420,12 +422,14 @@ def hyp2f1_1b(b, u) -> F21Family:
     if not ((0.0 <= uf) & (uf < math.inf)).all():
         raise DomainError("hyp2f1_1b expects finite u >= 0 (argument z = -u)")
     star = uf >= _STAR_MIN_U
+    n_pfaff = bf.size - np.count_nonzero(star)
     n_terms = np.empty(bf.size, dtype=int)
-    n_terms[star] = _star_count(np.log(uf[star]))
-    n_terms[~star] = _pfaff_count(uf[~star])
+    if n_pfaff < bf.size:
+        n_terms[star] = _star_count(np.log(uf[star]))
+    if n_pfaff:
+        n_terms[~star] = _pfaff_count(uf[~star])
     order = np.lexsort((n_terms, star))  # Pfaff rows first, then by count
     counts = n_terms[order]
-    n_pfaff = bf.size - np.count_nonzero(star)
     out = np.empty((2, bf.size))
     start = 0
     while start < bf.size:
@@ -445,35 +449,27 @@ def hyp2f1_1b(b, u) -> F21Family:
     return F21Family(value, d_db)
 
 
-def _geometric(first, ratio, n, out=None):
-    """first * ratio^k for k < n along a new last axis (one row per element
-    of ratio), by cumulative product."""
-    g = np.empty((ratio.size, n)) if out is None else out
-    g[:, 0] = first
-    g[:, 1:] = ratio[:, None]
-    return np.cumprod(g, axis=1, out=g)
+def _sums(terms):
+    """Sums of terms (n, k, cols) over axis 0, last term first, one at a
+    time: numpy reduces a leading axis by adding whole rows in order when
+    they hold two elements or more (k >= 2), a single column pairwise."""
+    return np.add.reduce(terms[::-1], axis=0)
 
 
-def _series_sums(terms, n_terms):
-    """Sums (2, rows) of the value and b-partial term rows terms (2, rows,
-    n), each row over its first n_terms[row] terms, summed smallest term
-    first, one term at a time, so a row's sums do not depend on its
-    padding, nor so on the other rows of its block."""
-    terms *= np.arange(terms.shape[-1]) < n_terms[:, None]
-    return np.cumsum(terms[..., ::-1], axis=-1)[..., -1]
-
-
-def _pfaff_terms(b, w, n):
-    """For k = 1..n: the terms c_k w^k, c_k = k!/(b+1)_k, of
-    2F1(1, 1; b+1; w) - 1 and their b-partials -c_k w^k H_k
-    (H_k = sum_{j<=k} 1/(b+j))."""
-    k = np.arange(1, n + 1)
-    r = 1.0 / (b[:, None] + k)  # 1/(b+k)
-    terms = np.empty((2, b.size, n))
-    t = terms[0]
-    np.multiply(w[:, None] * k, r, out=t)  # t_k / t_(k-1)
-    np.cumprod(t, axis=1, out=t)
-    np.multiply(t, -np.cumsum(r, axis=1), out=terms[1])
+def _pfaff_terms(b, w, n_terms):
+    """Rows k = 1..max(n_terms) of the terms c_k w^k, c_k = k!/(b+1)_k, of
+    2F1(1, 1; b+1; w) - 1 and of their b-partials -c_k w^k H_k
+    (H_k = sum_{j<=k} 1/(b+j)), (terms, 2, rows), zero past each row's
+    count, by cumulative products and sums down the columns."""
+    n = int(n_terms.max())
+    k = np.arange(1.0, n + 1.0)[:, None]
+    r = np.divide(-1.0, b + k)  # -1/(b+k)
+    terms = np.empty((n, 2, b.size))
+    t = np.multiply(k * -w, r, out=terms[:, 0])  # t_k / t_(k-1)
+    short = n_terms < n  # zero ratios end these columns' products
+    t[n_terms[short], short] = 0.0
+    np.cumprod(t, axis=0, out=t)
+    np.multiply(t, np.cumsum(r, axis=0, out=r), out=terms[:, 1])
     return terms
 
 
@@ -485,8 +481,8 @@ def _pfaff_count(u):
 
 
 def _family_pfaff(b, u, n_terms):
-    """Pfaff's transformation for u < _STAR_MIN_U: rows (value, d/db) of
-    one block, each row summing its n_terms (_pfaff_count).
+    """Pfaff's transformation for u < _STAR_MIN_U: (value, d/db) of one
+    block, each row summing its n_terms (_pfaff_count).
 
         phi(b, u) = F(w)/(1+u),  F = 2F1(1, 1; b+1; w),  w = u/(1+u),
 
@@ -500,42 +496,47 @@ def _family_pfaff(b, u, n_terms):
     the count ahead from _pfaff_count.
     """
     v = 1.0 / (1.0 + u)
-    w = u * v
-    F, F_b = _series_sums(_pfaff_terms(b, w, int(n_terms.max())), n_terms)
+    F, F_b = _sums(_pfaff_terms(b, u * v, n_terms))
     return np.array([(F + 1.0) * v, F_b * v])
 
 
-def _star_terms(b, n_int, inv_u, n):
-    """Terms t_m = (-1)^m u^-(m+1)/(m+1-b) of the continuation and the
-    b-partials (m+1) t_m/(m+1-b) of b t_m, the term m + 1 = round(b) left
-    out."""
-    m1 = np.arange(1, n + 1)  # m + 1
-    rd = 1.0 / np.where(m1 == n_int[:, None], np.inf, m1 - b[:, None])
-    terms = np.empty((2, b.size, n))
-    t = _geometric(inv_u, -inv_u, n, out=terms[0])
+def _star_terms(b, n_int, inv_u, n_terms):
+    """Rows m + 1 = 1..max(n_terms) of the terms t_m = (-1)^m u^-(m+1)/(m+1-b)
+    of the continuation and of the b-partials (m+1) t_m/(m+1-b) of b t_m,
+    (terms, 2, rows), zero at m + 1 = round(b) and past each row's count;
+    the powers of -1/u are cumulative products down the columns."""
+    n = int(n_terms.max())
+    m1 = np.arange(1.0, n + 1.0)[:, None]  # m + 1
+    d = m1 - b
+    d[m1 == n_int] = np.inf
+    rd = np.divide(1.0, d, out=d)
+    terms = np.empty((n, 2, b.size))
+    t = terms[:, 0]
+    t[0], t[1:] = inv_u, -inv_u
+    short = n_terms < n  # zero ratios end these columns' products
+    t[n_terms[short], short] = 0.0
+    np.cumprod(t, axis=0, out=t)
     t *= rd
-    np.multiply(t, rd * m1, out=terms[1])
+    np.multiply(t, np.multiply(rd, m1, out=rd), out=terms[:, 1])
     return terms
 
 
 def _family_star(b, u, n_terms):
-    """Continuation in powers of 1/u for u >= _STAR_MIN_U: rows (value,
-    d/db) of one block, each row summing its n_terms (_star_count).
+    """Continuation in powers of 1/u for u >= _STAR_MIN_U: (value, d/db) of
+    one block, each row summing its n_terms (_star_count).
 
     With N = round(b), eps = b - N and L = log u, the reflection head and
     the series term m = N - 1 share a pole at eps = 0; together they are
 
         (-1)^N u^(-N) R,  R = b e^(-eps L) c(eps) + b (e^(-eps L) - 1)/eps,
 
-    c(eps) = pi/sin(pi eps) - 1/eps, which is smooth through eps = 0 with
-    its b-partial (for N = 0 there is no such series term and the
-    second term of R is the head's own b e^(-eps L)/eps = e^(-b L)).  c
-    and c' come from the power series of pi_csc_minus_recip, and the
-    second term of R is -b L h(x), h(x) = expm1(x)/x at x = -eps L, whose
-    derivative has its own series for |x| < 1/2, so nothing cancels; the
-    remaining series runs without the m = N - 1 term.  The b-partial of
-    b sum_m t_m is summed as sum_m (m+1) t_m/(m+1-b), not as the
-    difference of two sums of size 1/b.
+    c(eps) = pi/sin(pi eps) - 1/eps, smooth through eps = 0 with its
+    b-partial (for N = 0 there is no such series term and the second term
+    of R is the head's own b e^(-eps L)/eps = e^(-b L)), and the second
+    term of R is -b L h(x), h(x) = expm1(x)/x at x = -eps L.  c, c' and,
+    for |x| < 1/2, h' are power series, summed like the terms from one
+    table of powers (33, 3, rows), so nothing cancels.  The b-partial of b
+    sum_m t_m is sum_m (m+1) t_m/(m+1-b), not a difference of sums ~ 1/b.
     """
     inv_u = 1.0 / u
     log_u = np.log(u)
@@ -543,26 +544,24 @@ def _family_star(b, u, n_terms):
     eps = b - n_int
     x = -eps * log_u
     e = np.exp(x)  # u^-eps
-    m = np.array(_PI_CSC_SERIES[::-1])
-    eps_pow = _geometric(1.0, eps * eps, m.size)
-    c = eps * (eps_pow * m).sum(axis=1)
-    dc = (eps_pow * (np.arange(1, 2 * m.size, 2) * m)).sum(axis=1)
     h = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
-    dh = (_geometric(1.0, x, _EXPM1_RATIO_D_SERIES.size) * _EXPM1_RATIO_D_SERIES).sum(axis=1)
-    far = np.abs(x) >= 0.5
-    if far.any():
-        dh[far] = (e[far] - h[far]) / x[far]
+    p = np.empty((len(_HEAD_SERIES), 3, b.size))  # eps^(2k) twice, x^k
+    p[0], p[1] = 1.0, (eps * eps, eps * eps, x)
+    for j in (2, 4, 8, 16, 32):  # rows j..2j-1: rows 0..j-1 times row j/2 squared
+        np.multiply(p[:min(j, len(p) - j)], p[j // 2] * p[j // 2], out=p[j:2 * j])
+    c, dc, dh = _sums(np.multiply(p, _HEAD_SERIES, out=p))
+    c *= eps
+    np.divide(e - h, x, out=dh, where=np.abs(x) >= 0.5)
     # b (e^(-eps L) - 1)/eps = -b L h and its b-partial
     bl = b * log_u
     q = -bl * h
     q_db = log_u * (bl * dh - h)
-    at_zero = n_int == 0
-    if at_zero.any():  # b < 1/2: the head's own b e^(-eps L)/eps = e^(-b L)
-        q[at_zero] = e[at_zero]
-        q_db[at_zero] = -log_u[at_zero] * e[at_zero]
+    if (zero := n_int == 0).any():  # b < 1/2: the head's own e^(-b L)
+        q[zero], q_db[zero] = e[zero], -log_u[zero] * e[zero]
     be = b * e
     r = be * c + q
     r_db = e * c * (1.0 - bl) + be * dc + q_db
-    scale = np.power(-inv_u, n_int)  # (-1)^N u^-N
-    T, S = _series_sums(_star_terms(b, n_int, inv_u, int(n_terms.max())), n_terms)
+    # (-1)^N u^-N; numpy's power is much slower at a negative base
+    scale = np.copysign(np.power(inv_u, n_int), 0.5 - n_int % 2.0)
+    T, S = _sums(_star_terms(b, n_int, inv_u, n_terms))
     return np.array([scale * r - b * T, scale * r_db - S])

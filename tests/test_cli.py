@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from noncoh import capacity
+from noncoh import capacity, oracle
 from noncoh.cli import main
 
 RUN = [sys.executable, "-m", "noncoh.cli"]
@@ -212,13 +212,18 @@ class TestMcCommand:
     ["sweep", "--from-db", "-3100", "--to-db", "-3100", "--step-db", "1"],
     ["profile", "--snr-db", "-3100", "--points", "5"],
     ["deriv", "--a2", "0.3", "--snr-db", "-3100"],
+    ["mi", "--a2", "0.5", "--x2", "1e150", "--sigma2", "1e-10"],
+    ["mi", "--a2", "5e-324", "--x2", "1"],
+    ["deriv", "--a2", "0.5", "--x2", "1e150", "--sigma2", "1e-10"],
+    ["deriv", "--a2", "5e-324", "--x2", "1"],
 ], ids=["sweep-step-zero", "sweep-reversed", "profile-points-zero",
         "profile-points-negative", "mc-samples-zero", "sweep-step-nan", "sweep-from-nan",
         "sweep-to-inf", "sweep-solver-tol-nan", "sweep-solver-tol-negative",
         "sweep-snr-overflow", "profile-snr-overflow", "deriv-snr-overflow",
         "mi-x2-square-overflow", "deriv-x2-square-overflow", "mc-x2-square-overflow",
         "deriv-x2-square-underflow", "deriv-b-overflow", "profile-u-overflow",
-        "sweep-u-overflow", "sweep-b-overflow", "profile-b-overflow", "deriv-snr-b-overflow"])
+        "sweep-u-overflow", "sweep-b-overflow", "profile-b-overflow", "deriv-snr-b-overflow",
+        "mi-x2-u-overflow", "mi-a2-u-overflow", "deriv-x2-u-overflow", "deriv-a2-u-overflow"])
 def test_invalid_values_exit_2(argv, tmp_path, capsys):
     # the invalid-arguments code, not 1 (verification failed) with a traceback;
     # an SNR whose 2F1 arguments overflow is named, before the kernel sees it
@@ -235,6 +240,8 @@ def test_invalid_values_exit_2(argv, tmp_path, capsys):
         assert "SNR" in err
     if "1e-160" in argv:
         assert "requires x2^2 > 0" in err
+    if {"1e150", "5e-324"} & set(argv):  # u overflows at a fixed x2: the input is named
+        assert all(f"{name}=" in err for name in ("a2", "x2", "sigma2"))
 
 
 @pytest.mark.parametrize("command", ["mi", "mc"])
@@ -248,6 +255,24 @@ def test_sigma2_over_x2_square_overflow_is_degenerate(command, capsys):
     results = json.loads(capsys.readouterr().out)["results"]
     assert rc == 0
     assert results["i_nats" if command == "mi" else "closed_form_nats"] == 0.0
+
+
+@pytest.mark.parametrize("a2,x2", [("0.5", "1e-200"), ("1", "1"), ("0.5", "1e-160")],
+                         ids=["x2-square-underflow", "a2-one", "sigma2-over-x2-square-overflow"])
+def test_mc_reports_degenerate_inputs_without_estimating(a2, x2, capsys, monkeypatch):
+    # every input mutual_information calls one mass point gets I = 0 from
+    # mc too, with no estimate and no z-score from a zero standard error
+    def estimator(*args):
+        raise AssertionError("the estimator ran on a degenerate input")
+
+    monkeypatch.setattr(oracle, "mi_monte_carlo", estimator)
+    rc = main(["mc", "--a2", a2, "--x2", x2, "--seed", "1", "--samples", "1000", "--json"])
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert rc == 0
+    assert results == {"closed_form_nats": 0.0, "estimate_nats": None,
+                       "std_error": None, "z_score": None}
+    assert main(["mc", "--a2", a2, "--x2", x2, "--seed", "1", "--samples", "1000"]) == 0
+    assert "z =" not in capsys.readouterr().out
 
 
 def test_x2_square_underflow_is_degenerate(capsys):

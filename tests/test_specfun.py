@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mp_reference import hyp2f1_family, hyp2f1_value, pi_csc_minus_recip_ref
-from noncoh import specfun
+from noncoh import capacity, mi, specfun
 from noncoh.errors import DivergenceError, DomainError, NoConvergence, PoleError
 from noncoh.specfun import (
     EULER_GAMMA,
@@ -319,6 +319,60 @@ class TestF21Family:
             for name, got, want in zip(("value", "d_db"),
                                        (fam.value[i], fam.d_db[i]), ref):
                 assert abs(got - want) <= max(1e-12 * abs(want), 1e-15), (u, name)
+
+
+    def test_sweep_scan_rows_match_mpmath(self):
+        # 64 seeded rows of the capacity scan, a2 on its 64-point grid at
+        # SNRs in -10..30 dB: rows of both families, b in (1, 11.3]
+        grid = np.linspace(capacity._A2_EDGE, 1.0 - capacity._A2_EDGE, capacity._GRID_POINTS)
+        rng = np.random.default_rng(0)
+        a2 = rng.choice(grid, 64)
+        snr = 10.0 ** (rng.uniform(-10.0, 30.0, 64) / 10.0)
+        b, u = mi._phi_args(a2, snr / a2, 1.0)
+        assert ((1.0 < b) & (b <= 11.3)).all()
+        assert (u < specfun._STAR_MIN_U).any() and (u >= specfun._STAR_MIN_U).any()
+        fam = hyp2f1_1b(b, u)
+        for i in range(64):
+            value, d_db = hyp2f1_family(b[i], u[i])
+            assert fam.value[i] == pytest.approx(value, rel=1e-15, abs=0.0), (b[i], u[i])
+            assert fam.d_db[i] == pytest.approx(d_db, rel=1e-13, abs=0.0), (b[i], u[i])
+
+
+def _left_to_right(terms):
+    """Python sums of terms (n, ...) over axis 0, last row first, one float
+    at a time."""
+    out = np.empty(terms.shape[1:])
+    for col in np.ndindex(out.shape):
+        total = 0.0
+        for x in terms[(slice(None, None, -1),) + col]:
+            total += float(x)
+        out[col] = total
+    return out
+
+
+class TestInOrderSums:
+    """The kernel sums each column of a block, smallest term first, with
+    one numpy reduction over the leading axis (specfun._sums); a row's
+    result then does not depend on its block.  These pin the numpy
+    behaviour that rests on, so that a numpy change fails here by name."""
+
+    @staticmethod
+    def _terms(shape):
+        rng = np.random.default_rng(21)
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-12.0, 12.0, shape)
+
+    @pytest.mark.parametrize("shape", [(188, 2), (14, 3), (77, 81), (5, 1170)])
+    def test_reduce_adds_rows_in_order(self, shape):
+        terms = self._terms(shape)
+        got = np.add.reduce(terms[::-1], axis=0)
+        assert np.array_equal(got, _left_to_right(terms))
+
+    @pytest.mark.parametrize("shape", [(188, 2, 1), (33, 3, 1), (1, 2, 1), (21, 2, 81)])
+    def test_kernel_sums_in_order_at_every_width(self, shape):
+        # a block of one column still has a value and a b-partial row (or
+        # the head's three series) next to each other
+        terms = self._terms(shape)
+        assert np.array_equal(specfun._sums(terms), _left_to_right(terms))
 
 
 def _euler_average_loop(terms):
