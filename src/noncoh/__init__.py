@@ -27,7 +27,6 @@ from .mi import (
 )
 from .oracle import (
     MonteCarloConfig,
-    QuadratureConfig,
     fd_derivative,
     j_quadrature,
     mi_monte_carlo,
@@ -48,7 +47,6 @@ __all__ = [
     "ChannelParams",
     "MIResult",
     "MonteCarloConfig",
-    "QuadratureConfig",
     "SeriesResult",
     "SweepConfig",
     "TwoPointInput",

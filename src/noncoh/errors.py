@@ -17,10 +17,6 @@ class NoConvergence(NoncohError):
     """Series failed to meet the truncation target within max_terms."""
 
 
-class PoleError(NoncohError):
-    """Function evaluated at one of its poles."""
-
-
 class DegenerateInput(NoncohError):
     """Input distribution collapses to a single mass point."""
 

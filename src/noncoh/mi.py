@@ -130,9 +130,14 @@ def _case3_value(x, inp, ch, alpha, beta):
 
 def j_case1(x: float, inp: TwoPointInput, ch: ChannelParams) -> float:
     """Finite-sum closed form, valid when alpha is the reciprocal of a
-    positive integer (any beta > 0)."""
+    positive integer (any beta > 0) and n <= 22360: past that the points 1/n
+    lie within 2 RECIPROCAL_TOL of each other, so every alpha counts as 1/n,
+    and the sum costs O(n)."""
     alpha, beta = derive_params(x, inp, ch)
     n, dist = nearest_reciprocal(alpha)
+    if n * (n + 1) > 0.5 / RECIPROCAL_TOL:
+        raise CaseMismatch(f"alpha={alpha} is below 1/22360, where every alpha is "
+                           f"1/n within {RECIPROCAL_TOL}; use j_case3")
     if dist >= RECIPROCAL_TOL:
         raise CaseMismatch(f"alpha={alpha} is not 1/n within {RECIPROCAL_TOL}")
     if beta > 1.0:

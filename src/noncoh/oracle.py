@@ -19,10 +19,13 @@ from scipy.integrate import IntegrationWarning, quad
 from .channel import ChannelParams, TwoPointInput
 from .errors import DegenerateInput, DomainError, ToleranceNotMet
 
-LOG2 = math.log(2.0)
+# The error target every quadrature must certify (scipy's own estimate of
+# the absolute error), and the subdivision budget it may spend on it.
+_ABS_TOL = 1e-10
+_MAX_SUBDIVISIONS = 100_000
 
 
-def _quad_checked(f, a, b, cfg, points=None):
+def _quad_checked(f, a, b, points=None):
     """scipy.integrate.quad with our own error policing; the warning is
     redundant with the ToleranceNotMet check."""
     with warnings.catch_warnings():
@@ -31,28 +34,16 @@ def _quad_checked(f, a, b, cfg, points=None):
             f,
             a,
             b,
-            epsabs=cfg.abs_tol * 0.1,
+            epsabs=_ABS_TOL * 0.1,
             epsrel=1e-12,
-            limit=cfg.max_subdivisions,
+            limit=_MAX_SUBDIVISIONS,
             points=points,
         )
-    if abserr > cfg.abs_tol:
+    if abserr > _ABS_TOL:
         raise ToleranceNotMet(
-            f"quadrature error estimate {abserr:.3e} exceeds {cfg.abs_tol:.3e}"
+            f"quadrature error estimate {abserr:.3e} exceeds {_ABS_TOL:.3e}"
         )
     return value
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-10
-    max_subdivisions: int = 100_000
-
-    def __post_init__(self):
-        if not self.abs_tol > 0.0:
-            raise DomainError("abs_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -65,20 +56,12 @@ class MonteCarloConfig:
             raise DomainError("samples must be >= 1")
 
 
-DEFAULT_QUAD = QuadratureConfig()
-
-
 def _logaddexp(a: float, b: float) -> float:
     """log(e^a + e^b) in plain floats (either argument may be -inf)."""
     return max(a, b) + math.log1p(math.exp(-abs(a - b)))
 
 
-def j_quadrature(
-    x: float,
-    inp: TwoPointInput,
-    ch: ChannelParams,
-    cfg: QuadratureConfig = DEFAULT_QUAD,
-) -> float:
+def j_quadrature(x: float, inp: TwoPointInput, ch: ChannelParams) -> float:
     """J(x): the Rayleigh-weighted integral of the log mixture density.
 
     Substituting u = exp(-y^2/(x^2+sigma^2)) maps the semi-infinite integral
@@ -116,15 +99,10 @@ def j_quadrature(
     if math.isfinite(log_a) and math.isfinite(log_b):
         points.append((log_b - log_a) / (p - q))
     points = sorted(t for t in set(points) if t_lo < t < 0.0)
-    return _quad_checked(integrand, t_lo, 0.0, cfg, points)
+    return _quad_checked(integrand, t_lo, 0.0, points)
 
 
-def j_quadrature_direct(
-    x: float,
-    inp: TwoPointInput,
-    ch: ChannelParams,
-    cfg: QuadratureConfig = DEFAULT_QUAD,
-) -> float:
+def j_quadrature_direct(x: float, inp: TwoPointInput, ch: ChannelParams) -> float:
     """Secondary oracle: the same integral in the original y variable,
     truncated at y_max^2 = 200 (x2^2 + sigma^2)."""
     if inp.is_degenerate():
@@ -149,7 +127,7 @@ def j_quadrature_direct(
     if beta < 1.0:
         points.append(math.sqrt(-s2 * big / inp.x2**2 * math.log(beta)))
     points = sorted(p for p in points if 0.0 < p < y_max)
-    return _quad_checked(integrand, 0.0, y_max, cfg, points or None)
+    return _quad_checked(integrand, 0.0, y_max, points or None)
 
 
 def mi_from_j(inp: TwoPointInput, ch: ChannelParams, j0: float, j_x2: float) -> float:
@@ -167,16 +145,11 @@ def mi_from_j(inp: TwoPointInput, ch: ChannelParams, j0: float, j_x2: float) -> 
     )
 
 
-def mi_quadrature(
-    inp: TwoPointInput,
-    ch: ChannelParams,
-    cfg: QuadratureConfig = DEFAULT_QUAD,
-) -> float:
+def mi_quadrature(inp: TwoPointInput, ch: ChannelParams) -> float:
     """Mutual information via the quadrature J's."""
     if inp.is_degenerate():
         return 0.0
-    return mi_from_j(inp, ch, j_quadrature(0.0, inp, ch, cfg),
-                     j_quadrature(inp.x2, inp, ch, cfg))
+    return mi_from_j(inp, ch, j_quadrature(0.0, inp, ch), j_quadrature(inp.x2, inp, ch))
 
 
 def mi_monte_carlo(

@@ -1,8 +1,8 @@
 """Real-argument special functions used by the closed-form expressions.
 
 Scalar double-precision: the generalized hypergeometric series pFq with
-truncation diagnostics, the Gauss 2F1 on the real axis left of z = 1, the
-digamma function, and partial sums of the alternating log(1+q) series.  The family
+truncation diagnostics, the Gauss 2F1 on the real axis left of z = 1, and
+partial sums of the alternating log(1+q) series.  The family
 phi(b, u) = 2F1(1, b; b+1; -u) has one set of float64 series and
 formulas, valid for every finite b > 0 and u >= 0, behind two entry
 points: hyp2f1_1b_value, a scalar plain-float value with series
@@ -20,10 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta
 
-from .errors import DivergenceError, DomainError, NoConvergence, PoleError
-
-# Euler's constant to 30 significant digits (series oracle for digamma).
-EULER_GAMMA = 0.577215664901532860606512090082
+from .errors import DivergenceError, DomainError, NoConvergence
 
 _LD = np.longdouble
 _PI_LD = _LD("3.14159265358979323846264338327950288")
@@ -117,19 +114,14 @@ def hyp_pfq(numer, denom, z) -> SeriesResult:
     # summation stalls; sum a head directly and accelerate the alternating
     # tail by iterated term pairing.
     neg = [-c for c in numer + denom if c < 0.0]
-    if (
-        p == q + 1
-        and z < 0.0
-        and abs(z) >= 0.9
-        and MAX_TERMS >= int(max(48.0, (max(neg) if neg else 0.0) + 16.0)) + 72
-    ):
-        m0 = int(max(48.0, (max(neg) if neg else 0.0) + 16.0))
+    m0 = int(max(48.0, (max(neg) if neg else 0.0) + 16.0))
+    n_tail = 72
+    if p == q + 1 and z < 0.0 and abs(z) >= 0.9 and MAX_TERMS >= m0 + n_tail:
         term = 1.0
         total = 1.0
         for k in range(m0 - 1):
             term *= _term_ratio(numer, denom, z, k)
             total += term
-        n_tail = 72
         tail_terms = np.empty(n_tail)
         for j in range(n_tail):
             term *= _term_ratio(numer, denom, z, m0 - 1 + j)
@@ -194,54 +186,6 @@ def gauss_2f1_diag(xi1, xi2, eta1, z) -> SeriesResult:
 def gauss_2f1(xi1, xi2, eta1, z) -> float:
     """Value of the analytic continuation of 2F1 at real z < 1."""
     return gauss_2f1_diag(xi1, xi2, eta1, z).value
-
-
-def digamma(x: float) -> float:
-    """Logarithmic derivative of the gamma function, for real x away from
-    the poles at nonpositive integers, to absolute error below 1e-13.
-
-    Uses the upward recurrence psi(x+1) = psi(x) + 1/x to shift the argument
-    above 10, then the asymptotic expansion in 1/x^2.
-    """
-    x = float(x)
-    if x <= 0.0 and x == math.floor(x):
-        raise PoleError(f"digamma has a pole at {x}")
-    acc = 0.0
-    while x < 10.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    # Bernoulli tail: 1/12 - 1/(120 x^2) + 1/(252 x^4) - 1/(240 x^6)
-    #                 + 1/(132 x^8) - 691/(32760 x^10)
-    tail = inv2 * (
-        1.0 / 12.0
-        - inv2
-        * (
-            1.0 / 120.0
-            - inv2
-            * (
-                1.0 / 252.0
-                - inv2 * (1.0 / 240.0 - inv2 * (1.0 / 132.0 - inv2 * 691.0 / 32760.0))
-            )
-        )
-    )
-    return acc + math.log(x) - 0.5 / x - tail
-
-
-def digamma_series_oracle(q: float, terms: int = 2_000_000) -> float:
-    """Independent test oracle for digamma:
-
-        psi(q+1) = -gamma + sum_{k>=0} q/((k+1)(k+1+q)).
-
-    The raw series converges like 1/K, so the truncated remainder is
-    replaced by its Euler-Maclaurin value log(1 + q/(K+1)) + f(K)/2
-    (error O(1/K^2) of the half-term, i.e. ~1e-13 at the default K).
-    """
-    k = np.arange(terms, dtype=float)
-    head = float(np.sum(q / ((k + 1.0) * (k + 1.0 + q))))
-    kk = float(terms)
-    tail = math.log1p(q / (kk + 1.0)) + 0.5 * q / ((kk + 1.0) * (kk + 1.0 + q))
-    return -EULER_GAMMA + head + tail
 
 
 def log1p_series_partial_sum(q: float, n: int) -> float:

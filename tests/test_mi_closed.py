@@ -100,6 +100,14 @@ class TestJCase1:
         with pytest.raises(CaseMismatch):
             j_case1(0.0, TwoPointInput(0.5, 2.0), ChannelParams(1.0))
 
+    def test_refuses_alpha_past_the_reciprocal_spacing(self):
+        # alpha0 = 1/2000001: the points 1/n there are 2.5e-13 apart, so
+        # "alpha = 1/n" singles out nothing; the O(n) sum is not attempted
+        inp, ch = TwoPointInput(0.5, math.sqrt(1.0 / 2_000_000)), ChannelParams(1.0)
+        assert derive_params(0.0, inp, ch)[0] == pytest.approx(1.0 / 2_000_001, rel=1e-12)
+        with pytest.raises(CaseMismatch, match="j_case3"):
+            j_case1(0.0, inp, ch)
+
 
 class TestJCase2:
     def test_example_a(self):

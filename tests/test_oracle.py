@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from noncoh import mi
+from noncoh import mi, oracle
 from noncoh.channel import ChannelParams, TwoPointInput
 from noncoh.errors import DegenerateInput
 from noncoh.oracle import (
     MonteCarloConfig,
-    QuadratureConfig,
     fd_derivative,
     j_quadrature,
     j_quadrature_direct,
@@ -33,12 +32,14 @@ class TestJQuadrature:
             -1.2557826416468278, abs=1e-10
         )
 
-    def test_tolerance_self_consistency(self):
-        # halving abs_tol moves the result by less than the previous abs_tol
+    def test_tolerance_self_consistency(self, monkeypatch):
+        # halving the error target moves the result by less than the previous one
         ch = ChannelParams(1.0)
         inp = TwoPointInput(0.35, 1.7)
-        loose = j_quadrature(0.0, inp, ch, QuadratureConfig(abs_tol=1e-8))
-        tight = j_quadrature(0.0, inp, ch, QuadratureConfig(abs_tol=5e-9))
+        monkeypatch.setattr(oracle, "_ABS_TOL", 1e-8)
+        loose = j_quadrature(0.0, inp, ch)
+        monkeypatch.setattr(oracle, "_ABS_TOL", 5e-9)
+        tight = j_quadrature(0.0, inp, ch)
         assert abs(loose - tight) < 1e-8
 
     def test_substitution_correctness(self):
@@ -59,13 +60,14 @@ class TestJQuadrature:
         with pytest.raises(DegenerateInput):
             j_quadrature(0.0, TwoPointInput(0.5, 0.0), ChannelParams(1.0))
 
-    def test_tolerance_not_met_when_starved(self):
+    def test_tolerance_not_met_when_starved(self, monkeypatch):
         from noncoh.errors import ToleranceNotMet
 
         # an error target below rounding cannot be certified
-        cfg = QuadratureConfig(abs_tol=1e-16, max_subdivisions=50)
+        monkeypatch.setattr(oracle, "_ABS_TOL", 1e-16)
+        monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", 50)
         with pytest.raises(ToleranceNotMet):
-            j_quadrature(0.0, TwoPointInput(0.5, 2.0), ChannelParams(1.0), cfg)
+            j_quadrature(0.0, TwoPointInput(0.5, 2.0), ChannelParams(1.0))
 
 
 class TestMiQuadrature:

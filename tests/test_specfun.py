@@ -9,12 +9,9 @@ from scipy.integrate import quad
 
 from mp_reference import hyp2f1_family, hyp2f1_value, pi_csc_minus_recip_ref
 from noncoh import capacity, mi, specfun
-from noncoh.errors import DivergenceError, DomainError, NoConvergence, PoleError
+from noncoh.errors import DivergenceError, DomainError, NoConvergence
 from noncoh.specfun import (
-    EULER_GAMMA,
     _euler_average,
-    digamma,
-    digamma_series_oracle,
     gauss_2f1,
     hyp2f1_1b,
     hyp2f1_1b_value,
@@ -130,44 +127,6 @@ class TestGauss2F1:
         assert gauss_2f1(1.0, b, b + 1.0, -u) == pytest.approx(
             b * u ** (-b) * ref, rel=1e-10
         )
-
-
-class TestDigamma:
-    def test_at_one(self):
-        assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-13)
-
-    def test_at_two_telescoped_series(self):
-        # series at q = 1 telescopes to 1
-        assert digamma(2.0) == pytest.approx(1.0 - EULER_GAMMA, abs=1e-13)
-
-    def test_half_against_series_oracle(self):
-        assert digamma(0.5) == pytest.approx(digamma_series_oracle(-0.5), abs=1e-10)
-
-    @pytest.mark.parametrize("x", [0.25, 1.0, 2.0, 3.7, 9.5, 0.9])
-    def test_series_oracle_on_unit_interval_shifts(self, x):
-        assert digamma(x) == pytest.approx(digamma_series_oracle(x - 1.0), abs=1e-12)
-
-    @pytest.mark.parametrize("q", [0.1, 0.23, 0.4])
-    def test_reflection_identity(self, q):
-        lhs = digamma(1.0 - q)
-        rhs = digamma(q) + math.pi / math.tan(math.pi * q)
-        assert abs(lhs - rhs) <= 1e-10
-
-    @pytest.mark.parametrize("q", [0.1, 0.23, 0.4])
-    def test_half_shift_identity(self, q):
-        lhs = digamma(0.5 + q)
-        rhs = digamma(0.5 - q) + math.pi * math.tan(math.pi * q)
-        assert abs(lhs - rhs) <= 1e-10
-
-    def test_negative_noninteger(self):
-        # recurrence continues below zero: psi(x+1) = psi(x) + 1/x
-        x = -2.3
-        assert digamma(x + 1.0) == pytest.approx(digamma(x) + 1.0 / x, rel=1e-12)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -7.0])
-    def test_poles(self, x):
-        with pytest.raises(PoleError):
-            digamma(x)
 
 
 class TestLog1pPartialSum:
