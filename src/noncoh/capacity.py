@@ -3,13 +3,14 @@
 For each SNR the nonzero mass point is tied to its probability through
 x2^2 = P/a2, so the mutual information becomes a function of a2 alone;
 the optimum satisfies dI/da2 = 0 and is located by scanning the analytic
-derivative for sign changes and refining each bracket.  All SNR points of a
-call are solved in lock-step: one array-valued dI/da2 call scans the
-bracketing grids of every point (P as a column), one call of scipy's
-vectorized bracketing root-finder (Chandrupatla's method) refines every
-sign change, and one more batched call scores every point's candidates
-(its roots and both scan edges) and gives the residual of the winner.  The
-maximum only depends on P and sigma^2 through their ratio.
+derivative for sign changes on a short grid uniform in log a2 and
+refining each bracket in log a2.  All SNR points of a call are solved in
+lock-step: one array-valued dI/da2 call scans the bracketing grids of every
+point (P as a column), one call of scipy's vectorized bracketing
+root-finder (Chandrupatla's method) refines every sign change, and one more
+batched call scores every point's candidates (its roots and both scan
+edges) and gives the residual of the winner.  The maximum only depends on P
+and sigma^2 through their ratio.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from .mi import _check_snr, _mi_and_derivative
 from .mi import mi_derivative_a2  # noqa: F401 - unused; bench/ traces this name
 from .mi import mutual_information  # noqa: F401 - unused; bench/ traces this name
 
-_A2_EDGE = 1e-6  # x2^2 = P/a2 blows past float range at the ends; I -> 0 there
-_GRID_POINTS = 64  # the dI/da2 bracketing scan
+_A2_EDGE = 1e-6  # the scan's lower edge is _A2_EDGE min(SNR, 1); I -> 0 there
+_A2_TOP = 1.0 - 1e-12  # the scan's upper edge; I -> 0 there too
+_GRID_POINTS = 8  # the dI/da2 bracketing scan, uniform in log a2
 
 
 @dataclass(frozen=True)
@@ -84,25 +86,34 @@ def _deriv(a2, p, s2):
     return _mi_and_derivative(a2, p / a2, s2, True)[1]
 
 
+def _scan(snr, s2):
+    """log a2 of each SNR's dI/da2 bracketing scan, one row per SNR (a 1-D
+    array): _GRID_POINTS values uniform in log a2, from _A2_EDGE min(SNR, 1),
+    which lies under every optimum, to _A2_TOP.  DomainError, naming the
+    SNR, where phi's arguments overflow at an edge."""
+    lo = _A2_EDGE * np.minimum(snr, 1.0)
+    _check_snr(np.column_stack([lo, np.full_like(lo, _A2_TOP)]), snr, s2)
+    return np.linspace(np.log(lo), math.log(_A2_TOP), _GRID_POINTS, axis=-1)
+
+
 def _solve(snr: list[float], cfg: SweepConfig, sigma2: float):
-    """Every SNR point in lock-step: one (CapacityPoint, failure reason or
-    None) per point, a failed point as a FAILED row."""
+    """Every SNR point in lock-step, one CapacityPoint each; a failed point
+    is a FAILED row whose diagnostics give the reason under "failure"."""
     n = len(snr)
-    grid = np.linspace(_A2_EDGE, 1.0 - _A2_EDGE, _GRID_POINTS)
-    _check_snr(grid, snr, sigma2)
+    t = _scan(np.array(snr), sigma2)
+    grid = np.exp(t)
     p = np.array(snr) * sigma2
     dvals = _deriv(grid, p[:, None], sigma2)
     # each point's roots in grid order: its exact zeros on the grid and one
     # in every sign change
     roots = np.where(dvals == 0.0, grid, np.nan)
     pt, lo = np.nonzero(dvals[:, :-1] * dvals[:, 1:] < 0.0)
-    # xatol bounds the root location; the residual contract needs
-    # |dI/da2| <= solver_tol, so refine well past it
+    # refined in t = log a2, where xatol bounds the root's relative error
     res = find_root(
-        lambda a2, pp: _deriv(a2, pp, sigma2), (grid[lo], grid[lo + 1]), args=(p[pt],),
-        tolerances={"xatol": max(1e-14, 0.01 * cfg.solver_tol), "xrtol": 8.9e-16},
+        lambda tt, pp: _deriv(np.exp(tt), pp, sigma2), (t[pt, lo], t[pt, lo + 1]),
+        args=(p[pt],), tolerances={"xatol": 1e-15},
     )
-    roots[pt, lo] = res.x
+    roots[pt, lo] = np.exp(res.x)
     n_roots = np.count_nonzero(~np.isnan(roots), axis=1)
     unconverged = np.bincount(pt[~res.success], minlength=n) > 0
     nit = np.bincount(pt, res.nit, minlength=n)
@@ -110,7 +121,7 @@ def _solve(snr: list[float], cfg: SweepConfig, sigma2: float):
 
     # each point's candidates, its roots and then both scan edges, scored in
     # one call; the first maximum wins, and its dI/da2 is the residual
-    cand = np.column_stack([roots, np.full(n, grid[0]), np.full(n, grid[-1])])
+    cand = np.column_stack([roots, grid[:, 0], grid[:, -1]])
     cand[unconverged] = np.nan
     kc, jc = np.nonzero(~np.isnan(cand))
     i_val = np.full(cand.shape, -math.inf)
@@ -128,20 +139,22 @@ def _solve(snr: list[float], cfg: SweepConfig, sigma2: float):
         db = snr_to_db(snr[k])
         diag = {"grid_rows": _GRID_POINTS, "root_iterations": int(nit[k]),
                 "root_evaluations": int(nfev[k]), "mi_calls": int(mi_calls[k])}
-        reason = None
         if unconverged[k]:
-            reason = f"root-finder did not converge at snr={snr[k]}"
+            diag["failure"] = f"root-finder did not converge at snr={snr[k]}"
         elif not i_star[k] > 0.0:
-            reason = f"no positive-MI optimum found at snr={snr[k]}"
-        if reason is not None:
-            out.append((CapacityPoint(db, snr[k], math.nan, math.nan, math.nan,
-                                      "FAILED", 0, math.nan, diag), reason))
+            diag["failure"] = f"no positive-MI optimum found at snr={snr[k]}"
+        elif best[k] >= _GRID_POINTS and not residual[k] <= cfg.solver_tol:
+            diag["failure"] = (f"no root at snr={snr[k]}: the best candidate is the scan "
+                               f"edge a2={float(a2_star[k])!r}, where |dI/da2| = "
+                               f"{residual[k]:.3g} > solver_tol = {cfg.solver_tol:g}")
+        if "failure" in diag:
+            out.append(CapacityPoint(db, snr[k], math.nan, math.nan, math.nan,
+                                     "FAILED", 0, math.nan, diag))
             continue
         a2 = float(a2_star[k])
-        out.append((CapacityPoint(db, snr[k], a2, math.sqrt(p[k] / a2), float(i_star[k]),
-                                  classify_regime(db), int(n_roots[k]),
-                                  float(residual[k]), diag),
-                    None))
+        out.append(CapacityPoint(db, snr[k], a2, math.sqrt(p[k] / a2), float(i_star[k]),
+                                 classify_regime(db), int(n_roots[k]),
+                                 float(residual[k]), diag))
     return out
 
 
@@ -154,18 +167,21 @@ def solve_a2_star(
     """Locate a2* = argmax of the two-point mutual information at each SNR.
 
     snr_linear is a float or a 1-D array of SNRs.  All points are solved
-    in lock-step: dI/da2 is scanned on a 64-point bracketing grid over
-    (eps, 1-eps) for every point in one batched analytic call (every entry,
-    alpha = 1/n included, comes from the closed form); every sign change is
-    refined in one call of scipy's vectorized find_root, to the xtol of
-    solver_tol/100; one more batched call gives I and dI/da2 at every
-    point's candidates, its roots and both grid endpoints, and the first
-    with maximal I wins, its |dI/da2| being the residual.  A point with no
-    sign change takes the better endpoint and reports roots_found = 0.
+    in lock-step.  Each point's dI/da2 is scanned on its own 8-point grid,
+    uniform in log a2 from 1e-6 min(SNR, 1), which lies under every optimum,
+    to 1 - 1e-12, with every point in one batched analytic call (every
+    entry, alpha = 1/n included, comes from the closed form).  Every sign
+    change is refined in one call of scipy's vectorized find_root, in
+    t = log a2 to an xatol of 1e-15, a relative tolerance in a2.  One more
+    batched call gives I and dI/da2 at every point's candidates, its roots
+    and both scan edges, and the first with maximal I wins, its |dI/da2|
+    being the residual.
 
-    An array returns one CapacityPoint per SNR; a point whose root-finder
-    did not converge, or with no positive I, is a FAILED row.  A float
-    returns its CapacityPoint and raises SolverFailure instead.  Each
+    An array returns one CapacityPoint per SNR.  A point is a FAILED row
+    when its root-finder did not converge, when no candidate has positive
+    I, or when a scan edge wins with |dI/da2| > solver_tol (no root); its
+    diagnostics give the reason under "failure".  A float returns its
+    CapacityPoint and raises SolverFailure with that reason instead.  Each
     point's diagnostics give its grid rows, the root-finder's iterations
     and evaluations over its brackets, and its number of I values
     (mi_calls).
@@ -175,12 +191,12 @@ def solve_a2_star(
         raise SolverFailure("snr_linear must be a float or a 1-D array")
     if not (snr > 0.0).all():
         raise SolverFailure("snr_linear must be positive")
-    out = _solve(np.atleast_1d(snr).tolist(), cfg, sigma2)
+    points = _solve(np.atleast_1d(snr).tolist(), cfg, sigma2)
     if snr.ndim:
-        return [point for point, _ in out]
-    ((point, reason),) = out
-    if reason is not None:
-        raise SolverFailure(reason)
+        return points
+    (point,) = points
+    if point.regime == "FAILED":
+        raise SolverFailure(point.diagnostics["failure"])
     return point
 
 

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failures, 2 invalid arguments,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -245,6 +246,7 @@ def vars_of(args) -> dict:
     return {k: v for k, v in vars(args).items() if k != "func"}
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="noncoh",
@@ -288,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--sigma2", type=float, default=1.0)
     p.add_argument("--solver-tol", type=float, default=SweepConfig.solver_tol,
-                   help="root tolerance (default: %(default)g)")
+                   help="largest |dI/da2| accepted at a scan edge that wins "
+                   "with no root (default: %(default)g)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)
 

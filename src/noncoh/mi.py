@@ -327,10 +327,10 @@ def _u_overflow(inp, s2):
 
 def _check_snr(a2, snr, s2):
     """DomainError, naming the SNR, where phi's arguments b and u at
-    x2^2 = P/a2, P = SNR s2, overflow at one of the a2 (SNR and a2 floats or
-    1-D arrays); b grows and u falls with a2, so between the a2 they stay
-    finite too."""
-    a2 = np.reshape(a2, -1)
+    x2^2 = P/a2, P = SNR s2, overflow at one of the a2 (SNR a float or 1-D
+    array; a2 a float, a 1-D array shared by every SNR or one row per SNR);
+    b grows and u falls with a2, so between the a2 they stay finite too."""
+    a2 = np.atleast_1d(a2)
     with np.errstate(over="ignore", divide="ignore"):
         b, u = _phi_args(a2, np.reshape(snr, (-1, 1)) * s2 / a2, s2)
         fine = ((b < np.inf) & (u < np.inf)).all(axis=1)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -89,11 +90,12 @@ class TestBatchedGridScan:
     def test_matches_scalar_derivatives(self, snr_db, sigma2):
         snr = 10.0 ** (snr_db / 10.0)
         ch = ChannelParams(sigma2=sigma2, power_budget=snr * sigma2)
-        grid = np.linspace(1e-6, 1.0 - 1e-6, capacity._GRID_POINTS)
+        grid = np.exp(capacity._scan(np.array([snr]), sigma2)[0])
         batched = capacity._deriv(grid, snr * sigma2, sigma2)
         scalar = _scalar_grid_derivs(grid, ch)
-        # a2 = 1e-6 puts sigma^2/x2^2 = a2/snr within 1e-5 of an integer
-        # (alpha next to 1/n); it takes the same analytic formula
+        # the scan's lower edge, 1e-6 min(snr, 1), puts sigma^2/x2^2 = a2/snr
+        # within 1e-5 of an integer (alpha next to 1/n); it takes the same
+        # analytic formula
         assert grid[0] / snr < 1e-5
         assert batched[0] == pytest.approx(
             mp_mi_derivative_a2(grid[0], sigma2, power_budget=snr * sigma2), rel=1e-10)
@@ -188,9 +190,19 @@ class TestLockStep:
                                        for d in diags)
         # the roots, then both scan edges
         assert all(d["mi_calls"] == (2 if golden else 3) for d in diags)
-        if golden:
-            edges = (capacity._A2_EDGE, 1.0 - capacity._A2_EDGE)
-            assert all(p.a2_star in edges for p in points)
+        if not golden:
+            assert all(p.regime != "FAILED" and "failure" not in p.diagnostics for p in points)
+            return
+        # the better edge of each point's own scan wins with |dI/da2| >
+        # solver_tol: no root, so a FAILED row that names that edge
+        snr = np.array([p.snr_linear for p in points])
+        edges = np.exp(capacity._scan(snr, 1.0)[:, [0, -1]])
+        for p, point_edges in zip(points, edges):
+            assert p.regime == "FAILED" and math.isnan(p.a2_star)
+            assert any(f"scan edge a2={float(a)!r}," in p.diagnostics["failure"]
+                       for a in point_edges)
+        with pytest.raises(SolverFailure, match="no root at snr=1.0: .* scan edge"):
+            solve_a2_star(1.0)
 
     @pytest.mark.parametrize("sigma2,start", LOCK_STEP_GRIDS)
     def test_rows_agree_with_the_scalar_api(self, sigma2, start):
@@ -200,6 +212,42 @@ class TestLockStep:
             inp = TwoPointInput(pt.a2_star, pt.x2_star)
             assert abs(pt.i_star_nats - mi.mutual_information(inp, ch).nats) <= 1e-14
             assert pt.solver_residual == abs(mi.mi_derivative_a2(inp, ch))
+
+
+# the two-point I*/SNR at sigma2 = 1, from 60-digit mpmath I at the optimum
+LOW_SNR_I_PER_SNR = {-70: 0.6541, -60: 0.6322, -50: 0.6057, -40: 0.5724,
+                     -30: 0.5284, -20: 0.4653, -10: 0.3634}
+
+
+class TestLowSnr:
+    def test_contract_holds_down_to_minus_79db(self):
+        # the scan's lower edge falls with the SNR, so the optimum stays
+        # inside it; -80 dB is left out, where dI/da2's sign is noise
+        cfg = SweepConfig(snr_db_start=-79.0, snr_db_stop=-10.0, snr_db_step=1.0)
+        points = sweep(cfg)
+        assert len(points) == 70
+        for p in points:
+            assert p.regime != "FAILED", p.diagnostics
+            assert p.roots_found == 1, p.snr_db
+            assert p.solver_residual <= cfg.solver_tol, p.snr_db
+        per_snr = [p.i_star_nats / p.snr_linear for p in points]
+        # rises strictly as the SNR falls, below the capacity per unit energy
+        assert all(lo > hi for lo, hi in zip(per_snr, per_snr[1:]))
+        assert per_snr[0] < 1.0
+        for p, ratio in zip(points, per_snr):
+            db = round(p.snr_db)
+            if db in LOW_SNR_I_PER_SNR:
+                assert round(ratio, 4) == LOW_SNR_I_PER_SNR[db], db
+
+    @pytest.mark.parametrize("snr_db", [-70.0, -40.0, -10.0, 0.0, 10.0, 20.0, 30.0])
+    def test_a2_star_is_a_40_digit_root(self, snr_db):
+        snr = 10.0 ** (snr_db / 10.0)
+        a2 = solve_a2_star(snr).a2_star
+        with mpmath.workdps(40):
+            root = mpmath.findroot(
+                lambda t: mp_mi_derivative_a2(t, 1.0, power_budget=snr, dps=40),
+                (a2 * (1.0 - 1e-9), a2 * (1.0 + 1e-9)), solver="secant")
+            assert abs(a2 - root) <= 1e-13 * root
 
 
 class TestRegime:

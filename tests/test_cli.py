@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from noncoh import capacity, oracle
+from noncoh import capacity, cli, oracle
 from noncoh.cli import main
 
 RUN = [sys.executable, "-m", "noncoh.cli"]
@@ -135,6 +135,7 @@ class TestSweepCommand:
             assert p["grid_rows"] == capacity._GRID_POINTS
             assert p["root_evaluations"] >= p["root_iterations"] > 0
             assert p["mi_calls"] == 3  # its root and both scan edges
+            assert "failure" not in p
         assert out.read_text().splitlines()[0].endswith("roots_found,solver_residual")
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -311,3 +312,13 @@ class TestSolverTolPrecedence:
                 "--out", str(tmp_path / "s.csv"), *flags]
         assert main(argv) == 0
         assert seen == [expected]
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # what one in-process call parsed does not reach the next
+    assert main(["deriv", "--a2", "0.3", "--snr-db", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"]["snr_db"] == 0.0
+    assert main(["deriv", "--a2", "0.3", "--x2", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("dI/da2 = ") and out.rstrip().endswith("[fixed x2]")

@@ -281,12 +281,12 @@ class TestF21Family:
 
 
     def test_sweep_scan_rows_match_mpmath(self):
-        # 64 seeded rows of the capacity scan, a2 on its 64-point grid at
-        # SNRs in -10..30 dB: rows of both families, b in (1, 11.3]
-        grid = np.linspace(capacity._A2_EDGE, 1.0 - capacity._A2_EDGE, capacity._GRID_POINTS)
+        # 64 seeded rows of the capacity scan at SNRs in -10..30 dB, each a2
+        # on its own SNR's grid: rows of both families, b in (1, 11.3]
         rng = np.random.default_rng(0)
-        a2 = rng.choice(grid, 64)
         snr = 10.0 ** (rng.uniform(-10.0, 30.0, 64) / 10.0)
+        grid = np.exp(capacity._scan(snr, 1.0))
+        a2 = grid[np.arange(64), rng.integers(0, capacity._GRID_POINTS, 64)]
         b, u = mi._phi_args(a2, snr / a2, 1.0)
         assert ((1.0 < b) & (b <= 11.3)).all()
         assert (u < specfun._STAR_MIN_U).any() and (u >= specfun._STAR_MIN_U).any()
