@@ -7,9 +7,7 @@ from .channel import (
     TwoPointInput,
     derive_params,
     snr_from_db,
-    snr_of,
     snr_to_db,
-    transition_density,
 )
 from .capacity import CapacityPoint, SweepConfig, mi_profile, solve_a2_star, sweep
 from .mi import (
@@ -26,7 +24,6 @@ from .mi import (
     mutual_information,
 )
 from .oracle import (
-    MonteCarloConfig,
     fd_derivative,
     j_quadrature,
     mi_monte_carlo,
@@ -46,7 +43,6 @@ __all__ = [
     "CapacityPoint",
     "ChannelParams",
     "MIResult",
-    "MonteCarloConfig",
     "SeriesResult",
     "SweepConfig",
     "TwoPointInput",
@@ -69,9 +65,7 @@ __all__ = [
     "mi_quadrature",
     "mutual_information",
     "snr_from_db",
-    "snr_of",
     "snr_to_db",
     "solve_a2_star",
     "sweep",
-    "transition_density",
 ]

@@ -9,8 +9,9 @@ lock-step: one array-valued dI/da2 call scans the bracketing grids of every
 point (P as a column), one call of scipy's vectorized bracketing
 root-finder (Chandrupatla's method) refines every sign change, and one more
 batched call scores every point's candidates (its roots and both scan
-edges) and gives the residual of the winner.  The maximum only depends on P
-and sigma^2 through their ratio.
+edges) and gives the residual of the winner.  A point whose winner is a
+scan edge, or whose I* exceeds the coherent capacity log(1+SNR), is a
+FAILED row.  The maximum only depends on P and sigma^2 through their ratio.
 """
 
 from __future__ import annotations
@@ -55,14 +56,11 @@ class SweepConfig:
     snr_db_start: float = -10.0
     snr_db_stop: float = 30.0
     snr_db_step: float = 1.0
-    solver_tol: float = 1e-10
 
     def __post_init__(self):
         for name in ("snr_db_start", "snr_db_stop", "snr_db_step"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
-        if not 0.0 < self.solver_tol < math.inf:
-            raise DomainError("solver_tol must be finite and positive")
         if self.snr_db_step <= 0.0:
             raise DomainError("snr_db_step must be positive")
         if self.snr_db_start > self.snr_db_stop:
@@ -96,7 +94,7 @@ def _scan(snr, s2):
     return np.linspace(np.log(lo), math.log(_A2_TOP), _GRID_POINTS, axis=-1)
 
 
-def _solve(snr: list[float], cfg: SweepConfig, sigma2: float):
+def _solve(snr: list[float], sigma2: float):
     """Every SNR point in lock-step, one CapacityPoint each; a failed point
     is a FAILED row whose diagnostics give the reason under "failure"."""
     n = len(snr)
@@ -143,10 +141,14 @@ def _solve(snr: list[float], cfg: SweepConfig, sigma2: float):
             diag["failure"] = f"root-finder did not converge at snr={snr[k]}"
         elif not i_star[k] > 0.0:
             diag["failure"] = f"no positive-MI optimum found at snr={snr[k]}"
-        elif best[k] >= _GRID_POINTS and not residual[k] <= cfg.solver_tol:
+        elif best[k] >= _GRID_POINTS:
             diag["failure"] = (f"no root at snr={snr[k]}: the best candidate is the scan "
                                f"edge a2={float(a2_star[k])!r}, where |dI/da2| = "
-                               f"{residual[k]:.3g} > solver_tol = {cfg.solver_tol:g}")
+                               f"{residual[k]:.3g}")
+        elif i_star[k] > math.log1p(snr[k]):
+            diag["failure"] = (f"I* = {float(i_star[k])!r} nats at snr={snr[k]} exceeds "
+                               f"the coherent capacity log(1+SNR) = "
+                               f"{math.log1p(snr[k])!r}")
         if "failure" in diag:
             out.append(CapacityPoint(db, snr[k], math.nan, math.nan, math.nan,
                                      "FAILED", 0, math.nan, diag))
@@ -158,12 +160,7 @@ def _solve(snr: list[float], cfg: SweepConfig, sigma2: float):
     return out
 
 
-def solve_a2_star(
-    snr_linear,
-    cfg: SweepConfig = SweepConfig(),
-    *,
-    sigma2: float = 1.0,
-):
+def solve_a2_star(snr_linear, *, sigma2: float = 1.0):
     """Locate a2* = argmax of the two-point mutual information at each SNR.
 
     snr_linear is a float or a 1-D array of SNRs.  All points are solved
@@ -179,8 +176,9 @@ def solve_a2_star(
 
     An array returns one CapacityPoint per SNR.  A point is a FAILED row
     when its root-finder did not converge, when no candidate has positive
-    I, or when a scan edge wins with |dI/da2| > solver_tol (no root); its
-    diagnostics give the reason under "failure".  A float returns its
+    I, when a scan edge wins (no root), or when the winner's I exceeds the
+    coherent capacity log(1+SNR), which no input can beat; its diagnostics
+    give the reason under "failure".  A float returns its
     CapacityPoint and raises SolverFailure with that reason instead.  Each
     point's diagnostics give its grid rows, the root-finder's iterations
     and evaluations over its brackets, and its number of I values
@@ -191,7 +189,7 @@ def solve_a2_star(
         raise SolverFailure("snr_linear must be a float or a 1-D array")
     if not (snr > 0.0).all():
         raise SolverFailure("snr_linear must be positive")
-    points = _solve(np.atleast_1d(snr).tolist(), cfg, sigma2)
+    points = _solve(np.atleast_1d(snr).tolist(), sigma2)
     if snr.ndim:
         return points
     (point,) = points
@@ -212,7 +210,7 @@ def sweep(cfg: SweepConfig, ch: ChannelParams | None = None) -> list[CapacityPoi
     # past snr_db_stop
     n_steps = math.floor((cfg.snr_db_stop - cfg.snr_db_start) / cfg.snr_db_step + 1e-9)
     snr = [snr_from_db(cfg.snr_db_start + i * cfg.snr_db_step) for i in range(n_steps + 1)]
-    points = solve_a2_star(np.array(snr), cfg, sigma2=sigma2)
+    points = solve_a2_star(np.array(snr), sigma2=sigma2)
     for prev, cur in zip(points, points[1:]):
         if (
             math.isfinite(prev.i_star_nats)
@@ -226,18 +224,12 @@ def sweep(cfg: SweepConfig, ch: ChannelParams | None = None) -> list[CapacityPoi
     return points
 
 
-def mi_profile(
-    snr_linear: float,
-    a2_grid,
-    *,
-    sigma2: float = 1.0,
-) -> list[tuple[float, float]]:
+def mi_profile(snr_linear: float, a2_grid) -> list[tuple[float, float]]:
     """Mutual information along a grid of a2 values with x2^2 = P/a2, in
-    one batched call."""
-    ch = ChannelParams(sigma2=sigma2, power_budget=snr_linear * sigma2)
+    one batched call; it depends on P and sigma^2 only through the SNR."""
     a2 = np.asarray(a2_grid, dtype=float)
     if not ((0.0 < a2) & (a2 < 1.0)).all():
         raise SolverFailure("profile grid values must lie in (0, 1)")
-    _check_snr(a2, snr_linear, sigma2)
-    nats, _ = _mi_and_derivative(a2, ch.power_budget / a2, sigma2, True)
+    _check_snr(a2, snr_linear, 1.0)
+    nats, _ = _mi_and_derivative(a2, snr_linear / a2, 1.0, True)
     return list(zip(a2.tolist(), nats.tolist()))

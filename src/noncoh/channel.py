@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateInput, DomainError, MissingPowerBudget
+from .errors import DegenerateInput, DomainError
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,11 @@ class ChannelParams:
     power_budget: float | None = None
 
     def __post_init__(self):
-        if not self.sigma2 > 0.0:
-            raise DomainError("sigma2 must be positive")
-        if self.power_budget is not None and not self.power_budget > 0.0:
-            raise DomainError("power_budget must be positive when present")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise DomainError(f"sigma2 must be finite and positive (sigma2={self.sigma2})")
+        if self.power_budget is not None and not 0.0 < self.power_budget < math.inf:
+            raise DomainError(f"power_budget must be finite and positive when present "
+                              f"(power_budget={self.power_budget}, sigma2={self.sigma2})")
 
 
 @dataclass(frozen=True)
@@ -52,11 +53,6 @@ class TwoPointInput:
     @property
     def a1(self) -> float:
         return 1.0 - self.a2
-
-    @property
-    def mean_square(self) -> float:
-        """E[X^2] = a2 * x2^2, checked against the power constraint."""
-        return self.a2 * self.x2**2
 
     def is_degenerate(self) -> bool:
         """One mass point: a2 in {0, 1}, or x2^2 = 0 in floats."""
@@ -85,21 +81,6 @@ def derive_params(x: float, inp: TwoPointInput, ch: ChannelParams) -> tuple[floa
     s2 = ch.sigma2
     big = inp.x2**2 + s2
     return (inp.x2**2 / big) * ((x * x + s2) / s2), (inp.a2 / inp.a1) * (s2 / big)
-
-
-def transition_density(y: float, x: float, ch: ChannelParams) -> float:
-    """Rayleigh-type magnitude transition density f(y|x); integrates to 1."""
-    if y < 0.0 or x < 0.0:
-        raise DomainError("transition_density requires y >= 0 and x >= 0")
-    scale = x * x + ch.sigma2
-    return 2.0 * y / scale * math.exp(-y * y / scale)
-
-
-def snr_of(ch: ChannelParams) -> float:
-    """Linear SNR = P / sigma^2."""
-    if ch.power_budget is None:
-        raise MissingPowerBudget("ChannelParams.power_budget is not set")
-    return ch.power_budget / ch.sigma2
 
 
 def snr_from_db(db: float) -> float:

@@ -22,7 +22,6 @@ from . import capacity, mi, oracle, verify
 from .capacity import SweepConfig
 from .channel import ChannelParams, TwoPointInput, snr_from_db
 from .errors import ConsistencyError, DomainError, NoncohError
-from .oracle import MonteCarloConfig
 
 SCHEMA_VERSION = "1"
 
@@ -154,7 +153,6 @@ def cmd_sweep(args) -> int:
         snr_db_start=args.from_db,
         snr_db_stop=args.to_db,
         snr_db_step=args.step_db,
-        solver_tol=args.solver_tol,
     )
     points = capacity.sweep(cfg, ChannelParams(sigma2=args.sigma2))
     header = "snr_db,snr_linear,a2_star,x2_star,i_star_nats,regime,roots_found,solver_residual"
@@ -214,7 +212,8 @@ def cmd_verify(args) -> int:
 def cmd_mc(args) -> int:
     inp = TwoPointInput(a2=args.a2, x2=args.x2)
     ch = ChannelParams(sigma2=args.sigma2)
-    cfg = MonteCarloConfig(samples=args.samples, seed=args.seed)
+    if args.samples < 1:  # checked before the one-mass-point answer below
+        raise DomainError(f"--samples must be >= 1 (got {args.samples})")
     res = mi.mutual_information(inp, ch)
     closed = res.nats
     if res.case_j0 is mi.Case.DEGENERATE:
@@ -225,7 +224,7 @@ def cmd_mc(args) -> int:
                  f"closed form   = {_fmt(closed)} nats"]
         _emit(_record("mc", vars_of(args), results), args.json, lines)
         return EXIT_OK
-    est, se = oracle.mi_monte_carlo(inp, ch, cfg)
+    est, se = oracle.mi_monte_carlo(inp, ch, samples=args.samples, seed=args.seed)
     z = (est - closed) / se if se > 0 else math.inf
     results = {
         "estimate_nats": est,
@@ -289,9 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-db", type=float, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--sigma2", type=float, default=1.0)
-    p.add_argument("--solver-tol", type=float, default=SweepConfig.solver_tol,
-                   help="largest |dI/da2| accepted at a scan edge that wins "
-                   "with no root (default: %(default)g)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)
 

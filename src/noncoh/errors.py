@@ -21,10 +21,6 @@ class DegenerateInput(NoncohError):
     """Input distribution collapses to a single mass point."""
 
 
-class MissingPowerBudget(NoncohError):
-    """Operation requires ChannelParams.power_budget, which is absent."""
-
-
 class CaseMismatch(NoncohError):
     """Closed-form case formula called outside its region of validity."""
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -44,16 +43,6 @@ def _quad_checked(f, a, b, points=None):
             f"quadrature error estimate {abserr:.3e} exceeds {_ABS_TOL:.3e}"
         )
     return value
-
-
-@dataclass(frozen=True)
-class MonteCarloConfig:
-    samples: int = 10**7
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise DomainError("samples must be >= 1")
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -155,23 +144,28 @@ def mi_quadrature(inp: TwoPointInput, ch: ChannelParams) -> float:
 def mi_monte_carlo(
     inp: TwoPointInput,
     ch: ChannelParams,
-    cfg: MonteCarloConfig,
+    *,
+    samples: int,
+    seed: int,
 ) -> tuple[float, float]:
-    """Seeded Monte-Carlo estimate of E[log f(Y|X) - log f(Y)].
+    """Seeded Monte-Carlo estimate of E[log f(Y|X) - log f(Y)] from
+    samples >= 1 draws.
 
     X is sampled from the two-point law and Y|X=x by inverse CDF,
     Y = sqrt(-(x^2+sigma^2) log U).  Returns (estimate, standard error).
     """
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1 (got {samples})")
     if inp.is_degenerate():
         raise DegenerateInput("Monte-Carlo estimator needs 0 < a2 < 1 and x2 > 0")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     s2 = ch.sigma2
     big = inp.x2**2 + s2
     log_a = math.log(inp.a1 / s2)
     log_b = math.log(inp.a2 / big)
     total = 0.0
     total_sq = 0.0
-    remaining = cfg.samples
+    remaining = samples
     while remaining > 0:
         n = min(remaining, 2_000_000)
         remaining -= n
@@ -187,9 +181,9 @@ def mi_monte_carlo(
         g = log_cond - log_marg
         total += float(np.sum(g))
         total_sq += float(np.sum(g * g))
-    mean = total / cfg.samples
-    var = max(0.0, total_sq / cfg.samples - mean * mean)
-    std_err = math.sqrt(var / cfg.samples)
+    mean = total / samples
+    var = max(0.0, total_sq / samples - mean * mean)
+    std_err = math.sqrt(var / samples)
     return mean, std_err
 
 

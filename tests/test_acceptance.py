@@ -13,7 +13,6 @@ import numpy as np
 from noncoh import mi, oracle, verify
 from noncoh.capacity import SweepConfig, solve_a2_star, sweep
 from noncoh.channel import ChannelParams, TwoPointInput
-from noncoh.oracle import MonteCarloConfig
 
 LOG2 = math.log(2.0)
 HB_03 = 0.6108643020548935
@@ -161,7 +160,7 @@ def test_criterion_10_monte_carlo_concordance():
         a2 = float(rng.uniform(0.05, 0.95))
         x2 = float(10 ** rng.uniform(-0.5, 1.0))
         inp = TwoPointInput(a2, x2)
-        est, se = oracle.mi_monte_carlo(inp, ch, MonteCarloConfig(samples=10**6, seed=i))
+        est, se = oracle.mi_monte_carlo(inp, ch, samples=10**6, seed=i)
         closed = mi.mutual_information(inp, ch).nats
         if abs(est - closed) <= 4.0 * se:
             within += 1

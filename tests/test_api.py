@@ -2,14 +2,15 @@
 library itself, so names only tests use do not accumulate in noncoh."""
 
 import ast
+import dataclasses
+import importlib
+import importlib.util
 import pathlib
 
 import noncoh
 
 # Public names with no caller inside the library, each kept for a reason.
 ALLOWED_UNUSED = {
-    "snr_of": "due to be pruned with MissingPowerBudget",
-    "transition_density": "due to be pruned with snr_of",
     "j_case1": "the finite-sum reference form tests compare the value path against",
 }
 
@@ -33,3 +34,25 @@ def test_every_public_name_has_a_library_caller():
     assert set(ALLOWED_UNUSED) <= set(noncoh.__all__), "stale allow-list entry"
     unused = set(noncoh.__all__) - _library_references()
     assert unused == set(ALLOWED_UNUSED)
+
+
+def _bench_hooks():
+    """bench/layertrace.py's HOOKS, loaded from its file without putting
+    bench/ on sys.path."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("_layertrace", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.HOOKS
+
+
+def test_benchmark_hook_targets_exist():
+    # the benchmark traces, reads or patches these names: pruning one breaks
+    # its run, which nothing else in this suite would notice
+    for _, modname, attr in _bench_hooks():
+        module = importlib.import_module(f"noncoh.{modname}")
+        assert callable(getattr(module, attr, None)), f"noncoh.{modname}.{attr}"
+    for attr in ("brentq", "mi_derivative_a2", "mutual_information"):
+        assert callable(getattr(noncoh.capacity, attr, None)), f"noncoh.capacity.{attr}"
+    fields = {f.name for f in dataclasses.fields(noncoh.MIResult)}
+    assert {"case_j0", "case_jx2"} <= fields

@@ -117,20 +117,20 @@ LOCK_STEP_GRIDS = [(0.1, -10.13), (1.0, -10.0), (7.3, -9.77)]
 
 def _bench_sweep(sigma2, start):
     cfg = SweepConfig(snr_db_start=start, snr_db_stop=start + 40.0, snr_db_step=0.5)
-    return cfg, sweep(cfg, ChannelParams(sigma2=sigma2))
+    return sweep(cfg, ChannelParams(sigma2=sigma2))
 
 
 class TestLockStep:
     @pytest.mark.parametrize("sigma2,start", LOCK_STEP_GRIDS)
     def test_matches_per_point_solves(self, sigma2, start):
-        cfg, points = _bench_sweep(sigma2, start)
+        points = _bench_sweep(sigma2, start)
         assert len(points) == 81
         for pt in points:
-            one = solve_a2_star(pt.snr_linear, cfg, sigma2=sigma2)
+            one = solve_a2_star(pt.snr_linear, sigma2=sigma2)
             assert pt.roots_found == one.roots_found
             assert pt.a2_star == pytest.approx(one.a2_star, abs=1e-12, rel=0.0)
             assert pt.i_star_nats == pytest.approx(one.i_star_nats, abs=1e-13, rel=0.0)
-            assert pt.solver_residual <= cfg.solver_tol
+            assert pt.solver_residual <= 1e-10
 
     def test_array_and_float_calls(self):
         pts = solve_a2_star(np.array([0.5, 2.0]))
@@ -193,8 +193,8 @@ class TestLockStep:
         if not golden:
             assert all(p.regime != "FAILED" and "failure" not in p.diagnostics for p in points)
             return
-        # the better edge of each point's own scan wins with |dI/da2| >
-        # solver_tol: no root, so a FAILED row that names that edge
+        # the better edge of each point's own scan wins: no root, so a
+        # FAILED row that names that edge
         snr = np.array([p.snr_linear for p in points])
         edges = np.exp(capacity._scan(snr, 1.0)[:, [0, -1]])
         for p, point_edges in zip(points, edges):
@@ -206,7 +206,7 @@ class TestLockStep:
 
     @pytest.mark.parametrize("sigma2,start", LOCK_STEP_GRIDS)
     def test_rows_agree_with_the_scalar_api(self, sigma2, start):
-        _, points = _bench_sweep(sigma2, start)
+        points = _bench_sweep(sigma2, start)
         for pt in points:
             ch = ChannelParams(sigma2=sigma2, power_budget=pt.snr_linear * sigma2)
             inp = TwoPointInput(pt.a2_star, pt.x2_star)
@@ -229,7 +229,7 @@ class TestLowSnr:
         for p in points:
             assert p.regime != "FAILED", p.diagnostics
             assert p.roots_found == 1, p.snr_db
-            assert p.solver_residual <= cfg.solver_tol, p.snr_db
+            assert p.solver_residual <= 1e-10, p.snr_db
         per_snr = [p.i_star_nats / p.snr_linear for p in points]
         # rises strictly as the SNR falls, below the capacity per unit energy
         assert all(lo > hi for lo, hi in zip(per_snr, per_snr[1:]))
@@ -238,6 +238,17 @@ class TestLowSnr:
             db = round(p.snr_db)
             if db in LOW_SNR_I_PER_SNR:
                 assert round(ratio, 4) == LOW_SNR_I_PER_SNR[db], db
+
+    @pytest.mark.parametrize("snr_db", [-300.0, -250.0, -200.0, -170.0])
+    def test_no_optimum_beats_the_coherent_capacity(self, snr_db):
+        # I* <= log(1+SNR) for every input; where the noisy dI/da2 gives a
+        # larger I* the point is a FAILED row that gives both numbers
+        snr = 10.0 ** (snr_db / 10.0)
+        (p,) = solve_a2_star(np.array([snr]))
+        assert p.regime == "FAILED" and math.isnan(p.i_star_nats)
+        assert "exceeds the coherent capacity" in p.diagnostics["failure"]
+        with pytest.raises(SolverFailure, match=r"log\(1\+SNR\) = "):
+            solve_a2_star(snr)
 
     @pytest.mark.parametrize("snr_db", [-70.0, -40.0, -10.0, 0.0, 10.0, 20.0, 30.0])
     def test_a2_star_is_a_40_digit_root(self, snr_db):
@@ -297,7 +308,7 @@ class TestSweep:
         (0.0, 0.3, 0.1, 4),  # 0.3 / 0.1 = 2.9999999999999996
     ])
     def test_grid_keeps_the_stop(self, start, stop, step, count, monkeypatch):
-        def solve_stub(snr_linear, cfg, *, sigma2):
+        def solve_stub(snr_linear, *, sigma2):
             return [CapacityPoint(snr_to_db(snr), snr, 0.5, 1.0, math.log1p(snr),
                                   "Capacity", 1, 0.0) for snr in snr_linear.tolist()]
 
@@ -352,7 +363,7 @@ class TestProfile:
     def test_matches_scalar_calls(self, snr_db):
         snr = 10.0 ** (snr_db / 10.0)
         grid = np.linspace(1e-6, 1.0 - 1e-6, 200)
-        pairs = mi_profile(snr, grid, sigma2=7.3)
+        pairs = mi_profile(snr, grid)
         assert [a for a, _ in pairs] == grid.tolist()
         ch = ChannelParams(sigma2=7.3, power_budget=snr * 7.3)
         for a2, val in pairs:

@@ -198,8 +198,6 @@ class TestMcCommand:
     ["sweep", "--from-db", "0", "--to-db", "1", "--step-db", "nan"],
     ["sweep", "--from-db", "nan", "--to-db", "1", "--step-db", "1"],
     ["sweep", "--from-db", "0", "--to-db", "inf", "--step-db", "1"],
-    ["sweep", "--from-db", "0", "--to-db", "1", "--step-db", "1", "--solver-tol", "nan"],
-    ["sweep", "--from-db", "0", "--to-db", "1", "--step-db", "1", "--solver-tol", "-1"],
     ["sweep", "--from-db", "3100", "--to-db", "3100", "--step-db", "1"],
     ["profile", "--snr-db", "4000"],
     ["deriv", "--a2", "0.3", "--snr-db", "4000"],
@@ -217,14 +215,18 @@ class TestMcCommand:
     ["mi", "--a2", "5e-324", "--x2", "1"],
     ["deriv", "--a2", "0.5", "--x2", "1e150", "--sigma2", "1e-10"],
     ["deriv", "--a2", "5e-324", "--x2", "1"],
+    ["mi", "--a2", "0.5", "--x2", "1", "--sigma2", "inf"],
+    ["mc", "--a2", "0.5", "--x2", "1", "--sigma2", "inf", "--seed", "1"],
+    ["deriv", "--a2", "0.5", "--x2", "2", "--sigma2", "inf"],
+    ["sweep", "--from-db", "0", "--to-db", "1", "--step-db", "1", "--sigma2", "inf"],
 ], ids=["sweep-step-zero", "sweep-reversed", "profile-points-zero",
         "profile-points-negative", "mc-samples-zero", "sweep-step-nan", "sweep-from-nan",
-        "sweep-to-inf", "sweep-solver-tol-nan", "sweep-solver-tol-negative",
-        "sweep-snr-overflow", "profile-snr-overflow", "deriv-snr-overflow",
+        "sweep-to-inf", "sweep-snr-overflow", "profile-snr-overflow", "deriv-snr-overflow",
         "mi-x2-square-overflow", "deriv-x2-square-overflow", "mc-x2-square-overflow",
         "deriv-x2-square-underflow", "deriv-b-overflow", "profile-u-overflow",
         "sweep-u-overflow", "sweep-b-overflow", "profile-b-overflow", "deriv-snr-b-overflow",
-        "mi-x2-u-overflow", "mi-a2-u-overflow", "deriv-x2-u-overflow", "deriv-a2-u-overflow"])
+        "mi-x2-u-overflow", "mi-a2-u-overflow", "deriv-x2-u-overflow", "deriv-a2-u-overflow",
+        "mi-sigma2-inf", "mc-sigma2-inf", "deriv-sigma2-inf", "sweep-sigma2-inf"])
 def test_invalid_values_exit_2(argv, tmp_path, capsys):
     # the invalid-arguments code, not 1 (verification failed) with a traceback;
     # an SNR whose 2F1 arguments overflow is named, before the kernel sees it
@@ -243,6 +245,8 @@ def test_invalid_values_exit_2(argv, tmp_path, capsys):
         assert "requires x2^2 > 0" in err
     if {"1e150", "5e-324"} & set(argv):  # u overflows at a fixed x2: the input is named
         assert all(f"{name}=" in err for name in ("a2", "x2", "sigma2"))
+    if "inf" in argv and argv[argv.index("inf") - 1] == "--sigma2":
+        assert "sigma2" in err
 
 
 @pytest.mark.parametrize("command", ["mi", "mc"])
@@ -291,27 +295,6 @@ class TestNoConfigFile:
         res = run_cli(["--config", "x", "mi", "--a2", "0.4", "--x2", "2"])
         assert res.returncode == 2
         assert "Traceback" not in res.stderr
-
-
-class TestSolverTolPrecedence:
-    """--solver-tol beats SweepConfig's default of 1e-10."""
-
-    @pytest.mark.parametrize("flags,expected", [
-        ([], 1e-10),
-        (["--solver-tol", "1e-6"], 1e-6),
-    ], ids=["default", "flag"])
-    def test_levels(self, tmp_path, monkeypatch, flags, expected):
-        seen = []
-
-        def sweep_stub(cfg, ch):
-            seen.append(cfg.solver_tol)
-            return []
-
-        monkeypatch.setattr(capacity, "sweep", sweep_stub)
-        argv = ["sweep", "--from-db", "0", "--to-db", "0", "--step-db", "1",
-                "--out", str(tmp_path / "s.csv"), *flags]
-        assert main(argv) == 0
-        assert seen == [expected]
 
 
 def test_the_parser_is_built_once_and_keeps_no_state(capsys):

@@ -7,7 +7,6 @@ from noncoh import mi, oracle
 from noncoh.channel import ChannelParams, TwoPointInput
 from noncoh.errors import DegenerateInput
 from noncoh.oracle import (
-    MonteCarloConfig,
     fd_derivative,
     j_quadrature,
     j_quadrature_direct,
@@ -89,7 +88,7 @@ class TestMonteCarlo:
     def test_agreement_with_closed_form(self):
         ch = ChannelParams(1.0)
         inp = TwoPointInput(0.5, 1.0)
-        est, se = mi_monte_carlo(inp, ch, MonteCarloConfig(samples=10**6, seed=7))
+        est, se = mi_monte_carlo(inp, ch, samples=10**6, seed=7)
         closed = mi.mutual_information(inp, ch).nats
         assert se > 0.0
         assert abs(est - closed) <= 4.0 * se
@@ -97,29 +96,28 @@ class TestMonteCarlo:
     def test_determinism(self):
         ch = ChannelParams(1.0)
         inp = TwoPointInput(0.4, 2.0)
-        cfg = MonteCarloConfig(samples=300_000, seed=123)
-        a = mi_monte_carlo(inp, ch, cfg)
-        b = mi_monte_carlo(inp, ch, cfg)
+        a = mi_monte_carlo(inp, ch, samples=300_000, seed=123)
+        b = mi_monte_carlo(inp, ch, samples=300_000, seed=123)
         assert a == b
 
     def test_seed_changes_estimate(self):
         ch = ChannelParams(1.0)
         inp = TwoPointInput(0.4, 2.0)
-        a = mi_monte_carlo(inp, ch, MonteCarloConfig(samples=100_000, seed=1))
-        b = mi_monte_carlo(inp, ch, MonteCarloConfig(samples=100_000, seed=2))
+        a = mi_monte_carlo(inp, ch, samples=100_000, seed=1)
+        b = mi_monte_carlo(inp, ch, samples=100_000, seed=2)
         assert a != b
 
     def test_near_degenerate_accepted(self):
         ch = ChannelParams(1.0)
         est, se = mi_monte_carlo(
-            TwoPointInput(0.999, 1.0), ch, MonteCarloConfig(samples=20_000, seed=5)
+            TwoPointInput(0.999, 1.0), ch, samples=20_000, seed=5
         )
         assert math.isfinite(est) and math.isfinite(se)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateInput):
             mi_monte_carlo(
-                TwoPointInput(1.0, 1.0), ChannelParams(1.0), MonteCarloConfig(samples=10, seed=0)
+                TwoPointInput(1.0, 1.0), ChannelParams(1.0), samples=10, seed=0
             )
 
     def test_z_scores_over_random_configs(self):
@@ -131,7 +129,7 @@ class TestMonteCarlo:
             a2 = float(rng.uniform(0.1, 0.9))
             x2 = float(10 ** rng.uniform(-0.3, 0.8))
             inp = TwoPointInput(a2, x2)
-            est, se = mi_monte_carlo(inp, ch, MonteCarloConfig(samples=200_000, seed=i))
+            est, se = mi_monte_carlo(inp, ch, samples=200_000, seed=i)
             closed = mi.mutual_information(inp, ch).nats
             if abs(est - closed) <= 4.0 * se:
                 ok += 1
