@@ -6,12 +6,14 @@ the optimum satisfies dI/da2 = 0 and is located by scanning the analytic
 derivative for sign changes on a short grid uniform in log a2 and
 refining each bracket in log a2.  All SNR points of a call are solved in
 lock-step: one array-valued dI/da2 call scans the bracketing grids of every
-point (P as a column), one call of scipy's vectorized bracketing
-root-finder (Chandrupatla's method) refines every sign change, and one more
-batched call scores every point's candidates (its roots and both scan
-edges) and gives the residual of the winner.  A point whose winner is a
-scan edge, or whose I* exceeds the coherent capacity log(1+SNR), is a
-FAILED row.  The maximum only depends on P and sigma^2 through their ratio.
+point (P as a column), Chandrupatla's bracketing iteration (_refine) refines
+every sign change at once, starting from the scan's own dI/da2 at the
+bracket ends and making one kernel call per iteration for the brackets
+still open, and one more batched call scores every point's candidates (its
+roots and both scan edges) and gives the residual of the winner.  A point
+whose winner is a scan edge, or whose I* exceeds the coherent capacity
+log(1+SNR), is a FAILED row.  The maximum only depends on P and sigma^2
+through their ratio.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq  # noqa: F401 - unused; bench/ traces this name
-from scipy.optimize.elementwise import find_root
 
 from .channel import ChannelParams, snr_from_db, snr_to_db
 from .errors import DomainError, SolverFailure
@@ -33,6 +34,13 @@ from .mi import mutual_information  # noqa: F401 - unused; bench/ traces this na
 _A2_EDGE = 1e-6  # the scan's lower edge is _A2_EDGE min(SNR, 1); I -> 0 there
 _A2_TOP = 1.0 - 1e-12  # the scan's upper edge; I -> 0 there too
 _GRID_POINTS = 8  # the dI/da2 bracketing scan, uniform in log a2
+# _refine's stopping tests: xatol on t = log a2 is a relative tolerance on
+# a2; the rest, and the cap (the bisections that fit in the normal floats),
+# are the defaults of scipy.optimize.elementwise.find_root
+_XATOL = 1e-15
+_XRTOL = 4.0 * np.finfo(float).eps
+_FATOL = np.finfo(float).tiny
+_MAX_ITER = math.log2(np.finfo(float).max) - math.log2(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -88,10 +96,78 @@ def _scan(snr, s2):
     """log a2 of each SNR's dI/da2 bracketing scan, one row per SNR (a 1-D
     array): _GRID_POINTS values uniform in log a2, from _A2_EDGE min(SNR, 1),
     which lies under every optimum, to _A2_TOP.  DomainError, naming the
-    SNR, where phi's arguments overflow at an edge."""
+    SNR and sigma2, where a number of dI/da2 leaves the normal float range
+    at an edge (see mi._check_snr)."""
     lo = _A2_EDGE * np.minimum(snr, 1.0)
     _check_snr(np.column_stack([lo, np.full_like(lo, _A2_TOP)]), snr, s2)
     return np.linspace(np.log(lo), math.log(_A2_TOP), _GRID_POINTS, axis=-1)
+
+
+def _refine(f, x1, x2, f1, f2, p):
+    """The root of f(x, p) in each bracket [x1, x2] (1-D arrays, with f's
+    values f1 and f2 at its ends), by Chandrupatla's hybrid inverse-quadratic
+    / bisection iteration (Adv. Eng. Software 28(3), 1997), in lock-step: each
+    iteration makes one call of f on the brackets still open, with their
+    entries of p.  It takes the steps and stopping tests of scipy's
+    find_root(f, (x1, x2), args=(p,), tolerances={"xatol": _XATOL}),
+    which the tests hold it to bit for bit, without evaluating the ends.
+
+    Returns x, status and iterations per bracket.  x is the end of the final
+    bracket with the smaller |f|; status is 0 when |f| <= _FATOL there or the
+    bracket is narrower than _XRTOL |x| + _XATOL, -1 when the ends' signs
+    agree, -3 for a non-finite end or two NaN values (x is NaN for both) and
+    -2 when _MAX_ITER iterations did not end it.  Each iteration evaluates f
+    once per open bracket, so the iterations are also its evaluations.
+    """
+    n = x1.size
+    x, status, nit = np.empty(n), np.empty(n, dtype=int), np.empty(n, dtype=int)
+    with np.errstate(invalid="ignore"):  # 0 inf is NaN: no |f| test there
+        ftol = _FATOL + 0.0 * np.minimum(np.abs(f1), np.abs(f2))
+    open_ = np.arange(n)
+    it, t = 0, 0.5
+    while True:
+        smaller = np.abs(f1) < np.abs(f2)
+        xmin = np.where(smaller, x1, x2)
+        done = np.abs(np.where(smaller, f1, f2)) <= ftol
+        bad = (np.sign(f1) == np.sign(f2)) & ~done
+        nonfinite = ~(np.isfinite(x1) & np.isfinite(x2)) | (np.isnan(f1) & np.isnan(f2))
+        invalid = nonfinite & ~(done | bad)
+        xmin[bad | invalid] = math.nan
+        dx = np.abs(x2 - x1)
+        tol = np.abs(xmin) * _XRTOL + _XATOL
+        done |= dx < tol
+        # at the cap the brackets still open stop too, with status -2
+        stop = done | bad | invalid | (it >= _MAX_ITER)
+        k = open_[stop]
+        x[k], nit[k] = xmin[stop], it
+        status[k] = np.where(done, 0, np.where(bad, -1, np.where(invalid, -3, -2)))[stop]
+        if stop.all():
+            return x, status, nit
+        go = ~stop
+        open_, x1, x2, f1, f2, p, ftol = (a[go] for a in (open_, x1, x2, f1, f2, p, ftol))
+        if it:
+            # the inverse-quadratic step where it is safe (Chandrupatla's
+            # eq. 1), else bisection, kept half a tolerance inside the bracket
+            x3, f3, dx, tol = x3[go], f3[go], dx[go], tol[go]
+            xi1 = (x1 - x2) / (x3 - x2)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                phi1 = (f1 - f2) / (f3 - f2)
+            alpha = (x3 - x1) / (x2 - x1)
+            j = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
+            f1j, f2j, f3j, alphaj = f1[j], f2[j], f3[j], alpha[j]
+            t = np.full_like(alpha, 0.5)
+            t[j] = (f1j / (f1j - f2j) * f3j / (f3j - f2j)
+                    - alphaj * f1j / (f3j - f1j) * f2j / (f2j - f3j))
+            tl = 0.5 * tol / dx
+            t = np.clip(t, tl, 1 - tl)
+        xn = x1 + t * (x2 - x1)
+        fn = f(xn, p)
+        # keep the end whose sign differs from the new point's
+        same = np.sign(fn) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = xn, fn
+        it += 1
 
 
 def _solve(snr: list[float], sigma2: float):
@@ -106,16 +182,15 @@ def _solve(snr: list[float], sigma2: float):
     # in every sign change
     roots = np.where(dvals == 0.0, grid, np.nan)
     pt, lo = np.nonzero(dvals[:, :-1] * dvals[:, 1:] < 0.0)
-    # refined in t = log a2, where xatol bounds the root's relative error
-    res = find_root(
-        lambda tt, pp: _deriv(np.exp(tt), pp, sigma2), (t[pt, lo], t[pt, lo + 1]),
-        args=(p[pt],), tolerances={"xatol": 1e-15},
-    )
-    roots[pt, lo] = np.exp(res.x)
+    # refined in t = log a2, where _XATOL bounds the root's relative error,
+    # from the scan's dI/da2 at the bracket ends
+    t_root, status, nit = _refine(lambda tt, pp: _deriv(np.exp(tt), pp, sigma2),
+                                  t[pt, lo], t[pt, lo + 1], dvals[pt, lo], dvals[pt, lo + 1],
+                                  p[pt])
+    roots[pt, lo] = np.exp(t_root)
     n_roots = np.count_nonzero(~np.isnan(roots), axis=1)
-    unconverged = np.bincount(pt[~res.success], minlength=n) > 0
-    nit = np.bincount(pt, res.nit, minlength=n)
-    nfev = np.bincount(pt, res.nfev, minlength=n)
+    unconverged = np.bincount(pt[status != 0], minlength=n) > 0
+    nit = np.bincount(pt, nit, minlength=n)
 
     # each point's candidates, its roots and then both scan edges, scored in
     # one call; the first maximum wins, and its dI/da2 is the residual
@@ -136,7 +211,7 @@ def _solve(snr: list[float], sigma2: float):
     for k in range(n):
         db = snr_to_db(snr[k])
         diag = {"grid_rows": _GRID_POINTS, "root_iterations": int(nit[k]),
-                "root_evaluations": int(nfev[k]), "mi_calls": int(mi_calls[k])}
+                "root_evaluations": int(nit[k]), "mi_calls": int(mi_calls[k])}
         if unconverged[k]:
             diag["failure"] = f"root-finder did not converge at snr={snr[k]}"
         elif not i_star[k] > 0.0:
@@ -168,8 +243,10 @@ def solve_a2_star(snr_linear, *, sigma2: float = 1.0):
     uniform in log a2 from 1e-6 min(SNR, 1), which lies under every optimum,
     to 1 - 1e-12, with every point in one batched analytic call (every
     entry, alpha = 1/n included, comes from the closed form).  Every sign
-    change is refined in one call of scipy's vectorized find_root, in
-    t = log a2 to an xatol of 1e-15, a relative tolerance in a2.  One more
+    change is refined by Chandrupatla's bracketing iteration (_refine), in
+    lock-step, in t = log a2 to an xatol of 1e-15, a relative tolerance in
+    a2; it starts from the scan's dI/da2 at the bracket ends and makes one
+    batched call per iteration for the brackets still open.  One more
     batched call gives I and dI/da2 at every point's candidates, its roots
     and both scan edges, and the first with maximal I wins, its |dI/da2|
     being the residual.
@@ -180,8 +257,9 @@ def solve_a2_star(snr_linear, *, sigma2: float = 1.0):
     coherent capacity log(1+SNR), which no input can beat; its diagnostics
     give the reason under "failure".  A float returns its
     CapacityPoint and raises SolverFailure with that reason instead.  Each
-    point's diagnostics give its grid rows, the root-finder's iterations
-    and evaluations over its brackets, and its number of I values
+    point's diagnostics give its grid rows, the refinement's iterations and
+    kernel rows over its brackets (root_iterations, root_evaluations: equal,
+    since the bracket ends come from the scan), and its number of I values
     (mi_calls).
     """
     snr = np.asarray(snr_linear, dtype=float)

@@ -63,6 +63,8 @@ GUARD_TOL = 1e-5
 # j_case1, j_case2 and the identity residuals treat alpha as 1/n within this
 # distance.
 RECIPROCAL_TOL = 1e-9
+# the smallest normal float: _check_snr refuses capacity-mode numbers below it
+_TINY = np.finfo(float).tiny
 
 # Test hook: deliberately corrupt the closed form of the value path so that
 # the end-to-end verification suite can demonstrate sensitivity to sign faults.
@@ -326,17 +328,25 @@ def _u_overflow(inp, s2):
 
 
 def _check_snr(a2, snr, s2):
-    """DomainError, naming the SNR, where phi's arguments b and u at
-    x2^2 = P/a2, P = SNR s2, overflow at one of the a2 (SNR a float or 1-D
-    array; a2 a float, a 1-D array shared by every SNR or one row per SNR);
+    """DomainError, naming the SNR and sigma2, where a number of I or dI/da2
+    at x2^2 = P/a2 leaves the normal float range at one of the a2 (SNR a
+    float or 1-D array; a2 a float, a 1-D array shared by every SNR or one
+    row per SNR): P = SNR s2, x2^2, x2^2 + s2 or u s2 falls below the
+    smallest normal float or overflows, or phi's arguments b and u overflow.
     b grows and u falls with a2, so between the a2 they stay finite too."""
     a2 = np.atleast_1d(a2)
     with np.errstate(over="ignore", divide="ignore"):
-        b, u = _phi_args(a2, np.reshape(snr, (-1, 1)) * s2 / a2, s2)
-        fine = ((b < np.inf) & (u < np.inf)).all(axis=1)
+        p = np.reshape(snr, (-1, 1)) * s2
+        x2sq = p / a2
+        b, u = _phi_args(a2, x2sq, s2)
+        fine = b < np.inf
+        for v in (p, x2sq, x2sq + s2, u * s2):  # u s2 is infinite where u is
+            fine &= (v >= _TINY) & (v < np.inf)
+        fine = fine.all(axis=1)
     if not fine.all():
-        raise DomainError(f"SNR {np.reshape(snr, -1)[~fine][0]:.6g} is out of range: "
-                          "2F1(1,b;b+1;-u) at x2^2 = P/a2 has b or u past the float range")
+        raise DomainError(f"SNR {np.reshape(snr, -1)[~fine][0]:.6g} with sigma2={s2!r} is out "
+                          "of range: at x2^2 = P/a2 (P = SNR sigma2) a number of "
+                          "2F1(1,b;b+1;-u) or of dI/da2 leaves the normal float range")
 
 
 def _mi_and_derivative(a2, x2sq, s2, capacity):

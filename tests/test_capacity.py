@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.optimize.elementwise import find_root
 
 from mp_reference import mi_derivative_a2 as mp_mi_derivative_a2
 from noncoh import capacity, cli, mi, specfun
@@ -140,17 +141,17 @@ class TestLockStep:
             solve_a2_star(np.array([1.0, -1.0]))
 
     def test_one_failed_bracket_fails_only_its_point(self, monkeypatch, tmp_path):
-        real = capacity.find_root
+        real = capacity._refine
         failed_p = []
 
-        def failing_find_root(f, init, *, args, tolerances):
-            res = real(f, init, args=args, tolerances=tolerances)
-            k = min(3, res.success.size - 1)
-            res.success[k], res.status[k] = False, -2
-            failed_p.append(float(args[0][k]))
-            return res
+        def failing_refine(f, x1, x2, f1, f2, p):
+            x, status, nit = real(f, x1, x2, f1, f2, p)
+            k = min(3, status.size - 1)
+            status[k] = -2
+            failed_p.append(float(p[k]))
+            return x, status, nit
 
-        monkeypatch.setattr(capacity, "find_root", failing_find_root)
+        monkeypatch.setattr(capacity, "_refine", failing_refine)
         points = sweep(SweepConfig(snr_db_start=-10.0, snr_db_stop=30.0, snr_db_step=0.5))
         bad = [p for p in points if p.regime == "FAILED"]
         assert len(points) == 81 and len(bad) == 1
@@ -184,8 +185,10 @@ class TestLockStep:
         assert all(p.roots_found == (0 if golden else 1) for p in points)
         assert all(d["grid_rows"] == capacity._GRID_POINTS for d in diags)
         assert all((d["root_evaluations"] == 0) is golden for d in diags)
-        assert all(d["root_iterations"] <= d["root_evaluations"] for d in diags)
-        # the scan, the root-finder and one row per scored candidate
+        # the refinement starts from the scan's values at the bracket ends:
+        # one kernel row per iteration and bracket
+        assert all(d["root_iterations"] == d["root_evaluations"] for d in diags)
+        # the scan, the refinement and one row per scored candidate
         assert sum(kernel_rows) == sum(d["grid_rows"] + d["root_evaluations"] + d["mi_calls"]
                                        for d in diags)
         # the roots, then both scan edges
@@ -259,6 +262,92 @@ class TestLowSnr:
                 lambda t: mp_mi_derivative_a2(t, 1.0, power_budget=snr, dps=40),
                 (a2 * (1.0 - 1e-9), a2 * (1.0 + 1e-9)), solver="secant")
             assert abs(a2 - root) <= 1e-13 * root
+
+
+def _refine_and_find_root(f, x1, x2, p, maxiter=None):
+    """capacity._refine and scipy's find_root, its oracle, on the same
+    brackets, _refine given f at the bracket ends; asserts that they agree
+    bit for bit in x and exactly in status and iterations, and returns the
+    statuses.  maxiter is find_root's cap, default its own."""
+    ref = find_root(f, (x1, x2), args=(p,), tolerances={"xatol": capacity._XATOL},
+                    maxiter=maxiter)
+    x, status, nit = capacity._refine(f, x1, x2, f(x1, p), f(x2, p), p)
+    assert np.array_equal(x, ref.x, equal_nan=True)
+    assert np.array_equal(np.signbit(x), np.signbit(ref.x))
+    assert np.array_equal(status, ref.status)
+    assert np.array_equal(status == 0, ref.success)
+    assert np.array_equal(nit, ref.nit)
+    assert np.array_equal(ref.nfev, ref.nit + 2)  # find_root evaluates the ends too
+    return status
+
+
+# x^3 - 2x - p, exp(x) - p and arctan(50 (x - p)) have one root in [0, 3]
+# for p in (1, 3), [1, 20] and [0, 3]; x - p puts exact zeros on both ends;
+# 1e-300 (x - p) falls below the smallest normal float (find_root's |f|
+# test) within 2e-8 of its root
+ANALYTIC = {
+    "cubic": (lambda x, p: x**3 - 2.0 * x - p, np.linspace(1.1, 2.9, 7)),
+    "exp": (lambda x, p: np.exp(x) - p, np.geomspace(1.0, 20.0, 7)),
+    "steep": (lambda x, p: np.arctan(50.0 * (x - p)), np.linspace(0.0, 3.0, 7)),
+    "linear-zero-at-ends": (lambda x, p: x - p, np.array([0.0, 0.7, 3.0])),
+    "tiny-values": (lambda x, p: 1e-300 * (x - p), np.linspace(0.3, 2.7, 5)),
+}
+
+
+class TestRefine:
+    @pytest.mark.parametrize("start", [-10.13, -10.0, -9.77])
+    @pytest.mark.parametrize("sigma2", [0.1, 1.0, 7.3])
+    def test_matches_find_root_on_the_solver_brackets(self, sigma2, start):
+        self._solver_brackets(sigma2, start + 0.5 * np.arange(81))
+
+    def test_matches_find_root_down_to_minus_79db(self):
+        self._solver_brackets(1.0, np.arange(-79.0, -9.0))
+
+    @staticmethod
+    def _solver_brackets(sigma2, snr_db):
+        snr = 10.0 ** (snr_db / 10.0)
+        t = capacity._scan(snr, sigma2)
+        p = snr * sigma2
+        dvals = capacity._deriv(np.exp(t), p[:, None], sigma2)
+        pt, lo = np.nonzero(dvals[:, :-1] * dvals[:, 1:] < 0.0)
+        assert np.array_equal(np.unique(pt), np.arange(snr.size))
+
+        def f(tt, pp):
+            return capacity._deriv(np.exp(tt), pp, sigma2)
+
+        # the scan's dI/da2 at the bracket ends, which the solver hands to
+        # _refine, is what f gives there
+        assert np.array_equal(f(t[pt, lo], p[pt]), dvals[pt, lo])
+        assert np.array_equal(f(t[pt, lo + 1], p[pt]), dvals[pt, lo + 1])
+        status = _refine_and_find_root(f, t[pt, lo], t[pt, lo + 1], p[pt])
+        assert (status == 0).all()
+
+    @pytest.mark.parametrize("name", ANALYTIC)
+    def test_matches_find_root_on_analytic_functions(self, name):
+        f, p = ANALYTIC[name]
+        x1, x2 = np.zeros_like(p), np.full_like(p, 3.0)
+        status = _refine_and_find_root(f, x1, x2, p)
+        assert (status == 0).all()
+        if name == "linear-zero-at-ends":
+            x, _, nit = capacity._refine(f, x1, x2, f(x1, p), f(x2, p), p)
+            assert x[[0, 2]].tolist() == [0.0, 3.0] and nit[[0, 2]].tolist() == [0, 0]
+
+    def test_failures_match_find_root(self, monkeypatch):
+        def f(x, p):
+            # a NaN inside the bracket for p = 0, no sign change for p = 5,
+            # an ordinary root for the rest
+            return np.where((p == 0.0) & (x > -1.0) & (x < 3.0), np.nan, x - p)
+
+        p = np.array([0.0, 5.0, 1.3, 2.9])
+        x1, x2 = np.full(4, -1.0), np.full(4, 3.0)
+        status = _refine_and_find_root(f, x1, x2, p)
+        assert status.tolist() == [-3, -1, 0, 0]
+        # the iteration cap: the brackets still open report -2; the first
+        # bisection lands on the root p = 1
+        monkeypatch.setattr(capacity, "_MAX_ITER", 2)
+        status = _refine_and_find_root(lambda x, p: np.arctan(x - p), np.full(3, -1.0),
+                                       np.full(3, 3.0), np.array([0.1, 0.5, 1.0]), maxiter=2)
+        assert status.tolist() == [-2, -2, 0]
 
 
 class TestRegime:

@@ -219,6 +219,9 @@ class TestMcCommand:
     ["mc", "--a2", "0.5", "--x2", "1", "--sigma2", "inf", "--seed", "1"],
     ["deriv", "--a2", "0.5", "--x2", "2", "--sigma2", "inf"],
     ["sweep", "--from-db", "0", "--to-db", "1", "--step-db", "1", "--sigma2", "inf"],
+    ["sweep", "--from-db", "-10", "--to-db", "-9", "--step-db", "1", "--sigma2", "1e300"],
+    ["sweep", "--from-db", "-10", "--to-db", "30", "--step-db", "1", "--sigma2", "1e300"],
+    ["sweep", "--from-db", "-10", "--to-db", "-9", "--step-db", "1", "--sigma2", "1e-310"],
 ], ids=["sweep-step-zero", "sweep-reversed", "profile-points-zero",
         "profile-points-negative", "mc-samples-zero", "sweep-step-nan", "sweep-from-nan",
         "sweep-to-inf", "sweep-snr-overflow", "profile-snr-overflow", "deriv-snr-overflow",
@@ -226,7 +229,8 @@ class TestMcCommand:
         "deriv-x2-square-underflow", "deriv-b-overflow", "profile-u-overflow",
         "sweep-u-overflow", "sweep-b-overflow", "profile-b-overflow", "deriv-snr-b-overflow",
         "mi-x2-u-overflow", "mi-a2-u-overflow", "deriv-x2-u-overflow", "deriv-a2-u-overflow",
-        "mi-sigma2-inf", "mc-sigma2-inf", "deriv-sigma2-inf", "sweep-sigma2-inf"])
+        "mi-sigma2-inf", "mc-sigma2-inf", "deriv-sigma2-inf", "sweep-sigma2-inf",
+        "sweep-u-sigma2-overflow", "sweep-x2-square-overflow", "sweep-sigma2-subnormal"])
 def test_invalid_values_exit_2(argv, tmp_path, capsys):
     # the invalid-arguments code, not 1 (verification failed) with a traceback;
     # an SNR whose 2F1 arguments overflow is named, before the kernel sees it
@@ -247,6 +251,8 @@ def test_invalid_values_exit_2(argv, tmp_path, capsys):
         assert all(f"{name}=" in err for name in ("a2", "x2", "sigma2"))
     if "inf" in argv and argv[argv.index("inf") - 1] == "--sigma2":
         assert "sigma2" in err
+    if {"1e300", "1e-310"} & set(argv):  # the solver's numbers leave the float range
+        assert "SNR" in err and "sigma2" in err
 
 
 @pytest.mark.parametrize("command", ["mi", "mc"])
