@@ -13,7 +13,6 @@ from .capacity import CapacityPoint, SweepConfig, mi_profile, solve_a2_star, swe
 from .mi import (
     Case,
     MIResult,
-    conditional_entropy,
     continuation_residual,
     hyp3f2_sin_identity_residual,
     input_entropy,
@@ -46,7 +45,6 @@ __all__ = [
     "SeriesResult",
     "SweepConfig",
     "TwoPointInput",
-    "conditional_entropy",
     "continuation_residual",
     "derive_params",
     "fd_derivative",

@@ -12,8 +12,8 @@ bracket ends and making one kernel call per iteration for the brackets
 still open, and one more batched call scores every point's candidates (its
 roots and both scan edges) and gives the residual of the winner.  A point
 whose winner is a scan edge, or whose I* exceeds the coherent capacity
-log(1+SNR), is a FAILED row.  The maximum only depends on P and sigma^2
-through their ratio.
+log(1+SNR), is a FAILED row.  The solver works in the SNR = P/sigma^2 alone
+(t = x2^2/sigma^2 = SNR/a2, see mi); sigma^2 only sets the unit of x2*.
 """
 
 from __future__ import annotations
@@ -86,20 +86,20 @@ def classify_regime(snr_db: float) -> str:
     return "TwoPointOptimum"
 
 
-def _deriv(a2, p, s2):
-    """dI/da2 with x2^2 = p/a2, elementwise over a2 and p (arrays that
-    broadcast together), in one kernel call."""
-    return _mi_and_derivative(a2, p / a2, s2, True)[1]
+def _deriv(a2, snr):
+    """dI/da2 with x2^2/sigma^2 = SNR/a2, elementwise over a2 and the SNR
+    (arrays that broadcast together), in one kernel call."""
+    return _mi_and_derivative(a2, snr / a2, True)[1]
 
 
-def _scan(snr, s2):
+def _scan(snr):
     """log a2 of each SNR's dI/da2 bracketing scan, one row per SNR (a 1-D
     array): _GRID_POINTS values uniform in log a2, from _A2_EDGE min(SNR, 1),
     which lies under every optimum, to _A2_TOP.  DomainError, naming the
-    SNR and sigma2, where a number of dI/da2 leaves the normal float range
-    at an edge (see mi._check_snr)."""
+    SNR, where a number of dI/da2 leaves the normal float range at an edge
+    (see mi._check_snr)."""
     lo = _A2_EDGE * np.minimum(snr, 1.0)
-    _check_snr(np.column_stack([lo, np.full_like(lo, _A2_TOP)]), snr, s2)
+    _check_snr(np.column_stack([lo, np.full_like(lo, _A2_TOP)]), snr)
     return np.linspace(np.log(lo), math.log(_A2_TOP), _GRID_POINTS, axis=-1)
 
 
@@ -170,23 +170,23 @@ def _refine(f, x1, x2, f1, f2, p):
         it += 1
 
 
-def _solve(snr: list[float], sigma2: float):
-    """Every SNR point in lock-step, one CapacityPoint each; a failed point
-    is a FAILED row whose diagnostics give the reason under "failure"."""
+def _solve(snr: list[float]):
+    """Every SNR point in lock-step: arrays of a2*, I*, the roots found and
+    |dI/da2| at a2*, and each point's diagnostics, which give the reason
+    under "failure" for a point that failed."""
     n = len(snr)
-    t = _scan(np.array(snr), sigma2)
+    gamma = np.array(snr)
+    t = _scan(gamma)
     grid = np.exp(t)
-    p = np.array(snr) * sigma2
-    dvals = _deriv(grid, p[:, None], sigma2)
+    dvals = _deriv(grid, gamma[:, None])
     # each point's roots in grid order: its exact zeros on the grid and one
     # in every sign change
     roots = np.where(dvals == 0.0, grid, np.nan)
     pt, lo = np.nonzero(dvals[:, :-1] * dvals[:, 1:] < 0.0)
     # refined in t = log a2, where _XATOL bounds the root's relative error,
     # from the scan's dI/da2 at the bracket ends
-    t_root, status, nit = _refine(lambda tt, pp: _deriv(np.exp(tt), pp, sigma2),
-                                  t[pt, lo], t[pt, lo + 1], dvals[pt, lo], dvals[pt, lo + 1],
-                                  p[pt])
+    t_root, status, nit = _refine(lambda tt, pp: _deriv(np.exp(tt), pp), t[pt, lo],
+                                  t[pt, lo + 1], dvals[pt, lo], dvals[pt, lo + 1], gamma[pt])
     roots[pt, lo] = np.exp(t_root)
     n_roots = np.count_nonzero(~np.isnan(roots), axis=1)
     unconverged = np.bincount(pt[status != 0], minlength=n) > 0
@@ -200,18 +200,17 @@ def _solve(snr: list[float], sigma2: float):
     i_val = np.full(cand.shape, -math.inf)
     d_val = np.full(cand.shape, math.nan)
     i_val[kc, jc], d_val[kc, jc] = _mi_and_derivative(
-        cand[kc, jc], p[kc] / cand[kc, jc], sigma2, True)
+        cand[kc, jc], gamma[kc] / cand[kc, jc], True)
     best = np.argmax(i_val, axis=1)
     rows = np.arange(n)
     a2_star, i_star = cand[rows, best], i_val[rows, best]
     residual = np.abs(d_val[rows, best])
     mi_calls = np.bincount(kc, minlength=n)
 
-    out = []
+    diags = []
     for k in range(n):
-        db = snr_to_db(snr[k])
         diag = {"grid_rows": _GRID_POINTS, "root_iterations": int(nit[k]),
-                "root_evaluations": int(nit[k]), "mi_calls": int(mi_calls[k])}
+                "mi_calls": int(mi_calls[k])}
         if unconverged[k]:
             diag["failure"] = f"root-finder did not converge at snr={snr[k]}"
         elif not i_star[k] > 0.0:
@@ -224,15 +223,8 @@ def _solve(snr: list[float], sigma2: float):
             diag["failure"] = (f"I* = {float(i_star[k])!r} nats at snr={snr[k]} exceeds "
                                f"the coherent capacity log(1+SNR) = "
                                f"{math.log1p(snr[k])!r}")
-        if "failure" in diag:
-            out.append(CapacityPoint(db, snr[k], math.nan, math.nan, math.nan,
-                                     "FAILED", 0, math.nan, diag))
-            continue
-        a2 = float(a2_star[k])
-        out.append(CapacityPoint(db, snr[k], a2, math.sqrt(p[k] / a2), float(i_star[k]),
-                                 classify_regime(db), int(n_roots[k]),
-                                 float(residual[k]), diag))
-    return out
+        diags.append(diag)
+    return a2_star, i_star, n_roots, residual, diags
 
 
 def solve_a2_star(snr_linear, *, sigma2: float = 1.0):
@@ -257,17 +249,30 @@ def solve_a2_star(snr_linear, *, sigma2: float = 1.0):
     coherent capacity log(1+SNR), which no input can beat; its diagnostics
     give the reason under "failure".  A float returns its
     CapacityPoint and raises SolverFailure with that reason instead.  Each
-    point's diagnostics give its grid rows, the refinement's iterations and
-    kernel rows over its brackets (root_iterations, root_evaluations: equal,
-    since the bracket ends come from the scan), and its number of I values
-    (mi_calls).
+    point's diagnostics give its grid rows, the refinement's iterations over
+    its brackets (root_iterations, also its kernel rows, since the bracket
+    ends come from the scan), and its number of I values (mi_calls).  The
+    solve runs in the SNR alone: sigma2 only sets x2* = sigma sqrt(SNR/a2*).
     """
     snr = np.asarray(snr_linear, dtype=float)
     if snr.ndim > 1:
         raise SolverFailure("snr_linear must be a float or a 1-D array")
     if not (snr > 0.0).all():
         raise SolverFailure("snr_linear must be positive")
-    points = _solve(np.atleast_1d(snr).tolist(), sigma2)
+    sigma = math.sqrt(ChannelParams(sigma2).sigma2)  # DomainError unless 0 < sigma2 < inf
+    snr_list = np.atleast_1d(snr).tolist()
+    a2_star, i_star, n_roots, residual, diags = _solve(snr_list)
+    points = []
+    for k, (s, diag) in enumerate(zip(snr_list, diags)):
+        db = snr_to_db(s)
+        if "failure" in diag:
+            points.append(CapacityPoint(db, s, math.nan, math.nan, math.nan, "FAILED", 0,
+                                        math.nan, diag))
+            continue
+        a2 = float(a2_star[k])
+        points.append(CapacityPoint(db, s, a2, sigma * math.sqrt(s / a2), float(i_star[k]),
+                                    classify_regime(db), int(n_roots[k]),
+                                    float(residual[k]), diag))
     if snr.ndim:
         return points
     (point,) = points
@@ -283,12 +288,11 @@ def sweep(cfg: SweepConfig, ch: ChannelParams | None = None) -> list[CapacityPoi
     Failed points are recorded with regime "FAILED" rather than dropped.
     A nonmonotone i_star sequence (beyond 1e-9) raises a warning.
     """
-    sigma2 = ch.sigma2 if ch is not None else 1.0
     # the slack absorbs rounding in the quotient without admitting a point
     # past snr_db_stop
     n_steps = math.floor((cfg.snr_db_stop - cfg.snr_db_start) / cfg.snr_db_step + 1e-9)
     snr = [snr_from_db(cfg.snr_db_start + i * cfg.snr_db_step) for i in range(n_steps + 1)]
-    points = solve_a2_star(np.array(snr), sigma2=sigma2)
+    points = solve_a2_star(np.array(snr), sigma2=ch.sigma2 if ch is not None else 1.0)
     for prev, cur in zip(points, points[1:]):
         if (
             math.isfinite(prev.i_star_nats)
@@ -304,10 +308,10 @@ def sweep(cfg: SweepConfig, ch: ChannelParams | None = None) -> list[CapacityPoi
 
 def mi_profile(snr_linear: float, a2_grid) -> list[tuple[float, float]]:
     """Mutual information along a grid of a2 values with x2^2 = P/a2, in
-    one batched call; it depends on P and sigma^2 only through the SNR."""
+    one batched call, computed in t = SNR/a2 alone."""
     a2 = np.asarray(a2_grid, dtype=float)
     if not ((0.0 < a2) & (a2 < 1.0)).all():
         raise SolverFailure("profile grid values must lie in (0, 1)")
-    _check_snr(a2, snr_linear, 1.0)
-    nats, _ = _mi_and_derivative(a2, snr_linear / a2, 1.0, True)
+    _check_snr(a2, snr_linear)
+    nats, _ = _mi_and_derivative(a2, snr_linear / a2, True)
     return list(zip(a2.tolist(), nats.tolist()))

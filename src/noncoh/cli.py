@@ -59,7 +59,7 @@ def cmd_mi(args) -> int:
     ch = ChannelParams(sigma2=args.sigma2)
     res = mi.mutual_information(inp, ch)
     hx = mi.input_entropy(inp)
-    hxy = mi.conditional_entropy(inp, ch)
+    hxy = hx - res.nats  # H(X|Y) = H(X) - I, in [0, H(X)] with I
     results = {
         "i_nats": res.nats,
         "input_entropy_nats": hx,
@@ -107,10 +107,8 @@ def cmd_deriv(args) -> int:
     diagnostics = {}
     if args.verify:
         if args.snr_db is not None:
-            snr = snr_from_db(args.snr_db)
             f = lambda t: mi.mutual_information(
-                TwoPointInput(t, math.sqrt(snr * args.sigma2 / t)), ch
-            ).nats
+                TwoPointInput(t, math.sqrt(ch.power_budget / t)), ch).nats
         else:
             f = lambda t: mi.mutual_information(TwoPointInput(t, args.x2), ch).nats
         num = oracle.fd_derivative(f, args.a2)

@@ -16,7 +16,7 @@ continuation identity's residual is their signed sum.
 
 Every value comes from the third form, with no route decision.  Its 2F1 is
 phi(b, u) = 2F1(1, b; b+1; -u) with u = 1/beta, b = 2+v for J(0) and
-b = 1+v for J(x2), v = sigma^2/x2^2, and the contiguous relation
+b = 1+v for J(x2), v = sigma^2/x2^2 = 1/t, and the contiguous relation
 
     u phi(b+1, u)/(b+1) = (1 - phi(b, u))/b
 
@@ -24,18 +24,20 @@ gives both J from the one value phi = phi(1+v, u) of
 specfun.hyp2f1_1b_value, whose continuation has its integer-b pole removed
 analytically.  Quadrature is only an oracle.
 
-Mutual information assembles as
+Mutual information depends on x2 and sigma^2 only through t = x2^2/sigma^2
+(scaling x2 and sigma by s scales the output by s), and the value path takes
+t as its only scale input, so this holds by construction.  At sigma^2 = 1
 
-    I = -a1 - a1 log s2 - a2 - a2 log(x2^2 + s2) - a1 J(0) - a2 J(x2),
+    I = -a1 - a2 - a2 log(1 + t) - a1 J(0) - a2 J(x2) = a1 i(0) + a2 i(x2)
 
-so with the information density i(x) = -1 - log(x^2 + s2) - J(x) it is
-I = a1 i(0) + a2 i(x2).  The analytic derivative dI/da2 is i(x2) - i(0)
-from the same phi, plus, with x2^2 = P/a2 tied in capacity mode, one term
-in the b-partial of phi for the moving mass point; it feeds the capacity
-root-finder.  One function, _assemble, takes phi to J(0), J(x2), I and
-dI/da2, for one input or an array of them: the scalar mutual_information
-feeds it phi from hyp2f1_1b_value, and the solver and the profile feed it
-phi and its b-partial from one hyp2f1_1b call.
+with the information density i(x) = -1 - log(x^2 + 1) - J(x), x in units of
+sigma; sigma^2 only shifts each J by -log sigma^2.  The analytic derivative
+dI/da2 is i(x2) - i(0) from the same phi, plus, with t = SNR/a2 tied in
+capacity mode, one term in the b-partial of phi for the moving mass point; it
+feeds the capacity root-finder.  One function, _assemble, takes phi to J(0),
+J(x2), I and dI/da2, for one input or an array of them: the scalar
+mutual_information feeds it phi from hyp2f1_1b_value, and the solver and the
+profile feed it phi and its b-partial from one hyp2f1_1b call.
 """
 
 from __future__ import annotations
@@ -184,42 +186,41 @@ def _any(mask) -> bool:
     return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
 
 
-def _assemble(a2, x2sq, s2, phi, phi_b=None, xp=np):
-    """I, J(0), J(x2) and dI/da2 from phi = phi(b, u), b = 1 + s2/x2^2,
-    u = (a1/a2) big/s2, big = x2^2 + s2, elementwise over arrays that
-    broadcast together, or over floats with xp = math: the one assembly of
-    I behind mutual_information, the solver and the profile.  xp supplies
-    log and log1p; numpy's ufuncs on single floats made a scalar
-    mutual_information call about 30% slower.  It reads the sign-fault
-    test hook at each call.
+def _assemble(a2, t, phi, phi_b=None, xp=np):
+    """I, J(0), J(x2) and dI/da2 at sigma^2 = 1 from phi = phi(b, u),
+    b = 1 + 1/t, u = (a1/a2)(1 + t), t = x2^2/sigma^2, elementwise over
+    arrays that broadcast together, or over floats with xp = math: the one
+    assembly of I behind mutual_information, the solver and the profile.
+    xp supplies log and log1p; numpy's ufuncs on single floats made a scalar
+    mutual_information call about 30% slower.  It reads the sign-fault test
+    hook at each call.
 
     J(0) and J(x2) come from phi through the contiguous relation (see the
     module docstring); I = a1 i(0) + a2 i(x2) is clamped into [0, H(X)]
     within rounding (1e-10), and past that ConsistencyError is raised.
-    With x2 held fixed, dI/da2 = i(x2) - i(0).  With x2^2 = P/a2
-    (capacity) the mass point moves too, adding a2 (dx2^2/da2) di/dx^2 at
-    x2 = -x2^2 di/dx^2 (the change of the output density drops out: it
-    integrates to zero against the conditional density).  J(x2) holds x
-    only in b = 1 + 1/alpha, whose x^2-derivative at x2 is -v/(x2^2+s2),
-    v = s2/x2^2, so with phi_b the b-partial of phi (given in capacity
-    mode only)
+    With x2 held fixed, dI/da2 = i(x2) - i(0).  With t = SNR/a2 (capacity)
+    the mass point moves too, adding a2 (dt/da2) di/dx^2 at x2 = -t di/dx^2
+    (the change of the output density drops out: it integrates to zero
+    against the conditional density).  J(x2) holds x only in
+    b = 1 + 1/alpha, whose x^2-derivative at x2 is -v/(1 + t), v = 1/t, so
+    with phi_b the b-partial of phi (given in capacity mode only)
 
-        i(x2) - i(0) = log(s2/big) + x2^2/big + ((1+u) phi - 1)/b,
-        -x2^2 di/dx^2 = u s2 (phi_b - phi/b) / (big b).
+        i(x2) - i(0) = log(1/(1+t)) + t/(1+t) + ((1+u) phi - 1)/b,
+        -t di/dx^2 = u (phi_b - phi/b) / ((1+t) b).
     """
     a1 = 1.0 - a2
-    big = x2sq + s2
-    b = 1.0 + s2 / x2sq
-    u = (a1 / a2) * (big / s2)
+    big = t + 1.0
+    b = 1.0 + 1.0 / t
+    u = (a1 / a2) * big
     # alpha/(beta (alpha+1)) 2F1(...) of J(0) and of J(x2)
     hyp0 = (1.0 - phi) / b
     hyp2 = u * phi / b
     if _FAULT_FLIP_SIGN:
         hyp0, hyp2 = -hyp0, -hyp2
     common = xp.log(a2 / big) + xp.log1p(u)
-    j0 = -s2 / big + common - hyp0
+    j0 = -1.0 / big + common - hyp0
     j2 = -1.0 + common - hyp2
-    nats = -a1 - a1 * xp.log(s2) - a2 - a2 * xp.log(big) - a1 * j0 - a2 * j2
+    nats = -a1 - a2 - a2 * xp.log(big) - a1 * j0 - a2 * j2
     h_x = -a1 * xp.log(a1) - a2 * xp.log(a2)
     if _any((nats < 0.0) | (nats > h_x)):
         if _any(nats < -1e-10):
@@ -229,10 +230,26 @@ def _assemble(a2, x2sq, s2, phi, phi_b=None, xp=np):
                 f"mutual information exceeds H(X) by {np.max(nats - h_x)}")
         nats = (np.clip(nats, 0.0, h_x) if isinstance(nats, np.ndarray)
                 else min(max(nats, 0.0), h_x))
-    d = xp.log(s2 / big) + x2sq / big + ((1.0 + u) * phi - 1.0) / b
+    d = xp.log(1.0 / big) + t / big + ((1.0 + u) * phi - 1.0) / b
     if phi_b is not None:
-        d = d + u * s2 * (phi_b - phi / b) / (big * b)
+        d = d + u * (phi_b - phi / b) / (big * b)
     return nats, j0, j2, d
+
+
+def _fixed_args(inp, ch):
+    """(t, b, u) of a fixed x2, t = x2^2/sigma^2 and phi's arguments b and u,
+    or None for one mass point: a2 in {0, 1}, or t so small that b = 1 + 1/t
+    overflows.  DomainError naming the input where u overflows."""
+    t = inp.x2**2 / ch.sigma2
+    if inp.is_degenerate() or t == 0.0:
+        return None
+    b, u = _phi_args(inp.a2, t)
+    if not b < math.inf:
+        return None
+    if not u < math.inf:
+        raise DomainError(f"a2={inp.a2!r}, x2={inp.x2!r}, sigma2={ch.sigma2!r} is out of "
+                          "range: u = (a1/a2)(x2^2 + sigma2)/sigma2 is past the float range")
+    return t, b, u
 
 
 def mutual_information(inp: TwoPointInput, ch: ChannelParams) -> MIResult:
@@ -245,23 +262,21 @@ def mutual_information(inp: TwoPointInput, ch: ChannelParams) -> MIResult:
     ConsistencyError.  The diagnostics give the series terms behind each J
     and phi's truncation bound carried into each J.
     """
-    s2 = ch.sigma2
-    x2sq = inp.x2**2
-    # an x2^2 so small against s2 that b overflows is one mass point too
-    if inp.is_degenerate() or not (b := 1.0 + s2 / x2sq) < math.inf:
+    args = _fixed_args(inp, ch)
+    if args is None:
         return MIResult(0.0, math.nan, math.nan, Case.DEGENERATE, Case.DEGENERATE, {})
-    u = (inp.a1 / inp.a2) * ((x2sq + s2) / s2)
-    if not u < math.inf:
-        raise _u_overflow(inp, s2)
+    t, b, u = args
     phi = specfun.hyp2f1_1b_value(b, u)
-    nats, j0, j2, _ = _assemble(inp.a2, x2sq, s2, phi.value, xp=math)
+    nats, j0, j2, _ = _assemble(inp.a2, t, phi.value, xp=math)
+    log_s2 = math.log(ch.sigma2)
     diagnostics = {
         "j0_terms": phi.terms_used,
         "j0_truncation_bound": phi.truncation_bound / b,
         "jx2_terms": phi.terms_used,
         "jx2_truncation_bound": phi.truncation_bound * u / b,
     }
-    return MIResult(float(nats), j0, j2, Case.CASE_III, Case.CASE_III, diagnostics)
+    return MIResult(float(nats), j0 - log_s2, j2 - log_s2, Case.CASE_III, Case.CASE_III,
+                    diagnostics)
 
 
 def input_entropy(inp: TwoPointInput) -> float:
@@ -271,12 +286,6 @@ def input_entropy(inp: TwoPointInput) -> float:
         return 0.0
     a1 = 1.0 - a2
     return -a1 * math.log(a1) - a2 * math.log(a2)
-
-
-def conditional_entropy(inp: TwoPointInput, ch: ChannelParams) -> float:
-    """H(X|Y) = H(X) - I(X;Y), nonnegative since mutual_information keeps
-    I within [0, H(X)]."""
-    return input_entropy(inp) - mutual_information(inp, ch).nats
 
 
 def continuation_residual(alpha: float, beta: float) -> float:
@@ -315,47 +324,40 @@ def hyp3f2_sin_identity_residual(alpha: float) -> float:
     return s - specfun.pi_csc_recip(alpha)
 
 
-def _phi_args(a2, x2sq, s2):
-    """phi's arguments b = 1 + s2/x2^2 and u = (a1/a2)(x2^2 + s2)/s2."""
-    return 1.0 + s2 / x2sq, ((1.0 - a2) / a2) * ((x2sq + s2) / s2)
+def _phi_args(a2, t):
+    """phi's arguments b = 1 + 1/t and u = (a1/a2)(1 + t)."""
+    return 1.0 + 1.0 / t, ((1.0 - a2) / a2) * (t + 1.0)
 
 
-def _u_overflow(inp, s2):
-    """The DomainError for a fixed x2 whose u = (a1/a2)(x2^2 + s2)/s2
-    overflows, naming the input."""
-    return DomainError(f"a2={inp.a2!r}, x2={inp.x2!r}, sigma2={s2!r} is out of range: "
-                       "u = (a1/a2)(x2^2 + sigma2)/sigma2 is past the float range")
-
-
-def _check_snr(a2, snr, s2):
-    """DomainError, naming the SNR and sigma2, where a number of I or dI/da2
-    at x2^2 = P/a2 leaves the normal float range at one of the a2 (SNR a
-    float or 1-D array; a2 a float, a 1-D array shared by every SNR or one
-    row per SNR): P = SNR s2, x2^2, x2^2 + s2 or u s2 falls below the
-    smallest normal float or overflows, or phi's arguments b and u overflow.
-    b grows and u falls with a2, so between the a2 they stay finite too."""
+def _check_snr(a2, snr):
+    """DomainError, naming the SNR, where a number of I or dI/da2 at
+    t = SNR/a2 leaves the normal float range at one of the a2 (SNR a float
+    or 1-D array; a2 a float, a 1-D array shared by every SNR or one row per
+    SNR): the SNR, t or u falls below the smallest normal float or
+    overflows, or b overflows.  b grows and u falls with a2, so between the
+    a2 they stay finite too."""
     a2 = np.atleast_1d(a2)
     with np.errstate(over="ignore", divide="ignore"):
-        p = np.reshape(snr, (-1, 1)) * s2
-        x2sq = p / a2
-        b, u = _phi_args(a2, x2sq, s2)
+        snr_col = np.reshape(snr, (-1, 1))
+        t = snr_col / a2
+        b, u = _phi_args(a2, t)
         fine = b < np.inf
-        for v in (p, x2sq, x2sq + s2, u * s2):  # u s2 is infinite where u is
+        for v in (snr_col, t, u):
             fine &= (v >= _TINY) & (v < np.inf)
         fine = fine.all(axis=1)
     if not fine.all():
-        raise DomainError(f"SNR {np.reshape(snr, -1)[~fine][0]:.6g} with sigma2={s2!r} is out "
-                          "of range: at x2^2 = P/a2 (P = SNR sigma2) a number of "
-                          "2F1(1,b;b+1;-u) or of dI/da2 leaves the normal float range")
+        raise DomainError(f"SNR {np.reshape(snr, -1)[~fine][0]:.6g} is out of range: at "
+                          "x2^2/sigma2 = SNR/a2 a number of 2F1(1,b;b+1;-u) or of "
+                          "dI/da2 leaves the normal float range")
 
 
-def _mi_and_derivative(a2, x2sq, s2, capacity):
-    """I and dI/da2 (see _assemble), elementwise over a2 and x2sq (floats
-    or arrays that broadcast together), from one hyp2f1_1b call with one
-    kernel row per a2; with capacity, x2^2 = P/a2 moves with a2."""
-    b, u = _phi_args(a2, x2sq, s2)
+def _mi_and_derivative(a2, t, capacity):
+    """I and dI/da2 (see _assemble), elementwise over a2 and t (floats or
+    arrays that broadcast together), from one hyp2f1_1b call with one kernel
+    row per a2; with capacity, t = SNR/a2 moves with a2."""
+    b, u = _phi_args(a2, t)
     fam = specfun.hyp2f1_1b(b, u)
-    nats, _, _, d = _assemble(a2, x2sq, s2, fam.value, fam.d_db if capacity else None)
+    nats, _, _, d = _assemble(a2, t, fam.value, fam.d_db if capacity else None)
     return nats, d
 
 
@@ -365,29 +367,25 @@ def mi_derivative_a2(inp: TwoPointInput, ch: ChannelParams) -> float:
     alpha = 1/n too.
 
     With ch.power_budget present the nonzero mass point is tied to the
-    probability through x2^2 = P/a2; otherwise x2 is held fixed.  The
-    hypergeometric building blocks are phi = 2F1(1, b; b+1; -u) and, in
-    capacity mode, its b-partial, i.e. the
-    3F2(2, 1+b, 1+b; 2+b, 2+b; -u) term in series form.
+    probability through x2^2 = P/a2; otherwise x2 is held fixed.  Either
+    way it is computed in t = x2^2/sigma^2 alone.  The hypergeometric
+    building blocks are phi = 2F1(1, b; b+1; -u) and, in capacity mode, its
+    b-partial, i.e. the 3F2(2, 1+b, 1+b; 2+b, 2+b; -u) term in series form.
     """
     a2 = inp.a2
     if a2 <= 0.0 or a2 >= 1.0:
         raise DegenerateInput("derivative requires 0 < a2 < 1")
-    s2 = ch.sigma2
     capacity = ch.power_budget is not None
     if capacity:
-        p_bud = ch.power_budget
-        _check_snr(a2, p_bud / s2, s2)
-        x2sq = p_bud / a2
-        if inp.x2 > 0.0 and abs(inp.x2**2 - x2sq) > 1e-6 * x2sq:
-            raise DomainError(
-                "capacity mode requires x2^2 = power_budget / a2 "
-                f"(got x2^2={inp.x2 ** 2}, expected {x2sq})"
-            )
+        snr = ch.power_budget / ch.sigma2
+        _check_snr(a2, snr)
+        t = snr / a2
+        if inp.x2 > 0.0 and abs(inp.x2**2 / ch.sigma2 - t) > 1e-6 * t:
+            raise DomainError("capacity mode requires x2^2 = power_budget / a2 (got "
+                              f"x2^2/sigma2={inp.x2**2 / ch.sigma2}, expected {t})")
     else:
-        x2sq = inp.x2**2
-        if inp.is_degenerate() or not s2 / x2sq < math.inf:
+        args = _fixed_args(inp, ch)
+        if args is None:
             raise DegenerateInput("derivative requires x2^2 > 0")
-        if not _phi_args(a2, x2sq, s2)[1] < math.inf:
-            raise _u_overflow(inp, s2)
-    return float(_mi_and_derivative(a2, x2sq, s2, capacity)[1])
+        t = args[0]
+    return float(_mi_and_derivative(a2, t, capacity)[1])

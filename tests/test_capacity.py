@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -16,7 +17,7 @@ from noncoh.capacity import (
     sweep,
 )
 from noncoh.channel import ChannelParams, TwoPointInput, snr_to_db
-from noncoh.errors import SolverFailure
+from noncoh.errors import DomainError, SolverFailure
 
 LOG2 = math.log(2.0)
 
@@ -60,6 +61,17 @@ class TestSolve:
             # x2* carries the sqrt(sigma2) unit
             assert b.x2_star == pytest.approx(a.x2_star * math.sqrt(2.0), rel=1e-9)
 
+    @pytest.mark.parametrize("sigma2", [1e-310, 1e-6, 0.1, 7.3, 1e300])
+    def test_rows_do_not_depend_on_sigma2(self, sigma2):
+        # the solve runs in the SNR alone: every bit of a row but x2*, which
+        # carries the unit sigma, is that of sigma2 = 1
+        snr = 10.0 ** ((-10.0 + 0.5 * np.arange(81)) / 10.0)
+        sigma = math.sqrt(sigma2)
+        for got, want in zip(solve_a2_star(snr, sigma2=sigma2), solve_a2_star(snr)):
+            assert replace(got, x2_star=want.x2_star) == want
+            assert got.diagnostics == want.diagnostics
+            assert abs(got.x2_star / sigma - want.x2_star) <= 2.0 * math.ulp(want.x2_star)
+
     def test_roots_found_reported(self):
         pt = solve_a2_star(1.0)
         assert pt.roots_found >= 1
@@ -67,6 +79,11 @@ class TestSolve:
     def test_invalid_snr(self):
         with pytest.raises(SolverFailure):
             solve_a2_star(0.0)
+
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_sigma2(self, sigma2):
+        with pytest.raises(DomainError, match="sigma2"):
+            solve_a2_star(1.0, sigma2=sigma2)
 
 
 def _scalar_deriv(a2, ch):
@@ -78,11 +95,11 @@ def _scalar_grid_derivs(grid, ch):
     return np.array([_scalar_deriv(float(a), ch) for a in grid])
 
 
-def _scalar_lock_step_derivs(a2, p, s2):
+def _scalar_lock_step_derivs(a2, snr):
     """capacity._deriv one scalar derivative at a time."""
-    a2, p = np.broadcast_arrays(a2, p)
-    return np.array([_scalar_deriv(float(a), ChannelParams(sigma2=s2, power_budget=float(q)))
-                     for a, q in zip(a2.flat, p.flat)]).reshape(a2.shape)
+    a2, snr = np.broadcast_arrays(a2, snr)
+    return np.array([_scalar_deriv(float(a), ChannelParams(sigma2=1.0, power_budget=float(q)))
+                     for a, q in zip(a2.flat, snr.flat)]).reshape(a2.shape)
 
 
 @pytest.mark.parametrize("sigma2", [1.0, 7.3])
@@ -91,8 +108,8 @@ class TestBatchedGridScan:
     def test_matches_scalar_derivatives(self, snr_db, sigma2):
         snr = 10.0 ** (snr_db / 10.0)
         ch = ChannelParams(sigma2=sigma2, power_budget=snr * sigma2)
-        grid = np.exp(capacity._scan(np.array([snr]), sigma2)[0])
-        batched = capacity._deriv(grid, snr * sigma2, sigma2)
+        grid = np.exp(capacity._scan(np.array([snr]))[0])
+        batched = capacity._deriv(grid, snr)
         scalar = _scalar_grid_derivs(grid, ch)
         # the scan's lower edge, 1e-6 min(snr, 1), puts sigma^2/x2^2 = a2/snr
         # within 1e-5 of an integer (alpha next to 1/n); it takes the same
@@ -178,18 +195,17 @@ class TestLockStep:
         monkeypatch.setattr(specfun, "hyp2f1_1b", counting_kernel)
         if golden:  # no sign change anywhere: only the scan edges are scored
             monkeypatch.setattr(capacity, "_deriv",
-                                lambda a2, p, s2: np.abs(real_deriv(a2, p, s2)) + 1.0)
+                                lambda a2, snr: np.abs(real_deriv(a2, snr)) + 1.0)
         cfg = SweepConfig(snr_db_start=-10.0, snr_db_stop=30.0, snr_db_step=5.0)
         points = sweep(cfg)
         diags = [p.diagnostics for p in points]
         assert all(p.roots_found == (0 if golden else 1) for p in points)
         assert all(d["grid_rows"] == capacity._GRID_POINTS for d in diags)
-        assert all((d["root_evaluations"] == 0) is golden for d in diags)
-        # the refinement starts from the scan's values at the bracket ends:
-        # one kernel row per iteration and bracket
-        assert all(d["root_iterations"] == d["root_evaluations"] for d in diags)
-        # the scan, the refinement and one row per scored candidate
-        assert sum(kernel_rows) == sum(d["grid_rows"] + d["root_evaluations"] + d["mi_calls"]
+        assert all((d["root_iterations"] == 0) is golden for d in diags)
+        # the scan, the refinement (which starts from the scan's values at
+        # the bracket ends: one kernel row per iteration and bracket) and one
+        # row per scored candidate
+        assert sum(kernel_rows) == sum(d["grid_rows"] + d["root_iterations"] + d["mi_calls"]
                                        for d in diags)
         # the roots, then both scan edges
         assert all(d["mi_calls"] == (2 if golden else 3) for d in diags)
@@ -199,7 +215,7 @@ class TestLockStep:
         # the better edge of each point's own scan wins: no root, so a
         # FAILED row that names that edge
         snr = np.array([p.snr_linear for p in points])
-        edges = np.exp(capacity._scan(snr, 1.0)[:, [0, -1]])
+        edges = np.exp(capacity._scan(snr)[:, [0, -1]])
         for p, point_edges in zip(points, edges):
             assert p.regime == "FAILED" and math.isnan(p.a2_star)
             assert any(f"scan edge a2={float(a)!r}," in p.diagnostics["failure"]
@@ -214,6 +230,9 @@ class TestLockStep:
             ch = ChannelParams(sigma2=sigma2, power_budget=pt.snr_linear * sigma2)
             inp = TwoPointInput(pt.a2_star, pt.x2_star)
             assert abs(pt.i_star_nats - mi.mutual_information(inp, ch).nats) <= 1e-14
+            # exactly, at the solver's own normalization sigma2 = 1
+            ch = ChannelParams(1.0, power_budget=pt.snr_linear)
+            inp = TwoPointInput(pt.a2_star, math.sqrt(pt.snr_linear / pt.a2_star))
             assert pt.solver_residual == abs(mi.mi_derivative_a2(inp, ch))
 
 
@@ -305,21 +324,22 @@ class TestRefine:
 
     @staticmethod
     def _solver_brackets(sigma2, snr_db):
-        snr = 10.0 ** (snr_db / 10.0)
-        t = capacity._scan(snr, sigma2)
-        p = snr * sigma2
-        dvals = capacity._deriv(np.exp(t), p[:, None], sigma2)
+        # the SNR as mi_derivative_a2 forms it from power_budget = SNR sigma2,
+        # which moves it by an ulp or so for sigma2 other than 1
+        snr = 10.0 ** (snr_db / 10.0) * sigma2 / sigma2
+        t = capacity._scan(snr)
+        dvals = capacity._deriv(np.exp(t), snr[:, None])
         pt, lo = np.nonzero(dvals[:, :-1] * dvals[:, 1:] < 0.0)
         assert np.array_equal(np.unique(pt), np.arange(snr.size))
 
         def f(tt, pp):
-            return capacity._deriv(np.exp(tt), pp, sigma2)
+            return capacity._deriv(np.exp(tt), pp)
 
         # the scan's dI/da2 at the bracket ends, which the solver hands to
         # _refine, is what f gives there
-        assert np.array_equal(f(t[pt, lo], p[pt]), dvals[pt, lo])
-        assert np.array_equal(f(t[pt, lo + 1], p[pt]), dvals[pt, lo + 1])
-        status = _refine_and_find_root(f, t[pt, lo], t[pt, lo + 1], p[pt])
+        assert np.array_equal(f(t[pt, lo], snr[pt]), dvals[pt, lo])
+        assert np.array_equal(f(t[pt, lo + 1], snr[pt]), dvals[pt, lo + 1])
+        status = _refine_and_find_root(f, t[pt, lo], t[pt, lo + 1], snr[pt])
         assert (status == 0).all()
 
     @pytest.mark.parametrize("name", ANALYTIC)

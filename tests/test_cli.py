@@ -133,7 +133,7 @@ class TestSweepCommand:
         assert [p["snr_db"] for p in points] == pytest.approx([-4, -2, 0, 2, 4])
         for p in points:
             assert p["grid_rows"] == capacity._GRID_POINTS
-            assert p["root_evaluations"] >= p["root_iterations"] > 0
+            assert p["root_iterations"] > 0
             assert p["mi_calls"] == 3  # its root and both scan edges
             assert "failure" not in p
         assert out.read_text().splitlines()[0].endswith("roots_found,solver_residual")
@@ -219,9 +219,6 @@ class TestMcCommand:
     ["mc", "--a2", "0.5", "--x2", "1", "--sigma2", "inf", "--seed", "1"],
     ["deriv", "--a2", "0.5", "--x2", "2", "--sigma2", "inf"],
     ["sweep", "--from-db", "0", "--to-db", "1", "--step-db", "1", "--sigma2", "inf"],
-    ["sweep", "--from-db", "-10", "--to-db", "-9", "--step-db", "1", "--sigma2", "1e300"],
-    ["sweep", "--from-db", "-10", "--to-db", "30", "--step-db", "1", "--sigma2", "1e300"],
-    ["sweep", "--from-db", "-10", "--to-db", "-9", "--step-db", "1", "--sigma2", "1e-310"],
 ], ids=["sweep-step-zero", "sweep-reversed", "profile-points-zero",
         "profile-points-negative", "mc-samples-zero", "sweep-step-nan", "sweep-from-nan",
         "sweep-to-inf", "sweep-snr-overflow", "profile-snr-overflow", "deriv-snr-overflow",
@@ -229,8 +226,7 @@ class TestMcCommand:
         "deriv-x2-square-underflow", "deriv-b-overflow", "profile-u-overflow",
         "sweep-u-overflow", "sweep-b-overflow", "profile-b-overflow", "deriv-snr-b-overflow",
         "mi-x2-u-overflow", "mi-a2-u-overflow", "deriv-x2-u-overflow", "deriv-a2-u-overflow",
-        "mi-sigma2-inf", "mc-sigma2-inf", "deriv-sigma2-inf", "sweep-sigma2-inf",
-        "sweep-u-sigma2-overflow", "sweep-x2-square-overflow", "sweep-sigma2-subnormal"])
+        "mi-sigma2-inf", "mc-sigma2-inf", "deriv-sigma2-inf", "sweep-sigma2-inf"])
 def test_invalid_values_exit_2(argv, tmp_path, capsys):
     # the invalid-arguments code, not 1 (verification failed) with a traceback;
     # an SNR whose 2F1 arguments overflow is named, before the kernel sees it
@@ -251,8 +247,36 @@ def test_invalid_values_exit_2(argv, tmp_path, capsys):
         assert all(f"{name}=" in err for name in ("a2", "x2", "sigma2"))
     if "inf" in argv and argv[argv.index("inf") - 1] == "--sigma2":
         assert "sigma2" in err
-    if {"1e300", "1e-310"} & set(argv):  # the solver's numbers leave the float range
-        assert "SNR" in err and "sigma2" in err
+
+
+@pytest.mark.parametrize("grid,sigma2", [
+    (["-10", "-9", "1"], "1e300"), (["-10", "30", "1"], "1e300"), (["-10", "-9", "1"], "1e-310"),
+], ids=["sigma2-1e300-2-points", "sigma2-1e300-41-points", "sigma2-1e-310-2-points"])
+def test_extreme_sigma2_sweeps_match_unit_sigma2(grid, sigma2, tmp_path):
+    # the solve runs in the SNR alone: sigma2 only sets the unit of x2*
+    start, stop, step = grid
+    rows = {}
+    for s2 in (sigma2, "1"):
+        out = tmp_path / f"{s2}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["sweep", "--from-db", start, "--to-db", stop, "--step-db", step,
+                         "--sigma2", s2, "--out", str(out)]) == 0
+        rows[s2] = [line.split(",") for line in out.read_text().splitlines()]
+    x2_col = rows["1"][0].index("x2_star")
+    assert len(rows[sigma2]) == len(rows["1"]) > 2
+    for got, want in zip(rows[sigma2], rows["1"]):
+        assert got[:x2_col] + got[x2_col + 1:] == want[:x2_col] + want[x2_col + 1:]
+
+
+@pytest.mark.parametrize("x2,sigma2", [("1e-160", "1e-320"), ("1e150", "1e300")])
+def test_extreme_sigma2_mi_matches_unit_sigma2(x2, sigma2, capsys):
+    # x2/sigma = 1 in both: I is that of x2 = 1, sigma2 = 1
+    results = []
+    for argv in (["--x2", x2, "--sigma2", sigma2], ["--x2", "1"]):
+        assert main(["mi", "--a2", "0.5", *argv, "--json"]) == 0
+        results.append(json.loads(capsys.readouterr().out)["results"]["i_nats"])
+    assert abs(results[0] - results[1]) <= 1e-15
 
 
 @pytest.mark.parametrize("command", ["mi", "mc"])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath as mp
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mp_reference import j_closed_form
-from noncoh import oracle
+from noncoh import cli, oracle
 from noncoh.channel import (
     ChannelParams,
     TwoPointInput,
@@ -24,12 +25,12 @@ from noncoh.mi import (
     GUARD_TOL,
     Case,
     continuation_residual,
-    conditional_entropy,
     hyp3f2_sin_identity_residual,
     input_entropy,
     j_case1,
     j_case2,
     j_case3,
+    mi_derivative_a2,
     mutual_information,
 )
 
@@ -450,9 +451,15 @@ class TestEntropies:
     def test_input_entropy_value(self):
         assert input_entropy(TwoPointInput(0.3, 1.0)) == pytest.approx(HB_03, rel=1e-12)
 
-    def test_conditional_entropy_decomposition(self):
+    @staticmethod
+    def _conditional_entropy(a2, x2, capsys):
+        """H(X|Y) as `noncoh mi --json` reports it, at sigma2 = 1."""
+        assert cli.main(["mi", "--a2", repr(a2), "--x2", repr(x2), "--json"]) == 0
+        return json.loads(capsys.readouterr().out)["results"]["conditional_entropy_nats"]
+
+    def test_conditional_entropy_decomposition(self, capsys):
         inp, ch = TwoPointInput(0.4, 2.0), ChannelParams(1.0)
-        h = conditional_entropy(inp, ch)
+        h = self._conditional_entropy(0.4, 2.0, capsys)
         assert h >= 0.0
         assert h == pytest.approx(
             input_entropy(inp) - mutual_information(inp, ch).nats, abs=1e-14
@@ -461,11 +468,11 @@ class TestEntropies:
             oracle.mi_quadrature(inp, ch), abs=1e-7
         )
 
-    def test_conditional_entropy_vanishes_far_apart(self):
-        assert conditional_entropy(TwoPointInput(0.5, 3000.0), ChannelParams(1.0)) <= 1e-3
+    def test_conditional_entropy_vanishes_far_apart(self, capsys):
+        assert self._conditional_entropy(0.5, 3000.0, capsys) <= 1e-3
 
-    def test_degenerate(self):
-        assert conditional_entropy(TwoPointInput(0.0, 2.0), ChannelParams(1.0)) == 0.0
+    def test_degenerate(self, capsys):
+        assert self._conditional_entropy(0.0, 2.0, capsys) == 0.0
 
 
 class TestContinuation:
@@ -511,3 +518,20 @@ class TestScaleInvariance:
                 TwoPointInput(a2, x2 * math.sqrt(c)), ChannelParams(s2 * c)
             ).nats
             assert abs(base - scaled) <= 1e-12
+
+    @pytest.mark.parametrize("k", [-140, -3, 1, 7, 120])
+    @pytest.mark.parametrize("a2,x2,s2", [(0.5, 1.0, 1.0), (0.3, 2.5, 0.7),
+                                          (1e-6, 30.0, 1.3), (0.97, 0.05, 7.3)])
+    def test_power_of_four_rescaling_is_exact(self, a2, x2, s2, k):
+        # x2 2^k and sigma^2 4^k are exact in floats and leave t = x2^2/sigma^2
+        # as it was, so I and both modes of dI/da2 keep every bit
+        c = 2.0**k
+        inp, scaled_inp = TwoPointInput(a2, x2), TwoPointInput(a2, x2 * c)
+        ch, scaled_ch = ChannelParams(s2), ChannelParams(s2 * c * c)
+        assert (mutual_information(scaled_inp, scaled_ch).nats
+                == mutual_information(inp, ch).nats)
+        assert mi_derivative_a2(scaled_inp, scaled_ch) == mi_derivative_a2(inp, ch)
+        p = a2 * x2 * x2
+        ch = ChannelParams(s2, power_budget=p)
+        scaled_ch = ChannelParams(s2 * c * c, power_budget=p * c * c)
+        assert mi_derivative_a2(scaled_inp, scaled_ch) == mi_derivative_a2(inp, ch)

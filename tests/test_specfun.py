@@ -285,9 +285,9 @@ class TestF21Family:
         # on its own SNR's grid: rows of both families, b in (1, 11.3]
         rng = np.random.default_rng(0)
         snr = 10.0 ** (rng.uniform(-10.0, 30.0, 64) / 10.0)
-        grid = np.exp(capacity._scan(snr, 1.0))
+        grid = np.exp(capacity._scan(snr))
         a2 = grid[np.arange(64), rng.integers(0, capacity._GRID_POINTS, 64)]
-        b, u = mi._phi_args(a2, snr / a2, 1.0)
+        b, u = mi._phi_args(a2, snr / a2)
         assert ((1.0 < b) & (b <= 11.3)).all()
         assert (u < specfun._STAR_MIN_U).any() and (u >= specfun._STAR_MIN_U).any()
         fam = hyp2f1_1b(b, u)
