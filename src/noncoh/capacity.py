@@ -5,13 +5,15 @@ x2^2 = P/a2, so the mutual information becomes a function of a2 alone;
 the optimum satisfies dI/da2 = 0 and is located by scanning the analytic
 derivative for sign changes on a short grid uniform in log a2 and
 refining each bracket in log a2.  All SNR points of a call are solved in
-lock-step: one array-valued dI/da2 call scans the bracketing grids of every
-point (P as a column), Chandrupatla's bracketing iteration (_refine) refines
-every sign change at once, starting from the scan's own dI/da2 at the
-bracket ends and making one kernel call per iteration for the brackets
-still open, and one more batched call scores every point's candidates (its
-roots and both scan edges) and gives the residual of the winner.  A point
-whose winner is a scan edge, or whose I* exceeds the coherent capacity
+lock-step: one array-valued call gives I and dI/da2 on the bracketing grids
+of every point (the SNR as a column), and Chandrupatla's bracketing
+iteration (_refine) refines every sign change at once, starting from the
+scan's values at the bracket ends and making one kernel call per iteration
+for the brackets still open, carrying I beside dI/da2.  Every candidate of
+a point (its roots and both scan edges) is then a point where I and dI/da2
+are already in hand, so no kernel call follows the refinement: the first
+with maximal I wins, and its |dI/da2| is the residual.  A point whose
+winner is a scan edge, or whose I* exceeds the coherent capacity
 log(1+SNR), is a FAILED row.  The solver works in the SNR = P/sigma^2 alone
 (t = x2^2/sigma^2 = SNR/a2, see mi); sigma^2 only sets the unit of x2*.
 """
@@ -86,10 +88,10 @@ def classify_regime(snr_db: float) -> str:
     return "TwoPointOptimum"
 
 
-def _deriv(a2, snr):
-    """dI/da2 with x2^2/sigma^2 = SNR/a2, elementwise over a2 and the SNR
-    (arrays that broadcast together), in one kernel call."""
-    return _mi_and_derivative(a2, snr / a2, True)[1]
+def _mi_deriv(a2, snr):
+    """I and dI/da2 with x2^2/sigma^2 = SNR/a2, elementwise over a2 and the
+    SNR (arrays that broadcast together), in one kernel call."""
+    return _mi_and_derivative(a2, snr / a2, True)
 
 
 def _scan(snr):
@@ -103,128 +105,142 @@ def _scan(snr):
     return np.linspace(np.log(lo), math.log(_A2_TOP), _GRID_POINTS, axis=-1)
 
 
-def _refine(f, x1, x2, f1, f2, p):
-    """The root of f(x, p) in each bracket [x1, x2] (1-D arrays, with f's
-    values f1 and f2 at its ends), by Chandrupatla's hybrid inverse-quadratic
-    / bisection iteration (Adv. Eng. Software 28(3), 1997), in lock-step: each
-    iteration makes one call of f on the brackets still open, with their
-    entries of p.  It takes the steps and stopping tests of scipy's
-    find_root(f, (x1, x2), args=(p,), tolerances={"xatol": _XATOL}),
-    which the tests hold it to bit for bit, without evaluating the ends.
+def _refine(f, end1, end2, p):
+    """The root of y in each bracket, by Chandrupatla's hybrid inverse-
+    quadratic / bisection iteration (Adv. Eng. Software 28(3), 1997), in
+    lock-step.  f(x, p) returns (v, y): y, whose root is sought, and a value
+    v carried along with each point.  end1 and end2 are (3, brackets) arrays
+    of x, v and y at the bracket ends; each iteration makes one call of f on
+    the brackets still open, with their entries of p.  It takes the steps
+    and stopping tests of scipy's find_root(y, (x1, x2), args=(p,),
+    tolerances={"xatol": _XATOL}), which the tests hold it to bit for bit,
+    without evaluating the ends.
 
-    Returns x, status and iterations per bracket.  x is the end of the final
-    bracket with the smaller |f|; status is 0 when |f| <= _FATOL there or the
-    bracket is narrower than _XRTOL |x| + _XATOL, -1 when the ends' signs
-    agree, -3 for a non-finite end or two NaN values (x is NaN for both) and
-    -2 when _MAX_ITER iterations did not end it.  Each iteration evaluates f
-    once per open bracket, so the iterations are also its evaluations.
+    Returns (x, v, y) at each bracket's result as one (3, brackets) array,
+    and its status and iterations.  The result is the end of the final
+    bracket with the smaller |y|; status is 0 when |y| <= _FATOL there or
+    the bracket is narrower than _XRTOL |x| + _XATOL, -1 when the ends'
+    signs agree, -3 for a non-finite end or two NaN values of y (x, v and y
+    are NaN for both) and -2 when _MAX_ITER iterations did not end it.  Each
+    iteration evaluates f once per open bracket, so the iterations are also
+    its evaluations.
     """
-    n = x1.size
-    x, status, nit = np.empty(n), np.empty(n, dtype=int), np.empty(n, dtype=int)
-    with np.errstate(invalid="ignore"):  # 0 inf is NaN: no |f| test there
-        ftol = _FATOL + 0.0 * np.minimum(np.abs(f1), np.abs(f2))
+    n = end1.shape[1]
+    out = np.empty((3, n))
+    status, nit = np.empty(n, dtype=int), np.empty(n, dtype=int)
+    # end 1, end 2 and the point they last replaced, each as rows x, v, y
+    pts = np.empty((3, 3, n))
+    pts[0], pts[1] = end1, end2
+    with np.errstate(invalid="ignore"):  # 0 inf is NaN: no |y| test there
+        ftol = _FATOL + 0.0 * np.minimum(np.abs(end1[2]), np.abs(end2[2]))
     open_ = np.arange(n)
     it, t = 0, 0.5
     while True:
-        smaller = np.abs(f1) < np.abs(f2)
-        xmin = np.where(smaller, x1, x2)
-        done = np.abs(np.where(smaller, f1, f2)) <= ftol
-        bad = (np.sign(f1) == np.sign(f2)) & ~done
-        nonfinite = ~(np.isfinite(x1) & np.isfinite(x2)) | (np.isnan(f1) & np.isnan(f2))
-        invalid = nonfinite & ~(done | bad)
-        xmin[bad | invalid] = math.nan
-        dx = np.abs(x2 - x1)
-        tol = np.abs(xmin) * _XRTOL + _XATOL
-        done |= dx < tol
+        x, y = pts[:2, 0], pts[:2, 2]
+        ay = np.abs(y)
+        smaller = ay[0] < ay[1]
+        done = np.where(smaller, ay[0], ay[1]) <= ftol
+        w = x[1] - x[0]
+        dx = np.abs(w)
+        tol = np.abs(np.where(smaller, x[0], x[1])) * _XRTOL + _XATOL
+        # ends agreeing in sign (status -1), a non-finite end or NaN y at
+        # both ends (-3) end a bracket with a NaN result: x - x is NaN just
+        # where x is not finite, and fmax just where both y are NaN
+        sy = np.sign(y)
+        bad = sy[0] == sy[1]
+        nx = x - x
+        invalid = np.isnan(nx[0] + nx[1]) | np.isnan(np.fmax(y[0], y[1]))
         # at the cap the brackets still open stop too, with status -2
-        stop = done | bad | invalid | (it >= _MAX_ITER)
-        k = open_[stop]
-        x[k], nit[k] = xmin[stop], it
-        status[k] = np.where(done, 0, np.where(bad, -1, np.where(invalid, -3, -2)))[stop]
-        if stop.all():
-            return x, status, nit
-        go = ~stop
-        open_, x1, x2, f1, f2, p, ftol = (a[go] for a in (open_, x1, x2, f1, f2, p, ftol))
+        stop = done | bad | invalid | (dx < tol) | (it >= _MAX_ITER)
+        if stop.any():
+            # in order: |y| small enough, the signs, the ends, the width
+            bad &= ~done
+            invalid &= ~(done | bad)
+            done |= (dx < tol) & ~(bad | invalid)
+            res = np.where(smaller, pts[0], pts[1])[:, stop]
+            res[:, (bad | invalid)[stop]] = math.nan
+            k = open_[stop]
+            out[:, k], nit[k] = res, it
+            status[k] = np.where(done, 0, np.where(bad, -1, np.where(invalid, -3, -2)))[stop]
+            go = ~stop
+            open_, pts, p, ftol = open_[go], pts[:, :, go], p[go], ftol[go]
+            w, dx, tol = w[go], dx[go], tol[go]
+        if not open_.size:  # at once when there are no brackets
+            return out, status, nit
+        (x1, x2, x3), (f1, f2, f3) = pts[:, 0], pts[:, 2]
         if it:
             # the inverse-quadratic step where it is safe (Chandrupatla's
-            # eq. 1), else bisection, kept half a tolerance inside the bracket
-            x3, f3, dx, tol = x3[go], f3[go], dx[go], tol[go]
-            xi1 = (x1 - x2) / (x3 - x2)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                phi1 = (f1 - f2) / (f3 - f2)
-            alpha = (x3 - x1) / (x2 - x1)
-            j = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
-            f1j, f2j, f3j, alphaj = f1[j], f2[j], f3[j], alpha[j]
-            t = np.full_like(alpha, 0.5)
-            t[j] = (f1j / (f1j - f2j) * f3j / (f3j - f2j)
-                    - alphaj * f1j / (f3j - f1j) * f2j / (f2j - f3j))
+            # eq. 1), else bisection, kept half a tolerance inside the
+            # bracket; the step is formed on every bracket and kept where
+            # it is safe
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                d12, d32 = f1 - f2, f3 - f2
+                xi1 = (x1 - x2) / (x3 - x2)
+                phi1 = d12 / d32
+                j = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
+                t = np.where(j, f1 / d12 * f3 / d32
+                             - (x3 - x1) / w * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
             tl = 0.5 * tol / dx
-            t = np.clip(t, tl, 1 - tl)
-        xn = x1 + t * (x2 - x1)
-        fn = f(xn, p)
-        # keep the end whose sign differs from the new point's
+            t = np.minimum(np.maximum(t, tl), 1 - tl)
+        xn = x1 + t * w
+        vn, fn = f(xn, p)
+        # keep the end whose sign differs from the new point's: ends 2 and
+        # 3 become (end 2, end 1) where the signs of y agree, else the reverse
         same = np.sign(fn) == np.sign(f1)
-        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1 = xn, fn
+        pts[1:] = np.where(same, pts[1::-1], pts[:2])
+        pts[0, 0], pts[0, 1], pts[0, 2] = xn, vn, fn
         it += 1
 
 
 def _solve(snr: list[float]):
-    """Every SNR point in lock-step: arrays of a2*, I*, the roots found and
+    """Every SNR point in lock-step: lists of a2*, I*, the roots found and
     |dI/da2| at a2*, and each point's diagnostics, which give the reason
     under "failure" for a point that failed."""
     n = len(snr)
     gamma = np.array(snr)
     t = _scan(gamma)
-    grid = np.exp(t)
-    dvals = _deriv(grid, gamma[:, None])
+    # log a2, I and dI/da2 on the scan, (3, points, _GRID_POINTS)
+    scan = np.empty((3,) + t.shape)
+    scan[0] = t
+    scan[1], scan[2] = _mi_deriv(np.exp(t), gamma[:, None])
+    dvals = scan[2]
     # each point's roots in grid order: its exact zeros on the grid and one
-    # in every sign change
-    roots = np.where(dvals == 0.0, grid, np.nan)
+    # in every sign change, refined in t = log a2, where _XATOL bounds the
+    # root's relative error, from the scan's values at the bracket ends
     pt, lo = np.nonzero(dvals[:, :-1] * dvals[:, 1:] < 0.0)
-    # refined in t = log a2, where _XATOL bounds the root's relative error,
-    # from the scan's dI/da2 at the bracket ends
-    t_root, status, nit = _refine(lambda tt, pp: _deriv(np.exp(tt), pp), t[pt, lo],
-                                  t[pt, lo + 1], dvals[pt, lo], dvals[pt, lo + 1], gamma[pt])
-    roots[pt, lo] = np.exp(t_root)
-    n_roots = np.count_nonzero(~np.isnan(roots), axis=1)
+    roots, status, nit = _refine(lambda tt, pp: _mi_deriv(np.exp(tt), pp), scan[:, pt, lo],
+                                 scan[:, pt, lo + 1], gamma[pt])
+    # each point's candidates, its roots and then both scan edges, with the
+    # I and dI/da2 that the scan and the refinement computed there
+    cand = np.concatenate([scan, scan[..., [0, -1]]], axis=-1)
+    cand[0, :, :_GRID_POINTS][dvals != 0.0] = math.nan
+    cand[:, pt, lo] = roots
+    n_roots = np.count_nonzero(~np.isnan(cand[0, :, :_GRID_POINTS]), axis=1)
     unconverged = np.bincount(pt[status != 0], minlength=n) > 0
-    nit = np.bincount(pt, nit, minlength=n)
-
-    # each point's candidates, its roots and then both scan edges, scored in
-    # one call; the first maximum wins, and its dI/da2 is the residual
-    cand = np.column_stack([roots, grid[:, 0], grid[:, -1]])
-    cand[unconverged] = np.nan
-    kc, jc = np.nonzero(~np.isnan(cand))
-    i_val = np.full(cand.shape, -math.inf)
-    d_val = np.full(cand.shape, math.nan)
-    i_val[kc, jc], d_val[kc, jc] = _mi_and_derivative(
-        cand[kc, jc], gamma[kc] / cand[kc, jc], True)
-    best = np.argmax(i_val, axis=1)
-    rows = np.arange(n)
-    a2_star, i_star = cand[rows, best], i_val[rows, best]
-    residual = np.abs(d_val[rows, best])
-    mi_calls = np.bincount(kc, minlength=n)
+    cand[0, unconverged] = math.nan
+    # the first maximum of I wins, and its dI/da2 is the residual
+    best = np.argmax(np.where(np.isnan(cand[0]), -math.inf, cand[1]), axis=1)
+    nit = np.bincount(pt, nit, minlength=n).astype(int).tolist()
+    unconverged, edge = unconverged.tolist(), (best >= _GRID_POINTS).tolist()
+    t_star, i_star, d_star = cand[:, np.arange(n), best]
+    a2_star, i_star = np.exp(t_star).tolist(), i_star.tolist()
+    residual = np.abs(d_star).tolist()
 
     diags = []
-    for k in range(n):
-        diag = {"grid_rows": _GRID_POINTS, "root_iterations": int(nit[k]),
-                "mi_calls": int(mi_calls[k])}
+    for k, (s, a2, i, r) in enumerate(zip(snr, a2_star, i_star, residual)):
+        diag = {"grid_rows": _GRID_POINTS, "root_iterations": nit[k]}
         if unconverged[k]:
-            diag["failure"] = f"root-finder did not converge at snr={snr[k]}"
-        elif not i_star[k] > 0.0:
-            diag["failure"] = f"no positive-MI optimum found at snr={snr[k]}"
-        elif best[k] >= _GRID_POINTS:
-            diag["failure"] = (f"no root at snr={snr[k]}: the best candidate is the scan "
-                               f"edge a2={float(a2_star[k])!r}, where |dI/da2| = "
-                               f"{residual[k]:.3g}")
-        elif i_star[k] > math.log1p(snr[k]):
-            diag["failure"] = (f"I* = {float(i_star[k])!r} nats at snr={snr[k]} exceeds "
-                               f"the coherent capacity log(1+SNR) = "
-                               f"{math.log1p(snr[k])!r}")
+            diag["failure"] = f"root-finder did not converge at snr={s}"
+        elif not i > 0.0:
+            diag["failure"] = f"no positive-MI optimum found at snr={s}"
+        elif edge[k]:
+            diag["failure"] = (f"no root at snr={s}: the best candidate is the scan "
+                               f"edge a2={a2!r}, where |dI/da2| = {r:.3g}")
+        elif i > math.log1p(s):
+            diag["failure"] = (f"I* = {i!r} nats at snr={s} exceeds the coherent "
+                               f"capacity log(1+SNR) = {math.log1p(s)!r}")
         diags.append(diag)
-    return a2_star, i_star, n_roots, residual, diags
+    return a2_star, i_star, n_roots.tolist(), residual, diags
 
 
 def solve_a2_star(snr_linear, *, sigma2: float = 1.0):
@@ -237,11 +253,12 @@ def solve_a2_star(snr_linear, *, sigma2: float = 1.0):
     entry, alpha = 1/n included, comes from the closed form).  Every sign
     change is refined by Chandrupatla's bracketing iteration (_refine), in
     lock-step, in t = log a2 to an xatol of 1e-15, a relative tolerance in
-    a2; it starts from the scan's dI/da2 at the bracket ends and makes one
-    batched call per iteration for the brackets still open.  One more
-    batched call gives I and dI/da2 at every point's candidates, its roots
-    and both scan edges, and the first with maximal I wins, its |dI/da2|
-    being the residual.
+    a2; it starts from the scan's values at the bracket ends and makes one
+    batched call per iteration for the brackets still open, each giving I
+    beside dI/da2.  Of every point's candidates, its roots and both scan
+    edges, whose I and dI/da2 the scan and the refinement have already
+    computed, the first with maximal I wins, its |dI/da2| being the
+    residual; no kernel call follows the refinement.
 
     An array returns one CapacityPoint per SNR.  A point is a FAILED row
     when its root-finder did not converge, when no candidate has positive
@@ -249,10 +266,10 @@ def solve_a2_star(snr_linear, *, sigma2: float = 1.0):
     coherent capacity log(1+SNR), which no input can beat; its diagnostics
     give the reason under "failure".  A float returns its
     CapacityPoint and raises SolverFailure with that reason instead.  Each
-    point's diagnostics give its grid rows, the refinement's iterations over
-    its brackets (root_iterations, also its kernel rows, since the bracket
-    ends come from the scan), and its number of I values (mi_calls).  The
-    solve runs in the SNR alone: sigma2 only sets x2* = sigma sqrt(SNR/a2*).
+    point's diagnostics give its grid rows and the refinement's iterations
+    over its brackets (root_iterations); the two are its kernel rows, since
+    the bracket ends and the candidates take their values from the scan and
+    the refinement.  The solve runs in the SNR alone: sigma2 only sets x2* = sigma sqrt(SNR/a2*).
     """
     snr = np.asarray(snr_linear, dtype=float)
     if snr.ndim > 1:
@@ -261,18 +278,15 @@ def solve_a2_star(snr_linear, *, sigma2: float = 1.0):
         raise SolverFailure("snr_linear must be positive")
     sigma = math.sqrt(ChannelParams(sigma2).sigma2)  # DomainError unless 0 < sigma2 < inf
     snr_list = np.atleast_1d(snr).tolist()
-    a2_star, i_star, n_roots, residual, diags = _solve(snr_list)
     points = []
-    for k, (s, diag) in enumerate(zip(snr_list, diags)):
+    for s, a2, i, roots, r, diag in zip(snr_list, *_solve(snr_list)):
         db = snr_to_db(s)
         if "failure" in diag:
             points.append(CapacityPoint(db, s, math.nan, math.nan, math.nan, "FAILED", 0,
                                         math.nan, diag))
-            continue
-        a2 = float(a2_star[k])
-        points.append(CapacityPoint(db, s, a2, sigma * math.sqrt(s / a2), float(i_star[k]),
-                                    classify_regime(db), int(n_roots[k]),
-                                    float(residual[k]), diag))
+        else:
+            points.append(CapacityPoint(db, s, a2, sigma * math.sqrt(s / a2), i,
+                                        classify_regime(db), roots, r, diag))
     if snr.ndim:
         return points
     (point,) = points

@@ -94,15 +94,20 @@ def cmd_mi(args) -> int:
 def cmd_deriv(args) -> int:
     if args.snr_db is not None:
         snr = snr_from_db(args.snr_db)
-        ch = ChannelParams(sigma2=args.sigma2, power_budget=snr * args.sigma2)
-        inp = TwoPointInput(a2=args.a2, x2=math.sqrt(ch.power_budget / args.a2))
+        sigma = math.sqrt(ChannelParams(sigma2=args.sigma2).sigma2)
+        # dI/da2 depends on t = x2^2/sigma^2 = SNR/a2 alone: it is taken at
+        # sigma^2 = 1, as the solver does, and sigma2 only sets the unit of x2
+        ch = ChannelParams(sigma2=1.0, power_budget=snr)
+        inp = TwoPointInput(a2=args.a2, x2=math.sqrt(snr / args.a2) if args.a2 > 0.0 else 0.0)
+        x2 = sigma * inp.x2
         mode = "capacity (x2^2 = P/a2)"
     else:
         ch = ChannelParams(sigma2=args.sigma2)
         inp = TwoPointInput(a2=args.a2, x2=args.x2)
+        x2 = inp.x2
         mode = "fixed x2"
     value = mi.mi_derivative_a2(inp, ch)
-    results = {"dI_da2": value, "mode": mode, "x2": inp.x2}
+    results = {"dI_da2": value, "mode": mode, "x2": x2}
     lines = [f"dI/da2 = {_fmt(value)}  [{mode}]"]
     diagnostics = {}
     if args.verify:
@@ -154,22 +159,13 @@ def cmd_sweep(args) -> int:
     )
     points = capacity.sweep(cfg, ChannelParams(sigma2=args.sigma2))
     header = "snr_db,snr_linear,a2_star,x2_star,i_star_nats,regime,roots_found,solver_residual"
-    rows = [header]
-    for p in points:
-        rows.append(
-            ",".join(
-                [
-                    _fmt(p.snr_db),
-                    _fmt(p.snr_linear),
-                    _fmt(p.a2_star),
-                    _fmt(p.x2_star),
-                    _fmt(p.i_star_nats),
-                    p.regime,
-                    str(p.roots_found),
-                    _fmt(p.solver_residual),
-                ]
-            )
-        )
+    # one %-format per row: "%.17g" gives the text of _fmt
+    rows = [header] + [
+        "%.17g,%.17g,%.17g,%.17g,%.17g,%s,%d,%.17g" % (
+            p.snr_db, p.snr_linear, p.a2_star, p.x2_star, p.i_star_nats, p.regime,
+            p.roots_found, p.solver_residual)
+        for p in points
+    ]
     text = "\n".join(rows) + "\n"
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)

@@ -186,10 +186,10 @@ def _any(mask) -> bool:
     return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
 
 
-def _assemble(a2, t, phi, phi_b=None, xp=np):
-    """I, J(0), J(x2) and dI/da2 at sigma^2 = 1 from phi = phi(b, u),
-    b = 1 + 1/t, u = (a1/a2)(1 + t), t = x2^2/sigma^2, elementwise over
-    arrays that broadcast together, or over floats with xp = math: the one
+def _assemble(a2, t, b, u, phi, phi_b=None, xp=np):
+    """I, J(0), J(x2) and dI/da2 at sigma^2 = 1 from phi = phi(b, u), with
+    t = x2^2/sigma^2 and phi's arguments b and u from _phi_args, elementwise
+    over arrays that broadcast together, or over floats with xp = math: the one
     assembly of I behind mutual_information, the solver and the profile.
     xp supplies log and log1p; numpy's ufuncs on single floats made a scalar
     mutual_information call about 30% slower.  It reads the sign-fault test
@@ -210,8 +210,6 @@ def _assemble(a2, t, phi, phi_b=None, xp=np):
     """
     a1 = 1.0 - a2
     big = t + 1.0
-    b = 1.0 + 1.0 / t
-    u = (a1 / a2) * big
     # alpha/(beta (alpha+1)) 2F1(...) of J(0) and of J(x2)
     hyp0 = (1.0 - phi) / b
     hyp2 = u * phi / b
@@ -267,7 +265,7 @@ def mutual_information(inp: TwoPointInput, ch: ChannelParams) -> MIResult:
         return MIResult(0.0, math.nan, math.nan, Case.DEGENERATE, Case.DEGENERATE, {})
     t, b, u = args
     phi = specfun.hyp2f1_1b_value(b, u)
-    nats, j0, j2, _ = _assemble(inp.a2, t, phi.value, xp=math)
+    nats, j0, j2, _ = _assemble(inp.a2, t, b, u, phi.value, xp=math)
     log_s2 = math.log(ch.sigma2)
     diagnostics = {
         "j0_terms": phi.terms_used,
@@ -357,7 +355,7 @@ def _mi_and_derivative(a2, t, capacity):
     row per a2; with capacity, t = SNR/a2 moves with a2."""
     b, u = _phi_args(a2, t)
     fam = specfun.hyp2f1_1b(b, u)
-    nats, _, _, d = _assemble(a2, t, fam.value, fam.d_db if capacity else None)
+    nats, _, _, d = _assemble(a2, t, b, u, fam.value, fam.d_db if capacity else None)
     return nats, d
 
 

@@ -240,6 +240,9 @@ _PI_CSC_SERIES = tuple(
 _HEAD_SERIES = np.array([(m, (2 * k + 1) * m, (k + 1) / math.factorial(k + 2) * (k < 17))
                          for k, m in enumerate(_PI_CSC_SERIES[::-1])])[..., None]
 
+# the smallest valid b and u of hyp2f1_1b, as a column
+_BU_MIN = np.array([[math.ulp(0.0)], [0.0]])
+
 # hyp2f1_1b evaluates its rows in blocks whose padded series terms (rows
 # times the block's largest term count) stay below this, so its memory is
 # bounded by the terms it sums, not by its number of rows
@@ -360,37 +363,50 @@ def hyp2f1_1b(b, u) -> F21Family:
     # quarter of a two-element call
     bu = np.empty((2,) + shape)
     bu[0], bu[1] = b_arr, u_arr
-    bf, uf = bu.reshape(2, -1)
-    if not ((0.0 < bf) & (bf < math.inf)).all():
-        raise DomainError("hyp2f1_1b expects finite b > 0")
-    if not ((0.0 <= uf) & (uf < math.inf)).all():
+    bu = bu.reshape(2, -1)
+    bf, uf = bu
+    # one test of both: b > 0 is b >= the smallest subnormal, and NaN fails
+    if not ((bu >= _BU_MIN) & (bu < math.inf)).all():
+        if not ((0.0 < bf) & (bf < math.inf)).all():
+            raise DomainError("hyp2f1_1b expects finite b > 0")
         raise DomainError("hyp2f1_1b expects finite u >= 0 (argument z = -u)")
     star = uf >= _STAR_MIN_U
-    n_pfaff = bf.size - np.count_nonzero(star)
-    n_terms = np.empty(bf.size, dtype=int)
-    if n_pfaff < bf.size:
-        n_terms[star] = _star_count(np.log(uf[star]))
-    if n_pfaff:
-        n_terms[~star] = _pfaff_count(uf[~star])
-    order = np.lexsort((n_terms, star))  # Pfaff rows first, then by count
-    counts = n_terms[order]
     out = np.empty((2, bf.size))
-    start = 0
-    while start < bf.size:
-        # the longest run from start within its family whose rows times its
-        # last (largest) count fit the budget, one row at least
-        pfaff = start < n_pfaff
-        stop = min(n_pfaff if pfaff else bf.size, start + _BLOCK_TERMS // counts[start])
-        padded = np.arange(1, stop - start + 1) * counts[start:stop]
-        end = start + max(1, int(np.searchsorted(padded, _BLOCK_TERMS, side="right")))
-        rows = order[start:end]
-        family = _family_pfaff if pfaff else _family_star
-        out[:, rows] = family(bf[rows], uf[rows], counts[start:end])
-        start = end
+    for family, rows, counts in _row_blocks(star, uf):
+        out[0, rows], out[1, rows] = family(bf[rows], uf[rows], counts)
     value, d_db = out.reshape((2,) + shape)
     if not shape:
         return F21Family(float(value), float(d_db))
     return F21Family(value, d_db)
+
+
+def _row_blocks(star, u):
+    """The blocks of one hyp2f1_1b call: (family, rows, counts) with the
+    rows of one family (an index array, or a slice for every row) and their
+    term counts.  A family whose rows times its largest count fit
+    _BLOCK_TERMS is one block in row order; a larger one is ordered by count
+    and cut into the longest runs whose rows times their last (largest)
+    count fit, one row at least."""
+    n_star = np.count_nonzero(star)
+    for family, is_star, n in ((_family_pfaff, False, star.size - n_star),
+                               (_family_star, True, n_star)):
+        if not n:
+            continue
+        rows = slice(None) if n == star.size else np.flatnonzero(star == is_star)
+        ur = u[rows]
+        counts = (_star_count(np.log(ur)) if is_star else _pfaff_count(ur)).astype(int)
+        if n * counts.max() <= _BLOCK_TERMS:
+            yield family, rows, counts
+            continue
+        order = np.argsort(counts, kind="stable")
+        rows, counts = np.flatnonzero(star == is_star)[order], counts[order]
+        start = 0
+        while start < n:
+            stop = min(n, start + _BLOCK_TERMS // counts[start])
+            padded = np.arange(1, stop - start + 1) * counts[start:stop]
+            end = start + max(1, int(np.searchsorted(padded, _BLOCK_TERMS, side="right")))
+            yield family, rows[start:end], counts[start:end]
+            start = end
 
 
 def _sums(terms):
@@ -441,7 +457,7 @@ def _family_pfaff(b, u, n_terms):
     """
     v = 1.0 / (1.0 + u)
     F, F_b = _sums(_pfaff_terms(b, u * v, n_terms))
-    return np.array([(F + 1.0) * v, F_b * v])
+    return (F + 1.0) * v, F_b * v
 
 
 def _star_terms(b, n_int, inv_u, n_terms):
@@ -459,7 +475,7 @@ def _star_terms(b, n_int, inv_u, n_terms):
     t[0], t[1:] = inv_u, -inv_u
     short = n_terms < n  # zero ratios end these columns' products
     t[n_terms[short], short] = 0.0
-    np.cumprod(t, axis=0, out=t)
+    np.multiply.accumulate(t, axis=0, out=t)
     t *= rd
     np.multiply(t, np.multiply(rd, m1, out=rd), out=terms[:, 1])
     return terms
@@ -490,7 +506,7 @@ def _family_star(b, u, n_terms):
     e = np.exp(x)  # u^-eps
     h = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
     p = np.empty((len(_HEAD_SERIES), 3, b.size))  # eps^(2k) twice, x^k
-    p[0], p[1] = 1.0, (eps * eps, eps * eps, x)
+    p[0], p[1, :2], p[1, 2] = 1.0, eps * eps, x
     for j in (2, 4, 8, 16, 32):  # rows j..2j-1: rows 0..j-1 times row j/2 squared
         np.multiply(p[:min(j, len(p) - j)], p[j // 2] * p[j // 2], out=p[j:2 * j])
     c, dc, dh = _sums(np.multiply(p, _HEAD_SERIES, out=p))
@@ -500,7 +516,8 @@ def _family_star(b, u, n_terms):
     bl = b * log_u
     q = -bl * h
     q_db = log_u * (bl * dh - h)
-    if (zero := n_int == 0).any():  # b < 1/2: the head's own e^(-b L)
+    if not n_int.all():  # b < 1/2: the head's own e^(-b L)
+        zero = n_int == 0
         q[zero], q_db[zero] = e[zero], -log_u[zero] * e[zero]
     be = b * e
     r = be * c + q
@@ -508,4 +525,4 @@ def _family_star(b, u, n_terms):
     # (-1)^N u^-N; numpy's power is much slower at a negative base
     scale = np.copysign(np.power(inv_u, n_int), 0.5 - n_int % 2.0)
     T, S = _sums(_star_terms(b, n_int, inv_u, n_terms))
-    return np.array([scale * r - b * T, scale * r_db - S])
+    return scale * r - b * T, scale * r_db - S

@@ -95,11 +95,15 @@ def _scalar_grid_derivs(grid, ch):
     return np.array([_scalar_deriv(float(a), ch) for a in grid])
 
 
-def _scalar_lock_step_derivs(a2, snr):
-    """capacity._deriv one scalar derivative at a time."""
+def _scalar_lock_step(a2, snr):
+    """capacity._mi_deriv one scalar I and derivative at a time."""
     a2, snr = np.broadcast_arrays(a2, snr)
-    return np.array([_scalar_deriv(float(a), ChannelParams(sigma2=1.0, power_budget=float(q)))
-                     for a, q in zip(a2.flat, snr.flat)]).reshape(a2.shape)
+    out = []
+    for a, q in zip(a2.flat, snr.flat):
+        ch = ChannelParams(sigma2=1.0, power_budget=float(q))
+        inp = TwoPointInput(float(a), math.sqrt(float(q) / float(a)))
+        out.append((mi.mutual_information(inp, ch).nats, mi.mi_derivative_a2(inp, ch)))
+    return np.moveaxis(np.array(out), -1, 0).reshape((2,) + a2.shape)
 
 
 @pytest.mark.parametrize("sigma2", [1.0, 7.3])
@@ -109,7 +113,7 @@ class TestBatchedGridScan:
         snr = 10.0 ** (snr_db / 10.0)
         ch = ChannelParams(sigma2=sigma2, power_budget=snr * sigma2)
         grid = np.exp(capacity._scan(np.array([snr]))[0])
-        batched = capacity._deriv(grid, snr)
+        batched = capacity._mi_deriv(grid, snr)[1]
         scalar = _scalar_grid_derivs(grid, ch)
         # the scan's lower edge, 1e-6 min(snr, 1), puts sigma^2/x2^2 = a2/snr
         # within 1e-5 of an integer (alpha next to 1/n); it takes the same
@@ -123,7 +127,7 @@ class TestBatchedGridScan:
     def test_solver_unchanged(self, snr_db, sigma2, monkeypatch):
         snr = 10.0 ** (snr_db / 10.0)
         batched = solve_a2_star(snr, sigma2=sigma2)
-        monkeypatch.setattr(capacity, "_deriv", _scalar_lock_step_derivs)
+        monkeypatch.setattr(capacity, "_mi_deriv", _scalar_lock_step)
         scalar = solve_a2_star(snr, sigma2=sigma2)
         assert batched.roots_found == scalar.roots_found
         assert batched.a2_star == pytest.approx(scalar.a2_star, abs=1e-12)
@@ -161,12 +165,12 @@ class TestLockStep:
         real = capacity._refine
         failed_p = []
 
-        def failing_refine(f, x1, x2, f1, f2, p):
-            x, status, nit = real(f, x1, x2, f1, f2, p)
+        def failing_refine(f, end1, end2, p):
+            root, status, nit = real(f, end1, end2, p)
             k = min(3, status.size - 1)
             status[k] = -2
             failed_p.append(float(p[k]))
-            return x, status, nit
+            return root, status, nit
 
         monkeypatch.setattr(capacity, "_refine", failing_refine)
         points = sweep(SweepConfig(snr_db_start=-10.0, snr_db_stop=30.0, snr_db_step=0.5))
@@ -186,29 +190,32 @@ class TestLockStep:
     @pytest.mark.parametrize("golden", [False, True], ids=["roots", "golden"])
     def test_diagnostics_count_the_work(self, golden, monkeypatch):
         kernel_rows = []
-        real_kernel, real_deriv = specfun.hyp2f1_1b, capacity._deriv
+        real_kernel, real_mi_deriv = specfun.hyp2f1_1b, capacity._mi_deriv
 
         def counting_kernel(b, u):
             kernel_rows.append(np.broadcast(b, u).size)
             return real_kernel(b, u)
 
+        def no_sign_change(a2, snr):
+            nats, d = real_mi_deriv(a2, snr)
+            return nats, np.abs(d) + 1.0
+
         monkeypatch.setattr(specfun, "hyp2f1_1b", counting_kernel)
-        if golden:  # no sign change anywhere: only the scan edges are scored
-            monkeypatch.setattr(capacity, "_deriv",
-                                lambda a2, snr: np.abs(real_deriv(a2, snr)) + 1.0)
+        if golden:  # no sign change anywhere: only the scan edges are candidates
+            monkeypatch.setattr(capacity, "_mi_deriv", no_sign_change)
         cfg = SweepConfig(snr_db_start=-10.0, snr_db_stop=30.0, snr_db_step=5.0)
         points = sweep(cfg)
         diags = [p.diagnostics for p in points]
         assert all(p.roots_found == (0 if golden else 1) for p in points)
+        assert all(d.keys() <= {"grid_rows", "root_iterations", "failure"} for d in diags)
         assert all(d["grid_rows"] == capacity._GRID_POINTS for d in diags)
         assert all((d["root_iterations"] == 0) is golden for d in diags)
-        # the scan, the refinement (which starts from the scan's values at
-        # the bracket ends: one kernel row per iteration and bracket) and one
-        # row per scored candidate
-        assert sum(kernel_rows) == sum(d["grid_rows"] + d["root_iterations"] + d["mi_calls"]
-                                       for d in diags)
-        # the roots, then both scan edges
-        assert all(d["mi_calls"] == (2 if golden else 3) for d in diags)
+        # the scan, then the refinement, which starts from the scan's values
+        # at the bracket ends: one kernel row per iteration and bracket; the
+        # candidates take I and dI/da2 from those calls, so none follows
+        assert sum(kernel_rows) == sum(d["grid_rows"] + d["root_iterations"] for d in diags)
+        iterations = max(d["root_iterations"] for d in diags)
+        assert len(kernel_rows) == 1 + iterations
         if not golden:
             assert all(p.regime != "FAILED" and "failure" not in p.diagnostics for p in points)
             return
@@ -283,20 +290,39 @@ class TestLowSnr:
             assert abs(a2 - root) <= 1e-13 * root
 
 
-def _refine_and_find_root(f, x1, x2, p, maxiter=None):
+def _with_carry(f):
+    """f(x, p) as capacity._refine takes it: (v, f(x, p)), with a value
+    v = cos(x) + p carried along."""
+    return lambda x, p: (np.cos(x) + p, f(x, p))
+
+
+def _ends(g, x, p):
+    """One bracket end per entry of x as capacity._refine takes them: rows
+    x, v and y of g(x, p) = (v, y)."""
+    return np.array([x, *g(x, p)])
+
+
+def _refine_and_find_root(f, x1, x2, p, maxiter=None, g=None):
     """capacity._refine and scipy's find_root, its oracle, on the same
-    brackets, _refine given f at the bracket ends; asserts that they agree
-    bit for bit in x and exactly in status and iterations, and returns the
+    brackets of f, _refine given g(x, p) = (v, f(x, p)) (a cosine carried
+    along by default) and its values at the bracket ends; asserts that they
+    agree bit for bit in x and exactly in status and iterations, that v and
+    y at the result are g's there, NaN for a NaN result, and returns the
     statuses.  maxiter is find_root's cap, default its own."""
+    g = g or _with_carry(f)
     ref = find_root(f, (x1, x2), args=(p,), tolerances={"xatol": capacity._XATOL},
                     maxiter=maxiter)
-    x, status, nit = capacity._refine(f, x1, x2, f(x1, p), f(x2, p), p)
+    (x, v, y), status, nit = capacity._refine(g, _ends(g, x1, p), _ends(g, x2, p), p)
     assert np.array_equal(x, ref.x, equal_nan=True)
     assert np.array_equal(np.signbit(x), np.signbit(ref.x))
     assert np.array_equal(status, ref.status)
     assert np.array_equal(status == 0, ref.success)
     assert np.array_equal(nit, ref.nit)
     assert np.array_equal(ref.nfev, ref.nit + 2)  # find_root evaluates the ends too
+    at_x = np.isfinite(x)
+    assert np.array_equal(np.isnan(x), np.isnan(v) & np.isnan(y))
+    v_x, y_x = g(x[at_x], p[at_x])
+    assert np.array_equal(v[at_x], v_x) and np.array_equal(y[at_x], y_x)
     return status
 
 
@@ -328,19 +354,51 @@ class TestRefine:
         # which moves it by an ulp or so for sigma2 other than 1
         snr = 10.0 ** (snr_db / 10.0) * sigma2 / sigma2
         t = capacity._scan(snr)
-        dvals = capacity._deriv(np.exp(t), snr[:, None])
+        nats, dvals = capacity._mi_deriv(np.exp(t), snr[:, None])
         pt, lo = np.nonzero(dvals[:, :-1] * dvals[:, 1:] < 0.0)
         assert np.array_equal(np.unique(pt), np.arange(snr.size))
 
-        def f(tt, pp):
-            return capacity._deriv(np.exp(tt), pp)
+        def g(tt, pp):
+            return capacity._mi_deriv(np.exp(tt), pp)
 
-        # the scan's dI/da2 at the bracket ends, which the solver hands to
-        # _refine, is what f gives there
-        assert np.array_equal(f(t[pt, lo], snr[pt]), dvals[pt, lo])
-        assert np.array_equal(f(t[pt, lo + 1], snr[pt]), dvals[pt, lo + 1])
-        status = _refine_and_find_root(f, t[pt, lo], t[pt, lo + 1], snr[pt])
+        # the scan's I and dI/da2 at the bracket ends, which the solver hands
+        # to _refine, are what g gives there
+        for end in (lo, lo + 1):
+            assert np.array_equal(_ends(g, t[pt, end], snr[pt]),
+                                  [t[pt, end], nats[pt, end], dvals[pt, end]])
+        status = _refine_and_find_root(lambda tt, pp: g(tt, pp)[1], t[pt, lo], t[pt, lo + 1],
+                                       snr[pt], g=g)
         assert (status == 0).all()
+
+    @pytest.mark.parametrize("sigma2,start", LOCK_STEP_GRIDS)
+    def test_carries_i_to_the_root(self, sigma2, start):
+        # the I and dI/da2 that _refine returns at each root, which the solver
+        # compares and reports without a further kernel call, are those of
+        # mi._mi_and_derivative at a2* = exp(root), bit for bit
+        snr = 10.0 ** ((start + 0.5 * np.arange(81)) / 10.0) * sigma2 / sigma2
+        t = capacity._scan(snr)
+        scan = np.array([t, *capacity._mi_deriv(np.exp(t), snr[:, None])])
+        pt, lo = np.nonzero(scan[2, :, :-1] * scan[2, :, 1:] < 0.0)
+        (root, nats, d), status, _ = capacity._refine(
+            lambda tt, pp: capacity._mi_deriv(np.exp(tt), pp), scan[:, pt, lo],
+            scan[:, pt, lo + 1], snr[pt])
+        assert (status == 0).all()
+        a2 = np.exp(root)
+        want_nats, want_d = mi._mi_and_derivative(a2, snr[pt] / a2, True)
+        assert np.array_equal(nats, want_nats) and np.array_equal(d, want_d)
+        # and the solver's rows are those values
+        points = solve_a2_star(snr)
+        assert [p.a2_star for p in points] == a2.tolist()
+        assert [p.i_star_nats for p in points] == nats.tolist()
+        assert [p.solver_residual for p in points] == np.abs(d).tolist()
+
+    def test_no_brackets_make_no_call(self):
+        def g(x, p):
+            raise AssertionError("_refine evaluated f with no bracket open")
+
+        empty = np.empty((3, 0))
+        root, status, nit = capacity._refine(g, empty, empty, np.empty(0))
+        assert root.shape == (3, 0) and status.size == 0 and nit.size == 0
 
     @pytest.mark.parametrize("name", ANALYTIC)
     def test_matches_find_root_on_analytic_functions(self, name):
@@ -349,7 +407,8 @@ class TestRefine:
         status = _refine_and_find_root(f, x1, x2, p)
         assert (status == 0).all()
         if name == "linear-zero-at-ends":
-            x, _, nit = capacity._refine(f, x1, x2, f(x1, p), f(x2, p), p)
+            g = _with_carry(f)
+            (x, _, _), _, nit = capacity._refine(g, _ends(g, x1, p), _ends(g, x2, p), p)
             assert x[[0, 2]].tolist() == [0.0, 3.0] and nit[[0, 2]].tolist() == [0, 0]
 
     def test_failures_match_find_root(self, monkeypatch):

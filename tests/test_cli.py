@@ -84,6 +84,24 @@ class TestDerivCommand:
         res = run_cli(["deriv", "--a2", "0.4", "--x2", "2", "--snr-db", "0"])
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("sigma2", ["1e-310", "7.3", "1e300"])
+    def test_capacity_mode_is_taken_in_the_snr(self, sigma2, capsys):
+        # dI/da2 depends on SNR/a2 alone: no power budget SNR sigma2 is
+        # formed, so an extreme sigma2 gives the sigma2 = 1 value, and only
+        # x2 carries the unit sigma
+        argv = ["deriv", "--a2", "0.3", "--snr-db", "90", "--json"]
+        assert main(argv) == 0
+        want = json.loads(capsys.readouterr().out)["results"]
+        assert main([*argv, "--sigma2", sigma2]) == 0
+        got = json.loads(capsys.readouterr().out)["results"]
+        assert got["dI_da2"] == want["dI_da2"]
+        assert got["x2"] == math.sqrt(float(sigma2)) * want["x2"]
+        assert main(["deriv", "--a2", "0.3", "--snr-db", "90", "--sigma2", sigma2,
+                     "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert "dI/da2 = 0.84729770685310946  [capacity" in out
+        assert "finite-difference check" in out
+
 
 class TestProfileCommand:
     def test_row_count(self, tmp_path):
@@ -134,8 +152,8 @@ class TestSweepCommand:
         for p in points:
             assert p["grid_rows"] == capacity._GRID_POINTS
             assert p["root_iterations"] > 0
-            assert p["mi_calls"] == 3  # its root and both scan edges
-            assert "failure" not in p
+            # the kernel rows: no I is computed after the refinement
+            assert p.keys() == {"snr_db", "grid_rows", "root_iterations"}
         assert out.read_text().splitlines()[0].endswith("roots_found,solver_residual")
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -219,6 +237,8 @@ class TestMcCommand:
     ["mc", "--a2", "0.5", "--x2", "1", "--sigma2", "inf", "--seed", "1"],
     ["deriv", "--a2", "0.5", "--x2", "2", "--sigma2", "inf"],
     ["sweep", "--from-db", "0", "--to-db", "1", "--step-db", "1", "--sigma2", "inf"],
+    ["deriv", "--a2", "0", "--snr-db", "0"],
+    ["deriv", "--a2", "-0.5", "--snr-db", "0"],
 ], ids=["sweep-step-zero", "sweep-reversed", "profile-points-zero",
         "profile-points-negative", "mc-samples-zero", "sweep-step-nan", "sweep-from-nan",
         "sweep-to-inf", "sweep-snr-overflow", "profile-snr-overflow", "deriv-snr-overflow",
@@ -226,7 +246,8 @@ class TestMcCommand:
         "deriv-x2-square-underflow", "deriv-b-overflow", "profile-u-overflow",
         "sweep-u-overflow", "sweep-b-overflow", "profile-b-overflow", "deriv-snr-b-overflow",
         "mi-x2-u-overflow", "mi-a2-u-overflow", "deriv-x2-u-overflow", "deriv-a2-u-overflow",
-        "mi-sigma2-inf", "mc-sigma2-inf", "deriv-sigma2-inf", "sweep-sigma2-inf"])
+        "mi-sigma2-inf", "mc-sigma2-inf", "deriv-sigma2-inf", "sweep-sigma2-inf",
+        "deriv-snr-a2-zero", "deriv-snr-a2-negative"])
 def test_invalid_values_exit_2(argv, tmp_path, capsys):
     # the invalid-arguments code, not 1 (verification failed) with a traceback;
     # an SNR whose 2F1 arguments overflow is named, before the kernel sees it

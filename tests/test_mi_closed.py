@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mp_reference import j_closed_form
-from noncoh import cli, oracle
+from noncoh import cli, mi, oracle, verify
 from noncoh.channel import (
     ChannelParams,
     TwoPointInput,
@@ -506,6 +506,21 @@ class TestSinIdentity:
 
 
 class TestScaleInvariance:
+    @pytest.mark.parametrize("error", [1.0 + 1e-6, 1e3])
+    def test_verify_family_sees_a_sigma2_scale_error(self, error, monkeypatch):
+        # a value path that takes sigma^2 a factor off still agrees with
+        # itself when (x2, sigma^2) are rescaled together; verify's family
+        # compares it with the j_case3 form, which takes sigma^2 as it comes
+        assert verify.check_scale_invariance().passed
+        real = mi._fixed_args
+        monkeypatch.setattr(mi, "_fixed_args",
+                            lambda inp, ch: real(inp, ChannelParams(ch.sigma2 * error)))
+        base = mutual_information(TwoPointInput(0.3, 2.0), ChannelParams(1.5)).nats
+        scaled = mutual_information(TwoPointInput(0.3, 6.0), ChannelParams(13.5)).nats
+        assert abs(base - scaled) <= 1e-12
+        result = verify.check_scale_invariance()
+        assert not result.passed and result.worst > 1e-9
+
     def test_joint_rescaling(self):
         rng = np.random.default_rng(12)
         for _ in range(20):

@@ -231,6 +231,53 @@ class TestF21Family:
             one = hyp2f1_1b(bi, ui)
             assert (fam.value[i], fam.d_db[i]) == (one.value, one.d_db), (bi, ui)
 
+    def test_one_block_calls_match_a_call_of_several_blocks(self, monkeypatch):
+        # a call whose rows are one family and fit one block takes them in
+        # row order; a larger call orders its rows by count and cuts them
+        # into blocks.  Both must sum a row alike: the first refinement call
+        # of an 81-point solve and a one-row call of each family, against
+        # the same rows inside one call that mixes both families and needs
+        # several blocks of each
+        calls = []
+        real = specfun.hyp2f1_1b
+
+        def recording_kernel(b, u):
+            calls.append((np.array(b, dtype=float), np.array(u, dtype=float)))
+            return real(b, u)
+
+        monkeypatch.setattr(specfun, "hyp2f1_1b", recording_kernel)
+        capacity.solve_a2_star(10.0 ** ((-10.0 + 0.5 * np.arange(81)) / 10.0))
+        monkeypatch.undo()
+        refine_b, refine_u = calls[1]
+        assert refine_b.shape == (81,)
+        singles = [(np.array([2.3]), np.array([5.0])), (np.array([2.3]), np.array([0.5]))]
+        rng = np.random.default_rng(21)
+        fill_b = rng.uniform(0.05, 12.0, 800)
+        fill_u = np.where(np.arange(800) % 2 == 0, rng.uniform(0.3, 1.2, 800),
+                          rng.uniform(1.25, 1.3, 800))
+        b = np.concatenate([refine_b, *(s[0] for s in singles), fill_b])
+        u = np.concatenate([refine_u, *(s[1] for s in singles), fill_u])
+        order = rng.permutation(b.size)
+        fam = hyp2f1_1b(b[order], u[order])
+        value, d_db = np.empty(b.size), np.empty(b.size)
+        value[order], d_db[order] = fam.value, fam.d_db
+
+        def n_blocks(b, u):
+            star = u >= specfun._STAR_MIN_U
+            return [sum(f is family for f, _, _ in specfun._row_blocks(star, u))
+                    for family in (specfun._family_pfaff, specfun._family_star)]
+
+        assert min(n_blocks(b, u)) >= 2
+        start = 0
+        for (bs, us), blocks in zip([(refine_b, refine_u), *singles],
+                                    ([0, 1], [0, 1], [1, 0])):
+            assert n_blocks(bs, us) == blocks
+            one = hyp2f1_1b(bs, us)
+            rows = slice(start, start + bs.size)
+            assert np.array_equal(one.value, value[rows]), bs
+            assert np.array_equal(one.d_db, d_db[rows]), bs
+            start += bs.size
+
     def test_array_call_memory_is_bounded_by_block_terms(self):
         # 20 000 continuation rows of 161 to 188 terms: the kernel's
         # per-row arrays take ~1.4 MB and its blocks well under 1 MB, where
