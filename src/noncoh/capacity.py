@@ -167,7 +167,8 @@ def _refine(f, end1, end2, p):
             w, dx, tol = w[go], dx[go], tol[go]
         if not open_.size:  # at once when there are no brackets
             return out, status, nit
-        (x1, x2, x3), (f1, f2, f3) = pts[:, 0], pts[:, 2]
+        x1, x2, x3 = pts[0, 0], pts[1, 0], pts[2, 0]
+        f1, f2, f3 = pts[0, 2], pts[1, 2], pts[2, 2]
         if it:
             # the inverse-quadratic step where it is safe (Chandrupatla's
             # eq. 1), else bisection, kept half a tolerance inside the

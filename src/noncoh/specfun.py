@@ -336,12 +336,14 @@ def hyp2f1_1b(b, u) -> F21Family:
     b and u are scalars or arrays that broadcast together, a scalar call
     being the size-1 case, and one invalid element raises DomainError for
     the whole call.  Each element is one row with a family (the series it
-    sums) and a term count; the rows are ordered by family and then by
-    count and evaluated in vectorized single-family blocks of at most
-    _BLOCK_TERMS padded terms, laid out as (terms, 2, rows), the value's
-    and the b-partial's terms side by side and zero past each row's count.
-    One reduction over the term axis (_sums) sums them smallest first, one
-    term at a time, so a row's sums do not depend on its block.
+    sums) and a term count, and the rows are evaluated in vectorized
+    single-family blocks of at most _BLOCK_TERMS padded terms (see
+    _row_blocks): a family that fits is one block in row order, as every
+    call of the capacity solver is, and only a larger one is ordered by
+    count and cut.  A block lays its terms out as (terms, 2, rows), the
+    value's and the b-partial's side by side and zero past each row's
+    count, and one reduction over the term axis (_sums) sums them smallest
+    first, one term at a time, so a row's sums do not depend on its block.
 
     As a hypergeometric series the b-partial is
     d/db phi = [z/(1+b)^2] 3F2(2, 1+b, 1+b; 2+b, 2+b; z), which only
@@ -507,8 +509,8 @@ def _family_star(b, u, n_terms):
     h = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
     p = np.empty((len(_HEAD_SERIES), 3, b.size))  # eps^(2k) twice, x^k
     p[0], p[1, :2], p[1, 2] = 1.0, eps * eps, x
-    for j in (2, 4, 8, 16, 32):  # rows j..2j-1: rows 0..j-1 times row j/2 squared
-        np.multiply(p[:min(j, len(p) - j)], p[j // 2] * p[j // 2], out=p[j:2 * j])
+    for j in (1, 2, 4, 8, 16):  # rows j+1..2j: rows 1..j times row j
+        np.multiply(p[1:j + 1], p[j], out=p[j + 1:2 * j + 1])
     c, dc, dh = _sums(np.multiply(p, _HEAD_SERIES, out=p))
     c *= eps
     np.divide(e - h, x, out=dh, where=np.abs(x) >= 0.5)
