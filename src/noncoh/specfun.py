@@ -477,7 +477,7 @@ def _star_terms(b, n_int, inv_u, n_terms):
     t[0], t[1:] = inv_u, -inv_u
     short = n_terms < n  # zero ratios end these columns' products
     t[n_terms[short], short] = 0.0
-    np.multiply.accumulate(t, axis=0, out=t)
+    np.cumprod(t, axis=0, out=t)
     t *= rd
     np.multiply(t, np.multiply(rd, m1, out=rd), out=terms[:, 1])
     return terms
