@@ -371,7 +371,7 @@ class TestRefine:
         assert (status == 0).all()
 
     @pytest.mark.parametrize("sigma2,start", LOCK_STEP_GRIDS)
-    def test_carries_i_to_the_root(self, sigma2, start):
+    def test_carries_i_to_the_root(self, sigma2, start, monkeypatch):
         # the I and dI/da2 that _refine returns at each root, which the solver
         # compares and reports without a further kernel call, are those of
         # mi._mi_and_derivative at a2* = exp(root), bit for bit
@@ -386,8 +386,20 @@ class TestRefine:
         a2 = np.exp(root)
         want_nats, want_d = mi._mi_and_derivative(a2, snr[pt] / a2, True)
         assert np.array_equal(nats, want_nats) and np.array_equal(d, want_d)
-        # and the solver's rows are those values
+        # and the solver's rows are those values, with no kernel call after
+        # the refinement's last iteration
+        kernel_rows = []
+        real_kernel = specfun.hyp2f1_1b
+
+        def counting_kernel(b, u):
+            kernel_rows.append(np.broadcast(b, u).size)
+            return real_kernel(b, u)
+
+        monkeypatch.setattr(specfun, "hyp2f1_1b", counting_kernel)
         points = solve_a2_star(snr)
+        assert len(kernel_rows) == 1 + max(p.diagnostics["root_iterations"] for p in points)
+        assert kernel_rows[-1] == np.count_nonzero(
+            [p.diagnostics["root_iterations"] == len(kernel_rows) - 1 for p in points])
         assert [p.a2_star for p in points] == a2.tolist()
         assert [p.i_star_nats for p in points] == nats.tolist()
         assert [p.solver_residual for p in points] == np.abs(d).tolist()
