@@ -193,57 +193,6 @@ def _refine(f, end1, end2, p):
         it += 1
 
 
-def _solve(snr: list[float]):
-    """Every SNR point in lock-step: lists of a2*, I*, the roots found and
-    |dI/da2| at a2*, and each point's diagnostics, which give the reason
-    under "failure" for a point that failed."""
-    n = len(snr)
-    gamma = np.array(snr)
-    t = _scan(gamma)
-    # log a2, I and dI/da2 on the scan, (3, points, _GRID_POINTS)
-    scan = np.empty((3,) + t.shape)
-    scan[0] = t
-    scan[1], scan[2] = _mi_deriv(np.exp(t), gamma[:, None])
-    dvals = scan[2]
-    # each point's roots in grid order: its exact zeros on the grid and one
-    # in every sign change, refined in t = log a2, where _XATOL bounds the
-    # root's relative error, from the scan's values at the bracket ends
-    pt, lo = np.nonzero(dvals[:, :-1] * dvals[:, 1:] < 0.0)
-    roots, status, nit = _refine(lambda tt, pp: _mi_deriv(np.exp(tt), pp), scan[:, pt, lo],
-                                 scan[:, pt, lo + 1], gamma[pt])
-    # each point's candidates, its roots and then both scan edges, with the
-    # I and dI/da2 that the scan and the refinement computed there
-    cand = np.concatenate([scan, scan[..., [0, -1]]], axis=-1)
-    cand[0, :, :_GRID_POINTS][dvals != 0.0] = math.nan
-    cand[:, pt, lo] = roots
-    n_roots = np.count_nonzero(~np.isnan(cand[0, :, :_GRID_POINTS]), axis=1)
-    unconverged = np.bincount(pt[status != 0], minlength=n) > 0
-    cand[0, unconverged] = math.nan
-    # the first maximum of I wins, and its dI/da2 is the residual
-    best = np.argmax(np.where(np.isnan(cand[0]), -math.inf, cand[1]), axis=1)
-    nit = np.bincount(pt, nit, minlength=n).astype(int).tolist()
-    unconverged, edge = unconverged.tolist(), (best >= _GRID_POINTS).tolist()
-    t_star, i_star, d_star = cand[:, np.arange(n), best]
-    a2_star, i_star = np.exp(t_star).tolist(), i_star.tolist()
-    residual = np.abs(d_star).tolist()
-
-    diags = []
-    for k, (s, a2, i, r) in enumerate(zip(snr, a2_star, i_star, residual)):
-        diag = {"grid_rows": _GRID_POINTS, "root_iterations": nit[k]}
-        if unconverged[k]:
-            diag["failure"] = f"root-finder did not converge at snr={s}"
-        elif not i > 0.0:
-            diag["failure"] = f"no positive-MI optimum found at snr={s}"
-        elif edge[k]:
-            diag["failure"] = (f"no root at snr={s}: the best candidate is the scan "
-                               f"edge a2={a2!r}, where |dI/da2| = {r:.3g}")
-        elif i > math.log1p(s):
-            diag["failure"] = (f"I* = {i!r} nats at snr={s} exceeds the coherent "
-                               f"capacity log(1+SNR) = {math.log1p(s)!r}")
-        diags.append(diag)
-    return a2_star, i_star, n_roots.tolist(), residual, diags
-
-
 def solve_a2_star(snr_linear, *, sigma2: float = 1.0):
     """Locate a2* = argmax of the two-point mutual information at each SNR.
 
@@ -278,16 +227,57 @@ def solve_a2_star(snr_linear, *, sigma2: float = 1.0):
     if not (snr > 0.0).all():
         raise SolverFailure("snr_linear must be positive")
     sigma = math.sqrt(ChannelParams(sigma2).sigma2)  # DomainError unless 0 < sigma2 < inf
-    snr_list = np.atleast_1d(snr).tolist()
+    gamma = np.atleast_1d(snr)
+    n = gamma.size
+    t = _scan(gamma)
+    # log a2, I and dI/da2 on the scan, (3, points, _GRID_POINTS)
+    scan = np.empty((3,) + t.shape)
+    scan[0] = t
+    scan[1], scan[2] = _mi_deriv(np.exp(t), gamma[:, None])
+    dvals = scan[2]
+    # each point's roots in grid order: its exact zeros on the grid and one
+    # in every sign change, refined in t = log a2, where _XATOL bounds the
+    # root's relative error, from the scan's values at the bracket ends
+    pt, lo = np.nonzero(dvals[:, :-1] * dvals[:, 1:] < 0.0)
+    roots, status, nit = _refine(lambda tt, pp: _mi_deriv(np.exp(tt), pp), scan[:, pt, lo],
+                                 scan[:, pt, lo + 1], gamma[pt])
+    # each point's candidates, its roots and then both scan edges, with the
+    # I and dI/da2 that the scan and the refinement computed there
+    cand = np.concatenate([scan, scan[..., [0, -1]]], axis=-1)
+    cand[0, :, :_GRID_POINTS][dvals != 0.0] = math.nan
+    cand[:, pt, lo] = roots
+    n_roots = np.count_nonzero(~np.isnan(cand[0, :, :_GRID_POINTS]), axis=1).tolist()
+    unconverged = np.bincount(pt[status != 0], minlength=n) > 0
+    cand[0, unconverged] = math.nan
+    # the first maximum of I wins, and its dI/da2 is the residual
+    best = np.argmax(np.where(np.isnan(cand[0]), -math.inf, cand[1]), axis=1)
+    nit = np.bincount(pt, nit, minlength=n).astype(int).tolist()
+    unconverged, edge = unconverged.tolist(), (best >= _GRID_POINTS).tolist()
+    t_star, i_star, d_star = cand[:, np.arange(n), best]
+    a2_star, i_star = np.exp(t_star).tolist(), i_star.tolist()
+    residual = np.abs(d_star).tolist()
+
     points = []
-    for s, a2, i, roots, r, diag in zip(snr_list, *_solve(snr_list)):
+    for k, s in enumerate(gamma.tolist()):
+        a2, i, r = a2_star[k], i_star[k], residual[k]
+        diag = {"grid_rows": _GRID_POINTS, "root_iterations": nit[k]}
+        if unconverged[k]:
+            diag["failure"] = f"root-finder did not converge at snr={s}"
+        elif not i > 0.0:
+            diag["failure"] = f"no positive-MI optimum found at snr={s}"
+        elif edge[k]:
+            diag["failure"] = (f"no root at snr={s}: the best candidate is the scan "
+                               f"edge a2={a2!r}, where |dI/da2| = {r:.3g}")
+        elif i > math.log1p(s):
+            diag["failure"] = (f"I* = {i!r} nats at snr={s} exceeds the coherent "
+                               f"capacity log(1+SNR) = {math.log1p(s)!r}")
         db = snr_to_db(s)
         if "failure" in diag:
             points.append(CapacityPoint(db, s, math.nan, math.nan, math.nan, "FAILED", 0,
                                         math.nan, diag))
         else:
             points.append(CapacityPoint(db, s, a2, sigma * math.sqrt(s / a2), i,
-                                        classify_regime(db), roots, r, diag))
+                                        classify_regime(db), n_roots[k], r, diag))
     if snr.ndim:
         return points
     (point,) = points
@@ -296,9 +286,9 @@ def solve_a2_star(snr_linear, *, sigma2: float = 1.0):
     return point
 
 
-def sweep(cfg: SweepConfig, ch: ChannelParams | None = None) -> list[CapacityPoint]:
+def sweep(cfg: SweepConfig, *, sigma2: float = 1.0) -> list[CapacityPoint]:
     """One CapacityPoint per SNR grid value, ordered ascending in SNR, from
-    one lock-step solve_a2_star call over the whole grid.
+    one lock-step solve_a2_star call over the whole grid, passing sigma2 on.
 
     Failed points are recorded with regime "FAILED" rather than dropped.
     A nonmonotone i_star sequence (beyond 1e-9) raises a warning.
@@ -307,7 +297,7 @@ def sweep(cfg: SweepConfig, ch: ChannelParams | None = None) -> list[CapacityPoi
     # past snr_db_stop
     n_steps = math.floor((cfg.snr_db_stop - cfg.snr_db_start) / cfg.snr_db_step + 1e-9)
     snr = [snr_from_db(cfg.snr_db_start + i * cfg.snr_db_step) for i in range(n_steps + 1)]
-    points = solve_a2_star(np.array(snr), sigma2=ch.sigma2 if ch is not None else 1.0)
+    points = solve_a2_star(np.array(snr), sigma2=sigma2)
     for prev, cur in zip(points, points[1:]):
         if (
             math.isfinite(prev.i_star_nats)
@@ -328,5 +318,5 @@ def mi_profile(snr_linear: float, a2_grid) -> list[tuple[float, float]]:
     if not ((0.0 < a2) & (a2 < 1.0)).all():
         raise SolverFailure("profile grid values must lie in (0, 1)")
     _check_snr(a2, snr_linear)
-    nats, _ = _mi_and_derivative(a2, snr_linear / a2, True)
+    nats, _ = _mi_deriv(a2, snr_linear)
     return list(zip(a2.tolist(), nats.tolist()))

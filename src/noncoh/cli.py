@@ -157,7 +157,7 @@ def cmd_sweep(args) -> int:
         snr_db_stop=args.to_db,
         snr_db_step=args.step_db,
     )
-    points = capacity.sweep(cfg, ChannelParams(sigma2=args.sigma2))
+    points = capacity.sweep(cfg, sigma2=args.sigma2)
     header = "snr_db,snr_linear,a2_star,x2_star,i_star_nats,regime,roots_found,solver_residual"
     # one %-format per row: "%.17g" gives the text of _fmt
     rows = [header] + [

@@ -126,10 +126,12 @@ def _reflection(alpha, beta):
             + alpha * math.expm1(log_pow))
 
 
-def _case3_value(x, inp, ch, alpha, beta):
+def _case3_value(x, inp, ch, beta, hyp):
+    """J(x) from the beta>=1 form, given its 2F1 piece hyp (see
+    _hyp_inv_beta), so the form is written once whatever sums the 2F1."""
     big = inp.x2**2 + ch.sigma2
     return (-(x * x + ch.sigma2) / big + math.log(inp.a2 / big)
-            + math.log1p(1.0 / beta) - _hyp_inv_beta(alpha, beta))
+            + math.log1p(1.0 / beta) - hyp)
 
 
 def j_case1(x: float, inp: TwoPointInput, ch: ChannelParams) -> float:
@@ -148,7 +150,7 @@ def j_case1(x: float, inp: TwoPointInput, ch: ChannelParams) -> float:
         # past beta = 1 the sum's beta^n blow-up cancels analytically into
         # sum_{j>=1} (-1)^(j+1) beta^-j/(n+j) = 2F1(1,n+1;n+2;-1/beta)/(beta(n+1)),
         # the beta>=1 form at alpha = 1/n
-        return _case3_value(x, inp, ch, 1.0 / n, beta)
+        return _case3_value(x, inp, ch, beta, _hyp_inv_beta(1.0 / n, beta))
     # (1 - (-beta)^n) log(1 + 1/beta) - sum_{k=1..n} (-beta)^(n-k)/k, all
     # terms O(1) for beta <= 1
     tail = sum((-beta) ** (n - k) / k for k in range(1, n + 1))
@@ -176,7 +178,8 @@ def j_case3(x: float, inp: TwoPointInput, ch: ChannelParams) -> float:
     """Closed form with the 2F1 at -1/beta; free of indeterminations and
     valid for every alpha, beta > 0.  The form of the value path, here
     evaluated on gauss_2f1 as an independent reference."""
-    return _case3_value(x, inp, ch, *derive_params(x, inp, ch))
+    alpha, beta = derive_params(x, inp, ch)
+    return _case3_value(x, inp, ch, beta, _hyp_inv_beta(alpha, beta))
 
 
 def _any(mask) -> bool:

@@ -337,13 +337,12 @@ def hyp2f1_1b(b, u) -> F21Family:
     being the size-1 case, and one invalid element raises DomainError for
     the whole call.  Each element is one row with a family (the series it
     sums) and a term count, and the rows are evaluated in vectorized
-    single-family blocks of at most _BLOCK_TERMS padded terms (see
-    _row_blocks): a family that fits is one block in row order, as every
-    call of the capacity solver is, and only a larger one is ordered by
-    count and cut.  A block lays its terms out as (terms, 2, rows), the
-    value's and the b-partial's side by side and zero past each row's
-    count, and one reduction over the term axis (_sums) sums them smallest
-    first, one term at a time, so a row's sums do not depend on its block.
+    single-family blocks of at most _BLOCK_TERMS padded terms, each a run of
+    the family's rows in row order (see _row_blocks).  A block lays its
+    terms out as (terms, 2, rows), the value's and the b-partial's side by
+    side and zero past each row's count, and one reduction over the term
+    axis (_sums) sums them smallest first, one term at a time, so a row's
+    sums do not depend on its block.
 
     As a hypergeometric series the b-partial is
     d/db phi = [z/(1+b)^2] 3F2(2, 1+b, 1+b; 2+b, 2+b; z), which only
@@ -384,30 +383,31 @@ def hyp2f1_1b(b, u) -> F21Family:
 
 def _row_blocks(star, u):
     """The blocks of one hyp2f1_1b call: (family, rows, counts) with the
-    rows of one family (an index array, or a slice for every row) and their
-    term counts.  A family whose rows times its largest count fit
-    _BLOCK_TERMS is one block in row order; a larger one is ordered by count
-    and cut into the longest runs whose rows times their last (largest)
-    count fit, one row at least."""
+    rows of one family (an index array, or a slice when the family holds
+    every row) and their term counts.  Each family's rows stay in row order,
+    cut into the longest runs whose rows times their running largest count
+    fit _BLOCK_TERMS, one row at least."""
     n_star = np.count_nonzero(star)
     for family, is_star, n in ((_family_pfaff, False, star.size - n_star),
                                (_family_star, True, n_star)):
         if not n:
             continue
-        rows = slice(None) if n == star.size else np.flatnonzero(star == is_star)
+        every = n == star.size
+        rows = slice(None) if every else np.flatnonzero(star == is_star)
         ur = u[rows]
         counts = (_star_count(np.log(ur)) if is_star else _pfaff_count(ur)).astype(int)
-        if n * counts.max() <= _BLOCK_TERMS:
-            yield family, rows, counts
-            continue
-        order = np.argsort(counts, kind="stable")
-        rows, counts = np.flatnonzero(star == is_star)[order], counts[order]
+        top = counts.max()
         start = 0
         while start < n:
-            stop = min(n, start + _BLOCK_TERMS // counts[start])
-            padded = np.arange(1, stop - start + 1) * counts[start:stop]
-            end = start + max(1, int(np.searchsorted(padded, _BLOCK_TERMS, side="right")))
-            yield family, rows[start:end], counts[start:end]
+            if (n - start) * top <= _BLOCK_TERMS:  # the rest fits: one run
+                end = n
+            else:  # a run holds at most _BLOCK_TERMS // counts[start] rows
+                stop = min(n, start + _BLOCK_TERMS // counts[start])
+                padded = (np.arange(1, stop - start + 1)
+                          * np.maximum.accumulate(counts[start:stop]))
+                end = start + max(1, int(np.searchsorted(padded, _BLOCK_TERMS, side="right")))
+            run = slice(start, end)
+            yield family, run if every else rows[run], counts[run]
             start = end
 
 

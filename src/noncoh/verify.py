@@ -141,13 +141,11 @@ def _mi_case3(inp: TwoPointInput, ch: ChannelParams) -> float:
     The form's 2F1(1, b; b+1; -1/beta), b = 1 + 1/alpha, is summed by
     hyp2f1_1b_value: gauss_2f1, which j_case3 sums, takes up to half a
     second for one J at beta ~ 1e-4."""
-    big = inp.x2**2 + ch.sigma2
     js = []
     for x in (0.0, inp.x2):
         alpha, beta = derive_params(x, inp, ch)
         phi = specfun.hyp2f1_1b_value(1.0 + 1.0 / alpha, 1.0 / beta).value
-        js.append(-(x * x + ch.sigma2) / big + math.log(inp.a2 / big)
-                  + math.log1p(1.0 / beta) - alpha / (beta * (alpha + 1.0)) * phi)
+        js.append(mi._case3_value(x, inp, ch, beta, alpha / (beta * (alpha + 1.0)) * phi))
     return oracle.mi_from_j(inp, ch, *js)
 
 

@@ -139,7 +139,7 @@ LOCK_STEP_GRIDS = [(0.1, -10.13), (1.0, -10.0), (7.3, -9.77)]
 
 def _bench_sweep(sigma2, start):
     cfg = SweepConfig(snr_db_start=start, snr_db_stop=start + 40.0, snr_db_step=0.5)
-    return sweep(cfg, ChannelParams(sigma2=sigma2))
+    return sweep(cfg, sigma2=sigma2)
 
 
 class TestLockStep:

@@ -430,13 +430,14 @@ class TestWholeDomain:
     def test_bounds_and_scale_invariance(self, a2, log_ratio, log_s2, log_c):
         # a2 in [1e-12, 1 - 1e-12], x2/sigma in [1e-4, 1e4], sigma^2 in
         # [1e-6, 1e6], and the same input with x2^2 and sigma^2 scaled by c
+        # through the j_case3 form, which takes x2 and sigma^2 as they come
         ratio, s2, c = 10.0**log_ratio, 10.0**log_s2, 10.0**log_c
         inp = TwoPointInput(a2, ratio * math.sqrt(s2))
         nats = mutual_information(inp, ChannelParams(s2)).nats
         assert math.isfinite(nats)
         assert 0.0 <= nats <= input_entropy(inp)
-        scaled = mutual_information(TwoPointInput(a2, ratio * math.sqrt(s2 * c)),
-                                    ChannelParams(s2 * c)).nats
+        scaled = verify._mi_case3(TwoPointInput(a2, ratio * math.sqrt(s2 * c)),
+                                  ChannelParams(s2 * c))
         assert abs(nats - scaled) <= 1e-12
 
 
@@ -505,13 +506,31 @@ class TestSinIdentity:
             hyp3f2_sin_identity_residual(1.0 + 1e-8)
 
 
+def _joint_rescaling_gap():
+    """The largest |I| gap between the value path at (x2, sigma^2) and the
+    j_case3 form (verify._mi_case3) at (s x2, s^2 sigma^2), over 20 draws."""
+    rng = np.random.default_rng(12)
+    worst = 0.0
+    for _ in range(20):
+        a2 = float(rng.uniform(0.02, 0.98))
+        x2 = float(10 ** rng.uniform(-1.0, 1.3))
+        s2 = float(10 ** rng.uniform(-0.5, 0.5))
+        c = float(10 ** rng.uniform(-2.0, 2.0))
+        base = mutual_information(TwoPointInput(a2, x2), ChannelParams(s2)).nats
+        scaled = verify._mi_case3(TwoPointInput(a2, x2 * math.sqrt(c)), ChannelParams(s2 * c))
+        worst = max(worst, abs(base - scaled))
+    return worst
+
+
 class TestScaleInvariance:
     @pytest.mark.parametrize("error", [1.0 + 1e-6, 1e3])
     def test_verify_family_sees_a_sigma2_scale_error(self, error, monkeypatch):
         # a value path that takes sigma^2 a factor off still agrees with
         # itself when (x2, sigma^2) are rescaled together; verify's family
-        # compares it with the j_case3 form, which takes sigma^2 as it comes
+        # and test_joint_rescaling compare it with the j_case3 form, which
+        # takes sigma^2 as it comes
         assert verify.check_scale_invariance().passed
+        assert _joint_rescaling_gap() <= 1e-12
         real = mi._fixed_args
         monkeypatch.setattr(mi, "_fixed_args",
                             lambda inp, ch: real(inp, ChannelParams(ch.sigma2 * error)))
@@ -520,19 +539,10 @@ class TestScaleInvariance:
         assert abs(base - scaled) <= 1e-12
         result = verify.check_scale_invariance()
         assert not result.passed and result.worst > 1e-9
+        assert _joint_rescaling_gap() > 1e-9
 
     def test_joint_rescaling(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            a2 = float(rng.uniform(0.02, 0.98))
-            x2 = float(10 ** rng.uniform(-1.0, 1.3))
-            s2 = float(10 ** rng.uniform(-0.5, 0.5))
-            c = float(10 ** rng.uniform(-2.0, 2.0))
-            base = mutual_information(TwoPointInput(a2, x2), ChannelParams(s2)).nats
-            scaled = mutual_information(
-                TwoPointInput(a2, x2 * math.sqrt(c)), ChannelParams(s2 * c)
-            ).nats
-            assert abs(base - scaled) <= 1e-12
+        assert _joint_rescaling_gap() <= 1e-12
 
     @pytest.mark.parametrize("k", [-140, -3, 1, 7, 120])
     @pytest.mark.parametrize("a2,x2,s2", [(0.5, 1.0, 1.0), (0.3, 2.5, 0.7),

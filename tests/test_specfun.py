@@ -232,12 +232,10 @@ class TestF21Family:
             assert (fam.value[i], fam.d_db[i]) == (one.value, one.d_db), (bi, ui)
 
     def test_one_block_calls_match_a_call_of_several_blocks(self, monkeypatch):
-        # a call whose rows are one family and fit one block takes them in
-        # row order; a larger call orders its rows by count and cuts them
-        # into blocks.  Both must sum a row alike: the first refinement call
-        # of an 81-point solve and a one-row call of each family, against
-        # the same rows inside one call that mixes both families and needs
-        # several blocks of each
+        # a row must sum alike in whatever block it lands: the first
+        # refinement call of an 81-point solve (one block) and a one-row
+        # call of each family, against the same rows shuffled into one call
+        # that mixes both families and needs several blocks of each
         calls = []
         real = specfun.hyp2f1_1b
 
@@ -277,6 +275,25 @@ class TestF21Family:
             assert np.array_equal(one.value, value[rows]), bs
             assert np.array_equal(one.d_db, d_db[rows]), bs
             start += bs.size
+
+    @pytest.mark.parametrize("n,snr_db,max_blocks,max_padded", [
+        (400, -5.0, 3, 34_573), (2001, -5.0, 8, 114_642), (10_000, 0.0, 28, 439_774)])
+    def test_profile_grids_pad_no_more_than_a_count_sort(self, n, snr_db, max_blocks,
+                                                         max_padded):
+        # on a profile's a2 grid each family's term counts are monotone in
+        # row order, so the row-order cut needs no sort: the bounds are the
+        # blocks and padded terms of a plan that sorted each family by count
+        a2 = np.linspace(1e-6, 1.0 - 1e-6, n)
+        _, u = mi._phi_args(a2, 10.0 ** (snr_db / 10.0) / a2)
+        star = u >= specfun._STAR_MIN_U
+        blocks = list(specfun._row_blocks(star, u))
+        rows = np.concatenate([np.arange(n)[r] for _, r, _ in blocks])
+        assert np.array_equal(rows, np.concatenate([np.flatnonzero(~star),
+                                                    np.flatnonzero(star)]))
+        padded = [c.size * c.max() for _, _, c in blocks]
+        assert max(padded) <= specfun._BLOCK_TERMS
+        assert len(blocks) <= max_blocks
+        assert sum(padded) <= max_padded
 
     def test_array_call_memory_is_bounded_by_block_terms(self):
         # 20 000 continuation rows of 161 to 188 terms: the kernel's
