@@ -29,7 +29,7 @@ from scipy.optimize import brentq  # noqa: F401 - unused; bench/ traces this nam
 
 from .channel import ChannelParams, snr_from_db, snr_to_db
 from .errors import DomainError, SolverFailure
-from .mi import _check_snr, _mi_and_derivative
+from .mi import _check_snr, _mi_deriv
 from .mi import mi_derivative_a2  # noqa: F401 - unused; bench/ traces this name
 from .mi import mutual_information  # noqa: F401 - unused; bench/ traces this name
 
@@ -86,12 +86,6 @@ def classify_regime(snr_db: float) -> str:
     if snr_db <= 10.0:
         return "LowerBound"
     return "TwoPointOptimum"
-
-
-def _mi_deriv(a2, snr):
-    """I and dI/da2 with x2^2/sigma^2 = SNR/a2, elementwise over a2 and the
-    SNR (arrays that broadcast together), in one kernel call."""
-    return _mi_and_derivative(a2, snr / a2, True)
 
 
 def _scan(snr):

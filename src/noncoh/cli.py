@@ -36,22 +36,37 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _record(command: str, inputs: dict, results: dict, diagnostics: dict | None = None) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "diagnostics": diagnostics or {},
-    }
+def _json_value(v):
+    """v with every non-finite float, nested in dicts and lists, as None:
+    standard JSON has no NaN or infinity, so they read null."""
+    if isinstance(v, dict):
+        return {k: _json_value(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_json_value(x) for x in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
-def _emit(record: dict, as_json: bool, lines: list[str]) -> None:
-    if as_json:
-        print(json.dumps(record, indent=2, sort_keys=True))
+def _emit(args, results: dict, lines: list[str], diagnostics: dict | None = None,
+          failure: str | None = None) -> int:
+    """Print args.command's record as standard JSON with --json, else its text
+    lines; report a failure on stderr and return EXIT_INCONSISTENT, else
+    EXIT_OK."""
+    if args.json:
+        record = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "inputs": {k: v for k, v in vars(args).items() if k != "func"},
+            "results": results,
+            "diagnostics": diagnostics or {},
+        }
+        print(json.dumps(_json_value(record), indent=2, sort_keys=True, allow_nan=False))
     else:
         for line in lines:
             print(line)
+    if failure is None:
+        return EXIT_OK
+    print(f"consistency failure: {failure}", file=sys.stderr)
+    return EXIT_INCONSISTENT
 
 
 def cmd_mi(args) -> int:
@@ -76,19 +91,15 @@ def cmd_mi(args) -> int:
         f"J(0)    = {_fmt(res.j0)}  [{res.case_j0.value}]",
         f"J(x2)   = {_fmt(res.j_x2)}  [{res.case_jx2.value}]",
     ]
-    diagnostics = dict(res.diagnostics)
+    diagnostics, failure = dict(res.diagnostics), None
     if args.verify and not inp.is_degenerate():
         ref = oracle.mi_quadrature(inp, ch)
         delta = abs(res.nats - ref)
         diagnostics["oracle_delta"] = delta
         lines.append(f"|closed - oracle| = {delta:.3e}")
         if delta > 1e-7:
-            _emit(_record("mi", vars_of(args), results, diagnostics), args.json, lines)
-            print("consistency failure: closed form disagrees with quadrature",
-                  file=sys.stderr)
-            return EXIT_INCONSISTENT
-    _emit(_record("mi", vars_of(args), results, diagnostics), args.json, lines)
-    return EXIT_OK
+            failure = "closed form disagrees with quadrature"
+    return _emit(args, results, lines, diagnostics, failure)
 
 
 def cmd_deriv(args) -> int:
@@ -109,7 +120,7 @@ def cmd_deriv(args) -> int:
     value = mi.mi_derivative_a2(inp, ch)
     results = {"dI_da2": value, "mode": mode, "x2": x2}
     lines = [f"dI/da2 = {_fmt(value)}  [{mode}]"]
-    diagnostics = {}
+    diagnostics, failure = {}, None
     if args.verify:
         if args.snr_db is not None:
             f = lambda t: mi.mutual_information(
@@ -121,12 +132,8 @@ def cmd_deriv(args) -> int:
         diagnostics["fd_relative_delta"] = rel
         lines.append(f"finite-difference check: relative delta {rel:.3e}")
         if rel > 1e-5:
-            _emit(_record("deriv", vars_of(args), results, diagnostics), args.json, lines)
-            print("consistency failure: derivative disagrees with finite differences",
-                  file=sys.stderr)
-            return EXIT_INCONSISTENT
-    _emit(_record("deriv", vars_of(args), results, diagnostics), args.json, lines)
-    return EXIT_OK
+            failure = "derivative disagrees with finite differences"
+    return _emit(args, results, lines, diagnostics, failure)
 
 
 def cmd_profile(args) -> int:
@@ -147,8 +154,7 @@ def cmd_profile(args) -> int:
         lines = rows
     best = max(pairs, key=lambda p: p[1])
     results = {"rows": len(pairs), "max_i_nats": best[1], "argmax_a2": best[0]}
-    _emit(_record("profile", vars_of(args), results), args.json, lines)
-    return EXIT_OK
+    return _emit(args, results, lines)
 
 
 def cmd_sweep(args) -> int:
@@ -176,7 +182,7 @@ def cmd_sweep(args) -> int:
     # the solver's work per point, for --json alone; the CSV leaves it out
     diagnostics = ({"points": [{"snr_db": p.snr_db, **p.diagnostics} for p in points]}
                    if args.json else None)
-    _emit(_record("sweep", vars_of(args), results, diagnostics), args.json, lines)
+    _emit(args, results, lines, diagnostics)
     return EXIT_INCONSISTENT if n_failed else EXIT_OK
 
 
@@ -196,7 +202,7 @@ def cmd_verify(args) -> int:
         ],
         "failures": [r.name for r in failures],
     }
-    _emit(_record("verify", vars_of(args), payload), args.json, lines)
+    _emit(args, payload, lines)
     if failures:
         if not args.json:
             print(json.dumps({"failures": [r.name for r in failures]}), file=sys.stderr)
@@ -217,8 +223,7 @@ def cmd_mc(args) -> int:
                    "closed_form_nats": closed, "z_score": None}
         lines = ["Monte-Carlo I: not estimated, the input is one mass point",
                  f"closed form   = {_fmt(closed)} nats"]
-        _emit(_record("mc", vars_of(args), results), args.json, lines)
-        return EXIT_OK
+        return _emit(args, results, lines)
     est, se = oracle.mi_monte_carlo(inp, ch, samples=args.samples, seed=args.seed)
     z = (est - closed) / se if se > 0 else math.inf
     results = {
@@ -232,12 +237,7 @@ def cmd_mc(args) -> int:
         f"({args.samples} samples, seed {args.seed})",
         f"closed form   = {_fmt(closed)} nats (z = {z:+.2f})",
     ]
-    _emit(_record("mc", vars_of(args), results), args.json, lines)
-    return EXIT_OK
-
-
-def vars_of(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func"}
+    return _emit(args, results, lines)
 
 
 @functools.cache  # built once per process: parsing leaves the parser as it was

@@ -35,9 +35,10 @@ sigma; sigma^2 only shifts each J by -log sigma^2.  The analytic derivative
 dI/da2 is i(x2) - i(0) from the same phi, plus, with t = SNR/a2 tied in
 capacity mode, one term in the b-partial of phi for the moving mass point; it
 feeds the capacity root-finder.  One function, _assemble, takes phi to J(0),
-J(x2), I and dI/da2, for one input or an array of them: the scalar
-mutual_information feeds it phi from hyp2f1_1b_value, and the solver and the
-profile feed it phi and its b-partial from one hyp2f1_1b call.
+J(x2), I and dI/da2, for one input or an array of them: mutual_information
+and the fixed-x2 mi_derivative_a2 feed it phi from hyp2f1_1b_value, and
+_mi_deriv (the solver, the profile, the capacity-mode mi_derivative_a2) phi
+and its b-partial from one hyp2f1_1b call with one row per a2.
 """
 
 from __future__ import annotations
@@ -193,7 +194,8 @@ def _assemble(a2, t, b, u, phi, phi_b=None, xp=np):
     """I, J(0), J(x2) and dI/da2 at sigma^2 = 1 from phi = phi(b, u), with
     t = x2^2/sigma^2 and phi's arguments b and u from _phi_args, elementwise
     over arrays that broadcast together, or over floats with xp = math: the one
-    assembly of I behind mutual_information, the solver and the profile.
+    assembly behind mutual_information, mi_derivative_a2, the solver and the
+    profile.
     xp supplies log and log1p; numpy's ufuncs on single floats made a scalar
     mutual_information call about 30% slower.  It reads the sign-fault test
     hook at each call.
@@ -352,13 +354,14 @@ def _check_snr(a2, snr):
                           "dI/da2 leaves the normal float range")
 
 
-def _mi_and_derivative(a2, t, capacity):
-    """I and dI/da2 (see _assemble), elementwise over a2 and t (floats or
-    arrays that broadcast together), from one hyp2f1_1b call with one kernel
-    row per a2; with capacity, t = SNR/a2 moves with a2."""
+def _mi_deriv(a2, snr):
+    """I and dI/da2 with x2^2/sigma^2 = t = SNR/a2 moving with a2 (see
+    _assemble), elementwise over a2 and the SNR (floats or arrays that
+    broadcast together), from one hyp2f1_1b call with one row per a2."""
+    t = snr / a2
     b, u = _phi_args(a2, t)
     fam = specfun.hyp2f1_1b(b, u)
-    nats, _, _, d = _assemble(a2, t, b, u, fam.value, fam.d_db if capacity else None)
+    nats, _, _, d = _assemble(a2, t, b, u, fam.value, fam.d_db)
     return nats, d
 
 
@@ -371,22 +374,24 @@ def mi_derivative_a2(inp: TwoPointInput, ch: ChannelParams) -> float:
     probability through x2^2 = P/a2; otherwise x2 is held fixed.  Either
     way it is computed in t = x2^2/sigma^2 alone.  The hypergeometric
     building blocks are phi = 2F1(1, b; b+1; -u) and, in capacity mode, its
-    b-partial, i.e. the 3F2(2, 1+b, 1+b; 2+b, 2+b; -u) term in series form.
+    b-partial, i.e. the 3F2(2, 1+b, 1+b; 2+b, 2+b; -u) term in series form:
+    a fixed x2 takes mutual_information's route, capacity mode _mi_deriv's.
     """
     a2 = inp.a2
     if a2 <= 0.0 or a2 >= 1.0:
         raise DegenerateInput("derivative requires 0 < a2 < 1")
-    capacity = ch.power_budget is not None
-    if capacity:
-        snr = ch.power_budget / ch.sigma2
-        _check_snr(a2, snr)
-        t = snr / a2
-        if inp.x2 > 0.0 and abs(inp.x2**2 / ch.sigma2 - t) > 1e-6 * t:
-            raise DomainError("capacity mode requires x2^2 = power_budget / a2 (got "
-                              f"x2^2/sigma2={inp.x2**2 / ch.sigma2}, expected {t})")
-    else:
+    if ch.power_budget is None:
         args = _fixed_args(inp, ch)
         if args is None:
-            raise DegenerateInput("derivative requires x2^2 > 0")
-        t = args[0]
-    return float(_mi_and_derivative(a2, t, capacity)[1])
+            raise DegenerateInput(f"derivative requires two mass points, but at "
+                                  f"x2={inp.x2!r}, sigma2={ch.sigma2!r}, "
+                                  "b = 1 + sigma2/x2^2 overflows")
+        t, b, u = args
+        return _assemble(a2, t, b, u, specfun.hyp2f1_1b_value(b, u).value, xp=math)[3]
+    snr = ch.power_budget / ch.sigma2
+    _check_snr(a2, snr)
+    t = snr / a2
+    if inp.x2 > 0.0 and abs(inp.x2**2 / ch.sigma2 - t) > 1e-6 * t:
+        raise DomainError("capacity mode requires x2^2 = power_budget / a2 (got "
+                          f"x2^2/sigma2={inp.x2**2 / ch.sigma2}, expected {t})")
+    return float(_mi_deriv(a2, snr)[1])

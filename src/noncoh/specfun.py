@@ -6,9 +6,9 @@ partial sums of the alternating log(1+q) series.  The family
 phi(b, u) = 2F1(1, b; b+1; -u) has one set of float64 series and
 formulas, valid for every finite b > 0 and u >= 0, behind two entry
 points: hyp2f1_1b_value, a scalar plain-float value with series
-diagnostics, from which every J and I(X;Y) is built, and hyp2f1_1b, the
-value with its b-partial for scalars or arrays of (b, u) through one
-vectorized code path, which backs the analytic dI/da2.
+diagnostics, behind every J, I(X;Y) and fixed-x2 dI/da2, and hyp2f1_1b,
+the value with its b-partial for arrays of (b, u) through one vectorized
+code path, behind the capacity-mode dI/da2.
 """
 
 from __future__ import annotations
@@ -216,8 +216,8 @@ def pi_csc_recip(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class F21Family:
-    """2F1(1, b; b+1; -u) with its partial derivative d/db: floats for a
-    scalar call, arrays of the broadcast (b, u) shape otherwise."""
+    """2F1(1, b; b+1; -u) with its partial derivative d/db: arrays of the
+    broadcast (b, u) shape, np.float64 (a float) for a scalar call."""
 
     value: float | np.ndarray
     d_db: float | np.ndarray
@@ -342,7 +342,7 @@ def hyp2f1_1b(b, u) -> F21Family:
     terms out as (terms, 2, rows), the value's and the b-partial's side by
     side and zero past each row's count, and one reduction over the term
     axis (_sums) sums them smallest first, one term at a time, so a row's
-    sums do not depend on its block.
+    sums do not depend on its block.  A scalar call gives np.float64 values.
 
     As a hypergeometric series the b-partial is
     d/db phi = [z/(1+b)^2] 3F2(2, 1+b, 1+b; 2+b, 2+b; z), which only
@@ -375,10 +375,7 @@ def hyp2f1_1b(b, u) -> F21Family:
     out = np.empty((2, bf.size))
     for family, rows, counts in _row_blocks(star, uf):
         out[0, rows], out[1, rows] = family(bf[rows], uf[rows], counts)
-    value, d_db = out.reshape((2,) + shape)
-    if not shape:
-        return F21Family(float(value), float(d_db))
-    return F21Family(value, d_db)
+    return F21Family(*out.reshape((2,) + shape))
 
 
 def _row_blocks(star, u):

@@ -374,7 +374,7 @@ class TestRefine:
     def test_carries_i_to_the_root(self, sigma2, start, monkeypatch):
         # the I and dI/da2 that _refine returns at each root, which the solver
         # compares and reports without a further kernel call, are those of
-        # mi._mi_and_derivative at a2* = exp(root), bit for bit
+        # mi._mi_deriv at a2* = exp(root), bit for bit
         snr = 10.0 ** ((start + 0.5 * np.arange(81)) / 10.0) * sigma2 / sigma2
         t = capacity._scan(snr)
         scan = np.array([t, *capacity._mi_deriv(np.exp(t), snr[:, None])])
@@ -384,7 +384,7 @@ class TestRefine:
             scan[:, pt, lo + 1], snr[pt])
         assert (status == 0).all()
         a2 = np.exp(root)
-        want_nats, want_d = mi._mi_and_derivative(a2, snr[pt] / a2, True)
+        want_nats, want_d = mi._mi_deriv(a2, snr[pt])
         assert np.array_equal(nats, want_nats) and np.array_equal(d, want_d)
         # and the solver's rows are those values, with no kernel call after
         # the refinement's last iteration

@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from noncoh import capacity, cli, oracle
+from noncoh import capacity, cli, mi, oracle
 from noncoh.cli import main
 
 RUN = [sys.executable, "-m", "noncoh.cli"]
@@ -262,8 +262,8 @@ def test_invalid_values_exit_2(argv, tmp_path, capsys):
     assert "hyp2f1_1b" not in err
     if {"3000", "-3100"} & set(argv):
         assert "SNR" in err
-    if "1e-160" in argv:
-        assert "requires x2^2 > 0" in err
+    if "1e-160" in argv:  # x2^2 = 1e-320 > 0, but b overflows: one mass point
+        assert "b = 1 + sigma2/x2^2 overflows" in err
     if {"1e150", "5e-324"} & set(argv):  # u overflows at a fixed x2: the input is named
         assert all(f"{name}=" in err for name in ("a2", "x2", "sigma2"))
     if "inf" in argv and argv[argv.index("inf") - 1] == "--sigma2":
@@ -337,6 +337,58 @@ def test_x2_square_underflow_is_degenerate(capsys):
     record = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert record["results"]["i_nats"] == 0.0
+
+
+@pytest.mark.parametrize("argv,key,text", [
+    (["mi", "--a2", "0", "--x2", "1"], "j0", "J(0)    = nan"),
+    (["mc", "--a2", "0.5", "--x2", "1", "--samples", "1", "--seed", "1"], "z_score",
+     "(z = +inf)"),
+], ids=["mi-one-mass-point", "mc-zero-std-error"])
+def test_json_is_standard_json(argv, key, text, capsys):
+    # a non-finite result reads null, which strict parsers accept where they
+    # reject NaN and Infinity; the text output keeps it
+    def reject(constant):
+        raise ValueError(f"{constant} is not standard JSON")
+
+    assert main([*argv, "--json"]) == 0
+    record = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert record["results"][key] is None
+    assert main(argv) == 0
+    assert text in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("argv,oracle_name,key,message", [
+    (["mi", "--a2", "0.4", "--x2", "2"], "mi_quadrature", "oracle_delta",
+     "closed form disagrees with quadrature"),
+    (["deriv", "--a2", "0.4", "--x2", "2"], "fd_derivative", "fd_relative_delta",
+     "derivative disagrees with finite differences"),
+    (["deriv", "--a2", "0.3", "--snr-db", "0"], "fd_derivative", "fd_relative_delta",
+     "derivative disagrees with finite differences"),
+], ids=["mi", "deriv-fixed", "deriv-capacity"])
+def test_verify_disagreement_exits_3(argv, oracle_name, key, message, as_json, capsys,
+                                     monkeypatch):
+    # an oracle 1e-6 off in I, or 1e-4 off in relative terms in dI/da2, fails
+    # --verify: exit 3 with the reason on stderr, and the record still on
+    # stdout with the delta that failed
+    if oracle_name == "mi_quadrature":
+        def wrong(inp, ch):
+            return mi.mutual_information(inp, ch).nats + 1e-6
+    else:
+        real = oracle.fd_derivative
+
+        def wrong(f, x):
+            return real(f, x) * (1.0 + 1e-4)
+    monkeypatch.setattr(oracle, oracle_name, wrong)
+    rc = main([*argv, "--verify", *(["--json"] if as_json else [])])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert err == f"consistency failure: {message}\n"
+    if as_json:
+        assert json.loads(out)["diagnostics"][key] > 1e-6
+    else:
+        assert ("|closed - oracle|" if key == "oracle_delta"
+                else "finite-difference check: relative delta") in out
 
 
 class TestNoConfigFile:

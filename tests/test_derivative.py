@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mp_reference import mi_derivative_a2 as mp_mi_derivative_a2
-from noncoh import capacity
+from noncoh import capacity, mi, specfun
 from noncoh.channel import ChannelParams, TwoPointInput
 from noncoh.errors import DegenerateInput, DomainError
 from noncoh.mi import mi_derivative_a2, mutual_information
@@ -104,6 +104,41 @@ class TestCapacityMode:
             if a2 > 1e-3:
                 num = fd_derivative(f, a2)
                 assert ana == pytest.approx(num, rel=1e-5), (a2, x2, snr)
+
+
+class TestRoutes:
+    """Each mode of mi_derivative_a2 takes one route, pinned bit for bit."""
+
+    @pytest.mark.parametrize("a2,x2,sigma2", [(0.3, 2.0, 1.0), (0.05, 0.2, 1.7),
+                                              (0.9, 30.0, 0.4), (1e-6, 1e3, 1.0)])
+    def test_fixed_x2_takes_the_scalar_route(self, a2, x2, sigma2, monkeypatch):
+        # mutual_information's route: one hyp2f1_1b_value call, no array
+        # kernel, and the dI/da2 that _assemble computes there
+        real_value, calls = specfun.hyp2f1_1b_value, []
+
+        def counting_value(b, u):
+            calls.append((b, u))
+            return real_value(b, u)
+
+        def no_kernel(b, u):
+            raise AssertionError("hyp2f1_1b called at a fixed x2")
+
+        monkeypatch.setattr(specfun, "hyp2f1_1b_value", counting_value)
+        monkeypatch.setattr(specfun, "hyp2f1_1b", no_kernel)
+        inp, ch = TwoPointInput(a2, x2), ChannelParams(sigma2)
+        got = mi_derivative_a2(inp, ch)
+        t, b, u = mi._fixed_args(inp, ch)
+        assert calls == [(b, u)]
+        assert type(got) is float
+        assert got == mi._assemble(a2, t, b, u, real_value(b, u).value, xp=math)[3]
+
+    @pytest.mark.parametrize("a2,snr", [(0.3, 1.0), (1e-6, 0.1), (0.7, 1000.0)])
+    def test_capacity_mode_takes_mi_deriv(self, a2, snr):
+        # the solver's and the profile's function, which capacity imports
+        assert capacity._mi_deriv is mi._mi_deriv
+        ch = ChannelParams(sigma2=1.0, power_budget=snr)
+        got = mi_derivative_a2(TwoPointInput(a2, math.sqrt(snr / a2)), ch)
+        assert type(got) is float and got == float(mi._mi_deriv(a2, snr)[1])
 
 
 class TestRandomGrid:
