@@ -5,13 +5,14 @@ x2^2 = P/a2, so the mutual information becomes a function of a2 alone;
 the optimum satisfies dI/da2 = 0 and is located by scanning the analytic
 derivative for sign changes on a short grid uniform in log a2 and
 refining each bracket in log a2.  All SNR points of a call are solved in
-lock-step: one array-valued call gives I and dI/da2 on the bracketing grids
-of every point (the SNR as a column), and Chandrupatla's bracketing
+lock-step: one array-valued call gives phi and dI/da2 on the bracketing
+grids of every point (the SNR as a column), and Chandrupatla's bracketing
 iteration (_refine) refines every sign change at once, starting from the
 scan's values at the bracket ends and making one kernel call per iteration
-for the brackets still open, carrying I beside dI/da2.  Every candidate of
-a point (its roots and both scan edges) is then a point where I and dI/da2
-are already in hand, so no kernel call follows the refinement: the first
+for the brackets still open, carrying phi = 2F1(1, b; b+1; -u) beside
+dI/da2.  Every candidate of a point (its roots and both scan edges) is then
+a point where phi and dI/da2 are already in hand, so no kernel call follows
+the refinement: I is assembled from phi at the candidates alone, the first
 with maximal I wins, and its |dI/da2| is the residual.  A point whose
 winner is a scan edge, or whose I* exceeds the coherent capacity
 log(1+SNR), is a FAILED row.  The solver works in the SNR = P/sigma^2 alone
@@ -29,7 +30,7 @@ from scipy.optimize import brentq  # noqa: F401 - unused; bench/ traces this nam
 
 from .channel import ChannelParams, snr_from_db, snr_to_db
 from .errors import DomainError, SolverFailure
-from .mi import _check_snr, _mi_deriv
+from .mi import _check_snr, _mi_deriv, _mi_of_phi, _phi_deriv
 from .mi import mi_derivative_a2  # noqa: F401 - unused; bench/ traces this name
 from .mi import mutual_information  # noqa: F401 - unused; bench/ traces this name
 
@@ -103,10 +104,11 @@ def _refine(f, end1, end2, p):
     """The root of y in each bracket, by Chandrupatla's hybrid inverse-
     quadratic / bisection iteration (Adv. Eng. Software 28(3), 1997), in
     lock-step.  f(x, p) returns (v, y): y, whose root is sought, and a value
-    v carried along with each point.  end1 and end2 are (3, brackets) arrays
-    of x, v and y at the bracket ends; each iteration makes one call of f on
-    the brackets still open, with their entries of p.  It takes the steps
-    and stopping tests of scipy's find_root(y, (x1, x2), args=(p,),
+    v carried along with each point (the solver carries phi, from which it
+    assembles I at its candidates alone).  end1 and end2 are (3, brackets)
+    arrays of x, v and y at the bracket ends; each iteration makes one call
+    of f on the brackets still open, with their entries of p.  It takes the
+    steps and stopping tests of scipy's find_root(y, (x1, x2), args=(p,),
     tolerances={"xatol": _XATOL}), which the tests hold it to bit for bit,
     without evaluating the ends.
 
@@ -117,7 +119,9 @@ def _refine(f, end1, end2, p):
     signs agree, -3 for a non-finite end or two NaN values of y (x, v and y
     are NaN for both) and -2 when _MAX_ITER iterations did not end it.  Each
     iteration evaluates f once per open bracket, so the iterations are also
-    its evaluations.
+    its evaluations.  Each step keeps a sign change between the ends, so
+    only the given ends are tested for signs that agree, and after them only
+    each new point for the faults of -3.
     """
     n = end1.shape[1]
     out = np.empty((3, n))
@@ -125,41 +129,45 @@ def _refine(f, end1, end2, p):
     # end 1, end 2 and the point they last replaced, each as rows x, v, y
     pts = np.empty((3, 3, n))
     pts[0], pts[1] = end1, end2
+    x, y = pts[:2, 0], pts[:2, 2]
     with np.errstate(invalid="ignore"):  # 0 inf is NaN: no |y| test there
-        ftol = _FATOL + 0.0 * np.minimum(np.abs(end1[2]), np.abs(end2[2]))
+        ftol = _FATOL + 0.0 * np.minimum(np.abs(y[0]), np.abs(y[1]))
+    # ends agreeing in sign (status -1), a non-finite end or NaN y at both
+    # ends (-3) end a bracket with a NaN result: x - x is NaN just where x
+    # is not finite, and fmax just where both y are NaN
+    sy = np.sign(y)
+    bad = sy[0] == sy[1]
+    nx = x - x
+    invalid = np.isnan(nx[0] + nx[1] + np.fmax(y[0], y[1]))
     open_ = np.arange(n)
     it, t = 0, 0.5
     while True:
-        x, y = pts[:2, 0], pts[:2, 2]
-        ay = np.abs(y)
-        smaller = ay[0] < ay[1]
-        done = np.where(smaller, ay[0], ay[1]) <= ftol
-        w = x[1] - x[0]
+        # the end with the smaller |y| is the result if the bracket stops
+        ay1, ay2 = np.abs(pts[0, 2]), np.abs(pts[1, 2])
+        smaller = ay1 < ay2
+        w = pts[1, 0] - pts[0, 0]
         dx = np.abs(w)
-        tol = np.abs(np.where(smaller, x[0], x[1])) * _XRTOL + _XATOL
-        # ends agreeing in sign (status -1), a non-finite end or NaN y at
-        # both ends (-3) end a bracket with a NaN result: x - x is NaN just
-        # where x is not finite, and fmax just where both y are NaN
-        sy = np.sign(y)
-        bad = sy[0] == sy[1]
-        nx = x - x
-        invalid = np.isnan(nx[0] + nx[1]) | np.isnan(np.fmax(y[0], y[1]))
-        # at the cap the brackets still open stop too, with status -2
-        stop = done | bad | invalid | (dx < tol) | (it >= _MAX_ITER)
-        if stop.any():
+        tol = np.abs(np.where(smaller, pts[0, 0], pts[1, 0])) * _XRTOL + _XATOL
+        done = np.where(smaller, ay1, ay2) <= ftol
+        narrow = dx < tol
+        stop = done | invalid | narrow
+        if not it:
+            stop |= bad
+        if it >= _MAX_ITER:  # the brackets still open stop, with status -2
+            stop[:] = True
+        if np.count_nonzero(stop):
             # in order: |y| small enough, the signs, the ends, the width
-            bad &= ~done
-            invalid &= ~(done | bad)
-            done |= (dx < tol) & ~(bad | invalid)
-            res = np.where(smaller, pts[0], pts[1])[:, stop]
-            res[:, (bad | invalid)[stop]] = math.nan
+            code = np.where(done, 0, np.where(bad, -1, np.where(
+                invalid, -3, np.where(narrow, 0, -2))))[stop]
             k = open_[stop]
-            out[:, k], nit[k] = res, it
-            status[k] = np.where(done, 0, np.where(bad, -1, np.where(invalid, -3, -2)))[stop]
-            go = ~stop
-            open_, pts, p, ftol = open_[go], pts[:, :, go], p[go], ftol[go]
+            out[:, k] = np.where(smaller, pts[0], pts[1])[:, stop]
+            nit[k], status[k] = it, code
+            go = np.flatnonzero(~stop)
+            open_, pts, p, ftol, invalid = open_[go], pts[:, :, go], p[go], ftol[go], invalid[go]
             w, dx, tol = w[go], dx[go], tol[go]
         if not open_.size:  # at once when there are no brackets
+            # x, v and y are NaN where the signs or the ends failed
+            out[:, status % 2 == 1] = math.nan
             return out, status, nit
         x1, x2, x3 = pts[0, 0], pts[1, 0], pts[2, 0]
         f1, f2, f3 = pts[0, 2], pts[1, 2], pts[2, 2]
@@ -173,18 +181,25 @@ def _refine(f, end1, end2, p):
                 xi1 = (x1 - x2) / (x3 - x2)
                 phi1 = d12 / d32
                 j = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
+                # f2 - f3 is -d32 exactly
                 t = np.where(j, f1 / d12 * f3 / d32
-                             - (x3 - x1) / w * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+                             + (x3 - x1) / w * f1 / (f3 - f1) * f2 / d32, 0.5)
             tl = 0.5 * tol / dx
             t = np.minimum(np.maximum(t, tl), 1 - tl)
         xn = x1 + t * w
         vn, fn = f(xn, p)
+        # status -3 where the new x is not finite, or where the new y and
+        # end 1's (the end kept when the new y is NaN) are both NaN
+        invalid = np.isnan(xn - xn + np.fmax(fn, f1))
         # keep the end whose sign differs from the new point's: ends 2 and
-        # 3 become (end 2, end 1) where the signs of y agree, else the reverse
-        same = np.sign(fn) == np.sign(f1)
-        pts[1:] = np.where(same, pts[1::-1], pts[:2])
+        # 3 become (end 2, end 1) where the signs of y agree, else (end 1,
+        # end 2)
+        differ = np.sign(fn) != np.sign(f1)
+        np.copyto(pts[2], pts[0])
+        np.copyto(pts[2], pts[1], where=differ)
+        np.copyto(pts[1], pts[0], where=differ)
         pts[0, 0], pts[0, 1], pts[0, 2] = xn, vn, fn
-        it += 1
+        bad, it = False, it + 1
 
 
 def solve_a2_star(snr_linear, *, sigma2: float = 1.0):
@@ -198,11 +213,11 @@ def solve_a2_star(snr_linear, *, sigma2: float = 1.0):
     change is refined by Chandrupatla's bracketing iteration (_refine), in
     lock-step, in t = log a2 to an xatol of 1e-15, a relative tolerance in
     a2; it starts from the scan's values at the bracket ends and makes one
-    batched call per iteration for the brackets still open, each giving I
+    batched call per iteration for the brackets still open, each giving phi
     beside dI/da2.  Of every point's candidates, its roots and both scan
-    edges, whose I and dI/da2 the scan and the refinement have already
-    computed, the first with maximal I wins, its |dI/da2| being the
-    residual; no kernel call follows the refinement.
+    edges, whose phi and dI/da2 the scan and the refinement have already
+    computed, the first with maximal I, assembled from phi there, wins, its
+    |dI/da2| being the residual; no kernel call follows the refinement.
 
     An array returns one CapacityPoint per SNR.  A point is a FAILED row
     when its root-finder did not converge, when no candidate has positive
@@ -224,25 +239,27 @@ def solve_a2_star(snr_linear, *, sigma2: float = 1.0):
     gamma = np.atleast_1d(snr)
     n = gamma.size
     t = _scan(gamma)
-    # log a2, I and dI/da2 on the scan, (3, points, _GRID_POINTS)
+    # log a2, phi and dI/da2 on the scan, (3, points, _GRID_POINTS)
     scan = np.empty((3,) + t.shape)
     scan[0] = t
-    scan[1], scan[2] = _mi_deriv(np.exp(t), gamma[:, None])
+    scan[1], scan[2] = _phi_deriv(np.exp(t), gamma[:, None])
     dvals = scan[2]
     # each point's roots in grid order: its exact zeros on the grid and one
     # in every sign change, refined in t = log a2, where _XATOL bounds the
     # root's relative error, from the scan's values at the bracket ends
     pt, lo = np.nonzero(dvals[:, :-1] * dvals[:, 1:] < 0.0)
-    roots, status, nit = _refine(lambda tt, pp: _mi_deriv(np.exp(tt), pp), scan[:, pt, lo],
+    roots, status, nit = _refine(lambda tt, pp: _phi_deriv(np.exp(tt), pp), scan[:, pt, lo],
                                  scan[:, pt, lo + 1], gamma[pt])
     # each point's candidates, its roots and then both scan edges, with the
-    # I and dI/da2 that the scan and the refinement computed there
+    # phi and dI/da2 that the scan and the refinement computed there
     cand = np.concatenate([scan, scan[..., [0, -1]]], axis=-1)
     cand[0, :, :_GRID_POINTS][dvals != 0.0] = math.nan
     cand[:, pt, lo] = roots
     n_roots = np.count_nonzero(~np.isnan(cand[0, :, :_GRID_POINTS]), axis=1).tolist()
     unconverged = np.bincount(pt[status != 0], minlength=n) > 0
     cand[0, unconverged] = math.nan
+    # I from phi at the candidates alone (NaN elsewhere)
+    cand[1] = _mi_of_phi(np.exp(cand[0]), gamma[:, None], cand[1])
     # the first maximum of I wins, and its dI/da2 is the residual
     best = np.argmax(np.where(np.isnan(cand[0]), -math.inf, cand[1]), axis=1)
     nit = np.bincount(pt, nit, minlength=n).astype(int).tolist()

@@ -30,6 +30,11 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_ARGS = 2
 EXIT_INCONSISTENT = 3
 
+_EPS = sys.float_info.epsilon
+# deriv --verify takes the absolute error of each I it differences as this
+# many ulps of its largest addends (see cmd_deriv)
+_I_ULPS = 16
+
 
 def _fmt(v: float) -> str:
     """17 significant digits: round-trips double precision, locale-free."""
@@ -92,7 +97,8 @@ def cmd_mi(args) -> int:
         f"J(x2)   = {_fmt(res.j_x2)}  [{res.case_jx2.value}]",
     ]
     diagnostics, failure = dict(res.diagnostics), None
-    if args.verify and not inp.is_degenerate():
+    # one mass point (I = 0 by definition) leaves nothing to check
+    if args.verify and res.case_j0 is not mi.Case.DEGENERATE:
         ref = oracle.mi_quadrature(inp, ch)
         delta = abs(res.nats - ref)
         diagnostics["oracle_delta"] = delta
@@ -123,15 +129,28 @@ def cmd_deriv(args) -> int:
     diagnostics, failure = {}, None
     if args.verify:
         if args.snr_db is not None:
-            f = lambda t: mi.mutual_information(
-                TwoPointInput(t, math.sqrt(ch.power_budget / t)), ch).nats
+            f = lambda a: mi.mutual_information(
+                TwoPointInput(a, math.sqrt(ch.power_budget / a)), ch).nats
+            t = ch.power_budget / args.a2
         else:
-            f = lambda t: mi.mutual_information(TwoPointInput(t, args.x2), ch).nats
-        num = oracle.fd_derivative(f, args.a2)
+            f = lambda a: mi.mutual_information(TwoPointInput(a, args.x2), ch).nats
+            t = args.x2**2 / ch.sigma2
+        # the five-point stencil spans a2 +- 2h, h = FD_STEP; where that
+        # leaves (0, 1), its steps shrink to FD_STEP times the distance to
+        # the nearer end (lam = 1 gives oracle.fd_derivative(f, a2) exactly)
+        margin = min(args.a2, 1.0 - args.a2)
+        lam = 1.0 if 2.0 * oracle.FD_STEP < margin else margin
+        num = oracle.fd_derivative(lambda s: f(args.a2 + lam * s), 0.0) / lam
+        # the stencil turns an absolute error e in each I into up to
+        # (1 + 8 + 8 + 1) e / (12 lam h); e is taken as _I_ULPS ulps of the
+        # size of I's largest addends, 1 + log(1 + t) at t = x2^2/sigma^2
+        noise = (1.5 * _I_ULPS * _EPS * (1.0 + math.log1p(t))) / (lam * oracle.FD_STEP)
         rel = abs(value - num) / max(abs(num), 1e-12)
         diagnostics["fd_relative_delta"] = rel
-        lines.append(f"finite-difference check: relative delta {rel:.3e}")
-        if rel > 1e-5:
+        diagnostics["fd_noise_allowance"] = noise
+        lines.append(f"finite-difference check: relative delta {rel:.3e} "
+                     f"(noise allowance {noise:.3e})")
+        if abs(value - num) > 1e-5 * abs(num) + noise:
             failure = "derivative disagrees with finite differences"
     return _emit(args, results, lines, diagnostics, failure)
 

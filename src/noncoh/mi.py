@@ -35,10 +35,13 @@ sigma; sigma^2 only shifts each J by -log sigma^2.  The analytic derivative
 dI/da2 is i(x2) - i(0) from the same phi, plus, with t = SNR/a2 tied in
 capacity mode, one term in the b-partial of phi for the moving mass point; it
 feeds the capacity root-finder.  One function, _assemble, takes phi to J(0),
-J(x2), I and dI/da2, for one input or an array of them: mutual_information
-and the fixed-x2 mi_derivative_a2 feed it phi from hyp2f1_1b_value, and
-_mi_deriv (the solver, the profile, the capacity-mode mi_derivative_a2) phi
-and its b-partial from one hyp2f1_1b call with one row per a2.
+J(x2) and I, and one, _slope, to dI/da2, for one input or an array of them:
+mutual_information and the fixed-x2 mi_derivative_a2 feed them phi from
+hyp2f1_1b_value.  In capacity mode _phi_deriv gives phi and dI/da2 from one
+hyp2f1_1b call with one row per a2 (phi's b-partial only enters dI/da2), and
+_mi_of_phi takes phi to I: the solver carries phi through its refinement and
+assembles I at its candidates alone, and _mi_deriv (the profile, the
+capacity-mode mi_derivative_a2) does both.
 """
 
 from __future__ import annotations
@@ -190,8 +193,8 @@ def _any(mask) -> bool:
     return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
 
 
-def _assemble(a2, t, b, u, phi, phi_b=None, xp=np):
-    """I, J(0), J(x2) and dI/da2 at sigma^2 = 1 from phi = phi(b, u), with
+def _assemble(a2, t, b, u, phi, xp=np):
+    """I, J(0) and J(x2) at sigma^2 = 1 from phi = phi(b, u), with
     t = x2^2/sigma^2 and phi's arguments b and u from _phi_args, elementwise
     over arrays that broadcast together, or over floats with xp = math: the one
     assembly behind mutual_information, mi_derivative_a2, the solver and the
@@ -203,15 +206,6 @@ def _assemble(a2, t, b, u, phi, phi_b=None, xp=np):
     J(0) and J(x2) come from phi through the contiguous relation (see the
     module docstring); I = a1 i(0) + a2 i(x2) is clamped into [0, H(X)]
     within rounding (1e-10), and past that ConsistencyError is raised.
-    With x2 held fixed, dI/da2 = i(x2) - i(0).  With t = SNR/a2 (capacity)
-    the mass point moves too, adding a2 (dt/da2) di/dx^2 at x2 = -t di/dx^2
-    (the change of the output density drops out: it integrates to zero
-    against the conditional density).  J(x2) holds x only in
-    b = 1 + 1/alpha, whose x^2-derivative at x2 is -v/(1 + t), v = 1/t, so
-    with phi_b the b-partial of phi (given in capacity mode only)
-
-        i(x2) - i(0) = log(1/(1+t)) + t/(1+t) + ((1+u) phi - 1)/b,
-        -t di/dx^2 = u (phi_b - phi/b) / ((1+t) b).
     """
     a1 = 1.0 - a2
     big = t + 1.0
@@ -233,10 +227,27 @@ def _assemble(a2, t, b, u, phi, phi_b=None, xp=np):
                 f"mutual information exceeds H(X) by {np.max(nats - h_x)}")
         nats = (np.clip(nats, 0.0, h_x) if isinstance(nats, np.ndarray)
                 else min(max(nats, 0.0), h_x))
+    return nats, j0, j2
+
+
+def _slope(t, b, u, phi, phi_b=None, xp=np):
+    """dI/da2 at sigma^2 = 1 from phi = phi(b, u), elementwise as _assemble.
+
+    With x2 held fixed, dI/da2 = i(x2) - i(0).  With t = SNR/a2 (capacity)
+    the mass point moves too, adding a2 (dt/da2) di/dx^2 at x2 = -t di/dx^2
+    (the change of the output density drops out: it integrates to zero
+    against the conditional density).  J(x2) holds x only in
+    b = 1 + 1/alpha, whose x^2-derivative at x2 is -v/(1 + t), v = 1/t, so
+    with phi_b the b-partial of phi (given in capacity mode only)
+
+        i(x2) - i(0) = log(1/(1+t)) + t/(1+t) + ((1+u) phi - 1)/b,
+        -t di/dx^2 = u (phi_b - phi/b) / ((1+t) b).
+    """
+    big = t + 1.0
     d = xp.log(1.0 / big) + t / big + ((1.0 + u) * phi - 1.0) / b
     if phi_b is not None:
-        d = d + u * (phi_b - phi / b) / (big * b)
-    return nats, j0, j2, d
+        d += u * (phi_b - phi / b) / (big * b)
+    return d
 
 
 def _fixed_args(inp, ch):
@@ -270,7 +281,7 @@ def mutual_information(inp: TwoPointInput, ch: ChannelParams) -> MIResult:
         return MIResult(0.0, math.nan, math.nan, Case.DEGENERATE, Case.DEGENERATE, {})
     t, b, u = args
     phi = specfun.hyp2f1_1b_value(b, u)
-    nats, j0, j2, _ = _assemble(inp.a2, t, b, u, phi.value, xp=math)
+    nats, j0, j2 = _assemble(inp.a2, t, b, u, phi.value, xp=math)
     log_s2 = math.log(ch.sigma2)
     diagnostics = {
         "j0_terms": phi.terms_used,
@@ -354,20 +365,36 @@ def _check_snr(a2, snr):
                           "dI/da2 leaves the normal float range")
 
 
-def _mi_deriv(a2, snr):
-    """I and dI/da2 with x2^2/sigma^2 = t = SNR/a2 moving with a2 (see
-    _assemble), elementwise over a2 and the SNR (floats or arrays that
-    broadcast together), from one hyp2f1_1b call with one row per a2."""
+def _phi_deriv(a2, snr):
+    """phi = phi(b, u) and dI/da2 with x2^2/sigma^2 = t = SNR/a2 moving with
+    a2 (see _slope), elementwise over a2 and the SNR (floats or arrays
+    that broadcast together), from one hyp2f1_1b call with one row per a2:
+    the solver's scan and refinement, which carry phi and take I from it
+    (_mi_of_phi) only where they need it."""
     t = snr / a2
     b, u = _phi_args(a2, t)
     fam = specfun.hyp2f1_1b(b, u)
-    nats, _, _, d = _assemble(a2, t, b, u, fam.value, fam.d_db)
-    return nats, d
+    return fam.value, _slope(t, b, u, fam.value, fam.d_db)
+
+
+def _mi_of_phi(a2, snr, phi):
+    """I at t = SNR/a2 from phi = phi(b, u) there (see _phi_deriv), by
+    _assemble, elementwise as _phi_deriv, with no kernel call."""
+    t = snr / a2
+    b, u = _phi_args(a2, t)
+    return _assemble(a2, t, b, u, phi)[0]
+
+
+def _mi_deriv(a2, snr):
+    """I and dI/da2 with t = SNR/a2 moving with a2, elementwise as
+    _phi_deriv, from its one hyp2f1_1b call."""
+    phi, d = _phi_deriv(a2, snr)
+    return _mi_of_phi(a2, snr, phi), d
 
 
 def mi_derivative_a2(inp: TwoPointInput, ch: ChannelParams) -> float:
     """Analytic dI/da2 from the information density at the two mass points
-    (see _assemble), through the beta>=1 closed form of J, valid at
+    (see _slope), through the beta>=1 closed form of J, valid at
     alpha = 1/n too.
 
     With ch.power_budget present the nonzero mass point is tied to the
@@ -387,7 +414,9 @@ def mi_derivative_a2(inp: TwoPointInput, ch: ChannelParams) -> float:
                                   f"x2={inp.x2!r}, sigma2={ch.sigma2!r}, "
                                   "b = 1 + sigma2/x2^2 overflows")
         t, b, u = args
-        return _assemble(a2, t, b, u, specfun.hyp2f1_1b_value(b, u).value, xp=math)[3]
+        phi = specfun.hyp2f1_1b_value(b, u).value
+        _assemble(a2, t, b, u, phi, xp=math)  # I's check into [0, H(X)]
+        return _slope(t, b, u, phi, xp=math)
     snr = ch.power_budget / ch.sigma2
     _check_snr(a2, snr)
     t = snr / a2

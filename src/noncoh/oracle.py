@@ -188,10 +188,12 @@ def mi_monte_carlo(
 
 
 _EPS = float(np.finfo(float).eps)
+# fd_derivative's step at |x| <= 1
+FD_STEP = _EPS ** (1.0 / 5.0)
 
 
 def fd_derivative(f, x: float) -> float:
     """Five-point central finite difference with step eps^(1/5) scaled by
     max(1, |x|)."""
-    h = _EPS ** (1.0 / 5.0) * max(1.0, abs(x))
+    h = FD_STEP * max(1.0, abs(x))
     return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12.0 * h)

@@ -240,6 +240,14 @@ _PI_CSC_SERIES = tuple(
 _HEAD_SERIES = np.array([(m, (2 * k + 1) * m, (k + 1) / math.factorial(k + 2) * (k < 17))
                          for k, m in enumerate(_PI_CSC_SERIES[::-1])])[..., None]
 
+# Rows 17..32 of the head's table of powers are row 16 times rows 1..16 (see
+# _family_star).  Where row 16 is below this they would fall below the
+# normal floats, whose slow arithmetic took a sixth of the time of the
+# sweep scan's continuation block.  There they are under 2^-540, against 1
+# in row 0, and do not move the head's sums (the tests hold this bit for
+# bit), so they count as zero.
+_HEAD_FLUSH = 2.0**-511
+
 # the smallest valid b and u of hyp2f1_1b, as a column
 _BU_MIN = np.array([[math.ulp(0.0)], [0.0]])
 
@@ -357,33 +365,33 @@ def hyp2f1_1b(b, u) -> F21Family:
     removed analytically (see _family_star): the series and formulas of
     hyp2f1_1b_value in float64 arrays, with term counts not growing with b.
     """
-    b_arr = np.asarray(b, dtype=float)
-    u_arr = np.asarray(u, dtype=float)
-    shape = np.broadcast(b_arr, u_arr).shape
+    shape = np.broadcast(b, u).shape
     # broadcast by assignment: np.broadcast_arrays costs as much as a
     # quarter of a two-element call
     bu = np.empty((2,) + shape)
-    bu[0], bu[1] = b_arr, u_arr
+    bu[0], bu[1] = b, u
     bu = bu.reshape(2, -1)
     bf, uf = bu
     # one test of both: b > 0 is b >= the smallest subnormal, and NaN fails
-    if not ((bu >= _BU_MIN) & (bu < math.inf)).all():
+    valid = (bu >= _BU_MIN) & (bu < math.inf)
+    if np.count_nonzero(valid) < valid.size:
         if not ((0.0 < bf) & (bf < math.inf)).all():
             raise DomainError("hyp2f1_1b expects finite b > 0")
         raise DomainError("hyp2f1_1b expects finite u >= 0 (argument z = -u)")
-    star = uf >= _STAR_MIN_U
     out = np.empty((2, bf.size))
-    for family, rows, counts in _row_blocks(star, uf):
-        out[0, rows], out[1, rows] = family(bf[rows], uf[rows], counts)
+    for family, rows, counts, extra in _row_blocks(uf >= _STAR_MIN_U, uf):
+        out[:, rows] = family(bf[rows], uf[rows], counts, *extra)
     return F21Family(*out.reshape((2,) + shape))
 
 
 def _row_blocks(star, u):
-    """The blocks of one hyp2f1_1b call: (family, rows, counts) with the
-    rows of one family (an index array, or a slice when the family holds
-    every row) and their term counts.  Each family's rows stay in row order,
-    cut into the longest runs whose rows times their running largest count
-    fit _BLOCK_TERMS, one row at least."""
+    """The blocks of one hyp2f1_1b call: (family, rows, counts, extra) with
+    the rows of one family (an index array, or a slice when the family
+    holds every row), their term counts and the family's further arguments,
+    which the counts were taken from (the continuation's log u; none for
+    Pfaff's).  Each family's rows stay in row order, cut into the longest
+    runs whose rows times their running largest count fit _BLOCK_TERMS, one
+    row at least."""
     n_star = np.count_nonzero(star)
     for family, is_star, n in ((_family_pfaff, False, star.size - n_star),
                                (_family_star, True, n_star)):
@@ -392,7 +400,11 @@ def _row_blocks(star, u):
         every = n == star.size
         rows = slice(None) if every else np.flatnonzero(star == is_star)
         ur = u[rows]
-        counts = (_star_count(np.log(ur)) if is_star else _pfaff_count(ur)).astype(int)
+        if is_star:
+            log_u = np.log(ur)
+            counts, extra = _star_count(log_u).astype(int), (log_u,)
+        else:
+            counts, extra = _pfaff_count(ur).astype(int), ()
         top = counts.max()
         start = 0
         while start < n:
@@ -404,7 +416,8 @@ def _row_blocks(star, u):
                           * np.maximum.accumulate(counts[start:stop]))
                 end = start + max(1, int(np.searchsorted(padded, _BLOCK_TERMS, side="right")))
             run = slice(start, end)
-            yield family, run if every else rows[run], counts[run]
+            yield (family, run if every else rows[run], counts[run],
+                   tuple(a[run] for a in extra))
             start = end
 
 
@@ -455,8 +468,10 @@ def _family_pfaff(b, u, n_terms):
     the count ahead from _pfaff_count.
     """
     v = 1.0 / (1.0 + u)
-    F, F_b = _sums(_pfaff_terms(b, u * v, n_terms))
-    return (F + 1.0) * v, F_b * v
+    out = _sums(_pfaff_terms(b, u * v, n_terms))
+    out[0] += 1.0
+    out *= v
+    return out
 
 
 def _star_terms(b, n_int, inv_u, n_terms):
@@ -467,7 +482,7 @@ def _star_terms(b, n_int, inv_u, n_terms):
     n = int(n_terms.max())
     m1 = np.arange(1.0, n + 1.0)[:, None]  # m + 1
     d = m1 - b
-    d[m1 == n_int] = np.inf
+    np.copyto(d, np.inf, where=m1 == n_int)
     rd = np.divide(1.0, d, out=d)
     terms = np.empty((n, 2, b.size))
     t = terms[:, 0]
@@ -480,9 +495,10 @@ def _star_terms(b, n_int, inv_u, n_terms):
     return terms
 
 
-def _family_star(b, u, n_terms):
+def _family_star(b, u, n_terms, log_u):
     """Continuation in powers of 1/u for u >= _STAR_MIN_U: (value, d/db) of
-    one block, each row summing its n_terms (_star_count).
+    one block as a (2, rows) array, each row summing its n_terms
+    (_star_count of log_u = log u).
 
     With N = round(b), eps = b - N and L = log u, the reflection head and
     the series term m = N - 1 share a pole at eps = 0; together they are
@@ -498,7 +514,6 @@ def _family_star(b, u, n_terms):
     sum_m t_m is sum_m (m+1) t_m/(m+1-b), not a difference of sums ~ 1/b.
     """
     inv_u = 1.0 / u
-    log_u = np.log(u)
     n_int = np.floor(b + 0.5)
     eps = b - n_int
     x = -eps * log_u
@@ -506,22 +521,29 @@ def _family_star(b, u, n_terms):
     h = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
     p = np.empty((len(_HEAD_SERIES), 3, b.size))  # eps^(2k) twice, x^k
     p[0], p[1, :2], p[1, 2] = 1.0, eps * eps, x
-    for j in (1, 2, 4, 8, 16):  # rows j+1..2j: rows 1..j times row j
+    for j in (1, 2, 4, 8):  # rows j+1..2j: rows 1..j times row j
         np.multiply(p[1:j + 1], p[j], out=p[j + 1:2 * j + 1])
+    # rows 17..32 likewise, with row 16 taken as zero where it is below
+    # _HEAD_FLUSH (x's rows there have zero coefficients)
+    np.multiply(p[1:17], np.where(p[16] < _HEAD_FLUSH, 0.0, p[16]), out=p[17:])
     c, dc, dh = _sums(np.multiply(p, _HEAD_SERIES, out=p))
     c *= eps
     np.divide(e - h, x, out=dh, where=np.abs(x) >= 0.5)
-    # b (e^(-eps L) - 1)/eps = -b L h and its b-partial
+    # b (e^(-eps L) - 1)/eps = -b L h, as -q, and its b-partial
     bl = b * log_u
-    q = -bl * h
+    q = bl * h
     q_db = log_u * (bl * dh - h)
-    if not n_int.all():  # b < 1/2: the head's own e^(-b L)
+    if np.count_nonzero(n_int) < n_int.size:  # b < 1/2: the head's own e^(-b L)
         zero = n_int == 0
-        q[zero], q_db[zero] = e[zero], -log_u[zero] * e[zero]
+        q[zero], q_db[zero] = -e[zero], -log_u[zero] * e[zero]
     be = b * e
-    r = be * c + q
-    r_db = e * c * (1.0 - bl) + be * dc + q_db
-    # (-1)^N u^-N; numpy's power is much slower at a negative base
-    scale = np.copysign(np.power(inv_u, n_int), 0.5 - n_int % 2.0)
-    T, S = _sums(_star_terms(b, n_int, inv_u, n_terms))
-    return scale * r - b * T, scale * r_db - S
+    # R and its b-partial, times (-1)^N u^-N (numpy's power is much slower
+    # at a negative base), less b sum_m t_m and its b-partial
+    out = np.empty((2, b.size))
+    np.subtract(be * c, q, out=out[0])
+    np.add(e * c * (1.0 - bl) + be * dc, q_db, out=out[1])
+    out *= np.copysign(np.power(inv_u, n_int), 0.5 - np.fmod(n_int, 2.0))
+    ts = _sums(_star_terms(b, n_int, inv_u, n_terms))
+    ts[0] *= b
+    out -= ts
+    return out

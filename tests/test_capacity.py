@@ -96,13 +96,16 @@ def _scalar_grid_derivs(grid, ch):
 
 
 def _scalar_lock_step(a2, snr):
-    """capacity._mi_deriv one scalar I and derivative at a time."""
+    """capacity._phi_deriv one scalar phi and derivative at a time: phi from
+    the scalar kernel behind mutual_information, dI/da2 from the public
+    mi_derivative_a2."""
     a2, snr = np.broadcast_arrays(a2, snr)
     out = []
     for a, q in zip(a2.flat, snr.flat):
         ch = ChannelParams(sigma2=1.0, power_budget=float(q))
         inp = TwoPointInput(float(a), math.sqrt(float(q) / float(a)))
-        out.append((mi.mutual_information(inp, ch).nats, mi.mi_derivative_a2(inp, ch)))
+        b, u = mi._phi_args(float(a), float(q) / float(a))
+        out.append((specfun.hyp2f1_1b_value(b, u).value, mi.mi_derivative_a2(inp, ch)))
     return np.moveaxis(np.array(out), -1, 0).reshape((2,) + a2.shape)
 
 
@@ -127,7 +130,7 @@ class TestBatchedGridScan:
     def test_solver_unchanged(self, snr_db, sigma2, monkeypatch):
         snr = 10.0 ** (snr_db / 10.0)
         batched = solve_a2_star(snr, sigma2=sigma2)
-        monkeypatch.setattr(capacity, "_mi_deriv", _scalar_lock_step)
+        monkeypatch.setattr(capacity, "_phi_deriv", _scalar_lock_step)
         scalar = solve_a2_star(snr, sigma2=sigma2)
         assert batched.roots_found == scalar.roots_found
         assert batched.a2_star == pytest.approx(scalar.a2_star, abs=1e-12)
@@ -190,19 +193,19 @@ class TestLockStep:
     @pytest.mark.parametrize("golden", [False, True], ids=["roots", "golden"])
     def test_diagnostics_count_the_work(self, golden, monkeypatch):
         kernel_rows = []
-        real_kernel, real_mi_deriv = specfun.hyp2f1_1b, capacity._mi_deriv
+        real_kernel, real_phi_deriv = specfun.hyp2f1_1b, capacity._phi_deriv
 
         def counting_kernel(b, u):
             kernel_rows.append(np.broadcast(b, u).size)
             return real_kernel(b, u)
 
         def no_sign_change(a2, snr):
-            nats, d = real_mi_deriv(a2, snr)
-            return nats, np.abs(d) + 1.0
+            phi, d = real_phi_deriv(a2, snr)
+            return phi, np.abs(d) + 1.0
 
         monkeypatch.setattr(specfun, "hyp2f1_1b", counting_kernel)
         if golden:  # no sign change anywhere: only the scan edges are candidates
-            monkeypatch.setattr(capacity, "_mi_deriv", no_sign_change)
+            monkeypatch.setattr(capacity, "_phi_deriv", no_sign_change)
         cfg = SweepConfig(snr_db_start=-10.0, snr_db_stop=30.0, snr_db_step=5.0)
         points = sweep(cfg)
         diags = [p.diagnostics for p in points]
@@ -229,6 +232,37 @@ class TestLockStep:
                        for a in point_edges)
         with pytest.raises(SolverFailure, match="no root at snr=1.0: .* scan edge"):
             solve_a2_star(1.0)
+
+    @pytest.mark.parametrize("sigma2,start", LOCK_STEP_GRIDS)
+    def test_refinement_calls_are_one_star_block(self, sigma2, start, monkeypatch):
+        # the premise of the refinement's cost: after the scan, each kernel
+        # call of an 81-point solve is one block of the continuation family
+        # holding every row
+        calls = []
+        real_blocks = specfun._row_blocks
+
+        def recording_blocks(star, u):
+            blocks = list(real_blocks(star, u))
+            calls.append((u.size, [(family, rows) for family, rows, _, _ in blocks]))
+            return iter(blocks)
+
+        monkeypatch.setattr(specfun, "_row_blocks", recording_blocks)
+        points = _bench_sweep(sigma2, start)
+        assert len(calls) == 1 + max(p.diagnostics["root_iterations"] for p in points)
+        assert calls[0][0] == 81 * capacity._GRID_POINTS
+        for size, blocks in calls[1:]:
+            assert blocks == [(specfun._family_star, slice(0, size))], size
+
+    @pytest.mark.parametrize("sigma2,start", LOCK_STEP_GRIDS)
+    def test_roots_take_i_and_residual_from_mi_deriv(self, sigma2, start):
+        # the refinement carries phi, and I comes from it at the candidates
+        # alone: at each root, I* and the residual are mi._mi_deriv's I and
+        # |dI/da2| at a2* = exp(root), bit for bit
+        points = _bench_sweep(sigma2, start)
+        snr = np.array([p.snr_linear for p in points])
+        nats, d = mi._mi_deriv(np.array([p.a2_star for p in points]), snr)
+        assert [p.i_star_nats for p in points] == nats.tolist()
+        assert [p.solver_residual for p in points] == np.abs(d).tolist()
 
     @pytest.mark.parametrize("sigma2,start", LOCK_STEP_GRIDS)
     def test_rows_agree_with_the_scalar_api(self, sigma2, start):

@@ -8,6 +8,7 @@ import warnings
 import pytest
 
 from noncoh import capacity, cli, mi, oracle
+from noncoh.channel import ChannelParams, TwoPointInput
 from noncoh.cli import main
 
 RUN = [sys.executable, "-m", "noncoh.cli"]
@@ -41,6 +42,25 @@ class TestMiCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert "|closed - oracle|" in out
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_verify_skips_one_mass_point(self, as_json, capsys, monkeypatch):
+        # x2^2 = 1e-320 is not zero, but b = 1 + sigma2/x2^2 overflows and
+        # mutual_information answers one mass point: I = 0 and no oracle
+        def oracle_ran(inp, ch):
+            raise AssertionError("the quadrature oracle ran on one mass point")
+
+        monkeypatch.setattr(oracle, "mi_quadrature", oracle_ran)
+        rc = main(["mi", "--a2", "0.5", "--x2", "1e-160", "--verify",
+                   *(["--json"] if as_json else [])])
+        out = capsys.readouterr().out
+        assert rc == 0
+        if as_json:
+            record = json.loads(out)
+            assert record["results"]["i_nats"] == 0.0
+            assert "oracle_delta" not in record["diagnostics"]
+        else:
+            assert "I(X;Y)  = 0 nats" in out and "oracle" not in out
 
     def test_json_schema(self, capsys):
         rc = main(["mi", "--a2", "0.4", "--x2", "2", "--json"])
@@ -83,6 +103,49 @@ class TestDerivCommand:
     def test_modes_are_exclusive(self):
         res = run_cli(["deriv", "--a2", "0.4", "--x2", "2", "--snr-db", "0"])
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("argv,fd_args", [
+        (["--a2", "0.4", "--x2", "2"], (0.4, 2.0)),
+        (["--a2", "0.3", "--snr-db", "0"], (0.3, None)),
+    ], ids=["fixed", "capacity"])
+    def test_verify_keeps_the_oracle_stencil_inside(self, argv, fd_args, capsys):
+        # away from the ends of a2 the check differences I exactly as
+        # oracle.fd_derivative(f, a2) does
+        assert main(["deriv", *argv, "--verify", "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        a2, x2 = fd_args
+        ch = ChannelParams(sigma2=1.0, power_budget=1.0)  # 0 dB
+
+        def f(a):
+            return mi.mutual_information(TwoPointInput(a, x2 or math.sqrt(1.0 / a)), ch).nats
+
+        fd = oracle.fd_derivative(f, a2)
+        value = record["results"]["dI_da2"]
+        assert record["diagnostics"]["fd_relative_delta"] == abs(value - fd) / abs(fd)
+
+    @pytest.mark.parametrize("a2", ["0.999999", "1e-6", "0.9995"])
+    def test_verify_near_the_ends_of_a2(self, a2, capsys):
+        # the five-point stencil's a2 +- 2h would leave [0, 1]: it shrinks
+        # to stay inside, and the input is not blamed
+        rc = main(["deriv", "--a2", a2, "--x2", "1e3", "--verify", "--json"])
+        diag = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert rc == 0
+        assert diag["fd_relative_delta"] < 1e-5
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_verify_allows_the_stencils_noise(self, as_json, capsys):
+        # dI/da2 = 6.1e-17 at x2 = 1e-3: the stencil's noise from I's
+        # absolute rounding, near 1e-13, is far above 1e-5 |dI/da2|, and the
+        # check allows for it and reports the allowance
+        rc = main(["deriv", "--a2", "0.5", "--x2", "1e-3", "--verify",
+                   *(["--json"] if as_json else [])])
+        out = capsys.readouterr().out
+        assert rc == 0
+        if as_json:
+            diag = json.loads(out)["diagnostics"]
+            assert 1e-13 < diag["fd_noise_allowance"] < 1e-10
+        else:
+            assert "noise allowance" in out
 
     @pytest.mark.parametrize("sigma2", ["1e-310", "7.3", "1e300"])
     def test_capacity_mode_is_taken_in_the_snr(self, sigma2, capsys):

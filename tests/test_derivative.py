@@ -113,7 +113,7 @@ class TestRoutes:
                                               (0.9, 30.0, 0.4), (1e-6, 1e3, 1.0)])
     def test_fixed_x2_takes_the_scalar_route(self, a2, x2, sigma2, monkeypatch):
         # mutual_information's route: one hyp2f1_1b_value call, no array
-        # kernel, and the dI/da2 that _assemble computes there
+        # kernel, and the dI/da2 that _slope computes from its phi
         real_value, calls = specfun.hyp2f1_1b_value, []
 
         def counting_value(b, u):
@@ -130,7 +130,7 @@ class TestRoutes:
         t, b, u = mi._fixed_args(inp, ch)
         assert calls == [(b, u)]
         assert type(got) is float
-        assert got == mi._assemble(a2, t, b, u, real_value(b, u).value, xp=math)[3]
+        assert got == mi._slope(t, b, u, real_value(b, u).value, xp=math)
 
     @pytest.mark.parametrize("a2,snr", [(0.3, 1.0), (1e-6, 0.1), (0.7, 1000.0)])
     def test_capacity_mode_takes_mi_deriv(self, a2, snr):

@@ -262,7 +262,7 @@ class TestF21Family:
 
         def n_blocks(b, u):
             star = u >= specfun._STAR_MIN_U
-            return [sum(f is family for f, _, _ in specfun._row_blocks(star, u))
+            return [sum(f is family for f, *_ in specfun._row_blocks(star, u))
                     for family in (specfun._family_pfaff, specfun._family_star)]
 
         assert min(n_blocks(b, u)) >= 2
@@ -276,6 +276,23 @@ class TestF21Family:
             assert np.array_equal(one.d_db, d_db[rows]), bs
             start += bs.size
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_head_flush_moves_no_bit(self, seed, monkeypatch):
+        # b within 2^-34..2^-1 of an integer, mostly where the head's powers
+        # of eps^2 past row 16 would be subnormal: taking them as zero
+        # (_HEAD_FLUSH) gives the bits of an unflushed table, while a flush
+        # from 2^-30 up changes some
+        rng = np.random.default_rng(seed)
+        n = 20_000
+        eps = np.exp2(rng.uniform(-34.0, -1.0, n)) * rng.choice([-1.0, 1.0], n)
+        b = rng.integers(1, 6, n) + eps
+        u = np.exp(rng.uniform(math.log(1.25), 690.0, n))
+        flushed = hyp2f1_1b(b, u)
+        monkeypatch.setattr(specfun, "_HEAD_FLUSH", 0.0)
+        exact = hyp2f1_1b(b, u)
+        assert np.array_equal(flushed.value, exact.value)
+        assert np.array_equal(flushed.d_db, exact.d_db)
+
     @pytest.mark.parametrize("n,snr_db,max_blocks,max_padded", [
         (400, -5.0, 3, 34_573), (2001, -5.0, 8, 114_642), (10_000, 0.0, 28, 439_774)])
     def test_profile_grids_pad_no_more_than_a_count_sort(self, n, snr_db, max_blocks,
@@ -287,10 +304,10 @@ class TestF21Family:
         _, u = mi._phi_args(a2, 10.0 ** (snr_db / 10.0) / a2)
         star = u >= specfun._STAR_MIN_U
         blocks = list(specfun._row_blocks(star, u))
-        rows = np.concatenate([np.arange(n)[r] for _, r, _ in blocks])
+        rows = np.concatenate([np.arange(n)[r] for _, r, *_ in blocks])
         assert np.array_equal(rows, np.concatenate([np.flatnonzero(~star),
                                                     np.flatnonzero(star)]))
-        padded = [c.size * c.max() for _, _, c in blocks]
+        padded = [c.size * c.max() for _, _, c, _ in blocks]
         assert max(padded) <= specfun._BLOCK_TERMS
         assert len(blocks) <= max_blocks
         assert sum(padded) <= max_padded
