@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq  # noqa: F401 - unused; bench/ traces this name
 
 from .channel import ChannelParams, snr_from_db, snr_to_db
 from .errors import DomainError, SolverFailure
@@ -44,6 +43,19 @@ _XATOL = 1e-15
 _XRTOL = 4.0 * np.finfo(float).eps
 _FATOL = np.finfo(float).tiny
 _MAX_ITER = math.log2(np.finfo(float).max) - math.log2(np.finfo(float).tiny)
+
+
+def __getattr__(name):
+    """capacity.brentq: scipy's brentq, unused here, is imported and bound
+    into this module on first lookup, so that bench/layertrace.py, which
+    hooks it, finds it in vars(capacity) while the solver loads no scipy.
+    The benchmark's trace update (ROADMAP item 6) deletes this shim."""
+    if name == "brentq":
+        from scipy.optimize import brentq
+
+        globals()["brentq"] = brentq
+        return brentq
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -258,10 +270,13 @@ def solve_a2_star(snr_linear, *, sigma2: float = 1.0):
     n_roots = np.count_nonzero(~np.isnan(cand[0, :, :_GRID_POINTS]), axis=1).tolist()
     unconverged = np.bincount(pt[status != 0], minlength=n) > 0
     cand[0, unconverged] = math.nan
-    # I from phi at the candidates alone (NaN elsewhere)
-    cand[1] = _mi_of_phi(np.exp(cand[0]), gamma[:, None], cand[1])
+    # I from phi at the occupied candidate slots alone (-inf at the others)
+    occ = ~np.isnan(cand[0])
+    i_occ = _mi_of_phi(np.exp(cand[0][occ]), gamma[np.nonzero(occ)[0]], cand[1][occ])
+    cand[1] = -math.inf
+    cand[1][occ] = i_occ
     # the first maximum of I wins, and its dI/da2 is the residual
-    best = np.argmax(np.where(np.isnan(cand[0]), -math.inf, cand[1]), axis=1)
+    best = np.argmax(cand[1], axis=1)
     nit = np.bincount(pt, nit, minlength=n).astype(int).tolist()
     unconverged, edge = unconverged.tolist(), (best >= _GRID_POINTS).tolist()
     t_star, i_star, d_star = cand[:, np.arange(n), best]

@@ -5,6 +5,11 @@ u-substituted form on (0, 1) and a truncated direct form in y), a seeded
 Monte-Carlo mutual-information estimator, and finite-difference derivatives.
 These never touch the hypergeometric machinery, so agreement with the
 closed forms is a genuine cross-check.
+
+Only the quadrature needs scipy, and it imports scipy.integrate at its
+first call rather than at module import: the value path and the commands
+built on it (mi, deriv, profile, sweep, mc) load numpy alone, and scipy
+loads with the first quadrature (verify, mi --verify).
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .channel import ChannelParams, TwoPointInput
 from .errors import DegenerateInput, DomainError, ToleranceNotMet
@@ -27,6 +31,8 @@ _MAX_SUBDIVISIONS = 100_000
 def _quad_checked(f, a, b, points=None):
     """scipy.integrate.quad with our own error policing; the warning is
     redundant with the ToleranceNotMet check."""
+    from scipy.integrate import IntegrationWarning, quad
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         value, abserr = quad(

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import DivergenceError, DomainError, NoConvergence
 
@@ -227,11 +226,27 @@ class F21Family:
 # slowly; Pfaff's series, with ratio below u/(1+u) < 0.56, takes over.
 _STAR_MIN_U = 1.25
 
+# zeta(2k) for k = 1..33, each the double nearest its exact value and the
+# value of scipy.special.zeta (the tests check both), pinned here so that
+# the value path imports no scipy
+_ZETA_EVEN = (
+    1.6449340668482264, 1.0823232337111381, 1.0173430619844492,
+    1.0040773561979444, 1.000994575127818, 1.000246086553308,
+    1.0000612481350588, 1.0000152822594086, 1.000003817293265,
+    1.0000009539620338, 1.0000002384505027, 1.000000059608189,
+    1.0000000149015549, 1.000000003725334, 1.0000000009313275,
+    1.000000000232831, 1.0000000000582077, 1.000000000014552,
+    1.000000000003638, 1.0000000000009095, 1.0000000000002274,
+    1.0000000000000568, 1.0000000000000142, 1.0000000000000036,
+    1.0000000000000009, 1.0000000000000002,
+    1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,  # k = 27..33
+)
+
 # c(eps) = pi/sin(pi eps) - 1/eps = sum_{k>=1} m_k eps^(2k-1) with
 # m_k = 2 (1 - 2^(1-2k)) zeta(2k), to double precision for |eps| <= 1/2;
 # the m_k highest first, for Horner's rule
 _PI_CSC_SERIES = tuple(
-    2.0 * (1.0 - 2.0 ** (1 - 2 * k)) * float(zeta(2 * k)) for k in range(33, 0, -1)
+    2.0 * (1.0 - 2.0 ** (1 - 2 * k)) * _ZETA_EVEN[k - 1] for k in range(33, 0, -1)
 )
 # the head of the continuation (see _family_star) as coefficient rows (33,
 # 3, 1), lowest first: m_k and (2k-1) m_k of eps^(2k-2) in c(eps)/eps and

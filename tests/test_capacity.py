@@ -254,6 +254,21 @@ class TestLockStep:
             assert blocks == [(specfun._family_star, slice(0, size))], size
 
     @pytest.mark.parametrize("sigma2,start", LOCK_STEP_GRIDS)
+    def test_i_is_assembled_at_the_occupied_slots_alone(self, sigma2, start, monkeypatch):
+        # one assembly of I, on each point's roots and two scan edges, not
+        # on every one of its _GRID_POINTS + 2 candidate slots
+        sizes = []
+        real = capacity._mi_of_phi
+
+        def recording(a2, snr, phi):
+            sizes.append(np.shape(a2))
+            return real(a2, snr, phi)
+
+        monkeypatch.setattr(capacity, "_mi_of_phi", recording)
+        points = _bench_sweep(sigma2, start)
+        assert sizes == [(sum(p.roots_found for p in points) + 2 * len(points),)]
+
+    @pytest.mark.parametrize("sigma2,start", LOCK_STEP_GRIDS)
     def test_roots_take_i_and_residual_from_mi_deriv(self, sigma2, start):
         # the refinement carries phi, and I comes from it at the candidates
         # alone: at each root, I* and the residual are mi._mi_deriv's I and

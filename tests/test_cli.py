@@ -471,3 +471,38 @@ def test_the_parser_is_built_once_and_keeps_no_state(capsys):
     assert main(["deriv", "--a2", "0.3", "--x2", "1"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("dI/da2 = ") and out.rstrip().endswith("[fixed x2]")
+
+
+_IMPORT_GUARD = """
+import contextlib, io, sys
+import noncoh, noncoh.cli
+out = sys.argv[1]
+value_path = [
+    ["mi", "--a2", "0.3", "--x2", "2"],
+    ["deriv", "--a2", "0.3", "--x2", "2"],
+    ["deriv", "--a2", "0.3", "--snr-db", "5"],
+    ["profile", "--snr-db", "3", "--points", "50"],
+    ["sweep", "--from-db", "-4", "--to-db", "4", "--step-db", "2", "--out", out],
+    ["mc", "--a2", "0.3", "--x2", "2", "--samples", "1000", "--seed", "1"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [noncoh.cli.main(argv) for argv in value_path]
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    oracles = [noncoh.cli.main(["verify", "--quick"]),
+               noncoh.cli.main(["mi", "--a2", "0.4", "--x2", "2", "--verify"])]
+print(codes, loaded, oracles)
+"""
+
+
+def test_value_path_commands_load_no_scipy(tmp_path):
+    # scipy serves the quadrature oracles alone: a fresh interpreter that runs
+    # every value-path command never imports it, and the oracle commands
+    # still load it and pass
+    env = dict(os.environ)
+    env.pop("NONCOH_FAULT_INJECT", None)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    res = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path / "s.csv")],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] [] [0, 0]"

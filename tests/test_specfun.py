@@ -1,11 +1,13 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import zeta
 
 from mp_reference import hyp2f1_family, hyp2f1_value, pi_csc_minus_recip_ref
 from noncoh import capacity, mi, specfun
@@ -494,3 +496,12 @@ class TestPiCscMinusRecip:
 
     def test_at_zero(self):
         assert pi_csc_minus_recip(0.0) == 0.0
+
+    def test_pinned_zeta_is_scipys_and_correctly_rounded(self):
+        for k, pinned in enumerate(specfun._ZETA_EVEN, start=1):
+            assert pinned == float(zeta(2 * k)), k
+            with mpmath.workdps(50):
+                assert abs(mpmath.mpf(pinned) - mpmath.zeta(2 * k)) <= 0.5 * math.ulp(pinned), k
+        # the series as built from scipy's zeta, bit for bit
+        assert specfun._PI_CSC_SERIES == tuple(
+            2.0 * (1.0 - 2.0 ** (1 - 2 * k)) * float(zeta(2 * k)) for k in range(33, 0, -1))
