@@ -135,11 +135,11 @@ def cmd_deriv(args) -> int:
         else:
             f = lambda a: mi.mutual_information(TwoPointInput(a, args.x2), ch).nats
             t = args.x2**2 / ch.sigma2
-        # the five-point stencil spans a2 +- 2h, h = FD_STEP; where that
-        # leaves (0, 1), its steps shrink to FD_STEP times the distance to
-        # the nearer end (lam = 1 gives oracle.fd_derivative(f, a2) exactly)
-        margin = min(args.a2, 1.0 - args.a2)
-        lam = 1.0 if 2.0 * oracle.FD_STEP < margin else margin
+        # the five-point stencil takes steps h = lam FD_STEP, lam the
+        # distance to the nearer end of (0, 1): I varies on that scale, so
+        # the truncation error stays ~ FD_STEP^4 relative at every a2, and
+        # a2 +- 2h stays inside (0, 1)
+        lam = min(args.a2, 1.0 - args.a2)
         num = oracle.fd_derivative(lambda s: f(args.a2 + lam * s), 0.0) / lam
         # the stencil turns an absolute error e in each I into up to
         # (1 + 8 + 8 + 1) e / (12 lam h); e is taken as _I_ULPS ulps of the

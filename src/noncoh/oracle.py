@@ -2,61 +2,145 @@
 
 Adaptive quadrature of the defining integrals (two discretizations: the
 u-substituted form on (0, 1) and a truncated direct form in y), a seeded
-Monte-Carlo mutual-information estimator, and finite-difference derivatives.
-These never touch the hypergeometric machinery, so agreement with the
-closed forms is a genuine cross-check.
+Monte-Carlo estimator of the mutual information, and finite-difference
+derivatives.  These never touch the hypergeometric machinery, so agreement
+with the closed forms is a genuine cross-check.
 
-Only the quadrature needs scipy, and it imports scipy.integrate at its
-first call rather than at module import: the value path and the commands
-built on it (mi, deriv, profile, sweep, mc) load numpy alone, and scipy
-loads with the first quadrature (verify, mi --verify).
+The quadrature is numpy alone: one adaptive Gauss-Kronrod G7/K15 rule
+(QUADPACK's qk15 nodes and weights; Piessens et al., 1983) integrates every
+panel of every integral of a batch in one array pass, then bisects only the
+panels whose Kronrod-Gauss difference is over their share of the error
+target.  Every integral keeps its own certified error, and no command loads
+scipy.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
 from .channel import ChannelParams, TwoPointInput
 from .errors import DegenerateInput, DomainError, ToleranceNotMet
 
-# The error target every quadrature must certify (scipy's own estimate of
-# the absolute error), and the subdivision budget it may spend on it.
+# The error target every integral must certify (the sum of its panels'
+# error estimates, see _gauss_kronrod), and the number of panels it may
+# spend on it.  Both are read at call time.
 _ABS_TOL = 1e-10
 _MAX_SUBDIVISIONS = 100_000
 
+_EPS = float(np.finfo(float).eps)
+# A panel's error estimate is never below 50 ulps of the integral of |f|
+# over it, the floor QUADPACK puts under |K - G|: a target below the
+# rounding of the sum cannot be certified.
+_ROUNDING = 50.0 * _EPS
 
-def _quad_checked(f, a, b, points=None):
-    """scipy.integrate.quad with our own error policing; the warning is
-    redundant with the ToleranceNotMet check."""
-    from scipy.integrate import IntegrationWarning, quad
+# QUADPACK qk15: the Kronrod nodes on [0, 1) from the outside in (the Gauss
+# nodes are every second one, the centre included), then their weights.
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+       0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327)
+# the same on [-1, 1]: 15 nodes, their Kronrod weights and their Gauss
+# weights (zero at the Kronrod-only nodes)
+_X15 = np.array([-x for x in _XGK[:7]] + list(reversed(_XGK)))
+_WK15 = np.array(_WGK[:7] + tuple(reversed(_WGK)))
+_WG15 = np.array(_WG[:7] + tuple(reversed(_WG)))
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, abserr = quad(
-            f,
-            a,
-            b,
-            epsabs=_ABS_TOL * 0.1,
-            epsrel=1e-12,
-            limit=_MAX_SUBDIVISIONS,
-            points=points,
-        )
-    if abserr > _ABS_TOL:
-        raise ToleranceNotMet(
-            f"quadrature error estimate {abserr:.3e} exceeds {_ABS_TOL:.3e}"
-        )
+# the boundary layer's breakpoints, in units of its width from the crossover
+# of the mixture components (see j_quadrature)
+_LAYER = (-64.0, -16.0, -4.0, -1.0, 0.0, 1.0, 4.0)
+
+
+def _gauss_kronrod(f, params, points):
+    """Integrals of f, one per row of points, each to the error target.
+
+    Row i of the 2-D array points holds integral i's ends and breakpoints
+    (NaN marks an unused slot); they cut it into its first panels.  f(t, *p)
+    takes a (panels, 15) array of nodes t and, for each array in params (one
+    value per integral), a (panels, 1) column of the owning integrals'
+    values.  Each pass applies the 15-point rule to every open panel.  An
+    integral whose summed error estimate (|K - G|, or the rounding floor
+    where that is larger) is within _ABS_TOL is done; in the others
+    every panel over its share of _ABS_TOL (in proportion to its length) is
+    bisected, and the rest keep their estimates.  An integral that would need
+    more than _MAX_SUBDIVISIONS panels raises ToleranceNotMet, naming it.
+    """
+    tol, cap = _ABS_TOL, _MAX_SUBDIVISIONS
+    n = points.shape[0]
+    pts = np.sort(points, axis=1)  # NaN sorts last
+    lo, hi = pts[:, :-1], pts[:, 1:]
+    first = hi > lo
+    owner = np.nonzero(first)[0]
+    a, b = lo[first], hi[first]
+    share = tol / (np.nanmax(points, axis=1) - np.nanmin(points, axis=1))
+    panels = np.bincount(owner, minlength=n)
+    kept_value, kept_error = np.zeros(n), np.zeros(n)
+    value = np.full(n, np.nan)
+    while owner.size:
+        half = 0.5 * (b - a)
+        mid = a + half
+        fx = f(mid[:, None] + half[:, None] * _X15, *(p[owner, None] for p in params))
+        k = half * (fx @ _WK15)
+        err = np.maximum(np.abs(k - half * (fx @ _WG15)), _ROUNDING * half * (np.abs(fx) @ _WK15))
+        split = err > 2.0 * share[owner] * half
+        kept_value += np.bincount(owner[~split], k[~split], n)
+        kept_error += np.bincount(owner[~split], err[~split], n)
+        total = kept_error + np.bincount(owner[split], err[split], n)
+        done = (np.bincount(owner, minlength=n) > 0) & (total <= tol)
+        value[done] = kept_value[done] + np.bincount(owner[split], k[split], n)[done]
+        split &= ~done[owner]
+        owner, a, b, mid = owner[split], a[split], b[split], mid[split]
+        panels += np.bincount(owner, minlength=n)
+        if owner.size and panels.max() > cap:
+            i = int(np.argmax(panels > cap))
+            raise ToleranceNotMet(
+                f"quadrature of element {i}: error estimate {total[i]:.3e} exceeds "
+                f"{tol:.3e} within {cap} panels")
+        owner = np.concatenate((owner, owner))
+        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
     return value
 
 
-def _logaddexp(a: float, b: float) -> float:
-    """log(e^a + e^b) in plain floats (either argument may be -inf)."""
-    return max(a, b) + math.log1p(math.exp(-abs(a - b)))
+def _batch(x, inp):
+    """(scalar, x, a2, x2): whether inp is one TwoPointInput, and x with the
+    inputs' a2 and x2 as float arrays of one length."""
+    scalar = isinstance(inp, TwoPointInput)
+    inps = [inp] if scalar else list(inp)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (len(inps),):
+        raise DomainError(f"the quadrature needs one x per input "
+                          f"(got {x.size} x for {len(inps)} inputs)")
+    return (scalar, x, np.array([i.a2 for i in inps], dtype=float),
+            np.array([i.x2 for i in inps], dtype=float))
 
 
-def j_quadrature(x: float, inp: TwoPointInput, ch: ChannelParams) -> float:
+def _between(points, lo, hi):
+    """points as columns, lo and hi first, with every breakpoint outside
+    (lo, hi) (or NaN) made NaN: the rows _gauss_kronrod takes."""
+    inner = np.column_stack(np.broadcast_arrays(*points))
+    inner = np.where((inner > lo[:, None]) & (inner < hi[:, None]), inner, np.nan)
+    return np.column_stack((lo, hi, inner))
+
+
+def _log_weights(a2, s2, big):
+    """log(a1/s2) and log(a2/big), -inf where that mass is zero."""
+    with np.errstate(divide="ignore"):
+        return np.log((1.0 - a2) / s2), np.log(a2 / big)
+
+
+def _j_integrand(t, q, gap, log_a, log_b):
+    # e^t * log(A e^(pt) + B e^(qt)), evaluated in log space
+    return (q * t + np.logaddexp(log_b, log_a + gap * t)) * np.exp(t)
+
+
+def j_quadrature(x, inp, ch: ChannelParams):
     """J(x): the Rayleigh-weighted integral of the log mixture density.
 
     Substituting u = exp(-y^2/(x^2+sigma^2)) maps the semi-infinite integral
@@ -68,61 +152,70 @@ def j_quadrature(x: float, inp: TwoPointInput, ch: ChannelParams) -> float:
     The logarithmic endpoint singularity at u = 0 is removed by the further
     substitution u = e^t (t in (-inf, 0]), under which the integrand is
     smooth and decays like t e^t; truncation at t = -64 contributes < 1e-25.
-    The crossover of the two mixture components is declared as a breakpoint.
 
-    Single-mass-point edge cases (a2 in {0, 1}) are accepted here: the
-    mixture collapses to one term and the integral stays well defined.
+    x and inp may be one magnitude and one TwoPointInput (a float is
+    returned) or equal-length sequences of them (an array is returned); the
+    whole batch is one _gauss_kronrod call.  Single-mass-point edge cases
+    (a2 in {0, 1}) are accepted here: the mixture collapses to one term and
+    the integral stays well defined.
     """
-    if inp.x2 <= 0.0:
-        raise DegenerateInput("J(x) oracle needs x2 > 0")
+    scalar, x, a2, x2 = _batch(x, inp)
+    bad = np.flatnonzero(~(x2 > 0.0))
+    if bad.size:
+        raise DegenerateInput(f"J(x) oracle needs x2 > 0 (element {bad[0]})")
     s2 = ch.sigma2
-    big = inp.x2**2 + s2
-    p = (x * x + s2) / s2
+    big = x2 * x2 + s2
     q = (x * x + s2) / big
-    log_a = math.log(inp.a1 / s2) if inp.a1 > 0.0 else -math.inf
-    log_b = math.log(inp.a2 / big) if inp.a2 > 0.0 else -math.inf
-
-    def integrand(t):
-        # e^t * log(A e^(pt) + B e^(qt)), evaluated in log space
-        return (q * t + _logaddexp(log_b, log_a + (p - q) * t)) * math.exp(t)
-
-    # breakpoints at the decay scales and at the mixture crossover keep the
-    # extrapolation honest (QAGS can falsely converge on long, nearly empty
-    # panels otherwise)
-    t_lo = -64.0
-    points = [-0.5, -1.0, -2.0, -4.0, -8.0, -16.0, -32.0]
-    if math.isfinite(log_a) and math.isfinite(log_b):
-        points.append((log_b - log_a) / (p - q))
-    points = sorted(t for t in set(points) if t_lo < t < 0.0)
-    return _quad_checked(integrand, t_lo, 0.0, points)
+    gap = (x * x + s2) * (x2 * x2) / (s2 * big)  # p - q, free of cancellation
+    log_a, log_b = _log_weights(a2, s2, big)
+    # Breakpoints at the decay scales keep long, nearly empty panels from
+    # passing unsampled.  The minor mixture component's log1p(e^(-gap |t -
+    # t_c|)) tail lives within a few 1/gap of the crossover t_c, a boundary
+    # layer that holds pi^2/(12 gap) of the integral (DLMF 25.12); the
+    # breakpoints t_c + k/gap resolve it however narrow it is.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_c = (log_b - log_a) / gap
+        layer = [t_c + k / gap for k in _LAYER]
+    fixed = [-0.5, -1.0, -2.0, -4.0, -8.0, -16.0, -32.0]
+    points = _between([*fixed, *layer], np.full(x.size, -64.0), np.zeros(x.size))
+    value = _gauss_kronrod(_j_integrand, (q, gap, log_a, log_b), points)
+    return float(value[0]) if scalar else value
 
 
-def j_quadrature_direct(x: float, inp: TwoPointInput, ch: ChannelParams) -> float:
+def j_quadrature_direct(x, inp, ch: ChannelParams):
     """Secondary oracle: the same integral in the original y variable,
-    truncated at y_max^2 = 200 (x2^2 + sigma^2)."""
-    if inp.is_degenerate():
-        raise DegenerateInput("J(x) oracle needs a nondegenerate input")
+    truncated at y_max^2 = 200 (x2^2 + sigma^2), on the same rule; x and inp
+    as for j_quadrature."""
+    scalar, x, a2, x2 = _batch(x, inp)
+    bad = np.flatnonzero(~((a2 > 0.0) & (a2 < 1.0) & (x2 * x2 > 0.0)))
+    if bad.size:
+        raise DegenerateInput(
+            f"J(x) oracle needs a nondegenerate input (element {bad[0]})")
     s2 = ch.sigma2
-    big = inp.x2**2 + s2
+    big = x2 * x2 + s2
     a = x * x + s2
-    log_a = math.log(inp.a1 / s2)
-    log_b = math.log(inp.a2 / big)
+    log_a, log_b = _log_weights(a2, s2, big)
 
-    def integrand(y):
+    def integrand(y, a, big, log_a, log_b):
         y2 = y * y
-        mix = _logaddexp(log_a - y2 / s2, log_b - y2 / big)
-        return 2.0 * y / a * math.exp(-y2 / a) * mix
+        mix = np.logaddexp(log_a - y2 / s2, log_b - y2 / big)
+        return 2.0 * y / a * np.exp(-y2 / a) * mix
 
     # the Rayleigh weight lives on the scale sqrt(a), which can be far
-    # smaller than the truncation point; seed the subdivision accordingly
-    y_max = math.sqrt(200.0 * big)
-    scale = math.sqrt(a)
-    points = [f * scale for f in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)]
-    beta = (inp.a2 / inp.a1) * (s2 / big)
-    if beta < 1.0:
-        points.append(math.sqrt(-s2 * big / inp.x2**2 * math.log(beta)))
-    points = sorted(p for p in points if 0.0 < p < y_max)
-    return _quad_checked(integrand, 0.0, y_max, points or None)
+    # smaller than the truncation point; seed the subdivision accordingly.
+    # Where beta < 1 the components cross at y_c, and the exponents part at
+    # the rate 2 y_c g, g = 1/s2 - 1/S2: t = -y^2/a maps j_quadrature's
+    # breakpoints t_c + k/gap, gap = a g, to y_c - k/(2 y_c g) near y_c
+    scale = np.sqrt(a)
+    beta = (a2 / (1.0 - a2)) * (s2 / big)
+    g = x2 * x2 / (s2 * big)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y_c = np.sqrt(-np.log(beta) / g)
+        layer = [y_c - k / (2.0 * y_c * g) for k in _LAYER]
+    points = _between([*(f * scale for f in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)), *layer],
+                      np.zeros(x.size), np.sqrt(200.0 * big))
+    value = _gauss_kronrod(integrand, (a, big, log_a, log_b), points)
+    return float(value[0]) if scalar else value
 
 
 def mi_from_j(inp: TwoPointInput, ch: ChannelParams, j0: float, j_x2: float) -> float:
@@ -141,10 +234,11 @@ def mi_from_j(inp: TwoPointInput, ch: ChannelParams, j0: float, j_x2: float) -> 
 
 
 def mi_quadrature(inp: TwoPointInput, ch: ChannelParams) -> float:
-    """Mutual information via the quadrature J's."""
+    """Mutual information via the quadrature J's, both from one call."""
     if inp.is_degenerate():
         return 0.0
-    return mi_from_j(inp, ch, j_quadrature(0.0, inp, ch), j_quadrature(inp.x2, inp, ch))
+    j0, j_x2 = j_quadrature([0.0, inp.x2], [inp, inp], ch)
+    return mi_from_j(inp, ch, float(j0), float(j_x2))
 
 
 def mi_monte_carlo(
@@ -193,7 +287,6 @@ def mi_monte_carlo(
     return mean, std_err
 
 
-_EPS = float(np.finfo(float).eps)
 # fd_derivative's step at |x| <= 1
 FD_STEP = _EPS ** (1.0 / 5.0)
 

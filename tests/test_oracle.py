@@ -1,11 +1,13 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from noncoh import mi, oracle
+from mp_reference import j_closed_form
+from noncoh import mi, oracle, verify
 from noncoh.channel import ChannelParams, TwoPointInput
-from noncoh.errors import DegenerateInput
+from noncoh.errors import DegenerateInput, DomainError, ToleranceNotMet
 from noncoh.oracle import (
     fd_derivative,
     j_quadrature,
@@ -32,14 +34,16 @@ class TestJQuadrature:
         )
 
     def test_tolerance_self_consistency(self, monkeypatch):
-        # halving the error target moves the result by less than the previous one
+        # halving the error target moves the result by less than the previous
+        # one, for each integral of a batch on its own
         ch = ChannelParams(1.0)
-        inp = TwoPointInput(0.35, 1.7)
+        xs = [0.0, 1.7, 0.0, 300.0]
+        inps = [TwoPointInput(0.35, 1.7)] * 2 + [TwoPointInput(0.6, 300.0)] * 2
         monkeypatch.setattr(oracle, "_ABS_TOL", 1e-8)
-        loose = j_quadrature(0.0, inp, ch)
+        loose = j_quadrature(xs, inps, ch)
         monkeypatch.setattr(oracle, "_ABS_TOL", 5e-9)
-        tight = j_quadrature(0.0, inp, ch)
-        assert abs(loose - tight) < 1e-8
+        tight = j_quadrature(xs, inps, ch)
+        assert np.all(np.abs(loose - tight) < 1e-8)
 
     def test_substitution_correctness(self):
         # the u-substituted and direct-y discretizations agree
@@ -60,13 +64,92 @@ class TestJQuadrature:
             j_quadrature(0.0, TwoPointInput(0.5, 0.0), ChannelParams(1.0))
 
     def test_tolerance_not_met_when_starved(self, monkeypatch):
-        from noncoh.errors import ToleranceNotMet
-
         # an error target below rounding cannot be certified
         monkeypatch.setattr(oracle, "_ABS_TOL", 1e-16)
         monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", 50)
         with pytest.raises(ToleranceNotMet):
             j_quadrature(0.0, TwoPointInput(0.5, 2.0), ChannelParams(1.0))
+
+
+def _mp_j(x, inp, s2):
+    """J(x) from mpmath's own 2F1 at 40 digits."""
+    with mp.workdps(40):
+        return float(j_closed_form(mp.mpf(x), mp.mpf(inp.a2), mp.mpf(inp.x2), mp.mpf(s2)))
+
+
+class TestBatchedRule:
+    # x2/sigma over [1e-3, 1e5] and a2 over [1e-6, 1 - 1e-6], both J of
+    # each input, plus the point where the boundary layer at the mixture
+    # crossover was once missed by 4.6e-5 = pi^2 sigma^2/(12 x2^2)
+    CASES = [
+        *((x, TwoPointInput(a2, float(r)))
+          for a2 in (1e-6, 1e-3, 0.3, 0.9, 1.0 - 1e-6)
+          for r in np.logspace(-3.0, 5.0, 17)
+          for x in (0.0, float(r))),
+        (133.0, TwoPointInput(0.46, 133.0)),
+    ]
+
+    @pytest.mark.parametrize("s2", [1.0, 1e-3, 1e3])
+    @pytest.mark.parametrize("rule", ["j_quadrature", "j_quadrature_direct"])
+    def test_matches_mpmath_over_the_domain(self, rule, s2):
+        # one batched call for every J; the inputs scale with sigma
+        ch = ChannelParams(s2)
+        cases = [(x * math.sqrt(s2), TwoPointInput(inp.a2, inp.x2 * math.sqrt(s2)))
+                 for x, inp in self.CASES]
+        got = getattr(oracle, rule)([x for x, _ in cases], [inp for _, inp in cases], ch)
+        want = np.array([_mp_j(x, inp, s2) for x, inp in cases])
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_scalar_calls_are_batches_of_one(self):
+        ch = ChannelParams(2.0)
+        xs = [0.0, 3.0, 0.0, 40.0]
+        inps = [TwoPointInput(0.2, 3.0), TwoPointInput(0.2, 3.0),
+                TwoPointInput(0.7, 40.0), TwoPointInput(0.7, 40.0)]
+        batch = j_quadrature(xs, inps, ch)
+        assert isinstance(batch, np.ndarray) and batch.shape == (4,)
+        for x, inp, b in zip(xs, inps, batch):
+            one = j_quadrature(x, inp, ch)
+            assert type(one) is float
+            assert one == pytest.approx(b, abs=1e-14)
+
+    def test_lengths_must_match(self):
+        inp = TwoPointInput(0.5, 2.0)
+        with pytest.raises(DomainError):
+            j_quadrature([0.0, 2.0], [inp], ChannelParams(1.0))
+
+    def test_degenerate_element_is_named(self):
+        inps = [TwoPointInput(0.5, 2.0), TwoPointInput(0.5, 0.0)]
+        with pytest.raises(DegenerateInput, match="element 1"):
+            j_quadrature([0.0, 0.0], inps, ChannelParams(1.0))
+
+    def test_tolerance_not_met_names_the_element(self, monkeypatch):
+        # 16 panels certify J(0) at x2 = 2 and the one-mass-point J, but not
+        # J(x2) across the boundary layer at x2/sigma = 1e3
+        monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", 16)
+        xs = [0.0, 2.0, 1000.0, 2.0]
+        inps = [TwoPointInput(0.5, 2.0), TwoPointInput(1.0, 2.0),
+                TwoPointInput(0.5, 1000.0), TwoPointInput(1.0, 2.0)]
+        with pytest.raises(ToleranceNotMet, match=r"element 2: error estimate"):
+            j_quadrature(xs, inps, ChannelParams(1.0))
+        monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", 100_000)
+        assert np.all(np.isfinite(j_quadrature(xs, inps, ChannelParams(1.0))))
+
+    def test_one_call_per_consumer(self, monkeypatch):
+        # mi_quadrature and verify's oracle family each make one call, which
+        # a wrapper on the module attribute sees
+        calls = []
+        real = oracle.j_quadrature
+
+        def counted(x, inp, ch):
+            calls.append(np.size(x))
+            return real(x, inp, ch)
+
+        monkeypatch.setattr(oracle, "j_quadrature", counted)
+        mi_quadrature(TwoPointInput(0.4, 2.0), ChannelParams(1.0))
+        assert calls == [2]
+        calls.clear()
+        res_j, res_i = verify.check_oracle_equivalence(n_a2=3, n_ratio=4)
+        assert calls == [24] and res_j.passed and res_i.passed
 
 
 class TestMiQuadrature:
