@@ -1,10 +1,11 @@
 """Real-argument special functions used by the closed-form expressions.
 
 Scalar double-precision: the generalized hypergeometric series pFq with
-truncation diagnostics, the Gauss 2F1 on the real axis left of z = 1, and
-partial sums of the alternating log(1+q) series.  The family
-phi(b, u) = 2F1(1, b; b+1; -u) has one set of float64 series and
-formulas, valid for every finite b > 0 and u >= 0, behind two entry
+truncation diagnostics, its terms formed and summed in numpy blocks with
+the bits of a one-term-at-a-time loop, the Gauss 2F1 on the real axis
+left of z = 1, and partial sums of the alternating log(1+q) series.
+The family phi(b, u) = 2F1(1, b; b+1; -u) has one set of float64 series
+and formulas, valid for every finite b > 0 and u >= 0, behind two entry
 points: hyp2f1_1b_value, a scalar plain-float value with series
 diagnostics, behind every J, I(X;Y) and fixed-x2 dI/da2, and hyp2f1_1b,
 the value with its b-partial for arrays of (b, u) through one vectorized
@@ -30,6 +31,9 @@ _PI_LD = _LD("3.14159265358979323846264338327950288")
 ABS_TOL = 1e-14
 MAX_TERMS = 10**7
 
+# hyp_pfq forms its terms in blocks of at most this many (see _pfq_block)
+_PFQ_BLOCK_MAX = 2**12
+
 # gauss_2f1 maps z below -_TRANSFORM_THRESHOLD to z/(z-1) before summing.
 _TRANSFORM_THRESHOLD = 0.5
 
@@ -41,20 +45,6 @@ class SeriesResult:
     value: float
     terms_used: int
     truncation_bound: float
-
-
-def _term_ratio(numer, denom, z, k):
-    r = z / (k + 1.0)
-    for a in numer:
-        r *= a + k
-    for b in denom:
-        bk = b + k
-        if bk == 0.0:
-            raise DomainError(
-                f"denominator parameter {b} hits a pole at term k={k}"
-            )
-        r /= bk
-    return r
 
 
 @functools.lru_cache(maxsize=8)
@@ -85,8 +75,37 @@ def _euler_average(terms):
     return float(levels[pick]), float(err[pick])
 
 
+def _pfq_block(numer, denom, z, k0, n, term, total):
+    """Term ratios r_k = z/(k+1) prod(xi+k) / prod(eta+k), k = k0..k0+n-1,
+    each in one scalar ratio's order of operations; the terms t_k0..t_k0+n
+    from t_k0 = term, multiplied left to right; and the partial sums from
+    total, added left to right.  Past the caller's stop they may overflow or
+    turn NaN, as Python floats do, with no warning."""
+    k = np.arange(k0, k0 + n, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = z / (k + 1.0)
+        for a in numer:
+            r *= a + k
+        for b in denom:
+            r /= b + k
+        t = np.empty(n + 1)
+        t[0] = term
+        t[1:] = r
+        np.multiply.accumulate(t, out=t)
+        s = t.copy()
+        s[0] = total
+        return r, t, np.add.accumulate(s, out=s)
+
+
 def hyp_pfq(numer, denom, z) -> SeriesResult:
     """Generalized hypergeometric series sum_k [prod (xi)_k / prod (eta)_k] z^k / k!.
+
+    The terms come in numpy blocks (_pfq_block), the first as long as the
+    series' own estimate k_min + log(ABS_TOL)/log|z| of its length, each
+    next one twice as long up to _PFQ_BLOCK_MAX.  Partial sums accumulate
+    left to right and the stopping test runs elementwise on the terms with
+    |t_k| <= ABS_TOL, so value, terms_used and truncation_bound are those of
+    summing one term at a time.
 
     Raises DomainError when a denominator parameter is a nonpositive integer
     reached before truncation, DivergenceError outside the convergence
@@ -106,6 +125,12 @@ def hyp_pfq(numer, denom, z) -> SeriesResult:
             raise DivergenceError("series diverges at z = 1 (sum(eta) - sum(xi) <= 0)")
         if z == -1.0 and s <= -1.0:
             raise DivergenceError("series diverges at z = -1 (sum(eta) - sum(xi) <= -1)")
+    # eta + k is 0 only at k = -eta (a float sum vanishes only for exact
+    # negatives), before k_min below, so no stopping test comes first: a pole
+    # within MAX_TERMS is met, and the sums below never reach one.
+    pole = max((b for b in denom if b <= 0.0 and b.is_integer()), default=-math.inf)
+    if -pole <= max(MAX_TERMS, 0):
+        raise DomainError(f"denominator parameter {pole} hits a pole at term k={int(-pole)}")
 
     tol = ABS_TOL
 
@@ -116,17 +141,9 @@ def hyp_pfq(numer, denom, z) -> SeriesResult:
     m0 = int(max(48.0, (max(neg) if neg else 0.0) + 16.0))
     n_tail = 72
     if p == q + 1 and z < 0.0 and abs(z) >= 0.9 and MAX_TERMS >= m0 + n_tail:
-        term = 1.0
-        total = 1.0
-        for k in range(m0 - 1):
-            term *= _term_ratio(numer, denom, z, k)
-            total += term
-        tail_terms = np.empty(n_tail)
-        for j in range(n_tail):
-            term *= _term_ratio(numer, denom, z, m0 - 1 + j)
-            tail_terms[j] = term
-        tail, err = _euler_average(tail_terms)
-        value = total + tail
+        _, t, s = _pfq_block(numer, denom, z, 0, m0 + n_tail - 1, 1.0, 1.0)
+        tail, err = _euler_average(t[m0:])
+        value = float(s[m0 - 1]) + tail
         bound = max(err, abs(value) * 1e-16)
         if bound <= tol:
             return SeriesResult(value, m0 + n_tail, bound)
@@ -138,23 +155,35 @@ def hyp_pfq(numer, denom, z) -> SeriesResult:
     # worst future ratio |z| (1 + D/k) rather than the current one.
     k_min = int(max(neg)) + 4 if neg else 1
     drift = abs(sum(numer) - sum(denom)) + 1.0
-    term = 1.0
-    total = 1.0
-    ratio = _term_ratio(numer, denom, z, 0)
-    k = 0
+    # the first block ends where |z|^k past k_min falls to tol
+    az = abs(z)
+    n = _PFQ_BLOCK_MAX
+    if az < 1.0:
+        n = min(k_min + math.ceil(math.log(tol) / math.log(az)) if az else k_min, n)
+    term, total, k = 1.0, 1.0, 0
     while k < MAX_TERMS:
-        term *= ratio
-        total += term
-        k += 1
-        ratio = _term_ratio(numer, denom, z, k)
-        if k >= k_min and abs(term) <= tol:
-            rho = abs(ratio)
-            if p == q + 1:
-                rho = max(rho, abs(z) * (1.0 + drift / (k + 1.0)))
-            rho = min(rho, 0.999)
-            bound = abs(term) * rho / (1.0 - rho)
-            if bound <= tol:
-                return SeriesResult(total, k, bound)
+        n = min(n, MAX_TERMS - k)
+        # the test at term k + j, j = 1..n, reads t[j], the ratio r[j] and
+        # the partial sum s[j]
+        r, t, s = _pfq_block(numer, denom, z, k, n + 1, term, total)
+        lo = max(k_min - k, 1)
+        cand = lo + (np.abs(t[lo:n + 1]) <= tol).nonzero()[0]
+        if cand.size:
+            rho = np.abs(r[cand])
+            # at z = 0 worst is 0, or NaN for an infinite drift, and
+            # max(rho, worst) is rho either way
+            if p == q + 1 and az:
+                worst = az * (1.0 + drift / ((k + 1.0) + cand))
+                np.copyto(rho, worst, where=worst > rho)
+            np.minimum(rho, 0.999, out=rho)
+            bound = np.abs(t[cand]) * rho / (1.0 - rho)
+            (hit,) = (bound <= tol).nonzero()
+            if hit.size:
+                j = int(cand[hit[0]])
+                return SeriesResult(float(s[j]), k + j, float(bound[hit[0]]))
+        term, total = t[n], s[n]
+        k += n
+        n = min(2 * n, _PFQ_BLOCK_MAX)
     raise NoConvergence(
         f"series did not reach abs_tol={tol} within {MAX_TERMS} terms"
     )

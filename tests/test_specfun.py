@@ -11,6 +11,7 @@ from scipy.special import zeta
 
 from mp_reference import hyp2f1_family, hyp2f1_value, pi_csc_minus_recip_ref
 from noncoh import capacity, mi, specfun
+from noncoh.channel import ChannelParams, TwoPointInput, derive_params
 from noncoh.errors import DivergenceError, DomainError, NoConvergence
 from noncoh.specfun import (
     _euler_average,
@@ -82,6 +83,164 @@ class TestHypPfq:
             )
             assert res.truncation_bound <= specfun.ABS_TOL
             assert res.terms_used <= specfun.MAX_TERMS
+
+
+def _term_ratio_loop(numer, denom, z, k):
+    r = z / (k + 1.0)
+    for a in numer:
+        r *= a + k
+    for b in denom:
+        bk = b + k
+        if bk == 0.0:
+            raise DomainError(f"denominator parameter {b} hits a pole at term k={k}")
+        r /= bk
+    return r
+
+
+def _hyp_pfq_loop(numer, denom, z):
+    """Reference: hyp_pfq's earlier loop, one term at a time, without the
+    argument checks that come before it; reads MAX_TERMS at call time."""
+    numer = [float(a) for a in numer]
+    denom = [float(b) for b in denom]
+    z = float(z)
+    p, q = len(numer), len(denom)
+    tol = specfun.ABS_TOL
+    neg = [-c for c in numer + denom if c < 0.0]
+    m0 = int(max(48.0, (max(neg) if neg else 0.0) + 16.0))
+    n_tail = 72
+    if p == q + 1 and z < 0.0 and abs(z) >= 0.9 and specfun.MAX_TERMS >= m0 + n_tail:
+        term = 1.0
+        total = 1.0
+        for k in range(m0 - 1):
+            term *= _term_ratio_loop(numer, denom, z, k)
+            total += term
+        tail_terms = np.empty(n_tail)
+        for j in range(n_tail):
+            term *= _term_ratio_loop(numer, denom, z, m0 - 1 + j)
+            tail_terms[j] = term
+        tail, err = _euler_average(tail_terms)
+        value = total + tail
+        bound = max(err, abs(value) * 1e-16)
+        if bound <= tol:
+            return specfun.SeriesResult(value, m0 + n_tail, bound)
+    k_min = int(max(neg)) + 4 if neg else 1
+    drift = abs(sum(numer) - sum(denom)) + 1.0
+    term = 1.0
+    total = 1.0
+    ratio = _term_ratio_loop(numer, denom, z, 0)
+    k = 0
+    while k < specfun.MAX_TERMS:
+        term *= ratio
+        total += term
+        k += 1
+        ratio = _term_ratio_loop(numer, denom, z, k)
+        if k >= k_min and abs(term) <= tol:
+            rho = abs(ratio)
+            if p == q + 1:
+                rho = max(rho, abs(z) * (1.0 + drift / (k + 1.0)))
+            rho = min(rho, 0.999)
+            bound = abs(term) * rho / (1.0 - rho)
+            if bound <= tol:
+                return specfun.SeriesResult(total, k, bound)
+    raise NoConvergence(f"series did not reach abs_tol={tol} within {specfun.MAX_TERMS} terms")
+
+
+def _outcome(fn, numer, denom, z):
+    """(value, terms_used, truncation_bound) with the floats in hex, so
+    that -0.0, NaN and every last bit count; or the error's type and text."""
+    try:
+        res = fn(numer, denom, z)
+    except (DomainError, NoConvergence) as exc:
+        return type(exc), str(exc)
+    assert type(res.value) is float and type(res.truncation_bound) is float
+    return res.value.hex(), res.terms_used, res.truncation_bound.hex()
+
+
+def _recorded_calls(monkeypatch, run):
+    """The (numer, denom, z) of every hyp_pfq call that run() makes."""
+    calls = []
+
+    def recording(numer, denom, z):
+        calls.append((list(numer), list(denom), z))
+        return hyp_pfq(numer, denom, z)
+
+    monkeypatch.setattr(specfun, "hyp_pfq", recording)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+# series for the block loop against the reference: 0F0 and 1F1 on both
+# sides of |z| = 1; terms that hump back up after negative non-integer
+# parameters; 2F1 and 3F2 at z = -1 and -0.9 that the tail acceleration
+# does not settle, so they fall through to plain summation; z = 0, once
+# with parameters whose sum overflows; 2F1 at z = 1; and denominator poles
+# before, at and past the MAX_TERMS values below
+_SERIES = [
+    ([], [], 0.3), ([], [], -7.5), ([], [], 1.0), ([], [], -1.0), ([0.5], [1.5], -1.0),
+    ([1.0, 0.5], [1.5], 0.0), ([2.5], [], 0.0), ([1.0, 1.0, 1.0], [2.0], 0.0),
+    ([1e308, 1e308], [1.0], 0.0),
+    ([-7.5, 1.3], [2.2], 0.8), ([-20.3], [0.4], 3.0), ([-12.3, 4.0], [-2.5], -0.9),
+    ([-3.5, 4.0], [0.6], -0.9), ([-3.5, 4.0], [0.6], -0.95),
+    ([1.0, -7.3, 0.5], [2.0, -0.5], -1.0), ([1.0, -7.3, 6.0], [2.0, 3.0], -1.0),
+    ([1.0, 1.0, 1.5], [2.0, 2.5], -1.0), ([1.0, 1.0], [2.0], -1.0),
+    ([0.5, 0.5], [6.0], 1.0), ([1.0, 0.7], [1.7], 0.999),
+    ([1.0], [-2.0], 0.5), ([1.0], [-3.0, -1.0], 0.5), ([1.0], [0.0], 0.5),
+    ([1.0], [-37.0], 0.5), ([1.0], [-50.0], 0.5), ([1.0, 1.0], [-3.0], -0.95),
+]
+# 0F0 series whose terms overflow to inf, or to inf and -inf, within 100
+# terms; at the full MAX_TERMS they would run 10^7 terms before giving up
+_OVERFLOWING = [([], [], 1e5), ([], [], -1e5)]
+
+
+class TestHypPfqBlocks:
+    """hyp_pfq forms and sums its terms in numpy blocks; every result must
+    be the one-term-at-a-time loop's, bit for bit, and so must every error."""
+
+    def test_every_call_of_a_verify_pass(self, monkeypatch):
+        from noncoh import verify
+
+        calls = _recorded_calls(monkeypatch, verify.run_checks)
+        # the route-consistency family's 2F1(-1/beta) sums tens of
+        # thousands of terms in one call, over many blocks
+        assert max(hyp_pfq(*c).terms_used for c in calls) > 4 * specfun._PFQ_BLOCK_MAX
+        for c in calls:
+            assert _outcome(hyp_pfq, *c) == _outcome(_hyp_pfq_loop, *c), c
+
+    @pytest.mark.parametrize("series", _SERIES)
+    def test_series_at_the_edges(self, series):
+        assert _outcome(hyp_pfq, *series) == _outcome(_hyp_pfq_loop, *series)
+
+    @pytest.mark.parametrize("block_max", [1, 2, 7])
+    def test_block_boundaries_move_no_bit(self, block_max, monkeypatch):
+        # a stop, a carried term and a carried sum at every block boundary
+        expected = [_outcome(hyp_pfq, *c) for c in _SERIES]
+        monkeypatch.setattr(specfun, "_PFQ_BLOCK_MAX", block_max)
+        assert [_outcome(hyp_pfq, *c) for c in _SERIES] == expected
+
+    @pytest.mark.parametrize("max_terms", [5, 37, 100])
+    def test_starved_series(self, max_terms, monkeypatch):
+        monkeypatch.setattr(specfun, "MAX_TERMS", max_terms)
+        series = _SERIES + _OVERFLOWING
+        outcomes = [_outcome(hyp_pfq, *c) for c in series]
+        assert outcomes == [_outcome(_hyp_pfq_loop, *c) for c in series]
+        # starved, met a pole, and summed within the cap, at every cap
+        kinds = {o[0] if isinstance(o[0], type) else float for o in outcomes}
+        assert kinds == {NoConvergence, DomainError, float}
+
+    @pytest.mark.parametrize("z", [-0.51, -0.9, -4.0, -815.0, -1e4])
+    def test_gauss_2f1_below_minus_half(self, z, monkeypatch):
+        calls = _recorded_calls(monkeypatch, lambda: gauss_2f1(1.0, 1.4, 2.4, z))
+        assert len(calls) == 1 and calls[0][2] == z / (z - 1.0)
+        assert _outcome(hyp_pfq, *calls[0]) == _outcome(_hyp_pfq_loop, *calls[0])
+
+    def test_j_case3_at_small_beta(self, monkeypatch):
+        # beta = 6.9e-5 maps -1/beta to w = z/(z-1) within 7e-5 of 1
+        inp, ch = TwoPointInput(0.034, 68.6), ChannelParams(9.24)
+        assert derive_params(0.0, inp, ch)[1] == pytest.approx(6.9e-5, rel=0.01)
+        calls = _recorded_calls(monkeypatch, lambda: mi.j_case3(0.0, inp, ch))
+        assert len(calls) == 1 and calls[0][2] > 1.0 - 7e-5
+        assert _outcome(hyp_pfq, *calls[0]) == _outcome(_hyp_pfq_loop, *calls[0])
 
 
 class TestGauss2F1:
