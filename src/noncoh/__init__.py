@@ -10,30 +10,22 @@ from .channel import (
     snr_to_db,
 )
 from .capacity import CapacityPoint, SweepConfig, mi_profile, solve_a2_star, sweep
-from .mi import (
-    Case,
-    MIResult,
-    continuation_residual,
-    hyp3f2_sin_identity_residual,
-    input_entropy,
-    j_case1,
-    j_case2,
-    j_case3,
-    mi_derivative_a2,
-    mutual_information,
-)
+from .mi import Case, MIResult, input_entropy, mi_derivative_a2, mutual_information
 from .oracle import (
     fd_derivative,
     j_quadrature,
     mi_monte_carlo,
     mi_quadrature,
 )
-from .specfun import (
-    SeriesResult,
-    gauss_2f1,
-    hyp_pfq,
+from .reference import (
+    continuation_residual,
+    hyp3f2_sin_identity_residual,
+    j_case1,
+    j_case2,
+    j_case3,
     log1p_series_partial_sum,
 )
+from .specfun import SeriesResult, gauss_2f1, hyp_pfq
 
 __version__ = "0.1.0"
 

@@ -9,7 +9,7 @@ quantities
     beta  = (a2/(1-a2)) * (sigma^2/(x2^2+sigma^2))
 
 are the parameters of the paper's closed forms for J(x) at any magnitude
-x >= 0; derive_params gives them to mi's reference forms.
+x >= 0; derive_params gives them to the forms of noncoh.reference.
 """
 
 from __future__ import annotations
@@ -57,16 +57,6 @@ class TwoPointInput:
     def is_degenerate(self) -> bool:
         """One mass point: a2 in {0, 1}, or x2^2 = 0 in floats."""
         return self.a2 in (0.0, 1.0) or self.x2 * self.x2 == 0.0
-
-
-def nearest_reciprocal(alpha: float) -> tuple[int, float]:
-    """Nearest point 1/n (n a positive integer) to alpha, and the distance."""
-    if alpha >= 1.5:
-        return 1, alpha - 1.0
-    inv = 1.0 / alpha
-    n0 = max(1, int(round(inv)))
-    best = min((n0 - 1, n0, n0 + 1), key=lambda m: abs(alpha - 1.0 / m) if m >= 1 else math.inf)
-    return best, abs(alpha - 1.0 / best)
 
 
 def derive_params(x: float, inp: TwoPointInput, ch: ChannelParams) -> tuple[float, float]:

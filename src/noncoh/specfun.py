@@ -1,15 +1,15 @@
 """Real-argument special functions used by the closed-form expressions.
 
-Scalar double-precision: the generalized hypergeometric series pFq with
-truncation diagnostics, its terms formed and summed in numpy blocks with
-the bits of a one-term-at-a-time loop, the Gauss 2F1 on the real axis
-left of z = 1, and partial sums of the alternating log(1+q) series.
 The family phi(b, u) = 2F1(1, b; b+1; -u) has one set of float64 series
 and formulas, valid for every finite b > 0 and u >= 0, behind two entry
 points: hyp2f1_1b_value, a scalar plain-float value with series
 diagnostics, behind every J, I(X;Y) and fixed-x2 dI/da2, and hyp2f1_1b,
 the value with its b-partial for arrays of (b, u) through one vectorized
-code path, behind the capacity-mode dI/da2.
+code path, behind the capacity-mode dI/da2.  Beside it sit the scalar
+generalized series pFq with truncation diagnostics, its terms formed and
+summed in numpy blocks with the bits of a one-term-at-a-time loop, and the
+Gauss 2F1 on the real axis left of z = 1, on which only noncoh.reference
+sums its forms.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, DomainError, NoConvergence
-
-_LD = np.longdouble
-_PI_LD = _LD("3.14159265358979323846264338327950288")
-
 
 # Truncation of hyp_pfq (and so gauss_2f1): the target for the absolute
 # remainder and the cap on summed terms.
@@ -214,32 +210,6 @@ def gauss_2f1_diag(xi1, xi2, eta1, z) -> SeriesResult:
 def gauss_2f1(xi1, xi2, eta1, z) -> float:
     """Value of the analytic continuation of 2F1 at real z < 1."""
     return gauss_2f1_diag(xi1, xi2, eta1, z).value
-
-
-def log1p_series_partial_sum(q: float, n: int) -> float:
-    """Partial sum T_n = sum_{k=1..n} (-1)^(k+1) q^k / k of the log(1+q)
-    series; satisfies 0 <= T_n <= q for 0 <= q <= 1."""
-    if n < 1:
-        raise DomainError("n must be a positive integer")
-    k = np.arange(1, n + 1, dtype=float)
-    signs = np.where(np.arange(1, n + 1) % 2 == 1, 1.0, -1.0)
-    return float(np.sum(signs * np.power(q, k) / k))
-
-
-def pi_csc_recip(alpha: float) -> float:
-    """pi / sin(pi/alpha) with the argument reduced modulo the period in
-    extended precision, so accuracy survives large 1/alpha."""
-    a = _LD(alpha)
-    inv = _LD(1.0) / a
-    n = int(np.rint(inv))
-    # reduced argument 1/alpha - n computed as (1 - n*alpha)/alpha
-    r = (_LD(1.0) - _LD(n) * a) / a
-    s = np.sin(_PI_LD * r)
-    if n % 2 == 1:
-        s = -s
-    if s == 0.0:
-        raise DomainError(f"sin(pi/alpha) vanishes at alpha={alpha}")
-    return float(_PI_LD / s)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mi, oracle, specfun
-from .channel import ChannelParams, TwoPointInput, derive_params, nearest_reciprocal
+from . import mi, oracle, reference, specfun
+from .channel import ChannelParams, TwoPointInput, derive_params
 from .errors import CaseMismatch, NearSingularAlpha
 
 
@@ -36,7 +36,7 @@ def _alpha_grid(n: int, lo: float = 0.11, hi: float = 9.7) -> np.ndarray:
     alphas = np.logspace(math.log10(lo), math.log10(hi), n)
     out = []
     for a in alphas:
-        _, dist = nearest_reciprocal(float(a))
+        _, dist = reference.nearest_reciprocal(float(a))
         if dist < 1e-3:
             a = a * (1.0 + 5e-3)
         out.append(float(a))
@@ -50,7 +50,7 @@ def check_partial_sum_bounds(cases: int = 1000, seed: int = 2024) -> CheckResult
     for _ in range(cases):
         q = float(rng.uniform(0.0, 1.0))
         n = int(rng.integers(1, 501))
-        t = specfun.log1p_series_partial_sum(q, n)
+        t = reference.log1p_series_partial_sum(q, n)
         worst = max(worst, -t, t - q)
     return CheckResult("partial-sum bounds 0 <= T_n <= q", max(worst, 0.0), 0.0,
                        worst <= 0.0, f"({cases} cases)")
@@ -95,7 +95,7 @@ def check_continuation(n_alpha: int = 10, n_beta: int = 10) -> CheckResult:
     betas = np.logspace(-1.0, 1.0, n_beta)
     for a in _alpha_grid(n_alpha, lo=0.3):
         for b in betas:
-            worst = max(worst, abs(mi.continuation_residual(float(a), float(b))))
+            worst = max(worst, abs(reference.continuation_residual(float(a), float(b))))
     return CheckResult("continuation identity", worst, 1e-8, worst <= 1e-8,
                        f"({n_alpha * n_beta}-point grid)")
 
@@ -104,7 +104,7 @@ def check_sin_identity(alphas=(0.3, 0.6, 1.4, 2.0, 3.7, 5.5, 8.9)) -> CheckResul
     """Residual of the reduction of the two 3F2(-1) sums to pi/sin(pi/alpha)."""
     worst = 0.0
     for a in alphas:
-        worst = max(worst, abs(mi.hyp3f2_sin_identity_residual(float(a))))
+        worst = max(worst, abs(reference.hyp3f2_sin_identity_residual(float(a))))
     return CheckResult("3F2(-1) sin identity", worst, 1e-8, worst <= 1e-8,
                        f"({len(alphas)} alphas)")
 
@@ -138,7 +138,8 @@ def check_derivative(points: int = 50, seed: int = 99) -> CheckResult:
 
 def _mi_case3(inp: TwoPointInput, ch: ChannelParams) -> float:
     """I at (x2, sigma^2) as given, each J from the beta>=1 closed form of
-    j_case3 and assembled by oracle.mi_from_j, none of it in x2^2/sigma^2.
+    reference.j_case3 (reference._case3_value) and assembled by
+    oracle.mi_from_j, none of it in x2^2/sigma^2.
     The form's 2F1(1, b; b+1; -1/beta), b = 1 + 1/alpha, is summed by
     hyp2f1_1b_value: gauss_2f1, which j_case3 sums, takes up to 380 000
     terms and 7-10 ms for one J at beta ~ 7e-5, and about 20 ms for the 40
@@ -147,7 +148,7 @@ def _mi_case3(inp: TwoPointInput, ch: ChannelParams) -> float:
     for x in (0.0, inp.x2):
         alpha, beta = derive_params(x, inp, ch)
         phi = specfun.hyp2f1_1b_value(1.0 + 1.0 / alpha, 1.0 / beta).value
-        js.append(mi._case3_value(x, inp, ch, beta, alpha / (beta * (alpha + 1.0)) * phi))
+        js.append(reference._case3_value(x, inp, ch, beta, alpha / (beta * (alpha + 1.0)) * phi))
     return oracle.mi_from_j(inp, ch, *js)
 
 
@@ -185,10 +186,10 @@ def check_route_consistency(points: int = 40, seed: int = 11) -> CheckResult:
         inp = TwoPointInput(a2=a2, x2=x2)
         for x in (0.0, x2):
             try:
-                v2 = mi.j_case2(x, inp, ch)
+                v2 = reference.j_case2(x, inp, ch)
             except (NearSingularAlpha, CaseMismatch):
                 continue
-            v3 = mi.j_case3(x, inp, ch)
+            v3 = reference.j_case3(x, inp, ch)
             worst = max(worst, abs(v2 - v3))
             done += 1
     return CheckResult("route consistency (both closed forms)", worst, 1e-8,

@@ -56,3 +56,26 @@ def test_benchmark_hook_targets_exist():
         assert callable(getattr(noncoh.capacity, attr, None)), f"noncoh.capacity.{attr}"
     fields = {f.name for f in dataclasses.fields(noncoh.MIResult)}
     assert {"case_j0", "case_jx2"} <= fields
+
+
+def _noncoh_imports(name: str) -> set[str]:
+    """The noncoh modules that noncoh.<name> imports, read from its source,
+    relative imports and absolute ones alike."""
+    path = pathlib.Path(noncoh.__file__).parent / f"{name}.py"
+    dotted = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            dotted += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["noncoh" if node.level else None, node.module]))
+            dotted += [module] + [f"{module}.{a.name}" for a in node.names]
+    return {d.split(".")[1] for d in dotted if d.startswith("noncoh.")}
+
+
+def test_reference_forms_stay_off_the_value_path():
+    # the value path and its oracles never reach the paper's reference forms,
+    # and the reference forms take no value from the value path
+    for name in ("specfun", "mi", "channel", "capacity", "oracle"):
+        assert "reference" not in _noncoh_imports(name), name
+    assert not {"mi", "capacity"} & _noncoh_imports("reference")
+    assert {"specfun", "channel", "errors"} <= _noncoh_imports("reference")

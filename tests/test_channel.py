@@ -6,12 +6,12 @@ from noncoh.channel import (
     ChannelParams,
     TwoPointInput,
     derive_params,
-    nearest_reciprocal,
     snr_from_db,
     snr_to_db,
 )
 from noncoh.errors import DegenerateInput, DomainError
-from noncoh.mi import Case, j_case3, mutual_information
+from noncoh.mi import Case, mutual_information
+from noncoh.reference import j_case3, nearest_reciprocal
 
 
 class TestParams:

@@ -10,28 +10,24 @@ from scipy.integrate import quad
 
 from mp_reference import j_closed_form
 from noncoh import cli, mi, oracle, verify
-from noncoh.channel import (
-    ChannelParams,
-    TwoPointInput,
-    derive_params,
-    nearest_reciprocal,
-)
+from noncoh.channel import ChannelParams, TwoPointInput, derive_params
 from noncoh.errors import (
     CaseMismatch,
     DegenerateInput,
+    DomainError,
     NearSingularAlpha,
 )
-from noncoh.mi import (
+from noncoh.mi import Case, input_entropy, mi_derivative_a2, mutual_information
+from noncoh.reference import (
     GUARD_TOL,
-    Case,
     continuation_residual,
     hyp3f2_sin_identity_residual,
-    input_entropy,
     j_case1,
     j_case2,
     j_case3,
-    mi_derivative_a2,
-    mutual_information,
+    log1p_series_partial_sum,
+    nearest_reciprocal,
+    pi_csc_recip,
 )
 
 LOG2 = math.log(2.0)
@@ -493,8 +489,6 @@ class TestSinIdentity:
 
     def test_alpha_two_reference(self):
         # pi/sin(pi/2) = pi
-        from noncoh.specfun import pi_csc_recip
-
         assert pi_csc_recip(2.0) == pytest.approx(math.pi, rel=1e-15)
 
     @pytest.mark.parametrize("alpha", [0.3, 1.4, 3.7, 8.9])
@@ -504,6 +498,27 @@ class TestSinIdentity:
     def test_guard(self):
         with pytest.raises(NearSingularAlpha):
             hyp3f2_sin_identity_residual(1.0 + 1e-8)
+
+
+@pytest.mark.parametrize("fn,args", [
+    (continuation_residual, (math.nan, 1.0)),
+    (continuation_residual, (math.inf, 1.0)),
+    (continuation_residual, (0.7, math.inf)),
+    (continuation_residual, (0.7, math.nan)),
+    (continuation_residual, (0.0, 1.0)),
+    (continuation_residual, (0.7, -1.0)),
+    (hyp3f2_sin_identity_residual, (math.nan,)),
+    (hyp3f2_sin_identity_residual, (math.inf,)),
+    (hyp3f2_sin_identity_residual, (-2.0,)),
+    (log1p_series_partial_sum, (0.5, 2.5)),
+    (log1p_series_partial_sum, (0.5, 0)),
+    (log1p_series_partial_sum, (0.5, math.nan)),
+])
+def test_reference_functions_refuse_bad_input(fn, args):
+    # alpha and beta finite and positive, n an integer >= 1, checked before
+    # any series is summed
+    with pytest.raises(DomainError):
+        fn(*args)
 
 
 def _joint_rescaling_gap():
