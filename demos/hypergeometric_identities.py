@@ -9,12 +9,8 @@ Run:  python demos/hypergeometric_identities.py
 
 import math
 
-from noncoh import (
-    continuation_residual,
-    gauss_2f1,
-    hyp3f2_sin_identity_residual,
-    hyp_pfq,
-)
+from noncoh.reference import continuation_residual, hyp3f2_sin_identity_residual
+from noncoh.specfun import gauss_2f1, hyp_pfq
 
 print(__doc__)
 

@@ -49,7 +49,9 @@ def __getattr__(name):
     """capacity.brentq: scipy's brentq, unused here, is imported and bound
     into this module on first lookup, so that bench/layertrace.py, which
     hooks it, finds it in vars(capacity) while the solver loads no scipy.
-    The benchmark's trace update (ROADMAP item 6) deletes this shim."""
+    Only the benchmark, which imports scipy itself, looks it up, so scipy
+    is no runtime dependency (it is in the test extra).  The benchmark's
+    trace update (ROADMAP item 6) deletes this shim."""
     if name == "brentq":
         from scipy.optimize import brentq
 
@@ -88,6 +90,9 @@ class SweepConfig:
             raise DomainError("snr_db_step must be positive")
         if self.snr_db_start > self.snr_db_stop:
             raise DomainError("snr_db_start must not exceed snr_db_stop")
+        if not math.isfinite((self.snr_db_stop - self.snr_db_start) / self.snr_db_step):
+            raise DomainError("(snr_db_stop - snr_db_start)/snr_db_step, the number of "
+                              "grid steps, must be finite")
 
 
 def classify_regime(snr_db: float) -> str:
@@ -341,8 +346,8 @@ def mi_profile(snr_linear: float, a2_grid) -> list[tuple[float, float]]:
     """Mutual information along a grid of a2 values with x2^2 = P/a2, in
     one batched call, computed in t = SNR/a2 alone."""
     a2 = np.asarray(a2_grid, dtype=float)
-    if not ((0.0 < a2) & (a2 < 1.0)).all():
-        raise SolverFailure("profile grid values must lie in (0, 1)")
+    if a2.ndim != 1 or not ((0.0 < a2) & (a2 < 1.0)).all():
+        raise SolverFailure("the profile grid must be a 1-D array of values in (0, 1)")
     _check_snr(a2, snr_linear)
     nats, _ = _mi_deriv(a2, snr_linear)
     return list(zip(a2.tolist(), nats.tolist()))

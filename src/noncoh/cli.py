@@ -113,17 +113,18 @@ def cmd_deriv(args) -> int:
         snr = snr_from_db(args.snr_db)
         sigma = math.sqrt(ChannelParams(sigma2=args.sigma2).sigma2)
         # dI/da2 depends on t = x2^2/sigma^2 = SNR/a2 alone: it is taken at
-        # sigma^2 = 1, as the solver does, and sigma2 only sets the unit of x2
+        # sigma^2 = 1, as the solver does, and sigma2 only sets the unit of x2.
+        # x2 = 0 leaves the mass point to mi_derivative_a2, which names an
+        # SNR/a2 out of range before sqrt(SNR/a2) could overflow
         ch = ChannelParams(sigma2=1.0, power_budget=snr)
-        inp = TwoPointInput(a2=args.a2, x2=math.sqrt(snr / args.a2) if args.a2 > 0.0 else 0.0)
-        x2 = sigma * inp.x2
+        inp = TwoPointInput(a2=args.a2, x2=0.0)
         mode = "capacity (x2^2 = P/a2)"
     else:
         ch = ChannelParams(sigma2=args.sigma2)
         inp = TwoPointInput(a2=args.a2, x2=args.x2)
-        x2 = inp.x2
         mode = "fixed x2"
     value = mi.mi_derivative_a2(inp, ch)
+    x2 = inp.x2 if args.snr_db is None else sigma * math.sqrt(snr / args.a2)
     results = {"dI_da2": value, "mode": mode, "x2": x2}
     lines = [f"dI/da2 = {_fmt(value)}  [{mode}]"]
     diagnostics, failure = {}, None
@@ -234,6 +235,8 @@ def cmd_mc(args) -> int:
     ch = ChannelParams(sigma2=args.sigma2)
     if args.samples < 1:  # checked before the one-mass-point answer below
         raise DomainError(f"--samples must be >= 1 (got {args.samples})")
+    if args.seed < 0:
+        raise DomainError(f"--seed must be >= 0 (got {args.seed})")
     res = mi.mutual_information(inp, ch)
     closed = res.nats
     if res.case_j0 is mi.Case.DEGENERATE:

@@ -110,13 +110,17 @@ def _gauss_kronrod(f, params, points):
 
 def _batch(x, inp):
     """(scalar, x, a2, x2): whether inp is one TwoPointInput, and x with the
-    inputs' a2 and x2 as float arrays of one length."""
+    inputs' a2 and x2 as float arrays of one length.  DomainError, naming
+    the element, for a NaN or infinite x."""
     scalar = isinstance(inp, TwoPointInput)
     inps = [inp] if scalar else list(inp)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (len(inps),):
         raise DomainError(f"the quadrature needs one x per input "
                           f"(got {x.size} x for {len(inps)} inputs)")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise DomainError(f"J(x) oracle needs a finite x (element {bad[0]}: x={x[bad[0]]})")
     return (scalar, x, np.array([i.a2 for i in inps], dtype=float),
             np.array([i.x2 for i in inps], dtype=float))
 
@@ -248,14 +252,16 @@ def mi_monte_carlo(
     samples: int,
     seed: int,
 ) -> tuple[float, float]:
-    """Seeded Monte-Carlo estimate of E[log f(Y|X) - log f(Y)] from
-    samples >= 1 draws.
+    """Monte-Carlo estimate of E[log f(Y|X) - log f(Y)] from samples >= 1
+    draws, seeded by seed >= 0.
 
     X is sampled from the two-point law and Y|X=x by inverse CDF,
     Y = sqrt(-(x^2+sigma^2) log U).  Returns (estimate, standard error).
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1 (got {samples})")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0 (got {seed})")
     if inp.is_degenerate():
         raise DegenerateInput("Monte-Carlo estimator needs 0 < a2 < 1 and x2 > 0")
     rng = np.random.default_rng(seed)

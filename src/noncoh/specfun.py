@@ -103,13 +103,17 @@ def hyp_pfq(numer, denom, z) -> SeriesResult:
     |t_k| <= ABS_TOL, so value, terms_used and truncation_bound are those of
     summing one term at a time.
 
-    Raises DomainError when a denominator parameter is a nonpositive integer
-    reached before truncation, DivergenceError outside the convergence
-    region, and NoConvergence when MAX_TERMS terms leave it above ABS_TOL.
+    Raises DomainError for a NaN or infinite z or parameter, or when a
+    denominator parameter is a nonpositive integer reached before
+    truncation, DivergenceError outside the convergence region, and
+    NoConvergence when MAX_TERMS terms leave it above ABS_TOL.
     """
     numer = [float(a) for a in numer]
     denom = [float(b) for b in denom]
     z = float(z)
+    if not all(map(math.isfinite, [*numer, *denom, z])):
+        raise DomainError(f"pFq needs finite parameters and z (numer={numer}, "
+                          f"denom={denom}, z={z})")
     p, q = len(numer), len(denom)
     if p > q + 1 and z != 0.0:
         raise DivergenceError(f"{p}F{q} has zero radius of convergence")
@@ -195,9 +199,9 @@ def gauss_2f1_diag(xi1, xi2, eta1, z) -> SeriesResult:
         2F1(a, b; c; z) = (1-z)^(-a) 2F1(a, c-b; c; w).
     """
     xi1, xi2, eta1, z = float(xi1), float(xi2), float(eta1), float(z)
-    if z >= 1.0:
-        raise DomainError(f"2F1 is evaluated only for z < 1 (z={z})")
-    if eta1 <= 0.0 and eta1 == math.floor(eta1):
+    if not -math.inf < z < 1.0:
+        raise DomainError(f"2F1 is evaluated only for finite z < 1 (z={z})")
+    if eta1 <= 0.0 and eta1.is_integer():
         raise DomainError(f"2F1 undefined for nonpositive integer eta1={eta1}")
     if z < -_TRANSFORM_THRESHOLD:
         w = z / (z - 1.0)

@@ -7,12 +7,11 @@ import importlib
 import importlib.util
 import pathlib
 
-import noncoh
+import os
+import subprocess
+import sys
 
-# Public names with no caller inside the library, each kept for a reason.
-ALLOWED_UNUSED = {
-    "j_case1": "the finite-sum reference form tests compare the value path against",
-}
+import noncoh
 
 
 def _library_references() -> set[str]:
@@ -31,9 +30,7 @@ def _library_references() -> set[str]:
 
 
 def test_every_public_name_has_a_library_caller():
-    assert set(ALLOWED_UNUSED) <= set(noncoh.__all__), "stale allow-list entry"
-    unused = set(noncoh.__all__) - _library_references()
-    assert unused == set(ALLOWED_UNUSED)
+    assert set(noncoh.__all__) - _library_references() == set()
 
 
 def _bench_hooks():
@@ -79,3 +76,42 @@ def test_reference_forms_stay_off_the_value_path():
         assert "reference" not in _noncoh_imports(name), name
     assert not {"mi", "capacity"} & _noncoh_imports("reference")
     assert {"specfun", "channel", "errors"} <= _noncoh_imports("reference")
+
+
+_IMPORT_GUARD = """
+import sys
+import noncoh as nc
+inp, ch = nc.TwoPointInput(0.3, 2.0), nc.ChannelParams(1.0)
+snr = nc.snr_from_db(0.0)
+calls = [
+    nc.mutual_information(inp, ch).nats,
+    nc.input_entropy(inp),
+    nc.mi_derivative_a2(inp, ch),
+    nc.mi_derivative_a2(nc.TwoPointInput(0.3, (snr / 0.3) ** 0.5),
+                        nc.ChannelParams(1.0, power_budget=snr)),
+    nc.mi_profile(snr, [0.2, 0.5])[0][1],
+    nc.solve_a2_star(snr).i_star_nats,
+    len(nc.sweep(nc.SweepConfig(-2.0, 2.0, 2.0))),
+    nc.snr_to_db(snr),
+    nc.j_quadrature(0.0, inp, ch),
+    nc.mi_quadrature(inp, ch),
+    nc.mi_monte_carlo(inp, ch, samples=100, seed=1)[0],
+    nc.fd_derivative(lambda x: x * x, 1.0),
+]
+assert all(isinstance(v, (int, float)) for v in calls), calls
+print(sorted(m for m in sys.modules
+             if m in ("noncoh.reference", "noncoh.verify") or m.split(".")[0] == "scipy"))
+"""
+
+
+def test_the_top_level_loads_only_the_value_path():
+    # a fresh interpreter that imports noncoh and calls every function it
+    # exports loads neither the reference forms, nor verify, nor scipy
+    env = dict(os.environ)
+    env.pop("NONCOH_FAULT_INJECT", None)
+    src = str(pathlib.Path(noncoh.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    res = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], capture_output=True,
+                         text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"

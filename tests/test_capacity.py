@@ -588,6 +588,12 @@ class TestProfile:
     def test_empty_grid(self):
         assert mi_profile(1.0, []) == []
 
+    @pytest.mark.parametrize("grid", [0.5, [[0.5, 0.3]], [[0.5], [0.3]]],
+                             ids=["scalar", "row", "column"])
+    def test_rejects_a_grid_that_is_not_1d(self, grid):
+        with pytest.raises(SolverFailure, match="1-D"):
+            mi_profile(1.0, grid)
+
     @pytest.mark.parametrize("snr_db", [-10.0, -5.0, 10.0])
     def test_matches_scalar_calls(self, snr_db):
         snr = 10.0 ** (snr_db / 10.0)

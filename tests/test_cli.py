@@ -304,6 +304,10 @@ class TestMcCommand:
     ["sweep", "--from-db", "0", "--to-db", "1", "--step-db", "1", "--sigma2", "inf"],
     ["deriv", "--a2", "0", "--snr-db", "0"],
     ["deriv", "--a2", "-0.5", "--snr-db", "0"],
+    ["sweep", "--from-db", "0", "--to-db", "1", "--step-db", "1e-321"],
+    ["sweep", "--from-db=-1e308", "--to-db", "1e308", "--step-db", "1"],
+    ["mc", "--a2", "0.5", "--x2", "1", "--seed", "-1", "--samples", "10"],
+    ["deriv", "--a2", "1e-320", "--snr-db", "0"],
 ], ids=["sweep-step-zero", "sweep-reversed", "profile-points-zero",
         "profile-points-negative", "mc-samples-zero", "sweep-step-nan", "sweep-from-nan",
         "sweep-to-inf", "sweep-snr-overflow", "profile-snr-overflow", "deriv-snr-overflow",
@@ -312,7 +316,8 @@ class TestMcCommand:
         "sweep-u-overflow", "sweep-b-overflow", "profile-b-overflow", "deriv-snr-b-overflow",
         "mi-x2-u-overflow", "mi-a2-u-overflow", "deriv-x2-u-overflow", "deriv-a2-u-overflow",
         "mi-sigma2-inf", "mc-sigma2-inf", "deriv-sigma2-inf", "sweep-sigma2-inf",
-        "deriv-snr-a2-zero", "deriv-snr-a2-negative"])
+        "deriv-snr-a2-zero", "deriv-snr-a2-negative", "sweep-step-count-overflow",
+        "sweep-span-overflow", "mc-seed-negative", "deriv-snr-a2-t-overflow"])
 def test_invalid_values_exit_2(argv, tmp_path, capsys):
     # the invalid-arguments code, not 1 (verification failed) with a traceback;
     # an SNR whose 2F1 arguments overflow is named, before the kernel sees it
@@ -333,6 +338,8 @@ def test_invalid_values_exit_2(argv, tmp_path, capsys):
         assert all(f"{name}=" in err for name in ("a2", "x2", "sigma2"))
     if "inf" in argv and argv[argv.index("inf") - 1] == "--sigma2":
         assert "sigma2" in err
+    if argv[:3] == ["deriv", "--a2", "1e-320"]:  # t = SNR/a2 overflows, not x2
+        assert "SNR 1 is out of range" in err
 
 
 @pytest.mark.parametrize("grid,sigma2", [

@@ -117,6 +117,15 @@ class TestBatchedRule:
         with pytest.raises(DomainError):
             j_quadrature([0.0, 2.0], [inp], ChannelParams(1.0))
 
+    @pytest.mark.parametrize("rule", [j_quadrature, j_quadrature_direct])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_is_named(self, rule, bad):
+        inp = TwoPointInput(0.5, 2.0)
+        with pytest.raises(DomainError, match="element 1"):
+            rule([0.0, bad], [inp, inp], ChannelParams(1.0))
+        with pytest.raises(DomainError, match="element 0"):
+            rule(bad, inp, ChannelParams(1.0))
+
     def test_degenerate_element_is_named(self):
         inps = [TwoPointInput(0.5, 2.0), TwoPointInput(0.5, 0.0)]
         with pytest.raises(DegenerateInput, match="element 1"):
@@ -202,6 +211,10 @@ class TestMonteCarlo:
             mi_monte_carlo(
                 TwoPointInput(1.0, 1.0), ChannelParams(1.0), samples=10, seed=0
             )
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed"):
+            mi_monte_carlo(TwoPointInput(0.5, 1.0), ChannelParams(1.0), samples=10, seed=-1)
 
     def test_z_scores_over_random_configs(self):
         rng = np.random.default_rng(2024)

@@ -64,6 +64,16 @@ class TestHypPfq:
         with pytest.raises(DivergenceError):
             hyp_pfq([1.0, 1.0], [2.0], 1.0)
 
+    @pytest.mark.parametrize("numer,denom,z", [
+        ([1.0, 1.0], [2.0], math.nan), ([1.0, 1.0], [2.0], math.inf),
+        ([1.0, 1.0], [2.0], -math.inf), ([math.nan, 1.0], [2.0], 0.5),
+        ([1.0, -math.inf], [2.0], 0.5), ([1.0], [math.inf], 0.5), ([], [], math.nan),
+    ], ids=["z-nan", "z-inf", "z-minus-inf", "numer-nan", "numer-minus-inf", "denom-inf",
+            "0f0-z-nan"])
+    def test_non_finite_arguments_are_refused_up_front(self, numer, denom, z):
+        with pytest.raises(DomainError, match="finite"):
+            hyp_pfq(numer, denom, z)
+
     def test_denominator_pole(self):
         with pytest.raises(DomainError):
             hyp_pfq([1.0], [-2.0], 0.5)
@@ -275,6 +285,15 @@ class TestGauss2F1:
     def test_domain_error_at_cut(self):
         with pytest.raises(DomainError):
             gauss_2f1(1.0, 1.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("args", [
+        (1.0, 1.0, 2.0, -math.inf), (1.0, 1.0, 2.0, math.nan), (math.nan, 1.0, 2.0, -0.3),
+        (1.0, math.inf, 2.0, -0.7), (1.0, 1.0, math.inf, -0.3), (1.0, 1.0, -math.inf, 0.3),
+    ], ids=["z-minus-inf", "z-nan", "xi1-nan", "xi2-inf-transformed", "eta1-inf",
+            "eta1-minus-inf"])
+    def test_non_finite_arguments_are_refused_up_front(self, args):
+        with pytest.raises(DomainError, match="finite"):
+            gauss_2f1(*args)
 
     def test_nonpositive_integer_eta(self):
         with pytest.raises(DomainError):
