@@ -30,7 +30,7 @@ for a2, x2 in [(0.5, 1.0), (0.4, 2.0), (0.9, 1.0), (0.2, 5.0), (0.3, 0.4)]:
     res = mutual_information(inp, ch)
     ref = mi_quadrature(inp, ch)
     est, se = mi_monte_carlo(inp, ch, samples=400_000, seed=1)
-    route = f"{res.case_j0.value}/{res.case_jx2.value}"
+    route = f"{res.case_j0}/{res.case_jx2}"
     print(f"{a2:>5} {x2:>7} {res.nats:>12.8f} {ref:>12.8f} "
           f"{abs(res.nats - ref):>9.1e} {est:>12.8f} +- {4*se:<7.5f} {route:>16}")
 

@@ -8,13 +8,12 @@ series in noncoh.specfun, and derive_params in noncoh.channel."""
 
 from .channel import ChannelParams, TwoPointInput, snr_from_db, snr_to_db
 from .capacity import CapacityPoint, SweepConfig, mi_profile, solve_a2_star, sweep
-from .mi import Case, MIResult, input_entropy, mi_derivative_a2, mutual_information
+from .mi import MIResult, input_entropy, mi_derivative_a2, mutual_information
 from .oracle import fd_derivative, j_quadrature, mi_monte_carlo, mi_quadrature
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Case",
     "CapacityPoint",
     "ChannelParams",
     "MIResult",

@@ -4,7 +4,9 @@ Subcommands: mi (single-point mutual information), deriv (analytic dI/da2),
 profile (I vs a2 at fixed SNR), sweep (capacity optimization over an SNR
 grid, CSV output), verify (self-verification suite), mc (seeded Monte-Carlo
 estimate).  Every command is deterministic given identical flags; --json
-emits the same payload as a machine-readable record.
+emits the same payload as a machine-readable record.  mi --verify and
+deriv --verify run noncoh.verify's checks of I against quadrature and of
+dI/da2 against finite differences, at its tolerances.
 
 Exit codes: 0 success, 1 verification failures, 2 invalid arguments,
 3 internal consistency failure.
@@ -16,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 from . import capacity, mi, oracle, verify
@@ -29,11 +32,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_ARGS = 2
 EXIT_INCONSISTENT = 3
-
-_EPS = sys.float_info.epsilon
-# deriv --verify takes the absolute error of each I it differences as this
-# many ulps of its largest addends (see cmd_deriv)
-_I_ULPS = 16
 
 
 def _fmt(v: float) -> str:
@@ -86,24 +84,24 @@ def cmd_mi(args) -> int:
         "conditional_entropy_nats": hxy,
         "j0": res.j0,
         "j_x2": res.j_x2,
-        "case_j0": res.case_j0.value,
-        "case_jx2": res.case_jx2.value,
+        "case_j0": res.case_j0,
+        "case_jx2": res.case_jx2,
     }
     lines = [
         f"I(X;Y)  = {_fmt(res.nats)} nats",
         f"H(X)    = {_fmt(hx)} nats",
         f"H(X|Y)  = {_fmt(hxy)} nats",
-        f"J(0)    = {_fmt(res.j0)}  [{res.case_j0.value}]",
-        f"J(x2)   = {_fmt(res.j_x2)}  [{res.case_jx2.value}]",
+        f"J(0)    = {_fmt(res.j0)}  [{res.case_j0}]",
+        f"J(x2)   = {_fmt(res.j_x2)}  [{res.case_jx2}]",
     ]
     diagnostics, failure = dict(res.diagnostics), None
     # one mass point (I = 0 by definition) leaves nothing to check
-    if args.verify and res.case_j0 is not mi.Case.DEGENERATE:
+    if args.verify and not math.isnan(res.j0):
         ref = oracle.mi_quadrature(inp, ch)
         delta = abs(res.nats - ref)
         diagnostics["oracle_delta"] = delta
         lines.append(f"|closed - oracle| = {delta:.3e}")
-        if delta > 1e-7:
+        if delta > verify.MI_TOLERANCE:
             failure = "closed form disagrees with quadrature"
     return _emit(args, results, lines, diagnostics, failure)
 
@@ -129,29 +127,13 @@ def cmd_deriv(args) -> int:
     lines = [f"dI/da2 = {_fmt(value)}  [{mode}]"]
     diagnostics, failure = {}, None
     if args.verify:
-        if args.snr_db is not None:
-            f = lambda a: mi.mutual_information(
-                TwoPointInput(a, math.sqrt(ch.power_budget / a)), ch).nats
-            t = ch.power_budget / args.a2
-        else:
-            f = lambda a: mi.mutual_information(TwoPointInput(a, args.x2), ch).nats
-            t = args.x2**2 / ch.sigma2
-        # the five-point stencil takes steps h = lam FD_STEP, lam the
-        # distance to the nearer end of (0, 1): I varies on that scale, so
-        # the truncation error stays ~ FD_STEP^4 relative at every a2, and
-        # a2 +- 2h stays inside (0, 1)
-        lam = min(args.a2, 1.0 - args.a2)
-        num = oracle.fd_derivative(lambda s: f(args.a2 + lam * s), 0.0) / lam
-        # the stencil turns an absolute error e in each I into up to
-        # (1 + 8 + 8 + 1) e / (12 lam h); e is taken as _I_ULPS ulps of the
-        # size of I's largest addends, 1 + log(1 + t) at t = x2^2/sigma^2
-        noise = (1.5 * _I_ULPS * _EPS * (1.0 + math.log1p(t))) / (lam * oracle.FD_STEP)
+        num, noise = verify.fd_mi_derivative(inp, ch)
         rel = abs(value - num) / max(abs(num), 1e-12)
         diagnostics["fd_relative_delta"] = rel
         diagnostics["fd_noise_allowance"] = noise
         lines.append(f"finite-difference check: relative delta {rel:.3e} "
                      f"(noise allowance {noise:.3e})")
-        if abs(value - num) > 1e-5 * abs(num) + noise:
+        if abs(value - num) > verify.DERIV_TOLERANCE * abs(num) + noise:
             failure = "derivative disagrees with finite differences"
     return _emit(args, results, lines, diagnostics, failure)
 
@@ -161,6 +143,9 @@ def cmd_profile(args) -> int:
 
     if args.points < 1:
         raise DomainError(f"--points must be >= 1 (got {args.points})")
+    if args.points > capacity.MAX_GRID_POINTS:
+        raise DomainError(f"--points {args.points} is more than the cap of "
+                          f"{capacity.MAX_GRID_POINTS} grid points")
     snr = snr_from_db(args.snr_db)
     grid = np.linspace(1e-6, 1.0 - 1e-6, args.points)
     pairs = capacity.mi_profile(snr, grid)
@@ -239,7 +224,7 @@ def cmd_mc(args) -> int:
         raise DomainError(f"--seed must be >= 0 (got {args.seed})")
     res = mi.mutual_information(inp, ch)
     closed = res.nats
-    if res.case_j0 is mi.Case.DEGENERATE:
+    if math.isnan(res.j0):
         # one mass point: I = 0 exactly, with nothing to estimate
         results = {"estimate_nats": None, "std_error": None,
                    "closed_form_nats": closed, "z_score": None}
@@ -262,9 +247,20 @@ def cmd_mc(args) -> int:
     return _emit(args, results, lines)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subparsers, that reads every
+    negative float literal (-1e1, -1.5e-3, -inf) as a flag's value:
+    argparse's own pattern takes -10 and -.5 but reads -1e1 as an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
+
+
 @functools.cache  # built once per process: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="noncoh",
         description="Mutual information and capacity of the noncoherent "
         "Rayleigh-fading channel under two-mass-point inputs.",

@@ -34,7 +34,6 @@ capacity-mode mi_derivative_a2) does both.
 
 from __future__ import annotations
 
-import enum
 import math
 import os
 from dataclasses import dataclass
@@ -53,20 +52,16 @@ _TINY = np.finfo(float).tiny
 _FAULT_FLIP_SIGN = os.environ.get("NONCOH_FAULT_INJECT", "") == "flip-2f1-sign"
 
 
-class Case(enum.Enum):
-    """The closed form a J value came from (DEGENERATE: none, I = 0)."""
-
-    CASE_III = "CaseIII"
-    DEGENERATE = "Degenerate"
-
-
 @dataclass(frozen=True)
 class MIResult:
+    """case_j0 and case_jx2 name the closed form behind each J: "CaseIII",
+    or "Degenerate" for one mass point (I = 0, both J NaN)."""
+
     nats: float
     j0: float
     j_x2: float
-    case_j0: Case
-    case_jx2: Case
+    case_j0: str
+    case_jx2: str
     diagnostics: dict
 
 
@@ -162,7 +157,7 @@ def mutual_information(inp: TwoPointInput, ch: ChannelParams) -> MIResult:
     """
     args = _fixed_args(inp, ch)
     if args is None:
-        return MIResult(0.0, math.nan, math.nan, Case.DEGENERATE, Case.DEGENERATE, {})
+        return MIResult(0.0, math.nan, math.nan, "Degenerate", "Degenerate", {})
     t, b, u = args
     phi = specfun.hyp2f1_1b_value(b, u)
     nats, j0, j2 = _assemble(inp.a2, t, b, u, phi.value, xp=math)
@@ -173,8 +168,7 @@ def mutual_information(inp: TwoPointInput, ch: ChannelParams) -> MIResult:
         "jx2_terms": phi.terms_used,
         "jx2_truncation_bound": phi.truncation_bound * u / b,
     }
-    return MIResult(float(nats), j0 - log_s2, j2 - log_s2, Case.CASE_III, Case.CASE_III,
-                    diagnostics)
+    return MIResult(float(nats), j0 - log_s2, j2 - log_s2, "CaseIII", "CaseIII", diagnostics)
 
 
 def input_entropy(inp: TwoPointInput) -> float:

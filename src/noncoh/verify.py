@@ -1,6 +1,8 @@
 """Self-verification families: every closed form checked against an
 independent back-end (quadrature, finite differences, resummation, random
-property sampling).  Used by the `verify` CLI command and by the test suite.
+property sampling).  Used by the `verify` CLI command and by the test suite;
+the `mi --verify` and `deriv --verify` flags run its checks of I against
+quadrature and of dI/da2 against fd_mi_derivative, with its tolerances.
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ import numpy as np
 from . import mi, oracle, reference, specfun
 from .channel import ChannelParams, TwoPointInput, derive_params
 from .errors import CaseMismatch, NearSingularAlpha
+
+# I against quadrature (absolute), dI/da2 against differences (relative)
+MI_TOLERANCE = 1e-7
+DERIV_TOLERANCE = 1e-5
 
 
 @dataclass(frozen=True)
@@ -78,8 +84,8 @@ def check_oracle_equivalence(
     return (
         CheckResult("closed-form J vs quadrature", worst_j, 1e-8,
                     worst_j <= 1e-8, f"({n}-point grid)"),
-        CheckResult("closed-form I vs quadrature", worst_i, 1e-7,
-                    worst_i <= 1e-7, f"({n}-point grid)"),
+        CheckResult("closed-form I vs quadrature", worst_i, MI_TOLERANCE,
+                    worst_i <= MI_TOLERANCE, f"({n}-point grid)"),
     )
 
 
@@ -109,31 +115,44 @@ def check_sin_identity(alphas=(0.3, 0.6, 1.4, 2.0, 3.7, 5.5, 8.9)) -> CheckResul
                        f"({len(alphas)} alphas)")
 
 
+def fd_mi_derivative(inp: TwoPointInput, ch: ChannelParams) -> tuple[float, float]:
+    """dI/da2 by oracle.fd_derivative's five-point stencil on I along a2,
+    x2 held fixed or, with ch.power_budget set, tied as x2 = sqrt(P/a2), and
+    the noise allowance of that value.  The steps are h = lam FD_STEP, with
+    lam = min(a2, 1 - a2) the scale on which I varies, so the truncation
+    error stays ~ FD_STEP^4 relative and a2 +- 2h inside (0, 1).  The stencil
+    turns an absolute error e in each I into up to (1 + 8 + 8 + 1) e / (12 h),
+    e taken as 16 ulps of the size of I's largest addends, 1 + log(1 + t) at
+    t = x2^2/sigma^2."""
+    a2, power = inp.a2, ch.power_budget
+    if power is None:
+        f = lambda a: mi.mutual_information(TwoPointInput(a, inp.x2), ch).nats
+        t = inp.x2**2 / ch.sigma2
+    else:
+        f = lambda a: mi.mutual_information(TwoPointInput(a, math.sqrt(power / a)), ch).nats
+        t = power / ch.sigma2 / a2
+    lam = min(a2, 1.0 - a2)
+    num = oracle.fd_derivative(lambda s: f(a2 + lam * s), 0.0) / lam
+    return num, 1.5 * 16 * math.ulp(1.0) * (1.0 + math.log1p(t)) / (lam * oracle.FD_STEP)
+
+
 def check_derivative(points: int = 50, seed: int = 99) -> CheckResult:
-    """Analytic dI/da2 against five-point central differences, relative."""
+    """Analytic dI/da2 against fd_mi_derivative's differences, relative."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(points):
         a2 = float(rng.uniform(0.05, 0.95))
         snr = float(10 ** rng.uniform(-1.0, 3.0))
-        fixed = bool(rng.random() < 0.3)
-        if fixed:
-            x2 = float(10 ** rng.uniform(-0.5, 1.0))
+        if rng.random() < 0.3:
+            inp = TwoPointInput(a2, float(10 ** rng.uniform(-0.5, 1.0)))
             ch = ChannelParams(sigma2=1.0)
-            inp = TwoPointInput(a2=a2, x2=x2)
-            f = lambda t: mi.mutual_information(TwoPointInput(t, x2), ch).nats
         else:
+            inp = TwoPointInput(a2, math.sqrt(snr / a2))
             ch = ChannelParams(sigma2=1.0, power_budget=snr)
-            inp = TwoPointInput(a2=a2, x2=math.sqrt(snr / a2))
-            f = lambda t: mi.mutual_information(
-                TwoPointInput(t, math.sqrt(snr / t)), ch
-            ).nats
-        ana = mi.mi_derivative_a2(inp, ch)
-        num = oracle.fd_derivative(f, a2)
-        scale = max(abs(num), 1e-12)
-        worst = max(worst, abs(ana - num) / scale)
-    return CheckResult("analytic dI/da2 vs finite differences", worst, 1e-5,
-                       worst <= 1e-5, f"({points} random points, relative)")
+        num, _ = fd_mi_derivative(inp, ch)
+        worst = max(worst, abs(mi.mi_derivative_a2(inp, ch) - num) / max(abs(num), 1e-12))
+    return CheckResult("analytic dI/da2 vs finite differences", worst, DERIV_TOLERANCE,
+                       worst <= DERIV_TOLERANCE, f"({points} random points, relative)")
 
 
 def _mi_case3(inp: TwoPointInput, ch: ChannelParams) -> float:

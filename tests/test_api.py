@@ -115,3 +115,14 @@ def test_the_top_level_loads_only_the_value_path():
                          text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "[]"
+
+
+def test_route_labels_are_plain_strings():
+    # the closed form behind each J is named by a str, with no enum beside it
+    assert not hasattr(noncoh, "Case") and not hasattr(noncoh.mi, "Case")
+    ch = noncoh.ChannelParams(1.0)
+    two = noncoh.mutual_information(noncoh.TwoPointInput(0.4, 2.0), ch)
+    one = noncoh.mutual_information(noncoh.TwoPointInput(0.0, 2.0), ch)
+    labels = (two.case_j0, two.case_jx2, one.case_j0, one.case_jx2)
+    assert [type(v) for v in labels] == [str] * 4
+    assert labels == ("CaseIII", "CaseIII", "Degenerate", "Degenerate")

@@ -8,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from noncoh import capacity, cli, mi, oracle
-from noncoh.channel import ChannelParams, TwoPointInput
+from noncoh import capacity, cli, mi, oracle, verify
+from noncoh.channel import ChannelParams, TwoPointInput, snr_from_db
 from noncoh.cli import main
 
 RUN = [sys.executable, "-m", "noncoh.cli"]
@@ -167,6 +167,36 @@ class TestDerivCommand:
         assert "dI/da2 = 0.84729770685310946  [capacity" in out
         assert "finite-difference check" in out
 
+    def test_verify_differences_as_the_derivative_family_does(self, capsys, monkeypatch):
+        # deriv --verify and verify's derivative family take their finite
+        # difference from one function: at each point the family draws, the
+        # CLI at the same input gets the same value, bit for bit
+        calls = []
+        real = verify.fd_mi_derivative
+
+        def record(inp, ch):
+            calls.append((inp.a2, inp.x2, ch, real(inp, ch)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(verify, "fd_mi_derivative", record)
+        verify.check_derivative()
+        drawn, checked = calls[:], []
+        for a2, x2, ch, fd in drawn:
+            if ch.power_budget is None:
+                argv = ["--x2", repr(x2)]
+            else:
+                snr_db = 10.0 * math.log10(ch.power_budget)
+                if snr_from_db(snr_db) != ch.power_budget:
+                    continue  # the CLI could not be given this SNR exactly
+                argv = ["--snr-db", repr(snr_db)]
+            calls.clear()
+            assert main(["deriv", "--a2", repr(a2), *argv, "--verify", "--json"]) == 0
+            diag = json.loads(capsys.readouterr().out)["diagnostics"]
+            assert [c[-1] for c in calls] == [fd]
+            assert diag["fd_noise_allowance"] == fd[1]
+            checked.append(ch.power_budget is None)
+        assert checked.count(True) >= 10 and checked.count(False) >= 10
+
 
 class TestProfileCommand:
     def test_row_count(self, tmp_path):
@@ -308,6 +338,9 @@ class TestMcCommand:
     ["sweep", "--from-db=-1e308", "--to-db", "1e308", "--step-db", "1"],
     ["mc", "--a2", "0.5", "--x2", "1", "--seed", "-1", "--samples", "10"],
     ["deriv", "--a2", "1e-320", "--snr-db", "0"],
+    ["sweep", "--from-db", "-1e308", "--to-db", "1e308", "--step-db", "1"],
+    ["sweep", "--from-db", "0", "--to-db", "1", "--step-db", "1e-7"],
+    ["profile", "--snr-db", "0", "--points", "1000000000"],
 ], ids=["sweep-step-zero", "sweep-reversed", "profile-points-zero",
         "profile-points-negative", "mc-samples-zero", "sweep-step-nan", "sweep-from-nan",
         "sweep-to-inf", "sweep-snr-overflow", "profile-snr-overflow", "deriv-snr-overflow",
@@ -317,7 +350,8 @@ class TestMcCommand:
         "mi-x2-u-overflow", "mi-a2-u-overflow", "deriv-x2-u-overflow", "deriv-a2-u-overflow",
         "mi-sigma2-inf", "mc-sigma2-inf", "deriv-sigma2-inf", "sweep-sigma2-inf",
         "deriv-snr-a2-zero", "deriv-snr-a2-negative", "sweep-step-count-overflow",
-        "sweep-span-overflow", "mc-seed-negative", "deriv-snr-a2-t-overflow"])
+        "sweep-span-overflow", "mc-seed-negative", "deriv-snr-a2-t-overflow",
+        "sweep-span-overflow-spaced", "sweep-too-many-points", "profile-too-many-points"])
 def test_invalid_values_exit_2(argv, tmp_path, capsys):
     # the invalid-arguments code, not 1 (verification failed) with a traceback;
     # an SNR whose 2F1 arguments overflow is named, before the kernel sees it
@@ -340,6 +374,32 @@ def test_invalid_values_exit_2(argv, tmp_path, capsys):
         assert "sigma2" in err
     if argv[:3] == ["deriv", "--a2", "1e-320"]:  # t = SNR/a2 overflows, not x2
         assert "SNR 1 is out of range" in err
+    if {"1e-7", "1000000000"} & set(argv):  # refused before the grid is built
+        assert f"cap of {capacity.MAX_GRID_POINTS}" in err
+        assert ("1e+07 points" if "1e-7" in argv else "--points 1000000000") in err
+
+
+@pytest.mark.parametrize("argv,flag,value,error", [
+    (["sweep", "--to-db", "0", "--step-db", "5"], "--from-db", "-1e1", None),
+    (["deriv", "--a2", "0.3", "--json"], "--snr-db", "-1.5e-3", None),
+    (["profile", "--points", "5"], "--snr-db", "-2E1", None),
+    (["mi", "--a2", "0.5", "--sigma2", "2"], "--x2", "-1e-3", "x2 must be nonnegative"),
+    (["sweep", "--to-db", "0", "--step-db", "5"], "--from-db", "-inf",
+     "snr_db_start must be finite"),
+], ids=["sweep-from-db", "deriv-snr-db", "profile-snr-db", "mi-negative-x2",
+        "sweep-from-db-minus-inf"])
+def test_negative_float_literals_are_values(argv, flag, value, error, tmp_path, capsys):
+    # "--flag -1e1" reads as "--flag=-1e1", as "--flag -10" always did; an
+    # invalid value reaches the input checks and exits 2 from there
+    out = tmp_path / "s.csv"
+    runs = []
+    for pair in ([flag, value], [f"{flag}={value}"]):
+        rc = main([*argv, *pair, *(["--out", str(out)] if argv[0] == "sweep" else [])])
+        stdout, err = capsys.readouterr()
+        runs.append((rc, stdout, err, out.read_text() if out.exists() else None))
+    (rc, _, err, _), again = runs
+    assert again == runs[0]
+    assert (rc, err) == ((0, "") if error is None else (2, f"error: {error}\n"))
 
 
 @pytest.mark.parametrize("grid,sigma2", [

@@ -17,7 +17,7 @@ from noncoh.errors import (
     DomainError,
     NearSingularAlpha,
 )
-from noncoh.mi import Case, input_entropy, mi_derivative_a2, mutual_information
+from noncoh.mi import input_entropy, mi_derivative_a2, mutual_information
 from noncoh.reference import (
     GUARD_TOL,
     continuation_residual,
@@ -80,7 +80,7 @@ class TestJCase1:
                 )
                 # the value path's beta>=1 form equals the finite sum here
                 res = mutual_information(inp, ch)
-                assert res.case_j0 is Case.CASE_III
+                assert res.case_j0 == "CaseIII"
                 assert res.j0 == pytest.approx(exact, abs=1e-13)
 
     def test_large_beta_stability(self):
@@ -125,7 +125,7 @@ class TestJCase2:
         # takes the beta>=1 form, which equals the finite sum
         inp, ch = TwoPointInput(0.5, 1.0), ChannelParams(1.0)
         res = mutual_information(inp, ch)
-        assert res.case_j0 is Case.CASE_III
+        assert res.case_j0 == "CaseIII"
         assert res.j0 == pytest.approx(j_case1(0.0, inp, ch), abs=1e-13)
         with pytest.raises(CaseMismatch):
             j_case2(0.0, inp, ch)
@@ -275,7 +275,7 @@ class TestMutualInformation:
     def test_degenerate_mass(self, a2):
         res = mutual_information(TwoPointInput(a2, 3.0), ChannelParams(1.0))
         assert res.nats == 0.0
-        assert res.case_j0 is Case.DEGENERATE
+        assert res.case_j0 == "Degenerate"
 
     def test_degenerate_x2(self):
         assert mutual_information(TwoPointInput(0.5, 0.0), ChannelParams(1.0)).nats == 0.0
@@ -314,7 +314,7 @@ class TestMutualInformation:
         x2 = math.sqrt(s2 * alpha / (1.0 - alpha))
         inp = TwoPointInput(0.4, x2)
         res = mutual_information(inp, ChannelParams(s2))
-        assert res.case_j0 is Case.CASE_III
+        assert res.case_j0 == "CaseIII"
         assert res.j0 == pytest.approx(
             oracle.j_quadrature(0.0, inp, ChannelParams(s2)), abs=1e-10
         )
@@ -330,7 +330,7 @@ class TestMutualInformation:
         inp = TwoPointInput(0.2, math.sqrt(alpha / (1.0 - alpha)))
         assert derive_params(0.0, inp, ch)[1] < 1.0
         res = mutual_information(inp, ch)
-        assert res.case_j0 is Case.CASE_III
+        assert res.case_j0 == "CaseIII"
         assert res.diagnostics["j0_terms"] > 0
         assert res.diagnostics["j0_truncation_bound"] <= 1e-16
         assert res.j0 == pytest.approx(oracle.j_quadrature(0.0, inp, ch), abs=1e-10)
@@ -373,7 +373,7 @@ class TestWholeDomain:
             res = mutual_information(inp, ChannelParams(s))
             routes.update((res.case_j0, res.case_jx2))
             assert 0.0 <= res.nats <= input_entropy(inp) + 1e-10, (a, r, s)
-        assert routes == {Case.CASE_III}
+        assert routes == {"CaseIII"}
 
     def test_guard_bands_against_quadrature(self):
         for x, inp, ch in _guard_band_inputs():
