@@ -36,6 +36,8 @@ from .mi import mutual_information  # noqa: F401 - unused; bench/ traces this na
 _A2_EDGE = 1e-6  # the scan's lower edge is _A2_EDGE min(SNR, 1); I -> 0 there
 _A2_TOP = 1.0 - 1e-12  # the scan's upper edge; I -> 0 there too
 _GRID_POINTS = 8  # the dI/da2 bracketing scan, uniform in log a2
+_GRID_STEPS = np.arange(float(_GRID_POINTS))  # k = 0..7 of the scan's log a2 grid
+_LOG_A2_TOP = math.log(_A2_TOP)
 # _refine's stopping tests: xatol on t = log a2 is a relative tolerance on
 # a2; the rest, and the cap (the bisections that fit in the normal floats),
 # are the defaults of scipy.optimize.elementwise.find_root
@@ -44,7 +46,7 @@ _XRTOL = 4.0 * np.finfo(float).eps
 _FATOL = np.finfo(float).tiny
 _MAX_ITER = math.log2(np.finfo(float).max) - math.log2(np.finfo(float).tiny)
 # the most points of a sweep or profile grid: a 10^5-point sweep takes about
-# 3 s and 180 MB on a 2-CPU x86-64 host, growing with the points
+# 1.8 s and 180 MB peak RSS on a 2-CPU x86-64 host, growing with the points
 MAX_GRID_POINTS = 100_000
 
 
@@ -122,12 +124,19 @@ def classify_regime(snr_db: float) -> str:
 def _scan(snr):
     """log a2 of each SNR's dI/da2 bracketing scan, one row per SNR (a 1-D
     array): _GRID_POINTS values uniform in log a2, from _A2_EDGE min(SNR, 1),
-    which lies under every optimum, to _A2_TOP.  DomainError, naming the
-    SNR, where a number of dI/da2 leaves the normal float range at an edge
-    (see mi._check_snr)."""
+    which lies under every optimum, to _A2_TOP, with the arithmetic of
+    np.linspace (k times the step, plus the start; the top itself last).
+    DomainError, naming the SNR, where a number of dI/da2 leaves the normal
+    float range at an edge (see mi._check_snr)."""
     lo = _A2_EDGE * np.minimum(snr, 1.0)
-    _check_snr(np.column_stack([lo, np.full_like(lo, _A2_TOP)]), snr)
-    return np.linspace(np.log(lo), math.log(_A2_TOP), _GRID_POINTS, axis=-1)
+    edges = np.empty((lo.size, 2))
+    edges[:, 0], edges[:, 1] = lo, _A2_TOP
+    _check_snr(edges, snr)
+    start = np.log(lo)[:, None]
+    t = _GRID_STEPS * ((_LOG_A2_TOP - start) / (_GRID_POINTS - 1))
+    t += start
+    t[:, -1] = _LOG_A2_TOP
+    return t
 
 
 def _refine(f, end1, end2, p):
@@ -170,14 +179,17 @@ def _refine(f, end1, end2, p):
     nx = x - x
     invalid = np.isnan(nx[0] + nx[1] + np.fmax(y[0], y[1]))
     open_ = np.arange(n)
-    it, t = 0, 0.5
+    # 0-d arrays of the loop's constants: numpy converts a scalar operand
+    # anew on every call, at about as much as the arithmetic of 81 brackets
+    xrtol, xatol, half, one = (np.array(c) for c in (_XRTOL, _XATOL, 0.5, 1.0))
+    it, t = 0, half
     while True:
         # the end with the smaller |y| is the result if the bracket stops
         ay1, ay2 = np.abs(pts[0, 2]), np.abs(pts[1, 2])
         smaller = ay1 < ay2
         w = pts[1, 0] - pts[0, 0]
         dx = np.abs(w)
-        tol = np.abs(np.where(smaller, pts[0, 0], pts[1, 0])) * _XRTOL + _XATOL
+        tol = np.abs(np.where(smaller, pts[0, 0], pts[1, 0])) * xrtol + xatol
         done = np.where(smaller, ay1, ay2) <= ftol
         narrow = dx < tol
         stop = done | invalid | narrow
@@ -210,12 +222,12 @@ def _refine(f, end1, end2, p):
                 d12, d32 = f1 - f2, f3 - f2
                 xi1 = (x1 - x2) / (x3 - x2)
                 phi1 = d12 / d32
-                j = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
+                j = ((one - np.sqrt(one - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
                 # f2 - f3 is -d32 exactly
                 t = np.where(j, f1 / d12 * f3 / d32
-                             + (x3 - x1) / w * f1 / (f3 - f1) * f2 / d32, 0.5)
-            tl = 0.5 * tol / dx
-            t = np.minimum(np.maximum(t, tl), 1 - tl)
+                             + (x3 - x1) / w * f1 / (f3 - f1) * f2 / d32, half)
+            tl = half * tol / dx
+            t = np.minimum(np.maximum(t, tl), one - tl)
         xn = x1 + t * w
         vn, fn = f(xn, p)
         # status -3 where the new x is not finite, or where the new y and
@@ -235,9 +247,11 @@ def _refine(f, end1, end2, p):
 def solve_a2_star(snr_linear, *, sigma2: float = 1.0):
     """Locate a2* = argmax of the two-point mutual information at each SNR.
 
-    snr_linear is a float or a 1-D array of SNRs.  All points are solved
-    in lock-step.  Each point's dI/da2 is scanned on its own 8-point grid,
-    uniform in log a2 from 1e-6 min(SNR, 1), which lies under every optimum,
+    snr_linear is a float or a 1-D array of SNRs, each finite and
+    positive (else SolverFailure, naming the first that is not).  All
+    points are solved in lock-step.  Each point's dI/da2 is scanned on its
+    own 8-point grid, uniform in log a2 from 1e-6 min(SNR, 1), which lies
+    under every optimum,
     to 1 - 1e-12, with every point in one batched analytic call (every
     entry, alpha = 1/n included, comes from the closed form).  Every sign
     change is refined by Chandrupatla's bracketing iteration (_refine), in
@@ -263,8 +277,10 @@ def solve_a2_star(snr_linear, *, sigma2: float = 1.0):
     snr = np.asarray(snr_linear, dtype=float)
     if snr.ndim > 1:
         raise SolverFailure("snr_linear must be a float or a 1-D array")
-    if not (snr > 0.0).all():
-        raise SolverFailure("snr_linear must be positive")
+    fine = (snr > 0.0) & (snr < math.inf)
+    if np.count_nonzero(fine) < fine.size:
+        bad = snr.reshape(-1)[~fine.reshape(-1)][0].item()
+        raise SolverFailure(f"snr_linear must be finite and positive (got {bad!r})")
     sigma = math.sqrt(ChannelParams(sigma2).sigma2)  # DomainError unless 0 < sigma2 < inf
     gamma = np.atleast_1d(snr)
     n = gamma.size

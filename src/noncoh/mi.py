@@ -190,19 +190,19 @@ def _check_snr(a2, snr):
     t = SNR/a2 leaves the normal float range at one of the a2 (SNR a float
     or 1-D array; a2 a float, a 1-D array shared by every SNR or one row per
     SNR): the SNR, t or u falls below the smallest normal float or
-    overflows, or b overflows.  b grows and u falls with a2, so between the
-    a2 they stay finite too."""
-    a2 = np.atleast_1d(a2)
+    overflows, or b overflows.  b = 1 + 1/t is finite where t is normal and
+    t is infinite where the SNR is, so the tests are on the smallest and
+    largest of the SNR, t and u, which are NaN where any of them is.  b
+    grows and u falls with a2, so between the a2 they stay finite too."""
     with np.errstate(over="ignore", divide="ignore"):
         snr_col = np.reshape(snr, (-1, 1))
         t = snr_col / a2
-        b, u = _phi_args(a2, t)
-        fine = b < np.inf
-        for v in (snr_col, t, u):
-            fine &= (v >= _TINY) & (v < np.inf)
-        fine = fine.all(axis=1)
-    if not fine.all():
-        raise DomainError(f"SNR {np.reshape(snr, -1)[~fine][0]:.6g} is out of range: at "
+        u = _phi_args(a2, t)[1]
+        fine = ((np.minimum(np.minimum(t, u), snr_col) >= _TINY)
+                & (np.maximum(t, u) < np.inf))
+    if np.count_nonzero(fine) < fine.size:
+        bad = np.count_nonzero(fine, axis=1) < fine.shape[1]
+        raise DomainError(f"SNR {np.reshape(snr, -1)[bad][0]:.6g} is out of range: at "
                           "x2^2/sigma2 = SNR/a2 a number of 2F1(1,b;b+1;-u) or of "
                           "dI/da2 leaves the normal float range")
 

@@ -269,10 +269,20 @@ _HEAD_FLUSH = 2.0**-511
 # the smallest valid b and u of hyp2f1_1b, as a column
 _BU_MIN = np.array([[math.ulp(0.0)], [0.0]])
 
+# 0-d arrays of the constants that the array kernel combines with its
+# arrays: numpy converts a Python float operand anew on every call, at about
+# 0.2 us, as much as the arithmetic of a short block
+_ZERO, _HALF, _ONE, _TWO, _INF = (np.array(v) for v in (0.0, 0.5, 1.0, 2.0, math.inf))
+
 # hyp2f1_1b evaluates its rows in blocks whose padded series terms (rows
 # times the block's largest term count) stay below this, so its memory is
 # bounded by the terms it sums, not by its number of rows
 _BLOCK_TERMS = 2**14
+
+# _accumulate loops over the terms of blocks of at least this many rows:
+# below it numpy's accumulation, at about 0.1 us a row, is faster than a
+# loop at about 1 us a term, whatever the terms
+_ROW_LOOP_MIN = 256
 
 # Pfaff's series stops at the first term t_k with t_k u (k+3) below this
 # times t_1, which bounds the remainders of the value and of its b-partial
@@ -365,10 +375,11 @@ def hyp2f1_1b(b, u) -> F21Family:
     sums) and a term count, and the rows are evaluated in vectorized
     single-family blocks of at most _BLOCK_TERMS padded terms, each a run of
     the family's rows in row order (see _row_blocks).  A block lays its
-    terms out as (terms, 2, rows), the value's and the b-partial's side by
-    side and zero past each row's count, and one reduction over the term
-    axis (_sums) sums them smallest first, one term at a time, so a row's
-    sums do not depend on its block.  A scalar call gives np.float64 values.
+    terms out as (2, terms, rows), a table of the value's terms and one of
+    the b-partial's, zero past each row's count, and one reduction over the
+    term axis (_series_sums) sums them smallest first, one term at a time,
+    so a row's sums do not depend on its block.  A scalar call gives
+    np.float64 values.
 
     As a hypergeometric series the b-partial is
     d/db phi = [z/(1+b)^2] 3F2(2, 1+b, 1+b; 2+b, 2+b; z), which only
@@ -389,9 +400,9 @@ def hyp2f1_1b(b, u) -> F21Family:
     bu = np.empty((2,) + shape)
     bu[0], bu[1] = b, u
     bu = bu.reshape(2, -1)
-    bf, uf = bu
+    bf, uf = bu[0], bu[1]
     # one test of both: b > 0 is b >= the smallest subnormal, and NaN fails
-    valid = (bu >= _BU_MIN) & (bu < math.inf)
+    valid = (bu >= _BU_MIN) & (bu < _INF)
     if np.count_nonzero(valid) < valid.size:
         if not ((0.0 < bf) & (bf < math.inf)).all():
             raise DomainError("hyp2f1_1b expects finite b > 0")
@@ -399,17 +410,18 @@ def hyp2f1_1b(b, u) -> F21Family:
     out = np.empty((2, bf.size))
     for family, rows, counts, extra in _row_blocks(uf >= _STAR_MIN_U, uf):
         out[:, rows] = family(bf[rows], uf[rows], counts, *extra)
-    return F21Family(*out.reshape((2,) + shape))
+    out = out.reshape((2,) + shape)
+    return F21Family(out[0], out[1])
 
 
 def _row_blocks(star, u):
     """The blocks of one hyp2f1_1b call: (family, rows, counts, extra) with
     the rows of one family (an index array, or a slice when the family
-    holds every row), their term counts and the family's further arguments,
-    which the counts were taken from (the continuation's log u; none for
-    Pfaff's).  Each family's rows stay in row order, cut into the longest
-    runs whose rows times their running largest count fit _BLOCK_TERMS, one
-    row at least."""
+    holds every row), their term counts (floats) and the family's further
+    arguments: the block's largest count and what the counts were taken
+    from (the continuation's log u; nothing more for Pfaff's).  Each
+    family's rows stay in row order, cut into the longest runs whose rows
+    times their running largest count fit _BLOCK_TERMS, one row at least."""
     n_star = np.count_nonzero(star)
     for family, is_star, n in ((_family_pfaff, False, star.size - n_star),
                                (_family_star, True, n_star)):
@@ -420,46 +432,81 @@ def _row_blocks(star, u):
         ur = u[rows]
         if is_star:
             log_u = np.log(ur)
-            counts, extra = _star_count(log_u).astype(int), (log_u,)
+            counts, extra = _star_count(log_u), (log_u,)
         else:
-            counts, extra = _pfaff_count(ur).astype(int), ()
-        top = counts.max()
+            counts, extra = _pfaff_count(ur), ()
+        top = int(counts.max())
+        if n * top <= _BLOCK_TERMS:  # one run holds them all
+            yield family, slice(0, n) if every else rows, counts, (top, *extra)
+            continue
         start = 0
         while start < n:
-            if (n - start) * top <= _BLOCK_TERMS:  # the rest fits: one run
-                end = n
-            else:  # a run holds at most _BLOCK_TERMS // counts[start] rows
-                stop = min(n, start + _BLOCK_TERMS // counts[start])
-                padded = (np.arange(1, stop - start + 1)
-                          * np.maximum.accumulate(counts[start:stop]))
-                end = start + max(1, int(np.searchsorted(padded, _BLOCK_TERMS, side="right")))
+            # a run holds at most _BLOCK_TERMS // counts[start] rows
+            stop = min(n, start + _BLOCK_TERMS // int(counts[start]))
+            padded = (np.arange(1, stop - start + 1)
+                      * np.maximum.accumulate(counts[start:stop]))
+            end = start + max(1, int(np.searchsorted(padded, _BLOCK_TERMS, side="right")))
             run = slice(start, end)
             yield (family, run if every else rows[run], counts[run],
-                   tuple(a[run] for a in extra))
+                   (int(counts[run].max()), *(a[run] for a in extra)))
             start = end
 
 
-def _sums(terms):
+def _sums(terms, out=None):
     """Sums of terms (n, k, cols) over axis 0, last term first, one at a
     time: numpy reduces a leading axis by adding whole rows in order when
     they hold two elements or more (k >= 2), a single column pairwise."""
-    return np.add.reduce(terms[::-1], axis=0)
+    return np.add.reduce(terms[::-1], axis=0, out=out)
 
 
-def _pfaff_terms(b, w, n_terms):
-    """Rows k = 1..max(n_terms) of the terms c_k w^k, c_k = k!/(b+1)_k, of
-    2F1(1, 1; b+1; w) - 1 and of their b-partials -c_k w^k H_k
-    (H_k = sum_{j<=k} 1/(b+j)), (terms, 2, rows), zero past each row's
-    count, by cumulative products and sums down the columns."""
-    n = int(n_terms.max())
+def _series_sums(terms):
+    """Sums of a block's series terms (2, n, cols), the value's and the
+    b-partial's, over the term axis, last term first, one at a time.  numpy
+    adds the rows of that axis in order where they hold two elements or
+    more, but a single column it sums pairwise, so a one-row block's terms
+    are summed as a (n, 2, 1) copy (see _sums).  Each table is contiguous,
+    which the elementwise work on it needs: on a (terms, 2, rows) layout
+    numpy steps through one term's row at a time."""
+    if terms.shape[2] == 1:
+        return _sums(terms.transpose(1, 0, 2).copy())
+    return np.add.reduce(terms[:, ::-1], axis=1)
+
+
+@functools.lru_cache(maxsize=256)  # a block has at most 188 terms
+def _term_index(n):
+    """The column 1, 2, ..., n of term indices (floats), read-only."""
     k = np.arange(1.0, n + 1.0)[:, None]
-    r = np.divide(-1.0, b + k)  # -1/(b+k)
-    terms = np.empty((n, 2, b.size))
-    t = np.multiply(k * -w, r, out=terms[:, 0])  # t_k / t_(k-1)
+    k.setflags(write=False)
+    return k
+
+
+def _accumulate(op, a):
+    """op.accumulate down the columns of a (terms, rows), in place, one
+    term at a time: numpy's accumulation steps through one column at a
+    time, so on blocks of _ROW_LOOP_MIN rows or more a loop of whole-row op
+    calls, which gives the same bits, is faster."""
+    if a.shape[1] < _ROW_LOOP_MIN:
+        op.accumulate(a, out=a)
+        return
+    for k in range(1, len(a)):
+        op(a[k - 1], a[k], out=a[k])
+
+
+def _pfaff_terms(b, w, n_terms, n):
+    """Rows k = 1..n (n = max(n_terms)) of the terms c_k w^k,
+    c_k = k!/(b+1)_k, of 2F1(1, 1; b+1; w) - 1 and of their b-partials
+    -c_k w^k H_k (H_k = sum_{j<=k} 1/(b+j)), (2, terms, rows), zero past
+    each row's count, by cumulative products and sums down the columns."""
+    k = _term_index(n)
+    r = np.add(b, k)
+    np.divide(-1.0, r, out=r)  # -1/(b+k)
+    terms = np.empty((2, n, b.size))
+    t = np.multiply(k * -w, r, out=terms[0])  # t_k / t_(k-1)
     short = n_terms < n  # zero ratios end these columns' products
-    t[n_terms[short], short] = 0.0
-    np.cumprod(t, axis=0, out=t)
-    np.multiply(t, np.cumsum(r, axis=0, out=r), out=terms[:, 1])
+    t[n_terms[short].astype(np.intp), short] = 0.0
+    _accumulate(np.multiply, t)
+    _accumulate(np.add, r)  # -H_k
+    np.multiply(t, r, out=terms[1])
     return terms
 
 
@@ -470,9 +517,9 @@ def _pfaff_count(u):
     return np.ceil(math.log(_PFAFF_REL_TOL) / np.log(np.maximum(w, 1e-300))) + 10
 
 
-def _family_pfaff(b, u, n_terms):
+def _family_pfaff(b, u, n_terms, n):
     """Pfaff's transformation for u < _STAR_MIN_U: (value, d/db) of one
-    block, each row summing its n_terms (_pfaff_count).
+    block, each row summing its n_terms (_pfaff_count), n at most.
 
         phi(b, u) = F(w)/(1+u),  F = 2F1(1, 1; b+1; w),  w = u/(1+u),
 
@@ -485,38 +532,39 @@ def _family_pfaff(b, u, n_terms):
     relative.  hyp2f1_1b_value tests this on its terms; hyp2f1_1b takes
     the count ahead from _pfaff_count.
     """
-    v = 1.0 / (1.0 + u)
-    out = _sums(_pfaff_terms(b, u * v, n_terms))
-    out[0] += 1.0
+    v = np.reciprocal(u + _ONE)
+    out = _series_sums(_pfaff_terms(b, u * v, n_terms, n))
+    out[0] += _ONE
     out *= v
     return out
 
 
-def _star_terms(b, n_int, inv_u, n_terms):
-    """Rows m + 1 = 1..max(n_terms) of the terms t_m = (-1)^m u^-(m+1)/(m+1-b)
-    of the continuation and of the b-partials (m+1) t_m/(m+1-b) of b t_m,
-    (terms, 2, rows), zero at m + 1 = round(b) and past each row's count;
-    the powers of -1/u are cumulative products down the columns."""
-    n = int(n_terms.max())
-    m1 = np.arange(1.0, n + 1.0)[:, None]  # m + 1
-    d = m1 - b
-    np.copyto(d, np.inf, where=m1 == n_int)
-    rd = np.divide(1.0, d, out=d)
-    terms = np.empty((n, 2, b.size))
-    t = terms[:, 0]
+def _star_terms(b, n_int, inv_u, n_terms, n):
+    """Rows m + 1 = 1..n (n = max(n_terms)) of the terms
+    t_m = (-1)^m u^-(m+1)/(m+1-b) of the continuation and of the b-partials
+    (m+1) t_m/(m+1-b) of b t_m, (2, terms, rows), zero at m + 1 = round(b)
+    and past each row's count; the powers of -1/u are cumulative products
+    down the columns."""
+    m1 = _term_index(n)  # m + 1
+    rd = m1 - b
+    np.copyto(rd, _INF, where=m1 == n_int)  # the pole term, taken into the head
+    np.reciprocal(rd, out=rd)
+    terms = np.empty((2, n, b.size))
+    t = terms[0]
     t[0], t[1:] = inv_u, -inv_u
     short = n_terms < n  # zero ratios end these columns' products
-    t[n_terms[short], short] = 0.0
-    np.cumprod(t, axis=0, out=t)
+    t[n_terms[short].astype(np.intp), short] = 0.0
+    _accumulate(np.multiply, t)
     t *= rd
-    np.multiply(t, np.multiply(rd, m1, out=rd), out=terms[:, 1])
+    rd *= m1
+    np.multiply(t, rd, out=terms[1])
     return terms
 
 
-def _family_star(b, u, n_terms, log_u):
+def _family_star(b, u, n_terms, n, log_u):
     """Continuation in powers of 1/u for u >= _STAR_MIN_U: (value, d/db) of
     one block as a (2, rows) array, each row summing its n_terms
-    (_star_count of log_u = log u).
+    (_star_count of log_u = log u), n at most.
 
     With N = round(b), eps = b - N and L = log u, the reflection head and
     the series term m = N - 1 share a pole at eps = 0; together they are
@@ -531,37 +579,45 @@ def _family_star(b, u, n_terms, log_u):
     table of powers (33, 3, rows), so nothing cancels.  The b-partial of b
     sum_m t_m is sum_m (m+1) t_m/(m+1-b), not a difference of sums ~ 1/b.
     """
-    inv_u = 1.0 / u
-    n_int = np.floor(b + 0.5)
+    inv_u = np.reciprocal(u)
+    n_int = np.floor(b + _HALF)
     eps = b - n_int
     x = -eps * log_u
-    e = np.exp(x)  # u^-eps
-    h = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
     p = np.empty((len(_HEAD_SERIES), 3, b.size))  # eps^(2k) twice, x^k
-    p[0], p[1, :2], p[1, 2] = 1.0, eps * eps, x
+    p[0], p[1, 2] = 1.0, x
+    np.multiply(eps, eps, out=p[1, :2])
     for j in (1, 2, 4, 8):  # rows j+1..2j: rows 1..j times row j
         np.multiply(p[1:j + 1], p[j], out=p[j + 1:2 * j + 1])
     # rows 17..32 likewise, with row 16 taken as zero where it is below
     # _HEAD_FLUSH (x's rows there have zero coefficients)
-    np.multiply(p[1:17], np.where(p[16] < _HEAD_FLUSH, 0.0, p[16]), out=p[17:])
-    c, dc, dh = _sums(np.multiply(p, _HEAD_SERIES, out=p))
+    np.multiply(p[1:17], np.where(p[16] < _HEAD_FLUSH, _ZERO, p[16]), out=p[17:])
+    sums = np.empty((4, b.size))  # c/eps, c', h' and h
+    c, dc, dh, h = sums
+    _sums(np.multiply(p, _HEAD_SERIES, out=p), out=sums[:3])
     c *= eps
-    np.divide(e - h, x, out=dh, where=np.abs(x) >= 0.5)
+    ebe = np.empty((2, b.size))  # b e and e, e = u^-eps
+    e = np.exp(x, out=ebe[1])
+    be = np.multiply(b, e, out=ebe[0])
+    h[:] = 1.0
+    np.divide(np.expm1(x), x, out=h, where=x != _ZERO)
+    np.divide(e - h, x, out=dh, where=np.abs(x) >= _HALF)
     # b (e^(-eps L) - 1)/eps = -b L h, as -q, and its b-partial
     bl = b * log_u
-    q = bl * h
-    q_db = log_u * (bl * dh - h)
+    bl_dh, q = bl * sums[2:]
+    q_db = log_u * (bl_dh - h)
     if np.count_nonzero(n_int) < n_int.size:  # b < 1/2: the head's own e^(-b L)
         zero = n_int == 0
         q[zero], q_db[zero] = -e[zero], -log_u[zero] * e[zero]
-    be = b * e
     # R and its b-partial, times (-1)^N u^-N (numpy's power is much slower
     # at a negative base), less b sum_m t_m and its b-partial
-    out = np.empty((2, b.size))
-    np.subtract(be * c, q, out=out[0])
-    np.add(e * c * (1.0 - bl) + be * dc, q_db, out=out[1])
-    out *= np.copysign(np.power(inv_u, n_int), 0.5 - np.fmod(n_int, 2.0))
-    ts = _sums(_star_terms(b, n_int, inv_u, n_terms))
+    be_dc = be * dc
+    out = np.multiply(ebe, c, out=ebe)  # b e c and e c
+    out[0] -= q
+    out[1] *= _ONE - bl
+    out[1] += be_dc
+    out[1] += q_db
+    out *= np.copysign(np.power(inv_u, n_int), _HALF - np.fmod(n_int, _TWO))
+    ts = _series_sums(_star_terms(b, n_int, inv_u, n_terms, n))
     ts[0] *= b
     out -= ts
     return out

@@ -80,6 +80,17 @@ class TestSolve:
         with pytest.raises(SolverFailure):
             solve_a2_star(0.0)
 
+    @pytest.mark.parametrize("snr,bad", [
+        (math.nan, "nan"), (0.0, "0.0"), (-1.0, "-1.0"), (math.inf, "inf"),
+        (np.array([1.0, math.nan, 2.0]), "nan"), (np.array([1.0, 2.0, -0.5, 0.0]), "-0.5"),
+        (np.array([0.3, 0.0, math.nan]), "0.0")])
+    def test_invalid_snr_is_named(self, snr, bad):
+        # refused before any work, naming the first SNR that is not finite
+        # and positive
+        with pytest.raises(SolverFailure,
+                           match=rf"^snr_linear must be finite and positive \(got {bad}\)$"):
+            solve_a2_star(snr)
+
     @pytest.mark.parametrize("sigma2", [0.0, -1.0, math.nan, math.inf])
     def test_invalid_sigma2(self, sigma2):
         with pytest.raises(DomainError, match="sigma2"):
@@ -138,6 +149,15 @@ class TestBatchedGridScan:
 
 # the benchmark's sweep shape: 81 points at 0.5 dB from about -10 dB
 LOCK_STEP_GRIDS = [(0.1, -10.13), (1.0, -10.0), (7.3, -9.77)]
+
+
+# the rows of each kernel call the solve makes on each of those grids: the
+# scan, then one call per refinement iteration
+LOCK_STEP_KERNEL_ROWS = {
+    (0.1, -10.13): [648, 81, 81, 81, 81, 81, 81, 76, 43, 17, 1, 1, 1],
+    (1.0, -10.0): [648, 81, 81, 81, 81, 81, 81, 75, 48, 15],
+    (7.3, -9.77): [648, 81, 81, 81, 81, 81, 80, 74, 51, 22, 2],
+}
 
 
 def _bench_sweep(sigma2, start):
@@ -232,6 +252,23 @@ class TestLockStep:
                        for a in point_edges)
         with pytest.raises(SolverFailure, match="no root at snr=1.0: .* scan edge"):
             solve_a2_star(1.0)
+
+    @pytest.mark.parametrize("sigma2,start", LOCK_STEP_GRIDS)
+    def test_kernel_work_is_pinned(self, sigma2, start, monkeypatch):
+        # the solve's kernel calls and their rows on the benchmark's grids,
+        # so that no speedup of the sweep can come from doing less work
+        rows = []
+        real = specfun.hyp2f1_1b
+
+        def counting_kernel(b, u):
+            rows.append(np.broadcast(b, u).size)
+            return real(b, u)
+
+        monkeypatch.setattr(specfun, "hyp2f1_1b", counting_kernel)
+        points = _bench_sweep(sigma2, start)
+        assert rows == LOCK_STEP_KERNEL_ROWS[sigma2, start]
+        assert sum(rows) == sum(p.diagnostics["grid_rows"] + p.diagnostics["root_iterations"]
+                                for p in points)
 
     @pytest.mark.parametrize("sigma2,start", LOCK_STEP_GRIDS)
     def test_refinement_calls_are_one_star_block(self, sigma2, start, monkeypatch):
