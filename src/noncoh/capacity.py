@@ -40,13 +40,16 @@ _GRID_STEPS = np.arange(float(_GRID_POINTS))  # k = 0..7 of the scan's log a2 gr
 _LOG_A2_TOP = math.log(_A2_TOP)
 # _refine's stopping tests: xatol on t = log a2 is a relative tolerance on
 # a2; the rest, and the cap (the bisections that fit in the normal floats),
-# are the defaults of scipy.optimize.elementwise.find_root
-_XATOL = 1e-15
-_XRTOL = 4.0 * np.finfo(float).eps
+# are the defaults of scipy.optimize.elementwise.find_root.  The operands of
+# _refine's arithmetic are 0-d arrays: numpy converts a Python float operand
+# anew on every call, at about as much as the arithmetic of 81 brackets
+_XATOL = np.array(1e-15)
+_XRTOL = np.array(4.0 * np.finfo(float).eps)
+_HALF, _ONE = np.array(0.5), np.array(1.0)
 _FATOL = np.finfo(float).tiny
 _MAX_ITER = math.log2(np.finfo(float).max) - math.log2(np.finfo(float).tiny)
 # the most points of a sweep or profile grid: a 10^5-point sweep takes about
-# 1.8 s and 180 MB peak RSS on a 2-CPU x86-64 host, growing with the points
+# 2 s and 180 MB peak RSS on a 2-CPU x86-64 host, growing with the points
 MAX_GRID_POINTS = 100_000
 
 
@@ -179,17 +182,14 @@ def _refine(f, end1, end2, p):
     nx = x - x
     invalid = np.isnan(nx[0] + nx[1] + np.fmax(y[0], y[1]))
     open_ = np.arange(n)
-    # 0-d arrays of the loop's constants: numpy converts a scalar operand
-    # anew on every call, at about as much as the arithmetic of 81 brackets
-    xrtol, xatol, half, one = (np.array(c) for c in (_XRTOL, _XATOL, 0.5, 1.0))
-    it, t = 0, half
+    it, t = 0, _HALF
     while True:
         # the end with the smaller |y| is the result if the bracket stops
         ay1, ay2 = np.abs(pts[0, 2]), np.abs(pts[1, 2])
         smaller = ay1 < ay2
         w = pts[1, 0] - pts[0, 0]
         dx = np.abs(w)
-        tol = np.abs(np.where(smaller, pts[0, 0], pts[1, 0])) * xrtol + xatol
+        tol = np.abs(np.where(smaller, pts[0, 0], pts[1, 0])) * _XRTOL + _XATOL
         done = np.where(smaller, ay1, ay2) <= ftol
         narrow = dx < tol
         stop = done | invalid | narrow
@@ -222,12 +222,12 @@ def _refine(f, end1, end2, p):
                 d12, d32 = f1 - f2, f3 - f2
                 xi1 = (x1 - x2) / (x3 - x2)
                 phi1 = d12 / d32
-                j = ((one - np.sqrt(one - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
+                j = ((_ONE - np.sqrt(_ONE - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
                 # f2 - f3 is -d32 exactly
                 t = np.where(j, f1 / d12 * f3 / d32
-                             + (x3 - x1) / w * f1 / (f3 - f1) * f2 / d32, half)
-            tl = half * tol / dx
-            t = np.minimum(np.maximum(t, tl), one - tl)
+                             + (x3 - x1) / w * f1 / (f3 - f1) * f2 / d32, _HALF)
+            tl = _HALF * tol / dx
+            t = np.minimum(np.maximum(t, tl), _ONE - tl)
         xn = x1 + t * w
         vn, fn = f(xn, p)
         # status -3 where the new x is not finite, or where the new y and

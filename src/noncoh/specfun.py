@@ -279,11 +279,6 @@ _ZERO, _HALF, _ONE, _TWO, _INF = (np.array(v) for v in (0.0, 0.5, 1.0, 2.0, math
 # bounded by the terms it sums, not by its number of rows
 _BLOCK_TERMS = 2**14
 
-# _accumulate loops over the terms of blocks of at least this many rows:
-# below it numpy's accumulation, at about 0.1 us a row, is faster than a
-# loop at about 1 us a term, whatever the terms
-_ROW_LOOP_MIN = 256
-
 # Pfaff's series stops at the first term t_k with t_k u (k+3) below this
 # times t_1, which bounds the remainders of the value and of its b-partial
 # both relative to the sum (see _family_pfaff)
@@ -452,11 +447,11 @@ def _row_blocks(star, u):
             start = end
 
 
-def _sums(terms, out=None):
+def _sums(terms):
     """Sums of terms (n, k, cols) over axis 0, last term first, one at a
     time: numpy reduces a leading axis by adding whole rows in order when
     they hold two elements or more (k >= 2), a single column pairwise."""
-    return np.add.reduce(terms[::-1], axis=0, out=out)
+    return np.add.reduce(terms[::-1], axis=0)
 
 
 def _series_sums(terms):
@@ -480,33 +475,19 @@ def _term_index(n):
     return k
 
 
-def _accumulate(op, a):
-    """op.accumulate down the columns of a (terms, rows), in place, one
-    term at a time: numpy's accumulation steps through one column at a
-    time, so on blocks of _ROW_LOOP_MIN rows or more a loop of whole-row op
-    calls, which gives the same bits, is faster."""
-    if a.shape[1] < _ROW_LOOP_MIN:
-        op.accumulate(a, out=a)
-        return
-    for k in range(1, len(a)):
-        op(a[k - 1], a[k], out=a[k])
-
-
 def _pfaff_terms(b, w, n_terms, n):
     """Rows k = 1..n (n = max(n_terms)) of the terms c_k w^k,
     c_k = k!/(b+1)_k, of 2F1(1, 1; b+1; w) - 1 and of their b-partials
     -c_k w^k H_k (H_k = sum_{j<=k} 1/(b+j)), (2, terms, rows), zero past
     each row's count, by cumulative products and sums down the columns."""
     k = _term_index(n)
-    r = np.add(b, k)
-    np.divide(-1.0, r, out=r)  # -1/(b+k)
+    r = np.divide(-1.0, b + k)  # -1/(b+k)
     terms = np.empty((2, n, b.size))
     t = np.multiply(k * -w, r, out=terms[0])  # t_k / t_(k-1)
     short = n_terms < n  # zero ratios end these columns' products
     t[n_terms[short].astype(np.intp), short] = 0.0
-    _accumulate(np.multiply, t)
-    _accumulate(np.add, r)  # -H_k
-    np.multiply(t, r, out=terms[1])
+    np.multiply.accumulate(t, out=t)
+    np.multiply(t, np.add.accumulate(r, out=r), out=terms[1])
     return terms
 
 
@@ -554,10 +535,9 @@ def _star_terms(b, n_int, inv_u, n_terms, n):
     t[0], t[1:] = inv_u, -inv_u
     short = n_terms < n  # zero ratios end these columns' products
     t[n_terms[short].astype(np.intp), short] = 0.0
-    _accumulate(np.multiply, t)
+    np.multiply.accumulate(t, out=t)
     t *= rd
-    rd *= m1
-    np.multiply(t, rd, out=terms[1])
+    np.multiply(t, np.multiply(rd, m1, out=rd), out=terms[1])
     return terms
 
 
@@ -583,39 +563,31 @@ def _family_star(b, u, n_terms, n, log_u):
     n_int = np.floor(b + _HALF)
     eps = b - n_int
     x = -eps * log_u
+    e = np.exp(x)  # u^-eps
+    h = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != _ZERO)
     p = np.empty((len(_HEAD_SERIES), 3, b.size))  # eps^(2k) twice, x^k
-    p[0], p[1, 2] = 1.0, x
-    np.multiply(eps, eps, out=p[1, :2])
+    p[0], p[1, :2], p[1, 2] = 1.0, eps * eps, x
     for j in (1, 2, 4, 8):  # rows j+1..2j: rows 1..j times row j
         np.multiply(p[1:j + 1], p[j], out=p[j + 1:2 * j + 1])
     # rows 17..32 likewise, with row 16 taken as zero where it is below
     # _HEAD_FLUSH (x's rows there have zero coefficients)
     np.multiply(p[1:17], np.where(p[16] < _HEAD_FLUSH, _ZERO, p[16]), out=p[17:])
-    sums = np.empty((4, b.size))  # c/eps, c', h' and h
-    c, dc, dh, h = sums
-    _sums(np.multiply(p, _HEAD_SERIES, out=p), out=sums[:3])
+    c, dc, dh = _sums(np.multiply(p, _HEAD_SERIES, out=p))
     c *= eps
-    ebe = np.empty((2, b.size))  # b e and e, e = u^-eps
-    e = np.exp(x, out=ebe[1])
-    be = np.multiply(b, e, out=ebe[0])
-    h[:] = 1.0
-    np.divide(np.expm1(x), x, out=h, where=x != _ZERO)
     np.divide(e - h, x, out=dh, where=np.abs(x) >= _HALF)
     # b (e^(-eps L) - 1)/eps = -b L h, as -q, and its b-partial
     bl = b * log_u
-    bl_dh, q = bl * sums[2:]
-    q_db = log_u * (bl_dh - h)
+    q = bl * h
+    q_db = log_u * (bl * dh - h)
     if np.count_nonzero(n_int) < n_int.size:  # b < 1/2: the head's own e^(-b L)
         zero = n_int == 0
         q[zero], q_db[zero] = -e[zero], -log_u[zero] * e[zero]
+    be = b * e
     # R and its b-partial, times (-1)^N u^-N (numpy's power is much slower
     # at a negative base), less b sum_m t_m and its b-partial
-    be_dc = be * dc
-    out = np.multiply(ebe, c, out=ebe)  # b e c and e c
-    out[0] -= q
-    out[1] *= _ONE - bl
-    out[1] += be_dc
-    out[1] += q_db
+    out = np.empty((2, b.size))
+    np.subtract(be * c, q, out=out[0])
+    np.add(e * c * (_ONE - bl) + be * dc, q_db, out=out[1])
     out *= np.copysign(np.power(inv_u, n_int), _HALF - np.fmod(n_int, _TWO))
     ts = _series_sums(_star_terms(b, n_int, inv_u, n_terms, n))
     ts[0] *= b

@@ -458,11 +458,9 @@ class TestF21Family:
 
     def test_each_row_keeps_its_bits_at_every_call_size(self, monkeypatch):
         # every kernel call of the solves on the benchmark's three grids
-        # (the 648-row scan, whose continuation block takes the row loop of
-        # _accumulate and whose Pfaff block does not, and refinement calls
-        # of 81 down to 2 and 1 rows), and runs of each family's rows on
-        # both sides of _ROW_LOOP_MIN: each row gets the bits it gets alone
-        # and in one shuffled call of several blocks of both families
+        # (the 648-row scan and refinement calls of 81 down to 2 and 1
+        # rows): each row gets the bits it gets alone and in one shuffled
+        # call of several blocks of both families
         calls = []
         real = specfun.hyp2f1_1b
 
@@ -480,25 +478,10 @@ class TestF21Family:
         monkeypatch.undo()
         sizes = [b.size for b, _ in calls]
         assert [sizes[k] for k in scans] == [648] * 3 and {81, 15, 2, 1} <= set(sizes)
-        scan_star = [u >= specfun._STAR_MIN_U for _, u in (calls[k] for k in scans)]
-        assert all(np.count_nonzero(star) >= specfun._ROW_LOOP_MIN > star.size
-                   - np.count_nonzero(star) for star in scan_star)
-        # runs of one family's rows straddling _ROW_LOOP_MIN, each one
-        # block: the scans' continuation rows, and Pfaff rows of at most 22
-        # terms
+        # Pfaff rows of at most 22 terms, and of 40 to 70 terms, so that
+        # each family takes several blocks of the shuffled call
         rng = np.random.default_rng(3)
         b_short, u_short = rng.uniform(0.05, 12.0, 300), rng.uniform(1e-3, 0.05, 300)
-        b_scans, u_scans = (np.concatenate([calls[k][i] for k in scans]) for i in (0, 1))
-        star = u_scans >= specfun._STAR_MIN_U
-        runs = [(bs[:n], us[:n])
-                for bs, us in ((b_scans[star], u_scans[star]), (b_short, u_short))
-                for n in (specfun._ROW_LOOP_MIN - 1, specfun._ROW_LOOP_MIN)]
-        for _, us in runs:
-            [(_, rows, _, _)] = specfun._row_blocks(us >= specfun._STAR_MIN_U, us)
-            assert rows == slice(0, us.size) and us.size in (specfun._ROW_LOOP_MIN - 1,
-                                                             specfun._ROW_LOOP_MIN)
-        # and Pfaff rows of 40 to 70 terms, so that each family takes
-        # several blocks of the shuffled call
         b = np.concatenate([b for b, _ in calls] + [b_short, rng.uniform(0.05, 12.0, 400)])
         u = np.concatenate([u for _, u in calls] + [u_short, rng.uniform(0.3, 1.2, 400)])
         order = rng.permutation(b.size)
@@ -516,11 +499,6 @@ class TestF21Family:
             assert np.array_equal(one.value, value[rows]), bs.size
             assert np.array_equal(one.d_db, d_db[rows]), bs.size
             start += bs.size
-        for bs, us in runs:
-            one = hyp2f1_1b(bs, us)
-            alone = [hyp2f1_1b(bi, ui) for bi, ui in zip(bs[::7].tolist(), us[::7].tolist())]
-            assert np.array_equal(one.value[::7], [f.value for f in alone])
-            assert np.array_equal(one.d_db[::7], [f.d_db for f in alone])
         for i in range(0, b.size, 5):
             one = hyp2f1_1b(b[i:i + 1], u[i:i + 1])
             assert (one.value[0], one.d_db[0]) == (value[i], d_db[i]), (b[i], u[i])
@@ -656,22 +634,14 @@ class TestInOrderSums:
         got = np.add.reduce(terms[::-1], axis=0)
         assert np.array_equal(got, _left_to_right(terms))
 
-    @pytest.mark.parametrize("shape", [(188, 2, 1), (33, 3, 1), (1, 2, 1), (21, 2, 81)])
+    @pytest.mark.parametrize("shape", [(188, 2, 1), (33, 3, 1), (1, 2, 1), (21, 2, 81),
+                                       (33, 3, 2), (33, 3, 15), (33, 3, 81), (33, 3, 567)])
     def test_kernel_sums_in_order_at_every_width(self, shape):
         # a block of one column still has a value and a b-partial row (or
-        # the head's three series) next to each other
+        # the head's three series) next to each other; the head's table
+        # at every block width of an 81-point solve
         terms = self._terms(shape)
         assert np.array_equal(specfun._sums(terms), _left_to_right(terms))
-
-    @pytest.mark.parametrize("rows", [1, 2, 15, 81, 567])
-    def test_head_sums_in_order_into_a_view(self, rows):
-        # the head's (33, 3, rows) table of an 81-point solve's blocks, the
-        # one-row and two-row calls' among them, summed into the first
-        # three rows of a (4, rows) array
-        terms = self._terms((33, 3, rows))
-        into = np.full((4, rows), np.nan)
-        specfun._sums(terms, out=into[:3])
-        assert np.array_equal(into[:3], _left_to_right(terms))
 
     @pytest.mark.parametrize("shape", [(2, 20, 1), (2, 1, 1), (2, 188, 1), (2, 12, 2),
                                        (2, 20, 15), (2, 33, 81), (2, 12, 81), (2, 22, 567)])
@@ -685,26 +655,20 @@ class TestInOrderSums:
         if shape[2] == 1 and shape[1] > 8:
             assert not np.array_equal(np.add.reduce(terms[:, ::-1], axis=1), want)
 
-    @pytest.mark.parametrize("rows", [1, 2, 15, 81, specfun._ROW_LOOP_MIN - 1,
-                                      specfun._ROW_LOOP_MIN, 567])
+    @pytest.mark.parametrize("rows", [1, 2, 15, 81, 567])
     @pytest.mark.parametrize("op", [np.multiply, np.add])
     def test_cumulative_products_and_sums_in_order(self, rows, op):
-        # _accumulate runs down each column one term at a time, below
-        # _ROW_LOOP_MIN rows by numpy's accumulation and from there on by
-        # a loop of whole-row calls, on a contiguous block and on one
-        # column of a (terms, 2, rows) table alike
-        table = np.exp(np.random.default_rng(rows).uniform(-1.0, 1.0, (22, 2, rows)))
-        want = table[:, 0].copy()
+        # the series' ratios and harmonic sums accumulate down each column
+        # of a block's (terms, rows) table, one term at a time, in place
+        table = np.exp(np.random.default_rng(rows).uniform(-1.0, 1.0, (22, rows)))
+        want = table.copy()
         for col in range(rows):
             total = float(want[0, col])
             for k in range(1, len(want)):
                 total = op(total, float(want[k, col]))
                 want[k, col] = total
-        contiguous = table[:, 0].copy()
-        specfun._accumulate(op, contiguous)
-        specfun._accumulate(op, table[:, 0])
-        assert np.array_equal(contiguous, want)
-        assert np.array_equal(table[:, 0], want)
+        op.accumulate(table, out=table)
+        assert np.array_equal(table, want)
 
 
 def _euler_average_loop(terms):
