@@ -54,18 +54,21 @@ class TwoPointInput:
     def a1(self) -> float:
         return 1.0 - self.a2
 
-    def is_degenerate(self) -> bool:
-        """One mass point: a2 in {0, 1}, or x2^2 = 0 in floats."""
-        return self.a2 in (0.0, 1.0) or self.x2 * self.x2 == 0.0
+
+def one_mass_point(inp: TwoPointInput, ch: ChannelParams) -> bool:
+    """Whether the input collapses to one mass point, which carries I = 0:
+    a2 in {0, 1}, or t = x2^2/sigma^2 so small (0 included) that the
+    closed forms' 2F1 parameter b = 1 + 1/t overflows.  The one rule behind
+    the value path, the oracles and the CLI."""
+    t = inp.x2**2 / ch.sigma2
+    return inp.a2 in (0.0, 1.0) or t == 0.0 or not 1.0 + 1.0 / t < math.inf
 
 
 def derive_params(x: float, inp: TwoPointInput, ch: ChannelParams) -> tuple[float, float]:
     """(alpha, beta) of the closed forms for J(x), for any x >= 0 with a
-    finite square."""
-    if inp.is_degenerate():
-        raise DegenerateInput(
-            "two-point input collapses to a single mass point (a2 in {0,1} or x2 = 0)"
-        )
+    finite square; DegenerateInput for one mass point (see one_mass_point)."""
+    if one_mass_point(inp, ch):
+        raise DegenerateInput("two-point input collapses to a single mass point")
     if not (x >= 0.0 and x * x < math.inf):
         raise DomainError(f"x must be nonnegative, with a finite square (x={x})")
     s2 = ch.sigma2

@@ -23,7 +23,7 @@ import sys
 
 from . import capacity, mi, oracle, verify
 from .capacity import SweepConfig
-from .channel import ChannelParams, TwoPointInput, snr_from_db
+from .channel import ChannelParams, TwoPointInput, one_mass_point, snr_from_db
 from .errors import ConsistencyError, DomainError, NoncohError
 
 SCHEMA_VERSION = "1"
@@ -96,7 +96,7 @@ def cmd_mi(args) -> int:
     ]
     diagnostics, failure = dict(res.diagnostics), None
     # one mass point (I = 0 by definition) leaves nothing to check
-    if args.verify and not math.isnan(res.j0):
+    if args.verify and not one_mass_point(inp, ch):
         ref = oracle.mi_quadrature(inp, ch)
         delta = abs(res.nats - ref)
         diagnostics["oracle_delta"] = delta
@@ -224,8 +224,7 @@ def cmd_mc(args) -> int:
         raise DomainError(f"--seed must be >= 0 (got {args.seed})")
     res = mi.mutual_information(inp, ch)
     closed = res.nats
-    if math.isnan(res.j0):
-        # one mass point: I = 0 exactly, with nothing to estimate
+    if one_mass_point(inp, ch):  # I = 0 exactly, with nothing to estimate
         results = {"estimate_nats": None, "std_error": None,
                    "closed_form_nats": closed, "z_score": None}
         lines = ["Monte-Carlo I: not estimated, the input is one mass point",

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .channel import ChannelParams, TwoPointInput
+from .channel import ChannelParams, TwoPointInput, one_mass_point
 from .errors import ConsistencyError, DegenerateInput, DomainError
 
 # the smallest normal float: _check_snr refuses capacity-mode numbers below it
@@ -131,14 +131,12 @@ def _slope(t, b, u, phi, phi_b=None, xp=np):
 
 def _fixed_args(inp, ch):
     """(t, b, u) of a fixed x2, t = x2^2/sigma^2 and phi's arguments b and u,
-    or None for one mass point: a2 in {0, 1}, or t so small that b = 1 + 1/t
-    overflows.  DomainError naming the input where u overflows."""
+    or None for one mass point (channel.one_mass_point).  DomainError naming
+    the input where u overflows."""
+    if one_mass_point(inp, ch):
+        return None
     t = inp.x2**2 / ch.sigma2
-    if inp.is_degenerate() or t == 0.0:
-        return None
     b, u = _phi_args(inp.a2, t)
-    if not b < math.inf:
-        return None
     if not u < math.inf:
         raise DomainError(f"a2={inp.a2!r}, x2={inp.x2!r}, sigma2={ch.sigma2!r} is out of "
                           "range: u = (a1/a2)(x2^2 + sigma2)/sigma2 is past the float range")
@@ -149,8 +147,7 @@ def mutual_information(inp: TwoPointInput, ch: ChannelParams) -> MIResult:
     """I(X;Y) in nats for the two-mass-point input, both J from the beta>=1
     closed form and one phi value (see the module docstring and _assemble).
 
-    Degenerate inputs (a2 in {0, 1}, or x2^2 zero or too small against
-    sigma^2 for b = 1 + sigma^2/x2^2 to be finite) return exactly 0.  I is
+    One mass point (channel.one_mass_point) returns exactly 0.  I is
     clamped into [0, H(X)] within rounding (1e-10); past that it raises
     ConsistencyError.  The diagnostics give the series terms behind each J
     and phi's truncation bound carried into each J.

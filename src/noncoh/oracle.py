@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .channel import ChannelParams, TwoPointInput
+from .channel import ChannelParams, TwoPointInput, one_mass_point
 from .errors import DegenerateInput, DomainError, ToleranceNotMet
 
 # The error target every integral must certify (the sum of its panels'
@@ -176,8 +176,9 @@ def j_quadrature(x, inp, ch: ChannelParams):
     # passing unsampled.  The minor mixture component's log1p(e^(-gap |t -
     # t_c|)) tail lives within a few 1/gap of the crossover t_c, a boundary
     # layer that holds pi^2/(12 gap) of the integral (DLMF 25.12); the
-    # breakpoints t_c + k/gap resolve it however narrow it is.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # breakpoints t_c + k/gap resolve it however narrow it is.  Where gap is
+    # so small that they overflow, _between drops them.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t_c = (log_b - log_a) / gap
         layer = [t_c + k / gap for k in _LAYER]
     fixed = [-0.5, -1.0, -2.0, -4.0, -8.0, -16.0, -32.0]
@@ -238,8 +239,9 @@ def mi_from_j(inp: TwoPointInput, ch: ChannelParams, j0: float, j_x2: float) -> 
 
 
 def mi_quadrature(inp: TwoPointInput, ch: ChannelParams) -> float:
-    """Mutual information via the quadrature J's, both from one call."""
-    if inp.is_degenerate():
+    """Mutual information via the quadrature J's, both from one call; 0 for
+    one mass point (see channel.one_mass_point)."""
+    if one_mass_point(inp, ch):
         return 0.0
     j0, j_x2 = j_quadrature([0.0, inp.x2], [inp, inp], ch)
     return mi_from_j(inp, ch, float(j0), float(j_x2))
@@ -262,8 +264,8 @@ def mi_monte_carlo(
         raise DomainError(f"samples must be >= 1 (got {samples})")
     if seed < 0:
         raise DomainError(f"seed must be >= 0 (got {seed})")
-    if inp.is_degenerate():
-        raise DegenerateInput("Monte-Carlo estimator needs 0 < a2 < 1 and x2 > 0")
+    if one_mass_point(inp, ch):
+        raise DegenerateInput("Monte-Carlo estimator needs two mass points")
     rng = np.random.default_rng(seed)
     s2 = ch.sigma2
     big = inp.x2**2 + s2

@@ -1,7 +1,7 @@
 """Real-argument special functions used by the closed-form expressions.
 
 The family phi(b, u) = 2F1(1, b; b+1; -u) has one set of float64 series
-and formulas, valid for every finite b > 0 and u >= 0, behind two entry
+and formulas, valid for every finite b >= 1 and u >= 0, behind two entry
 points: hyp2f1_1b_value, a scalar plain-float value with series
 diagnostics, behind every J, I(X;Y) and fixed-x2 dI/da2, and hyp2f1_1b,
 the value with its b-partial for arrays of (b, u) through one vectorized
@@ -267,7 +267,7 @@ _HEAD_SERIES = np.array([(m, (2 * k + 1) * m, (k + 1) / math.factorial(k + 2) * 
 _HEAD_FLUSH = 2.0**-511
 
 # the smallest valid b and u of hyp2f1_1b, as a column
-_BU_MIN = np.array([[math.ulp(0.0)], [0.0]])
+_BU_MIN = np.array([[1.0], [0.0]])
 
 # 0-d arrays of the constants that the array kernel combines with its
 # arrays: numpy converts a Python float operand anew on every call, at about
@@ -302,7 +302,7 @@ def _star_count(log_u):
 
 
 def hyp2f1_1b_value(b: float, u: float) -> SeriesResult:
-    """phi(b, u) = 2F1(1, b; b+1; -u) alone, for scalar finite b > 0 and
+    """phi(b, u) = 2F1(1, b; b+1; -u) alone, for scalar finite b >= 1 and
     u >= 0, integer b included, in plain floats, with the number of series
     terms summed and a bound on the truncated remainder.
 
@@ -318,8 +318,8 @@ def hyp2f1_1b_value(b: float, u: float) -> SeriesResult:
     tested grids the value is within 4 ulps of exact past its bound.
     """
     b, u = float(b), float(u)
-    if not 0.0 < b < math.inf:
-        raise DomainError(f"hyp2f1_1b_value expects finite b > 0 (b={b})")
+    if not 1.0 <= b < math.inf:
+        raise DomainError(f"hyp2f1_1b_value expects finite b >= 1 (b={b})")
     if not 0.0 <= u < math.inf:
         raise DomainError(f"hyp2f1_1b_value expects finite u >= 0 (u={u})")
     if u < _STAR_MIN_U:
@@ -340,10 +340,7 @@ def hyp2f1_1b_value(b: float, u: float) -> SeriesResult:
     eps = b - n_int
     x = -eps * log_u
     e = u**-eps
-    if n_int == 0:  # the head's own b e^(-eps L)/eps
-        q = e
-    else:  # b (e^(-eps L) - 1)/eps
-        q = -b * log_u * (math.expm1(x) / x if x != 0.0 else 1.0)
+    q = -b * log_u * (math.expm1(x) / x if x != 0.0 else 1.0)  # b (e^(-eps L) - 1)/eps
     head = (-inv_u) ** n_int * (b * e * pi_csc_minus_recip(eps) + q)
     n_terms = int(_star_count(log_u))
     t = inv_u  # (-1)^m u^-(m+1)
@@ -362,7 +359,7 @@ def hyp2f1_1b_value(b: float, u: float) -> SeriesResult:
 
 def hyp2f1_1b(b, u) -> F21Family:
     """Evaluate phi(b, u) = 2F1(1, b; b+1; -u) together with its b-partial
-    for every finite b > 0 and finite u >= 0, integer b included.
+    for every finite b >= 1 and finite u >= 0, integer b included.
 
     b and u are scalars or arrays that broadcast together, a scalar call
     being the size-1 case, and one invalid element raises DomainError for
@@ -396,11 +393,11 @@ def hyp2f1_1b(b, u) -> F21Family:
     bu[0], bu[1] = b, u
     bu = bu.reshape(2, -1)
     bf, uf = bu[0], bu[1]
-    # one test of both: b > 0 is b >= the smallest subnormal, and NaN fails
+    # one test of both, which NaN fails
     valid = (bu >= _BU_MIN) & (bu < _INF)
     if np.count_nonzero(valid) < valid.size:
-        if not ((0.0 < bf) & (bf < math.inf)).all():
-            raise DomainError("hyp2f1_1b expects finite b > 0")
+        if not ((1.0 <= bf) & (bf < math.inf)).all():
+            raise DomainError("hyp2f1_1b expects finite b >= 1")
         raise DomainError("hyp2f1_1b expects finite u >= 0 (argument z = -u)")
     out = np.empty((2, bf.size))
     for family, rows, counts, extra in _row_blocks(uf >= _STAR_MIN_U, uf):
@@ -552,12 +549,11 @@ def _family_star(b, u, n_terms, n, log_u):
         (-1)^N u^(-N) R,  R = b e^(-eps L) c(eps) + b (e^(-eps L) - 1)/eps,
 
     c(eps) = pi/sin(pi eps) - 1/eps, smooth through eps = 0 with its
-    b-partial (for N = 0 there is no such series term and the second term
-    of R is the head's own b e^(-eps L)/eps = e^(-b L)), and the second
-    term of R is -b L h(x), h(x) = expm1(x)/x at x = -eps L.  c, c' and,
-    for |x| < 1/2, h' are power series, summed like the terms from one
-    table of powers (33, 3, rows), so nothing cancels.  The b-partial of b
-    sum_m t_m is sum_m (m+1) t_m/(m+1-b), not a difference of sums ~ 1/b.
+    b-partial (b >= 1, so N >= 1), and the second term of R is -b L h(x),
+    h(x) = expm1(x)/x at x = -eps L.  c, c' and, for |x| < 1/2, h' are
+    power series, summed like the terms from one table of powers (33, 3,
+    rows), so nothing cancels.  The b-partial of b sum_m t_m is
+    sum_m (m+1) t_m/(m+1-b), not a difference of sums ~ 1/b.
     """
     inv_u = np.reciprocal(u)
     n_int = np.floor(b + _HALF)
@@ -579,9 +575,6 @@ def _family_star(b, u, n_terms, n, log_u):
     bl = b * log_u
     q = bl * h
     q_db = log_u * (bl * dh - h)
-    if np.count_nonzero(n_int) < n_int.size:  # b < 1/2: the head's own e^(-b L)
-        zero = n_int == 0
-        q[zero], q_db[zero] = -e[zero], -log_u[zero] * e[zero]
     be = b * e
     # R and its b-partial, times (-1)^N u^-N (numpy's power is much slower
     # at a negative base), less b sum_m t_m and its b-partial

@@ -1,16 +1,20 @@
 import math
 
+import numpy as np
 import pytest
 
+from noncoh import verify
 from noncoh.channel import (
     ChannelParams,
     TwoPointInput,
     derive_params,
+    one_mass_point,
     snr_from_db,
     snr_to_db,
 )
 from noncoh.errors import DegenerateInput, DomainError
-from noncoh.mi import mutual_information
+from noncoh.mi import mi_derivative_a2, mutual_information
+from noncoh.oracle import mi_monte_carlo, mi_quadrature
 from noncoh.reference import j_case3, nearest_reciprocal
 
 
@@ -105,6 +109,54 @@ class TestDeriveParams:
             assert (res.case_j0, res.case_jx2) == ("CaseIII", "CaseIII")
             assert res.j0 == pytest.approx(j_case3(0.0, inp, ch), abs=1e-13)
             assert res.j_x2 == pytest.approx(j_case3(x2, inp, ch), abs=1e-13)
+
+
+def _b_overflow_edge(sigma2):
+    """The smallest x2 that mutual_information takes as two mass points at
+    sigma2, by bisection over the positive floats in their bit order."""
+    ch = ChannelParams(sigma2)
+    lo, hi = np.array([1e-200, 1.0]).view(np.int64).tolist()
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        x2 = float(np.int64(mid).view(np.float64))
+        if mutual_information(TwoPointInput(0.5, x2), ch).case_j0 == "Degenerate":
+            lo = mid
+        else:
+            hi = mid
+    return float(np.int64(hi).view(np.float64))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma2", [1e-3, 1.0, 1e3])
+def test_one_rule_for_one_mass_point(sigma2):
+    # one_mass_point is the one rule: on each input the value path, both MI
+    # oracles, derive_params and the fixed-x2 derivative all call it one
+    # mass point (I = 0) or all take it as two, at x2 = 0, where x2^2
+    # underflows (1e-200), where b = 1 + sigma2/x2^2 overflows and one float
+    # either side of that edge, where the oracle's breakpoints overflow
+    # (2e-154 at sigma2 = 1), and at x2 = 1
+    ch = ChannelParams(sigma2)
+    edge = _b_overflow_edge(sigma2)
+    for a2 in (0.0, 1.0, 0.3):
+        for x2 in (0.0, 1e-200, 1e-160, math.nextafter(edge, 0.0), edge, 2e-154, 1.0):
+            inp = TwoPointInput(a2, x2)
+            one = a2 in (0.0, 1.0) or x2 < edge
+            assert one_mass_point(inp, ch) is one, (a2, x2)
+            res = mutual_information(inp, ch)
+            if one:
+                assert (res.nats, res.case_j0, res.case_jx2) == (0.0, "Degenerate", "Degenerate")
+                assert mi_quadrature(inp, ch) == 0.0
+                for call in (lambda: mi_monte_carlo(inp, ch, samples=100, seed=0),
+                             lambda: derive_params(0.0, inp, ch),
+                             lambda: mi_derivative_a2(inp, ch)):
+                    with pytest.raises(DegenerateInput):
+                        call()
+                continue
+            assert (res.case_j0, res.case_jx2) == ("CaseIII", "CaseIII")
+            assert abs(mi_quadrature(inp, ch) - res.nats) <= verify.MI_TOLERANCE, (a2, x2)
+            assert all(map(math.isfinite, mi_monte_carlo(inp, ch, samples=100, seed=0)))
+            assert all(v > 0.0 for v in derive_params(0.0, inp, ch))
+            assert math.isfinite(mi_derivative_a2(inp, ch))
 
 
 class TestNearestReciprocal:

@@ -379,6 +379,29 @@ def test_invalid_values_exit_2(argv, tmp_path, capsys):
         assert ("1e+07 points" if "1e-7" in argv else "--points 1000000000") in err
 
 
+_MC = ["--samples", "1000", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, "--a2", "0.5", "--x2", x2, *extra]
+      for x2 in ("1e-160", "2e-154", "1e-150")
+      for command, extra in (("mi", ["--verify"]), ("deriv", ["--verify"]), ("mc", _MC))
+      if (command, x2) != ("deriv", "1e-160")),
+    *([command, "--a2", "1e-300", "--x2", "1", *extra]
+      for command, extra in (("mi", ["--verify"]), ("deriv", ["--verify"]), ("mc", _MC))),
+], ids=lambda argv: "-".join(argv[:5:2]))
+def test_valid_boundary_values_exit_0(argv, capsys):
+    # valid inputs at the edge of the float range exit 0 with nothing on
+    # stderr, where a warning would be a traceback: one mass point (x2^2 =
+    # 1e-320), two mass points whose oracle breakpoints overflow (x2^2/sigma2
+    # = 4e-308) or do not (1e-300), and a2 = 1e-300.  deriv refuses the one
+    # mass point (test_invalid_values_exit_2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(argv)
+    assert (rc, capsys.readouterr().err) == (0, "")
+
+
 @pytest.mark.parametrize("argv,flag,value,error", [
     (["sweep", "--to-db", "0", "--step-db", "5"], "--from-db", "-1e1", None),
     (["deriv", "--a2", "0.3", "--json"], "--snr-db", "-1.5e-3", None),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -58,6 +59,18 @@ class TestJQuadrature:
                 assert j_quadrature(x, inp, ch) == pytest.approx(
                     j_quadrature_direct(x, inp, ch), abs=1e-9
                 )
+
+    def test_overflowing_breakpoints_are_dropped(self):
+        # at x2^2/sigma^2 = 4e-308 the boundary layer's breakpoints
+        # t_c + k/gap overflow: they are dropped with no warning, and I from
+        # the quadrature J's still matches the closed form
+        inp, ch = TwoPointInput(0.5, 2e-154), ChannelParams(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            j = j_quadrature([0.0, inp.x2], [inp, inp], ch)
+            i = mi_quadrature(inp, ch)
+        assert np.isfinite(j).all() and math.isfinite(i)
+        assert abs(i - mi.mutual_information(inp, ch).nats) <= verify.MI_TOLERANCE
 
     def test_rejects_zero_x2(self):
         with pytest.raises(DegenerateInput):

@@ -379,9 +379,9 @@ class TestF21Family:
         assert fam.d_db == pytest.approx(db_fd, rel=2e-8, abs=1e-12)
 
     def test_array_call_matches_scalar_calls(self):
-        # b in (0, 5] plus 65, integers included, u on both sides of 0.8, 1
+        # b in [1, 5] plus 65, integers included, u on both sides of 0.8, 1
         # and 1.25 and up to 1e12
-        pairs = [(b, u) for b in WIDE_B for u in WIDE_U]
+        pairs = [(b, u) for b in WIDE_B if b >= 1.0 for u in WIDE_U]
         b, u = np.array(pairs).T
         fam = hyp2f1_1b(b, u)
         for i, (bi, ui) in enumerate(pairs):
@@ -395,7 +395,7 @@ class TestF21Family:
         # families interleaved, integer b and the longest continuation rows
         # (u = 1.25, 188 terms) among them: every row is its own call
         rng = np.random.default_rng(8)
-        b = np.exp(rng.uniform(np.log(0.05), np.log(65.0), 2400))
+        b = np.exp(rng.uniform(0.0, np.log(65.0), 2400))
         b[::9] = np.ceil(b[::9])
         u = np.exp(np.where(np.arange(2400) % 2 == 0,
                             rng.uniform(np.log(1e-3), np.log(1.25), 2400),
@@ -430,7 +430,7 @@ class TestF21Family:
         assert refine_b.shape == (81,)
         singles = [(np.array([2.3]), np.array([5.0])), (np.array([2.3]), np.array([0.5]))]
         rng = np.random.default_rng(21)
-        fill_b = rng.uniform(0.05, 12.0, 800)
+        fill_b = rng.uniform(1.0, 12.0, 800)
         fill_u = np.where(np.arange(800) % 2 == 0, rng.uniform(0.3, 1.2, 800),
                           rng.uniform(1.25, 1.3, 800))
         b = np.concatenate([refine_b, *(s[0] for s in singles), fill_b])
@@ -481,8 +481,8 @@ class TestF21Family:
         # Pfaff rows of at most 22 terms, and of 40 to 70 terms, so that
         # each family takes several blocks of the shuffled call
         rng = np.random.default_rng(3)
-        b_short, u_short = rng.uniform(0.05, 12.0, 300), rng.uniform(1e-3, 0.05, 300)
-        b = np.concatenate([b for b, _ in calls] + [b_short, rng.uniform(0.05, 12.0, 400)])
+        b_short, u_short = rng.uniform(1.0, 12.0, 300), rng.uniform(1e-3, 0.05, 300)
+        b = np.concatenate([b for b, _ in calls] + [b_short, rng.uniform(1.0, 12.0, 400)])
         u = np.concatenate([u for _, u in calls] + [u_short, rng.uniform(0.3, 1.2, 400)])
         order = rng.permutation(b.size)
         fam = hyp2f1_1b(b[order], u[order])
@@ -512,7 +512,8 @@ class TestF21Family:
         rng = np.random.default_rng(seed)
         n = 20_000
         eps = np.exp2(rng.uniform(-34.0, -1.0, n)) * rng.choice([-1.0, 1.0], n)
-        b = rng.integers(1, 6, n) + eps
+        n_int = rng.integers(1, 6, n)
+        b = n_int + np.where(n_int == 1, np.abs(eps), eps)  # b >= 1
         u = np.exp(rng.uniform(math.log(1.25), 690.0, n))
         flushed = hyp2f1_1b(b, u)
         monkeypatch.setattr(specfun, "_HEAD_FLUSH", 0.0)
@@ -579,7 +580,12 @@ class TestF21Family:
     ])
     def test_near_integer_b_matches_mpmath(self, b, us):
         # the continuation's head and its m = round(b) - 1 term share a pole
-        # at integer b; the kernel removes it analytically
+        # at integer b; the kernel removes it analytically.  Below b = 1 it
+        # refuses
+        if b < 1.0:
+            with pytest.raises(DomainError, match="b >= 1"):
+                hyp2f1_1b(b, np.array(us))
+            return
         fam = hyp2f1_1b(b, np.array(us))
         for i, u in enumerate(us):
             ref = hyp2f1_family(b, u)
@@ -710,6 +716,11 @@ class TestF21Value:
     ])
     def test_matches_mpmath_and_kernel(self, b, us):
         eps = np.finfo(float).eps
+        if b < 1.0:  # below the domain b >= 1: refused, not summed
+            for u in us:
+                with pytest.raises(DomainError, match="b >= 1"):
+                    hyp2f1_1b_value(b, u)
+            return
         for u in us:
             res = hyp2f1_1b_value(b, u)
             ref = hyp2f1_value(b, u)
