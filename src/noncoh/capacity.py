@@ -148,22 +148,21 @@ def _refine(f, end1, end2, p):
     lock-step.  f(x, p) returns (v, y): y, whose root is sought, and a value
     v carried along with each point (the solver carries phi, from which it
     assembles I at its candidates alone).  end1 and end2 are (3, brackets)
-    arrays of x, v and y at the bracket ends; each iteration makes one call
-    of f on the brackets still open, with their entries of p.  It takes the
-    steps and stopping tests of scipy's find_root(y, (x1, x2), args=(p,),
-    tolerances={"xatol": _XATOL}), which the tests hold it to bit for bit,
-    without evaluating the ends.
+    arrays of x, v and y at the bracket ends: finite x and y, the two y of
+    opposite signs or one of them 0, as the solver's scan hands them over.
+    Each iteration makes one call of f on the brackets still open, with
+    their entries of p.  It takes the steps and stopping tests of scipy's
+    find_root(y, (x1, x2), args=(p,), tolerances={"xatol": _XATOL}), which
+    the tests hold it to bit for bit, without evaluating the ends.
 
     Returns (x, v, y) at each bracket's result as one (3, brackets) array,
     and its status and iterations.  The result is the end of the final
     bracket with the smaller |y|; status is 0 when |y| <= _FATOL there or
-    the bracket is narrower than _XRTOL |x| + _XATOL, -1 when the ends'
-    signs agree, -3 for a non-finite end or two NaN values of y (x, v and y
-    are NaN for both) and -2 when _MAX_ITER iterations did not end it.  Each
-    iteration evaluates f once per open bracket, so the iterations are also
-    its evaluations.  Each step keeps a sign change between the ends, so
-    only the given ends are tested for signs that agree, and after them only
-    each new point for the faults of -3.
+    the bracket is narrower than _XRTOL |x| + _XATOL, -3 when y is NaN at a
+    new point and at the end kept beside it (x, v and y are NaN) and -2 when
+    _MAX_ITER iterations did not end it.  Each iteration evaluates f once
+    per open bracket, so the iterations are also its evaluations.  Each step
+    keeps a sign change between the ends, so only each new point is tested.
     """
     n = end1.shape[1]
     out = np.empty((3, n))
@@ -171,16 +170,7 @@ def _refine(f, end1, end2, p):
     # end 1, end 2 and the point they last replaced, each as rows x, v, y
     pts = np.empty((3, 3, n))
     pts[0], pts[1] = end1, end2
-    x, y = pts[:2, 0], pts[:2, 2]
-    with np.errstate(invalid="ignore"):  # 0 inf is NaN: no |y| test there
-        ftol = _FATOL + 0.0 * np.minimum(np.abs(y[0]), np.abs(y[1]))
-    # ends agreeing in sign (status -1), a non-finite end or NaN y at both
-    # ends (-3) end a bracket with a NaN result: x - x is NaN just where x
-    # is not finite, and fmax just where both y are NaN
-    sy = np.sign(y)
-    bad = sy[0] == sy[1]
-    nx = x - x
-    invalid = np.isnan(nx[0] + nx[1] + np.fmax(y[0], y[1]))
+    invalid = False  # status -3 needs a new point
     open_ = np.arange(n)
     it, t = 0, _HALF
     while True:
@@ -190,26 +180,23 @@ def _refine(f, end1, end2, p):
         w = pts[1, 0] - pts[0, 0]
         dx = np.abs(w)
         tol = np.abs(np.where(smaller, pts[0, 0], pts[1, 0])) * _XRTOL + _XATOL
-        done = np.where(smaller, ay1, ay2) <= ftol
+        done = np.where(smaller, ay1, ay2) <= _FATOL
         narrow = dx < tol
         stop = done | invalid | narrow
-        if not it:
-            stop |= bad
         if it >= _MAX_ITER:  # the brackets still open stop, with status -2
             stop[:] = True
         if np.count_nonzero(stop):
-            # in order: |y| small enough, the signs, the ends, the width
-            code = np.where(done, 0, np.where(bad, -1, np.where(
-                invalid, -3, np.where(narrow, 0, -2))))[stop]
+            # in order: |y| small enough, a fault of f, the width
+            code = np.where(done, 0, np.where(invalid, -3, np.where(narrow, 0, -2)))[stop]
             k = open_[stop]
             out[:, k] = np.where(smaller, pts[0], pts[1])[:, stop]
             nit[k], status[k] = it, code
             go = np.flatnonzero(~stop)
-            open_, pts, p, ftol, invalid = open_[go], pts[:, :, go], p[go], ftol[go], invalid[go]
+            open_, pts, p = open_[go], pts[:, :, go], p[go]
             w, dx, tol = w[go], dx[go], tol[go]
         if not open_.size:  # at once when there are no brackets
-            # x, v and y are NaN where the signs or the ends failed
-            out[:, status % 2 == 1] = math.nan
+            # x, v and y are NaN where f failed
+            out[:, status == -3] = math.nan
             return out, status, nit
         x1, x2, x3 = pts[0, 0], pts[1, 0], pts[2, 0]
         f1, f2, f3 = pts[0, 2], pts[1, 2], pts[2, 2]
@@ -230,9 +217,9 @@ def _refine(f, end1, end2, p):
             t = np.minimum(np.maximum(t, tl), _ONE - tl)
         xn = x1 + t * w
         vn, fn = f(xn, p)
-        # status -3 where the new x is not finite, or where the new y and
-        # end 1's (the end kept when the new y is NaN) are both NaN
-        invalid = np.isnan(xn - xn + np.fmax(fn, f1))
+        # status -3 where the new y and end 1's (the end kept when the new
+        # y is NaN) are both NaN; x stays finite between finite ends
+        invalid = np.isnan(np.fmax(fn, f1))
         # keep the end whose sign differs from the new point's: ends 2 and
         # 3 become (end 2, end 1) where the signs of y agree, else (end 1,
         # end 2)
@@ -241,7 +228,7 @@ def _refine(f, end1, end2, p):
         np.copyto(pts[2], pts[1], where=differ)
         np.copyto(pts[1], pts[0], where=differ)
         pts[0, 0], pts[0, 1], pts[0, 2] = xn, vn, fn
-        bad, it = False, it + 1
+        it += 1
 
 
 def solve_a2_star(snr_linear, *, sigma2: float = 1.0):

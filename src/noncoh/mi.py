@@ -186,17 +186,15 @@ def _check_snr(a2, snr):
     """DomainError, naming the SNR, where a number of I or dI/da2 at
     t = SNR/a2 leaves the normal float range at one of the a2 (SNR a float
     or 1-D array; a2 a float, a 1-D array shared by every SNR or one row per
-    SNR): the SNR, t or u falls below the smallest normal float or
-    overflows, or b overflows.  b = 1 + 1/t is finite where t is normal and
-    t is infinite where the SNR is, so the tests are on the smallest and
-    largest of the SNR, t and u, which are NaN where any of them is.  b
-    grows and u falls with a2, so between the a2 they stay finite too."""
+    SNR, each in (0, 1)): the SNR falls below the smallest normal float, or
+    t or u overflows.  With 0 < a2 < 1, t = SNR/a2 >= SNR and
+    u = (a1/a2)(1 + t) >= a1/a2 >= 2^-53 are normal where the SNR is, and
+    b = 1 + 1/t is then finite; a NaN SNR fails the first test.  b grows and
+    u falls with a2, so between the a2 they stay finite too."""
     with np.errstate(over="ignore", divide="ignore"):
         snr_col = np.reshape(snr, (-1, 1))
         t = snr_col / a2
-        u = _phi_args(a2, t)[1]
-        fine = ((np.minimum(np.minimum(t, u), snr_col) >= _TINY)
-                & (np.maximum(t, u) < np.inf))
+        fine = (snr_col >= _TINY) & (np.maximum(t, _phi_args(a2, t)[1]) < np.inf)
     if np.count_nonzero(fine) < fine.size:
         bad = np.count_nonzero(fine, axis=1) < fine.shape[1]
         raise DomainError(f"SNR {np.reshape(snr, -1)[bad][0]:.6g} is out of range: at "

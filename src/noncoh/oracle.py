@@ -255,10 +255,17 @@ def mi_monte_carlo(
     seed: int,
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of E[log f(Y|X) - log f(Y)] from samples >= 1
-    draws, seeded by seed >= 0.
+    draws, seeded by seed >= 0; DomainError where t = x2^2/sigma^2
+    overflows.
 
-    X is sampled from the two-point law and Y|X=x by inverse CDF,
-    Y = sqrt(-(x^2+sigma^2) log U).  Returns (estimate, standard error).
+    X is sampled from the two-point law and e = |Y|^2/(x^2 + sigma^2) as an
+    exponential draw by inverse CDF, e = -log U.  Each sample is taken from
+    the log-likelihood ratio L = log f(Y|x2)/f(Y|0), which is e t - log1p(t)
+    for X = x2 and e t/(1+t) - log1p(t) for X = 0: the sample is
+    -log1p(a1 expm1(-L)) for X = x2 and -log1p(a2 expm1(L)) for X = 0, so
+    that no two O(1) log-densities cancel where I is about 0.  Each sample
+    is divided by c = t/(1+t) before it is summed and squared, so that its
+    square cannot underflow.  Returns (estimate, standard error).
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1 (got {samples})")
@@ -266,33 +273,28 @@ def mi_monte_carlo(
         raise DomainError(f"seed must be >= 0 (got {seed})")
     if one_mass_point(inp, ch):
         raise DegenerateInput("Monte-Carlo estimator needs two mass points")
+    t = inp.x2**2 / ch.sigma2
+    if not t < math.inf:
+        raise DomainError(f"a2={inp.a2!r}, x2={inp.x2!r}, sigma2={ch.sigma2!r} is out of "
+                          "range: t = x2^2/sigma2 is past the float range")
+    c, log1p_t = t / (1.0 + t), math.log1p(t)
     rng = np.random.default_rng(seed)
-    s2 = ch.sigma2
-    big = inp.x2**2 + s2
-    log_a = math.log(inp.a1 / s2)
-    log_b = math.log(inp.a2 / big)
-    total = 0.0
-    total_sq = 0.0
+    total = total_sq = 0.0
     remaining = samples
     while remaining > 0:
         n = min(remaining, 2_000_000)
         remaining -= n
         on = rng.random(n) < inp.a2
-        scale = np.where(on, big, s2)
-        y2 = -scale * np.log(rng.random(n))
-        log_cond = math.log(2.0) + 0.5 * np.log(y2) - np.log(scale) - y2 / scale
-        log_marg = (
-            math.log(2.0)
-            + 0.5 * np.log(y2)
-            + np.logaddexp(log_a - y2 / s2, log_b - y2 / big)
-        )
-        g = log_cond - log_marg
+        e = -np.log(rng.random(n))
+        with np.errstate(over="ignore"):  # e t = inf gives the limit, -log a2
+            g_on = np.log1p(inp.a1 * np.expm1(log1p_t - e[on] * t))
+        g = np.concatenate((g_on, np.log1p(inp.a2 * np.expm1(e[~on] * c - log1p_t))))
+        g /= -c
         total += float(np.sum(g))
         total_sq += float(np.sum(g * g))
     mean = total / samples
     var = max(0.0, total_sq / samples - mean * mean)
-    std_err = math.sqrt(var / samples)
-    return mean, std_err
+    return c * mean, c * math.sqrt(var / samples)
 
 
 # fd_derivative's step at |x| <= 1

@@ -175,6 +175,9 @@ def test_criterion_11_determinism(tmp_path):
     t0 = time.time()
     env = dict(os.environ)
     env.pop("NONCOH_FAULT_INJECT", None)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                                                 else []))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = [sys.executable, "-m", "noncoh.cli", "sweep",
             "--from-db", "-10", "--to-db", "30", "--step-db", "1"]

@@ -490,6 +490,31 @@ class TestRefine:
         assert [p.i_star_nats for p in points] == nats.tolist()
         assert [p.solver_residual for p in points] == np.abs(d).tolist()
 
+    def test_solver_brackets_meet_the_precondition(self, monkeypatch):
+        # _refine takes the scan's brackets as given: finite x and y at both
+        # ends, the two y of strictly opposite signs (the scan's exact zeros
+        # are roots of their own, not bracket ends); every bracket of every
+        # sweep, over the headline grid and out to both sides of it
+        real_refine = capacity._refine
+        ends = []
+
+        def recording_refine(f, end1, end2, p):
+            ends.append((end1, end2))
+            return real_refine(f, end1, end2, p)
+
+        monkeypatch.setattr(capacity, "_refine", recording_refine)
+        grids = [(-10.0, 30.0, 0.5), (-79.0, 40.0, 1.0), (-160.0, -80.0, 5.0),
+                 (30.0, 290.0, 10.0)]
+        for sigma2 in (0.1, 1.0, 7.3):
+            for start, stop, step in grids:
+                sweep(SweepConfig(start, stop, step), sigma2=sigma2)
+        end1 = np.concatenate([e1 for e1, _ in ends], axis=1)
+        end2 = np.concatenate([e2 for _, e2 in ends], axis=1)
+        assert end1.shape == (3, 780)
+        for end in (end1, end2):
+            assert np.isfinite(end[[0, 2]]).all()
+        assert (np.sign(end1[2]) * np.sign(end2[2]) == -1.0).all()
+
     def test_no_brackets_make_no_call(self):
         def g(x, p):
             raise AssertionError("_refine evaluated f with no bracket open")
@@ -511,14 +536,14 @@ class TestRefine:
 
     def test_failures_match_find_root(self, monkeypatch):
         def f(x, p):
-            # a NaN inside the bracket for p = 0, no sign change for p = 5,
-            # an ordinary root for the rest
+            # a NaN inside the bracket for p = 0, an ordinary root for the
+            # rest (_refine takes brackets with a sign change alone)
             return np.where((p == 0.0) & (x > -1.0) & (x < 3.0), np.nan, x - p)
 
-        p = np.array([0.0, 5.0, 1.3, 2.9])
-        x1, x2 = np.full(4, -1.0), np.full(4, 3.0)
+        p = np.array([0.0, 1.3, 2.9])
+        x1, x2 = np.full(3, -1.0), np.full(3, 3.0)
         status = _refine_and_find_root(f, x1, x2, p)
-        assert status.tolist() == [-3, -1, 0, 0]
+        assert status.tolist() == [-3, 0, 0]
         # the iteration cap: the brackets still open report -2; the first
         # bisection lands on the root p = 1
         monkeypatch.setattr(capacity, "_MAX_ITER", 2)
@@ -641,3 +666,42 @@ class TestProfile:
         for a2, val in pairs:
             inp = TwoPointInput(a2, math.sqrt(ch.power_budget / a2))
             assert abs(val - mi.mutual_information(inp, ch).nats) <= 1e-14
+
+
+# the sweep's lower SNR edge (about -2962.5 dB): the smallest SNR whose scan
+# keeps u = (a1/a2)(1 + t) finite at its lower edge, found by bisection on
+# the floats; the float below it is refused
+SWEEP_SNR_EDGE = 5.5626902089526504e-297
+TINY = np.finfo(float).tiny
+OK, REFUSED = "ok", DomainError
+
+
+class TestCheckSnr:
+    # mi._check_snr's verdict on each SNR and each form of a2 its callers
+    # pass: mi_derivative_a2's float, mi_profile's 1-D grid (here holding the
+    # extremes 5e-324 and 1 - 2^-53) and a _scan edge row; 0 at the scan
+    # edge, 0/0 in t, warns (the solver refuses SNR <= 0 before it scans)
+    @pytest.mark.parametrize("snr,float_a2,grid,edge_row", [
+        (-1.0, REFUSED, REFUSED, REFUSED),
+        (0.0, REFUSED, REFUSED, RuntimeWarning),
+        (math.nextafter(TINY, 0.0), REFUSED, REFUSED, REFUSED),
+        (TINY, OK, REFUSED, REFUSED),
+        (1.0, OK, REFUSED, OK),
+        (1e300, OK, REFUSED, REFUSED),
+        (math.inf, REFUSED, REFUSED, REFUSED),
+        (math.nan, REFUSED, REFUSED, REFUSED),
+        (math.nextafter(SWEEP_SNR_EDGE, 0.0), OK, REFUSED, REFUSED),
+        (SWEEP_SNR_EDGE, OK, REFUSED, OK),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_verdicts_at_the_range_edges(self, snr, float_a2, grid, edge_row):
+        forms = (0.5, np.array([5e-324, 1.0 - 2.0**-53]),
+                 np.array([[capacity._A2_EDGE * min(snr, 1.0), capacity._A2_TOP]]))
+        for a2, want in zip(forms, (float_a2, grid, edge_row)):
+            if want == OK:
+                mi._check_snr(a2, snr)
+                continue
+            with pytest.raises(want) as err:
+                mi._check_snr(a2, snr)
+            if want is DomainError:
+                assert str(err.value).startswith(f"SNR {snr:.6g} is out of range: ")

@@ -13,11 +13,14 @@ from noncoh.channel import ChannelParams, TwoPointInput, snr_from_db
 from noncoh.cli import main
 
 RUN = [sys.executable, "-m", "noncoh.cli"]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(args, env_extra=None):
     env = dict(os.environ)
     env.pop("NONCOH_FAULT_INJECT", None)
+    env["PYTHONPATH"] = os.pathsep.join([SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                                                 else []))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(RUN + args, capture_output=True, text=True, env=env)

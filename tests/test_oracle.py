@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mp_reference import j_closed_form
+from test_channel import _b_overflow_edge
 from noncoh import mi, oracle, verify
 from noncoh.channel import ChannelParams, TwoPointInput
 from noncoh.errors import DegenerateInput, DomainError, ToleranceNotMet
@@ -228,6 +229,54 @@ class TestMonteCarlo:
     def test_negative_seed_rejected(self):
         with pytest.raises(DomainError, match="seed"):
             mi_monte_carlo(TwoPointInput(0.5, 1.0), ChannelParams(1.0), samples=10, seed=-1)
+
+    # (estimate, standard error) at sigma2 = 1, seed 1 and 10^6 samples as
+    # the difference of two log-densities gave them, which the
+    # log-likelihood-ratio form must keep to 1e-13
+    DIRECT = {
+        (0.5, 1.0): (0.053675572920375926, 0.00029801770309307717),
+        (0.3, 2.0): (0.2008786730332044, 0.0005247006661214497),
+        (0.9, 1e3): (0.3247852899961242, 0.0006588219635591056),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a2,x2", list(DIRECT))
+    def test_matches_the_direct_form(self, a2, x2):
+        est, se = mi_monte_carlo(TwoPointInput(a2, x2), ChannelParams(1.0),
+                                 samples=10**6, seed=1)
+        want_est, want_se = self.DIRECT[a2, x2]
+        assert est == pytest.approx(want_est, rel=1e-13, abs=0.0)
+        assert se == pytest.approx(want_se, rel=1e-13, abs=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma2", [1e-3, 1.0, 1e3])
+    def test_unbiased_where_i_is_about_0(self, sigma2):
+        # down to the one-mass-point edge, where I rounds to 0, the estimate
+        # is within 4 standard errors of the closed form: the difference of
+        # two O(1) log-densities was biased by about -3e-17 nats a sample
+        # there (z = -95 at x2 = 2e-154, sigma2 = 1)
+        ch = ChannelParams(sigma2)
+        edge = _b_overflow_edge(sigma2)
+        for a2 in (0.3, 0.5):
+            for x2 in (edge, 2e-154, 1e-150, 1.0):
+                inp = TwoPointInput(a2, x2)
+                if x2 < edge:
+                    continue
+                est, se = mi_monte_carlo(inp, ch, samples=10**5, seed=1)
+                closed = mi.mutual_information(inp, ch).nats
+                assert se > 0.0 and abs(est - closed) <= 4.0 * se, (a2, x2, est, se)
+            with pytest.raises(DegenerateInput):
+                mi_monte_carlo(TwoPointInput(a2, math.nextafter(edge, 0.0)), ch,
+                               samples=10, seed=1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_t_rejected(self):
+        # x2^2 is finite, x2^2/sigma2 is not; mutual_information refuses it too
+        inp, ch = TwoPointInput(0.5, 1e154), ChannelParams(1e-10)
+        for call in (lambda: mi_monte_carlo(inp, ch, samples=10, seed=0),
+                     lambda: mi.mutual_information(inp, ch)):
+            with pytest.raises(DomainError, match="past the float range"):
+                call()
 
     def test_z_scores_over_random_configs(self):
         rng = np.random.default_rng(2024)
