@@ -131,8 +131,13 @@ def cmd_deriv(args) -> int:
         rel = abs(value - num) / max(abs(num), 1e-12)
         diagnostics["fd_relative_delta"] = rel
         diagnostics["fd_noise_allowance"] = noise
+        # an allowance as large as the difference itself accepts any answer
+        diagnostics["fd_resolves"] = noise < abs(num)
         lines.append(f"finite-difference check: relative delta {rel:.3e} "
                      f"(noise allowance {noise:.3e})")
+        if not diagnostics["fd_resolves"]:
+            lines.append("note: the finite difference cannot resolve dI/da2 here: "
+                         "its noise allowance is at least |dI/da2|")
         if abs(value - num) > verify.DERIV_TOLERANCE * abs(num) + noise:
             failure = "derivative disagrees with finite differences"
     return _emit(args, results, lines, diagnostics, failure)

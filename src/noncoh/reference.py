@@ -64,14 +64,29 @@ def pi_csc_recip(alpha: float) -> float:
     return float(_PI_LD / s)
 
 
-def log1p_series_partial_sum(q: float, n: int) -> float:
+def log1p_series_partial_sum(q, n):
     """Partial sum T_n = sum_{k=1..n} (-1)^(k+1) q^k / k of the log(1+q)
-    series; satisfies 0 <= T_n <= q for 0 <= q <= 1."""
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise DomainError(f"n must be a positive integer (n={n!r})")
-    k = np.arange(1, n + 1, dtype=float)
-    signs = np.where(np.arange(1, n + 1) % 2 == 1, 1.0, -1.0)
-    return float(np.sum(signs * np.power(q, k) / k))
+    series, for a float q and an int n, or elementwise over two matching 1-D
+    arrays; satisfies 0 <= T_n <= q for 0 <= q <= 1.  The cases of one n are
+    the unpadded rows of one table, and numpy sums a contiguous row as it
+    sums that row alone, so each T_n has the bits of its scalar call."""
+    ints = (isinstance(n, numbers.Integral) if np.ndim(n) == 0
+            else np.issubdtype(np.asarray(n).dtype, np.integer))
+    if not (ints and np.all(np.greater_equal(n, 1)) and np.shape(q) == np.shape(n)
+            and np.ndim(n) <= 1):
+        raise DomainError("n must be a positive integer, q and n two scalars or two "
+                          f"matching 1-D arrays (n={n!r}, q of shape {np.shape(q)})")
+    qs, ns = np.reshape(np.asarray(q, dtype=float), -1), np.reshape(n, -1)
+    k = np.arange(1, int(ns.max(initial=0)) + 1, dtype=float)
+    signs = np.where(k % 2 == 1, 1.0, -1.0)
+    order = np.argsort(ns)  # the cases of one n are the rows lo:hi of q_col
+    q_col, starts = qs[order, None], np.flatnonzero(np.diff(ns[order], prepend=0)).tolist()
+    sums = np.empty(ns.size)
+    for lo, hi in zip(starts, [*starts[1:], ns.size]):
+        m = int(ns[order[lo]])
+        np.add.reduce(signs[:m] * np.power(q_col[lo:hi], k[:m]) / k[:m], axis=1,
+                      out=sums[lo:hi])
+    return float(sums[0]) if np.ndim(n) == 0 else sums[np.argsort(order)]
 
 
 def _guard(alpha):

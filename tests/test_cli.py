@@ -152,6 +152,21 @@ class TestDerivCommand:
         else:
             assert "noise allowance" in out
 
+    @pytest.mark.parametrize("argv,resolves", [
+        (["--a2", "1e-300", "--x2", "1"], False),
+        (["--a2", "0.4", "--x2", "2"], True),
+    ], ids=["a2-1e-300", "a2-0.4"])
+    def test_verify_says_when_the_difference_cannot_resolve(self, argv, resolves, capsys):
+        # at a2 = 1e-300 the stencil's noise allowance, 1.2e289, is far
+        # above |dI/da2| = 0.31, so any answer passes: the check still
+        # exits 0, and says that it cannot resolve the derivative there
+        assert main(["deriv", *argv, "--verify", "--json"]) == 0
+        diag = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diag["fd_resolves"] is resolves
+        assert main(["deriv", *argv, "--verify"]) == 0
+        note = "finite difference cannot resolve dI/da2" in capsys.readouterr().out
+        assert note is not resolves
+
     @pytest.mark.parametrize("sigma2", ["1e-310", "7.3", "1e300"])
     def test_capacity_mode_is_taken_in_the_snr(self, sigma2, capsys):
         # dI/da2 depends on SNR/a2 alone: no power budget SNR sigma2 is

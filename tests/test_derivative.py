@@ -149,6 +149,57 @@ class TestRandomGrid:
         assert res.passed, res.line()
         assert res.worst <= 1e-5
 
+    @staticmethod
+    def _scalar_check_derivative(points=50, seed=99):
+        """verify's derivative family as one mi_derivative_a2 call per
+        point, its form before the capacity-mode values were batched."""
+        from noncoh import verify
+
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(points):
+            a2 = float(rng.uniform(0.05, 0.95))
+            snr = float(10 ** rng.uniform(-1.0, 3.0))
+            if rng.random() < 0.3:
+                inp = TwoPointInput(a2, float(10 ** rng.uniform(-0.5, 1.0)))
+                ch = ChannelParams(sigma2=1.0)
+            else:
+                inp = TwoPointInput(a2, math.sqrt(snr / a2))
+                ch = ChannelParams(sigma2=1.0, power_budget=snr)
+            num, _ = verify.fd_mi_derivative(inp, ch)
+            worst = max(worst, abs(mi_derivative_a2(inp, ch) - num) / max(abs(num), 1e-12))
+        tol = verify.DERIV_TOLERANCE
+        return verify.CheckResult("analytic dI/da2 vs finite differences", worst, tol,
+                                  worst <= tol, f"({points} random points, relative)")
+
+    @pytest.mark.parametrize("points", [50, 8], ids=["full", "quick"])
+    def test_batched_family_matches_the_scalar_loop(self, points):
+        from noncoh.verify import check_derivative
+
+        got, want = check_derivative(points=points, seed=99), self._scalar_check_derivative(points)
+        assert got == want and repr(got.worst) == repr(want.worst)
+
+    def test_batch_rows_keep_their_scalar_bits(self):
+        # the capacity-mode points of the family's seed-99 draw, in one
+        # _mi_deriv call in draw order and sorted, against one call each
+        rng = np.random.default_rng(99)
+        tied = []
+        for _ in range(50):
+            a2 = float(rng.uniform(0.05, 0.95))
+            snr = float(10 ** rng.uniform(-1.0, 3.0))
+            if rng.random() < 0.3:
+                rng.uniform(-0.5, 1.0)
+            else:
+                tied.append((a2, snr))
+        assert len(tied) == 36
+        want = [mi_derivative_a2(TwoPointInput(a2, math.sqrt(snr / a2)),
+                                 ChannelParams(sigma2=1.0, power_budget=snr))
+                for a2, snr in tied]
+        for order in (tied, sorted(tied)):
+            a2s, snrs = np.array(order).T
+            got = dict(zip(order, mi._mi_deriv(a2s, snrs)[1].tolist()))
+            assert [repr(got[p]) for p in tied] == [repr(w) for w in want]
+
 
 class TestFdDerivative:
     def test_square(self):

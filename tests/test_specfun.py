@@ -331,6 +331,38 @@ class TestLog1pPartialSum:
             math.log1p(0.6), abs=1e-12
         )
 
+    @pytest.mark.parametrize("cases", [1000, 200], ids=["full", "quick"])
+    def test_array_form_keeps_the_bits_of_one_sum_per_case(self, cases):
+        # verify's partial-sum family at its seed-2024 draws (the full pass
+        # and --quick): each case of the array call, and its scalar call,
+        # has the bits of the 1-D sum of its own n terms
+        rng = np.random.default_rng(2024)
+        draws = [(float(rng.uniform(0.0, 1.0)), int(rng.integers(1, 501)))
+                 for _ in range(cases)]
+        got = log1p_series_partial_sum(np.array([d[0] for d in draws]),
+                                       np.array([d[1] for d in draws]))
+        assert isinstance(got, np.ndarray) and got.shape == (cases,)
+        for (q, n), t in zip(draws, got.tolist()):
+            k = np.arange(1, n + 1, dtype=float)
+            signs = np.where(np.arange(1, n + 1) % 2 == 1, 1.0, -1.0)
+            want = float(np.sum(signs * np.power(q, k) / k))
+            scalar = log1p_series_partial_sum(q, n)
+            assert type(scalar) is float
+            assert repr(t) == repr(scalar) == repr(want), (q, n)
+
+    @pytest.mark.parametrize("n", [[3, 2.5], [3, 0], [3, math.nan], [3.0, 4.0]],
+                             ids=["non-integer", "zero", "nan", "float-dtype"])
+    def test_array_n_refused(self, n):
+        # every n must be a positive integer, as for a scalar call
+        with pytest.raises(DomainError):
+            log1p_series_partial_sum(np.array([0.5, 0.5]), np.array(n))
+
+    def test_shapes_must_match(self):
+        with pytest.raises(DomainError):
+            log1p_series_partial_sum(np.array([0.5, 0.5]), np.array([3]))
+        with pytest.raises(DomainError):
+            log1p_series_partial_sum(0.5, np.array([3]))
+
 
 # b next to and at integers, and a wide b grid, integers included; u on
 # both sides of 0.8, 1 and 1.25 (where the continuation takes over from
