@@ -59,7 +59,7 @@ def __getattr__(name):
     hooks it, finds it in vars(capacity) while the solver loads no scipy.
     Only the benchmark, which imports scipy itself, looks it up, so scipy
     is no runtime dependency (it is in the test extra).  The benchmark's
-    trace update (ROADMAP item 6) deletes this shim."""
+    trace update (ROADMAP item 14) deletes this shim."""
     if name == "brentq":
         from scipy.optimize import brentq
 
@@ -234,8 +234,9 @@ def _refine(f, end1, end2, p):
 def solve_a2_star(snr_linear, *, sigma2: float = 1.0):
     """Locate a2* = argmax of the two-point mutual information at each SNR.
 
-    snr_linear is a float or a 1-D array of SNRs, each finite and
-    positive (else SolverFailure, naming the first that is not).  All
+    snr_linear is a float or a 1-D array of at most MAX_GRID_POINTS SNRs
+    (else DomainError), each finite and positive (else SolverFailure,
+    naming the first that is not).  All
     points are solved in lock-step.  Each point's dI/da2 is scanned on its
     own 8-point grid, uniform in log a2 from 1e-6 min(SNR, 1), which lies
     under every optimum,
@@ -264,6 +265,9 @@ def solve_a2_star(snr_linear, *, sigma2: float = 1.0):
     snr = np.asarray(snr_linear, dtype=float)
     if snr.ndim > 1:
         raise SolverFailure("snr_linear must be a float or a 1-D array")
+    if snr.size > MAX_GRID_POINTS:
+        raise DomainError(f"snr_linear has {snr.size} points, more than the cap of "
+                          f"{MAX_GRID_POINTS}")
     fine = (snr > 0.0) & (snr < math.inf)
     if np.count_nonzero(fine) < fine.size:
         bad = snr.reshape(-1)[~fine.reshape(-1)][0].item()
@@ -357,10 +361,14 @@ def sweep(cfg: SweepConfig, *, sigma2: float = 1.0) -> list[CapacityPoint]:
 
 def mi_profile(snr_linear: float, a2_grid) -> list[tuple[float, float]]:
     """Mutual information along a grid of a2 values with x2^2 = P/a2, in
-    one batched call, computed in t = SNR/a2 alone."""
+    one batched call, computed in t = SNR/a2 alone; a grid of more than
+    MAX_GRID_POINTS values is a DomainError."""
     a2 = np.asarray(a2_grid, dtype=float)
     if a2.ndim != 1 or not ((0.0 < a2) & (a2 < 1.0)).all():
         raise SolverFailure("the profile grid must be a 1-D array of values in (0, 1)")
+    if a2.size > MAX_GRID_POINTS:
+        raise DomainError(f"the profile grid has {a2.size} points, more than the cap of "
+                          f"{MAX_GRID_POINTS}")
     _check_snr(a2, snr_linear)
     nats, _ = _mi_deriv(a2, snr_linear)
     return list(zip(a2.tolist(), nats.tolist()))

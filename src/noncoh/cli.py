@@ -101,7 +101,7 @@ def cmd_mi(args) -> int:
         delta = abs(res.nats - ref)
         diagnostics["oracle_delta"] = delta
         lines.append(f"|closed - oracle| = {delta:.3e}")
-        if delta > verify.MI_TOLERANCE:
+        if not verify.CheckResult("I", delta, verify.MI_TOLERANCE).passed:
             failure = "closed form disagrees with quadrature"
     return _emit(args, results, lines, diagnostics, failure)
 
@@ -138,7 +138,8 @@ def cmd_deriv(args) -> int:
         if not diagnostics["fd_resolves"]:
             lines.append("note: the finite difference cannot resolve dI/da2 here: "
                          "its noise allowance is at least |dI/da2|")
-        if abs(value - num) > verify.DERIV_TOLERANCE * abs(num) + noise:
+        tolerance = verify.DERIV_TOLERANCE * abs(num) + noise
+        if not verify.CheckResult("dI/da2", abs(value - num), tolerance).passed:
             failure = "derivative disagrees with finite differences"
     return _emit(args, results, lines, diagnostics, failure)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -95,6 +96,12 @@ class TestSolve:
     def test_invalid_sigma2(self, sigma2):
         with pytest.raises(DomainError, match="sigma2"):
             solve_a2_star(1.0, sigma2=sigma2)
+
+    def test_refuses_a_grid_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(capacity, "_phi_deriv", None)  # no kernel call is made
+        with pytest.raises(DomainError, match=f"has {capacity.MAX_GRID_POINTS + 1} points, "
+                           f"more than the cap of {capacity.MAX_GRID_POINTS}"):
+            solve_a2_star(np.full(capacity.MAX_GRID_POINTS + 1, 1.0))
 
 
 def _scalar_deriv(a2, ch):
@@ -608,6 +615,24 @@ class TestSweep:
         assert len(points) == count
         assert points[-1].snr_db == pytest.approx(stop)
 
+    @pytest.mark.parametrize("drop,warns", [(2e-9, True), (0.5e-9, False)],
+                             ids=["beyond-1e-9", "within-1e-9"])
+    def test_a_falling_i_star_warns(self, drop, warns, monkeypatch):
+        # the second point's I* lies `drop` below the first's
+        def solve_stub(snr_linear, *, sigma2):
+            return [CapacityPoint(snr_to_db(snr), snr, 0.5, 1.0, 0.3 - k * drop, "Capacity",
+                                  1, 0.0) for k, snr in enumerate(snr_linear.tolist())]
+
+        monkeypatch.setattr(capacity, "solve_a2_star", solve_stub)
+        cfg = SweepConfig(snr_db_start=0.0, snr_db_stop=1.0, snr_db_step=1.0)
+        if warns:
+            with pytest.warns(UserWarning, match=r"i_star decreased between 0\.0 dB and "):
+                sweep(cfg)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sweep(cfg)
+
     def test_thirty_db_endpoint(self):
         cfg = SweepConfig(snr_db_start=30.0, snr_db_stop=30.0, snr_db_step=1.0)
         (pt,) = sweep(cfg)
@@ -649,6 +674,13 @@ class TestProfile:
 
     def test_empty_grid(self):
         assert mi_profile(1.0, []) == []
+
+    def test_refuses_a_grid_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(capacity, "_mi_deriv", None)  # no kernel call is made
+        grid = np.linspace(1e-6, 1.0 - 1e-6, capacity.MAX_GRID_POINTS + 1)
+        with pytest.raises(DomainError, match=f"has {capacity.MAX_GRID_POINTS + 1} points, "
+                           f"more than the cap of {capacity.MAX_GRID_POINTS}"):
+            mi_profile(1.0, grid)
 
     @pytest.mark.parametrize("grid", [0.5, [[0.5, 0.3]], [[0.5], [0.3]]],
                              ids=["scalar", "row", "column"])

@@ -530,15 +530,21 @@ def test_json_is_standard_json(argv, key, text, capsys):
     assert text in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
-@pytest.mark.parametrize("argv,oracle_name,key,message", [
+# (argv, the oracle it consults, the delta's diagnostics key, the failure
+# message) of each --verify mode
+VERIFY_MODES = [
     (["mi", "--a2", "0.4", "--x2", "2"], "mi_quadrature", "oracle_delta",
      "closed form disagrees with quadrature"),
     (["deriv", "--a2", "0.4", "--x2", "2"], "fd_derivative", "fd_relative_delta",
      "derivative disagrees with finite differences"),
     (["deriv", "--a2", "0.3", "--snr-db", "0"], "fd_derivative", "fd_relative_delta",
      "derivative disagrees with finite differences"),
-], ids=["mi", "deriv-fixed", "deriv-capacity"])
+]
+VERIFY_MODE_IDS = ["mi", "deriv-fixed", "deriv-capacity"]
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("argv,oracle_name,key,message", VERIFY_MODES, ids=VERIFY_MODE_IDS)
 def test_verify_disagreement_exits_3(argv, oracle_name, key, message, as_json, capsys,
                                      monkeypatch):
     # an oracle 1e-6 off in I, or 1e-4 off in relative terms in dI/da2, fails
@@ -562,6 +568,18 @@ def test_verify_disagreement_exits_3(argv, oracle_name, key, message, as_json, c
     else:
         assert ("|closed - oracle|" if key == "oracle_delta"
                 else "finite-difference check: relative delta") in out
+
+
+@pytest.mark.parametrize("argv,oracle_name,key,message", VERIFY_MODES, ids=VERIFY_MODE_IDS)
+def test_verify_nan_oracle_exits_3(argv, oracle_name, key, message, capsys, monkeypatch):
+    # a NaN oracle proves nothing: its NaN delta fails --verify, and the
+    # record reads it as null
+    monkeypatch.setattr(oracle, oracle_name, lambda *args: math.nan)
+    rc = main([*argv, "--verify", "--json"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert err == f"consistency failure: {message}\n"
+    assert json.loads(out)["diagnostics"][key] is None
 
 
 class TestNoConfigFile:

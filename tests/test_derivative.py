@@ -145,7 +145,7 @@ class TestRandomGrid:
     def test_fifty_points(self):
         from noncoh.verify import check_derivative
 
-        res = check_derivative(points=50, seed=99)
+        res = check_derivative(points=50)
         assert res.passed, res.line()
         assert res.worst <= 1e-5
 
@@ -170,13 +170,13 @@ class TestRandomGrid:
             worst = max(worst, abs(mi_derivative_a2(inp, ch) - num) / max(abs(num), 1e-12))
         tol = verify.DERIV_TOLERANCE
         return verify.CheckResult("analytic dI/da2 vs finite differences", worst, tol,
-                                  worst <= tol, f"({points} random points, relative)")
+                                  f"({points} random points, relative)")
 
     @pytest.mark.parametrize("points", [50, 8], ids=["full", "quick"])
     def test_batched_family_matches_the_scalar_loop(self, points):
         from noncoh.verify import check_derivative
 
-        got, want = check_derivative(points=points, seed=99), self._scalar_check_derivative(points)
+        got, want = check_derivative(points=points), self._scalar_check_derivative(points)
         assert got == want and repr(got.worst) == repr(want.worst)
 
     def test_batch_rows_keep_their_scalar_bits(self):
