@@ -130,11 +130,9 @@ def _scan(snr):
     which lies under every optimum, to _A2_TOP, with the arithmetic of
     np.linspace (k times the step, plus the start; the top itself last).
     DomainError, naming the SNR, where a number of dI/da2 leaves the normal
-    float range at an edge (see mi._check_snr)."""
+    float range at the lower edge, and so on the scan (see mi._check_snr)."""
     lo = _A2_EDGE * np.minimum(snr, 1.0)
-    edges = np.empty((lo.size, 2))
-    edges[:, 0], edges[:, 1] = lo, _A2_TOP
-    _check_snr(edges, snr)
+    _check_snr(lo, snr)
     start = np.log(lo)[:, None]
     t = _GRID_STEPS * ((_LOG_A2_TOP - start) / (_GRID_POINTS - 1))
     t += start
@@ -369,6 +367,5 @@ def mi_profile(snr_linear: float, a2_grid) -> list[tuple[float, float]]:
     if a2.size > MAX_GRID_POINTS:
         raise DomainError(f"the profile grid has {a2.size} points, more than the cap of "
                           f"{MAX_GRID_POINTS}")
-    _check_snr(a2, snr_linear)
     nats, _ = _mi_deriv(a2, snr_linear)
     return list(zip(a2.tolist(), nats.tolist()))

@@ -88,6 +88,7 @@ def snr_from_db(db: float) -> float:
 
 
 def snr_to_db(snr_linear: float) -> float:
-    if snr_linear <= 0.0:
-        raise DomainError("linear SNR must be positive")
+    """10 log10 of a linear SNR; DomainError unless it is finite and positive."""
+    if not 0.0 < snr_linear < math.inf:
+        raise DomainError(f"linear SNR must be finite and positive (got {snr_linear})")
     return 10.0 * math.log10(snr_linear)

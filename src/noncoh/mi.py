@@ -29,7 +29,7 @@ hyp2f1_1b_value.  In capacity mode _phi_deriv gives phi and dI/da2 from one
 hyp2f1_1b call with one row per a2 (phi's b-partial only enters dI/da2), and
 _mi_of_phi takes phi to I: the solver carries phi through its refinement and
 assembles I at its candidates alone, and _mi_deriv (the profile, the
-capacity-mode mi_derivative_a2) does both.
+capacity-mode mi_derivative_a2) does both, after _check_snr's range check.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ def _assemble(a2, t, b, u, phi, xp=np):
 
     J(0) and J(x2) come from phi through the contiguous relation (see the
     module docstring); I = a1 i(0) + a2 i(x2) is clamped into [0, H(X)]
-    within rounding (1e-10), and past that ConsistencyError is raised.
+    within rounding (1e-10); past that, or for a NaN, it raises
+    ConsistencyError.
     """
     a1 = 1.0 - a2
     big = t + 1.0
@@ -98,7 +99,9 @@ def _assemble(a2, t, b, u, phi, xp=np):
     j2 = -1.0 + common - hyp2
     nats = -a1 - a2 - a2 * xp.log(big) - a1 * j0 - a2 * j2
     h_x = -a1 * xp.log(a1) - a2 * xp.log(a2)
-    if _any((nats < 0.0) | (nats > h_x)):
+    if _any((nats < 0.0) | (nats > h_x) | (nats != nats)):
+        if _any(nats != nats):
+            raise ConsistencyError("mutual information came out NaN")
         if _any(nats < -1e-10):
             raise ConsistencyError(f"mutual information came out negative: {np.min(nats)}")
         if _any(nats > h_x + 1e-10):
@@ -148,9 +151,9 @@ def mutual_information(inp: TwoPointInput, ch: ChannelParams) -> MIResult:
     closed form and one phi value (see the module docstring and _assemble).
 
     One mass point (channel.one_mass_point) returns exactly 0.  I is
-    clamped into [0, H(X)] within rounding (1e-10); past that it raises
-    ConsistencyError.  The diagnostics give the series terms behind each J
-    and phi's truncation bound carried into each J.
+    clamped into [0, H(X)] within rounding (1e-10); past that, or for a
+    NaN, it raises ConsistencyError.  The diagnostics give the series terms
+    behind each J and phi's truncation bound carried into each J.
     """
     args = _fixed_args(inp, ch)
     if args is None:
@@ -183,23 +186,21 @@ def _phi_args(a2, t):
 
 
 def _check_snr(a2, snr):
-    """DomainError, naming the SNR, where a number of I or dI/da2 at
-    t = SNR/a2 leaves the normal float range at one of the a2 (SNR a float
-    or 1-D array; a2 a float, a 1-D array shared by every SNR or one row per
-    SNR, each in (0, 1)): the SNR falls below the smallest normal float, or
-    t or u overflows.  With 0 < a2 < 1, t = SNR/a2 >= SNR and
-    u = (a1/a2)(1 + t) >= a1/a2 >= 2^-53 are normal where the SNR is, and
-    b = 1 + 1/t is then finite; a NaN SNR fails the first test.  b grows and
-    u falls with a2, so between the a2 they stay finite too."""
+    """DomainError, naming the first refused SNR in broadcast order, where a
+    number of I or dI/da2 at t = SNR/a2 leaves the normal float range,
+    elementwise over a2 in (0, 1) and the SNR as _phi_deriv takes them: the
+    SNR falls below the smallest normal float, or t or u overflows.  With
+    0 < a2 < 1, t = SNR/a2 >= SNR and u = (a1/a2)(1 + t) >= a1/a2 >= 2^-53
+    are normal where the SNR is, and b = 1 + 1/t is then finite; a NaN SNR
+    fails the first test.  t and u fall with a2, so at one SNR every a2 above
+    a passing one passes too (the solver's scan checks its lower edge)."""
     with np.errstate(over="ignore", divide="ignore"):
-        snr_col = np.reshape(snr, (-1, 1))
-        t = snr_col / a2
-        fine = (snr_col >= _TINY) & (np.maximum(t, _phi_args(a2, t)[1]) < np.inf)
-    if np.count_nonzero(fine) < fine.size:
-        bad = np.count_nonzero(fine, axis=1) < fine.shape[1]
-        raise DomainError(f"SNR {np.reshape(snr, -1)[bad][0]:.6g} is out of range: at "
-                          "x2^2/sigma2 = SNR/a2 a number of 2F1(1,b;b+1;-u) or of "
-                          "dI/da2 leaves the normal float range")
+        t = np.divide(snr, a2)  # as a Python float, t = 0 would raise in 1/t
+        fine = (snr >= _TINY) & (np.maximum(t, _phi_args(a2, t)[1]) < np.inf)
+    if not fine.all():
+        raise DomainError(f"SNR {np.broadcast_to(snr, fine.shape)[~fine][0]:.6g} is out of "
+                          "range: at x2^2/sigma2 = SNR/a2 a number of 2F1(1,b;b+1;-u) or "
+                          "of dI/da2 leaves the normal float range")
 
 
 def _phi_deriv(a2, snr):
@@ -223,8 +224,9 @@ def _mi_of_phi(a2, snr, phi):
 
 
 def _mi_deriv(a2, snr):
-    """I and dI/da2 with t = SNR/a2 moving with a2, elementwise as
-    _phi_deriv, from its one hyp2f1_1b call."""
+    """_check_snr, then I and dI/da2 with t = SNR/a2 moving with a2,
+    elementwise as _phi_deriv, from its one hyp2f1_1b call."""
+    _check_snr(a2, snr)
     phi, d = _phi_deriv(a2, snr)
     return _mi_of_phi(a2, snr, phi), d
 
@@ -255,9 +257,9 @@ def mi_derivative_a2(inp: TwoPointInput, ch: ChannelParams) -> float:
         _assemble(a2, t, b, u, phi, xp=math)  # I's check into [0, H(X)]
         return _slope(t, b, u, phi, xp=math)
     snr = ch.power_budget / ch.sigma2
-    _check_snr(a2, snr)
+    d = _mi_deriv(a2, snr)[1]  # an SNR out of range is named before x2 is tested
     t = snr / a2
     if inp.x2 > 0.0 and abs(inp.x2**2 / ch.sigma2 - t) > 1e-6 * t:
         raise DomainError("capacity mode requires x2^2 = power_budget / a2 (got "
                           f"x2^2/sigma2={inp.x2**2 / ch.sigma2}, expected {t})")
-    return float(_mi_deriv(a2, snr)[1])
+    return float(d)

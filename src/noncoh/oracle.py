@@ -255,8 +255,8 @@ def mi_monte_carlo(
     seed: int,
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of E[log f(Y|X) - log f(Y)] from samples >= 1
-    draws, seeded by seed >= 0; DomainError where t = x2^2/sigma^2
-    overflows.
+    draws, seeded by seed >= 0, both integers (else DomainError); DomainError
+    where t = x2^2/sigma^2 overflows.
 
     X is sampled from the two-point law and e = |Y|^2/(x^2 + sigma^2) as an
     exponential draw by inverse CDF, e = -log U.  Each sample is taken from
@@ -267,10 +267,10 @@ def mi_monte_carlo(
     is divided by c = t/(1+t) before it is summed and squared, so that its
     square cannot underflow.  Returns (estimate, standard error).
     """
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1 (got {samples})")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0 (got {seed})")
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise DomainError(f"samples must be an integer >= 1 (got {samples!r})")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0 (got {seed!r})")
     if one_mass_point(inp, ch):
         raise DegenerateInput("Monte-Carlo estimator needs two mass points")
     t = inp.x2**2 / ch.sigma2

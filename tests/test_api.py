@@ -78,6 +78,33 @@ def test_reference_forms_stay_off_the_value_path():
     assert {"specfun", "channel", "errors"} <= _noncoh_imports("reference")
 
 
+def _callers(name: str) -> list[str]:
+    """module.function of each call of name in the package's modules, the
+    innermost enclosing function (or the module alone) named."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where.split('.')[0]}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.append(where)
+            visit(child, where)
+
+    for path in sorted(pathlib.Path(noncoh.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_the_snr_range_check_has_one_owner():
+    # capacity mode's range check runs inside mi._mi_deriv, before its
+    # kernel call, and once in the solver's scan on its lower edge; callers
+    # of _mi_deriv do not repeat it
+    assert sorted(_callers("_check_snr")) == ["capacity._scan", "mi._mi_deriv"]
+
+
 _IMPORT_GUARD = """
 import sys
 import noncoh as nc

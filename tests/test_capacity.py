@@ -737,3 +737,26 @@ class TestCheckSnr:
                 mi._check_snr(a2, snr)
             if want is DomainError:
                 assert str(err.value).startswith(f"SNR {snr:.6g} is out of range: ")
+
+
+class TestCheckSnrOwner:
+    # _check_snr pairs a2 and the SNR as they broadcast, and every
+    # capacity-mode entry runs it before a number leaves the float range
+    def test_names_the_refused_pair(self):
+        # (0.5, 1e-10) is in range; at (1e-300, 1) t = 1e300 and u overflows
+        with pytest.raises(DomainError, match=r"^SNR 1 is out of range: "):
+            mi._check_snr(np.array([0.5, 1e-300]), np.array([1e-10, 1.0]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_every_entry_names_a_subnormal_snr(self):
+        snr = 1e-320
+        calls = (
+            lambda: mi._mi_deriv(np.array([0.5]), np.array([snr])),
+            lambda: mi_profile(snr, [0.2, 0.5]),
+            lambda: mi.mi_derivative_a2(TwoPointInput(0.5, math.sqrt(snr / 0.5)),
+                                        ChannelParams(1.0, power_budget=snr)),
+        )
+        for call in calls:
+            with pytest.raises(DomainError) as err:
+                call()
+            assert str(err.value).startswith(f"SNR {snr:.6g} is out of range: ")

@@ -178,3 +178,8 @@ class TestSnr:
         assert snr_from_db(0.0) == 1.0
         assert snr_from_db(10.0) == pytest.approx(10.0)
         assert snr_to_db(100.0) == pytest.approx(20.0)
+
+    @pytest.mark.parametrize("snr", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_to_db_refuses_non_finite_and_non_positive(self, snr):
+        with pytest.raises(DomainError, match="linear SNR must be finite and positive"):
+            snr_to_db(snr)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mp_reference import j_closed_form
-from noncoh import cli, mi, oracle, verify
+from noncoh import capacity, cli, mi, oracle, specfun, verify
 from noncoh.channel import ChannelParams, TwoPointInput, derive_params
 from noncoh.errors import (
     CaseMismatch,
+    ConsistencyError,
     DegenerateInput,
     DomainError,
     NearSingularAlpha,
@@ -334,6 +336,69 @@ class TestMutualInformation:
         assert res.diagnostics["j0_terms"] > 0
         assert res.diagnostics["j0_truncation_bound"] <= 1e-16
         assert res.j0 == pytest.approx(oracle.j_quadrature(0.0, inp, ch), abs=1e-10)
+
+
+class TestAssembleBounds:
+    # mi._assemble's test of I against [0, H(X)], at a2 = 0.4 and t = 4.  I
+    # is linear in phi with slope a1 t/b, so phi is moved off its true value
+    # until I lands at a chosen distance past an end; the float form runs as
+    # mutual_information calls it, the array form as the solver does, with
+    # the true phi in its first element
+    A2, T = 0.4, 4.0
+    H_X = input_entropy(TwoPointInput(A2, 2.0))
+
+    def _assemble(self, form, target):
+        b, u = mi._phi_args(self.A2, self.T)
+        phi = specfun.hyp2f1_1b_value(b, u).value
+        exact = mi._assemble(self.A2, self.T, b, u, phi, xp=math)[0]
+        moved = phi + (target - exact) * b / ((1.0 - self.A2) * self.T)
+        if form == "float":
+            return mi._assemble(self.A2, self.T, b, u, moved, xp=math)[0]
+        nats = mi._assemble(np.full(2, self.A2), self.T, b, u, np.array([phi, moved]))[0]
+        assert nats[0] == exact
+        return nats[1]
+
+    @pytest.mark.parametrize("form", ["float", "array"])
+    def test_rounding_is_clamped(self, form):
+        assert self._assemble(form, -5e-11) == 0.0
+        assert self._assemble(form, self.H_X + 5e-11) == self.H_X
+
+    @pytest.mark.parametrize("form", ["float", "array"])
+    @pytest.mark.parametrize("offset,message", [
+        (-2e-10, "mutual information came out negative: "),
+        (2e-10, "mutual information exceeds H(X) by "),
+        (math.nan, "mutual information came out NaN"),
+    ])
+    def test_past_rounding_raises(self, form, offset, message):
+        target = offset if offset < 0.0 else self.H_X + offset
+        with pytest.raises(ConsistencyError) as err:
+            self._assemble(form, target)
+        assert str(err.value).startswith(message)
+
+
+class TestNanPhiRaises:
+    # a NaN phi from either kernel reaches no caller as a NaN I or dI/da2
+    def test_value_kernel(self, monkeypatch):
+        monkeypatch.setattr(specfun, "hyp2f1_1b_value",
+                            lambda b, u: specfun.SeriesResult(math.nan, 1, 0.0))
+        inp, ch = TwoPointInput(0.4, 2.0), ChannelParams(1.0)
+        for call in (mutual_information, mi_derivative_a2):
+            with pytest.raises(ConsistencyError, match="came out NaN"):
+                call(inp, ch)
+
+    def test_family_kernel(self, monkeypatch):
+        real = specfun.hyp2f1_1b
+
+        def nan_value(b, u):
+            fam = real(b, u)
+            return dataclasses.replace(fam, value=fam.value * math.nan)
+
+        monkeypatch.setattr(specfun, "hyp2f1_1b", nan_value)
+        with pytest.raises(ConsistencyError, match="came out NaN"):
+            capacity.mi_profile(1.0, [0.2, 0.5])
+        with pytest.raises(ConsistencyError, match="came out NaN"):
+            mi_derivative_a2(TwoPointInput(0.3, math.sqrt(1.0 / 0.3)),
+                             ChannelParams(1.0, power_budget=1.0))
 
 
 def _guard_band_inputs():

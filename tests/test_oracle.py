@@ -230,6 +230,13 @@ class TestMonteCarlo:
         with pytest.raises(DomainError, match="seed"):
             mi_monte_carlo(TwoPointInput(0.5, 1.0), ChannelParams(1.0), samples=10, seed=-1)
 
+    @pytest.mark.parametrize("name,kw", [("samples", dict(samples=1e4, seed=1)),
+                                         ("seed", dict(samples=10, seed=1.0))])
+    def test_float_count_or_seed_rejected(self, name, kw):
+        # numpy's generator would raise its own TypeError for either
+        with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+            mi_monte_carlo(TwoPointInput(0.5, 1.0), ChannelParams(1.0), **kw)
+
     # (estimate, standard error) at sigma2 = 1, seed 1 and 10^6 samples as
     # the difference of two log-densities gave them, which the
     # log-likelihood-ratio form must keep to 1e-13
