@@ -107,8 +107,8 @@ class SweepConfig:
 
     @property
     def points(self) -> int:
-        """The grid's number of SNR points; the slack absorbs rounding in the
-        quotient without admitting a point past snr_db_stop."""
+        """The grid's number of SNR points; the 1e-9 slack absorbs rounding in
+        the quotient, and keeps a point within 1e-9 of a step past snr_db_stop."""
         return math.floor((self.snr_db_stop - self.snr_db_start) / self.snr_db_step
                           + 1e-9) + 1
 
@@ -233,12 +233,12 @@ def solve_a2_star(snr_linear, *, sigma2: float = 1.0):
     """Locate a2* = argmax of the two-point mutual information at each SNR.
 
     snr_linear is a float or a 1-D array of at most MAX_GRID_POINTS SNRs
-    (else DomainError), each finite and positive (else SolverFailure,
-    naming the first that is not).  All
-    points are solved in lock-step.  Each point's dI/da2 is scanned on its
-    own 8-point grid, uniform in log a2 from 1e-6 min(SNR, 1), which lies
-    under every optimum,
-    to 1 - 1e-12, with every point in one batched analytic call (every
+    (else DomainError).  After sigma2, the scan's mi._check_snr refuses each
+    SNR not finite and positive or whose dI/da2 leaves the float range, with
+    a DomainError naming the first in array order.  All points are solved in
+    lock-step.  Each point's dI/da2 is scanned on its own 8-point grid,
+    uniform in log a2 from 1e-6 min(SNR, 1), under every optimum, to
+    1 - 1e-12, with every point in one batched analytic call (every
     entry, alpha = 1/n included, comes from the closed form).  Every sign
     change is refined by Chandrupatla's bracketing iteration (_refine), in
     lock-step, in t = log a2 to an xatol of 1e-15, a relative tolerance in
@@ -253,8 +253,8 @@ def solve_a2_star(snr_linear, *, sigma2: float = 1.0):
     when its root-finder did not converge, when no candidate has positive
     I, when a scan edge wins (no root), or when the winner's I exceeds the
     coherent capacity log(1+SNR), which no input can beat; its diagnostics
-    give the reason under "failure".  A float returns its
-    CapacityPoint and raises SolverFailure with that reason instead.  Each
+    give the reason under "failure".  A float returns its CapacityPoint or,
+    where it is FAILED, raises SolverFailure with that reason.  Each
     point's diagnostics give its grid rows and the refinement's iterations
     over its brackets (root_iterations); the two are its kernel rows, since
     the bracket ends and the candidates take their values from the scan and
@@ -262,14 +262,10 @@ def solve_a2_star(snr_linear, *, sigma2: float = 1.0):
     """
     snr = np.asarray(snr_linear, dtype=float)
     if snr.ndim > 1:
-        raise SolverFailure("snr_linear must be a float or a 1-D array")
+        raise DomainError("snr_linear must be a float or a 1-D array")
     if snr.size > MAX_GRID_POINTS:
         raise DomainError(f"snr_linear has {snr.size} points, more than the cap of "
                           f"{MAX_GRID_POINTS}")
-    fine = (snr > 0.0) & (snr < math.inf)
-    if np.count_nonzero(fine) < fine.size:
-        bad = snr.reshape(-1)[~fine.reshape(-1)][0].item()
-        raise SolverFailure(f"snr_linear must be finite and positive (got {bad!r})")
     sigma = math.sqrt(ChannelParams(sigma2).sigma2)  # DomainError unless 0 < sigma2 < inf
     gamma = np.atleast_1d(snr)
     n = gamma.size
@@ -363,7 +359,7 @@ def mi_profile(snr_linear: float, a2_grid) -> list[tuple[float, float]]:
     MAX_GRID_POINTS values is a DomainError."""
     a2 = np.asarray(a2_grid, dtype=float)
     if a2.ndim != 1 or not ((0.0 < a2) & (a2 < 1.0)).all():
-        raise SolverFailure("the profile grid must be a 1-D array of values in (0, 1)")
+        raise DomainError("the profile grid must be a 1-D array of values in (0, 1)")
     if a2.size > MAX_GRID_POINTS:
         raise DomainError(f"the profile grid has {a2.size} points, more than the cap of "
                           f"{MAX_GRID_POINTS}")

@@ -77,13 +77,14 @@ def derive_params(x: float, inp: TwoPointInput, ch: ChannelParams) -> tuple[floa
 
 
 def snr_from_db(db: float) -> float:
-    """Linear SNR 10^(db/10); DomainError when it is not finite."""
+    """Linear SNR 10^(db/10); DomainError, as from snr_to_db, unless it is
+    finite and positive: above about 3082 dB or below -3236 dB (-inf too)."""
     try:
         snr = 10.0 ** (db / 10.0)
     except OverflowError:
         snr = math.inf
-    if not snr < math.inf:
-        raise DomainError(f"SNR of {db} dB is not finite in linear units")
+    if not 0.0 < snr < math.inf:
+        raise DomainError(f"SNR of {db} dB is {'not finite' if snr else 'zero'} in linear units")
     return snr
 
 

@@ -21,6 +21,8 @@ import math
 import re
 import sys
 
+import numpy as np
+
 from . import capacity, mi, oracle, verify
 from .capacity import SweepConfig
 from .channel import ChannelParams, TwoPointInput, one_mass_point, snr_from_db
@@ -145,8 +147,6 @@ def cmd_deriv(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    import numpy as np
-
     if args.points < 1:
         raise DomainError(f"--points must be >= 1 (got {args.points})")
     if args.points > capacity.MAX_GRID_POINTS:

@@ -191,10 +191,12 @@ def _check_snr(a2, snr):
     elementwise over a2 in (0, 1) and the SNR as _phi_deriv takes them: the
     SNR falls below the smallest normal float, or t or u overflows.  With
     0 < a2 < 1, t = SNR/a2 >= SNR and u = (a1/a2)(1 + t) >= a1/a2 >= 2^-53
-    are normal where the SNR is, and b = 1 + 1/t is then finite; a NaN SNR
-    fails the first test.  t and u fall with a2, so at one SNR every a2 above
-    a passing one passes too (the solver's scan checks its lower edge)."""
-    with np.errstate(over="ignore", divide="ignore"):
+    are normal where the SNR is, and b = 1 + 1/t is then finite.  An SNR
+    <= 0 or NaN fails the first test at every a2, +inf the second; invalid
+    is ignored, as such an SNR can make t or u NaN (0/0 at the scan edge
+    a2 = 0 of SNR 0).  t and u fall with a2, so at one SNR every a2 above a
+    passing one passes too (the solver's scan checks its lower edge)."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         t = np.divide(snr, a2)  # as a Python float, t = 0 would raise in 1/t
         fine = (snr >= _TINY) & (np.maximum(t, _phi_args(a2, t)[1]) < np.inf)
     if not fine.all():

@@ -105,6 +105,12 @@ def test_the_snr_range_check_has_one_owner():
     assert sorted(_callers("_check_snr")) == ["capacity._scan", "mi._mi_deriv"]
 
 
+def test_solver_failure_has_one_raise_site():
+    # SolverFailure means only "no optimum": a float solve whose point is
+    # FAILED; refused input is a DomainError
+    assert _callers("SolverFailure") == ["capacity.solve_a2_star"]
+
+
 _IMPORT_GUARD = """
 import sys
 import noncoh as nc

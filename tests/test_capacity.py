@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -78,18 +79,17 @@ class TestSolve:
         assert pt.roots_found >= 1
 
     def test_invalid_snr(self):
-        with pytest.raises(SolverFailure):
+        with pytest.raises(DomainError):
             solve_a2_star(0.0)
 
     @pytest.mark.parametrize("snr,bad", [
-        (math.nan, "nan"), (0.0, "0.0"), (-1.0, "-1.0"), (math.inf, "inf"),
-        (np.array([1.0, math.nan, 2.0]), "nan"), (np.array([1.0, 2.0, -0.5, 0.0]), "-0.5"),
-        (np.array([0.3, 0.0, math.nan]), "0.0")])
+        (math.nan, math.nan), (0.0, 0.0), (-1.0, -1.0), (math.inf, math.inf),
+        (np.array([1.0, math.nan, 2.0]), math.nan), (np.array([1.0, 2.0, -0.5, 0.0]), -0.5),
+        (np.array([0.3, 0.0, math.nan]), 0.0)])
     def test_invalid_snr_is_named(self, snr, bad):
-        # refused before any work, naming the first SNR that is not finite
-        # and positive
-        with pytest.raises(SolverFailure,
-                           match=rf"^snr_linear must be finite and positive \(got {bad}\)$"):
+        # refused by the scan's range check before any kernel call, naming
+        # the first SNR that is not finite and positive
+        with pytest.raises(DomainError, match=rf"^{re.escape(f'SNR {bad:.6g}')} is out of range: "):
             solve_a2_star(snr)
 
     @pytest.mark.parametrize("sigma2", [0.0, -1.0, math.nan, math.inf])
@@ -188,7 +188,7 @@ class TestLockStep:
         pts = solve_a2_star(np.array([0.5, 2.0]))
         assert [p.snr_linear for p in pts] == [0.5, 2.0]
         assert solve_a2_star(2.0) == pts[1]
-        with pytest.raises(SolverFailure):
+        with pytest.raises(DomainError):
             solve_a2_star(np.array([1.0, -1.0]))
 
     def test_one_failed_bracket_fails_only_its_point(self, monkeypatch, tmp_path):
@@ -664,12 +664,12 @@ class TestProfile:
         assert pt.i_star_nats - best <= 1e-6
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(SolverFailure):
+        with pytest.raises(DomainError):
             mi_profile(1.0, [0.0, 0.5])
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, math.nan])
     def test_rejects_each_invalid_value(self, bad):
-        with pytest.raises(SolverFailure):
+        with pytest.raises(DomainError):
             mi_profile(1.0, [0.5, bad])
 
     def test_empty_grid(self):
@@ -685,7 +685,7 @@ class TestProfile:
     @pytest.mark.parametrize("grid", [0.5, [[0.5, 0.3]], [[0.5], [0.3]]],
                              ids=["scalar", "row", "column"])
     def test_rejects_a_grid_that_is_not_1d(self, grid):
-        with pytest.raises(SolverFailure, match="1-D"):
+        with pytest.raises(DomainError, match="1-D"):
             mi_profile(1.0, grid)
 
     @pytest.mark.parametrize("snr_db", [-10.0, -5.0, 10.0])
@@ -712,10 +712,11 @@ class TestCheckSnr:
     # mi._check_snr's verdict on each SNR and each form of a2 its callers
     # pass: mi_derivative_a2's float, mi_profile's 1-D grid (here holding the
     # extremes 5e-324 and 1 - 2^-53) and a _scan edge row; 0 at the scan
-    # edge, 0/0 in t, warns (the solver refuses SNR <= 0 before it scans)
+    # edge, 0/0 in t, is refused like every other SNR <= 0 (the solver's
+    # only SNR test is this one, at the scan edge)
     @pytest.mark.parametrize("snr,float_a2,grid,edge_row", [
         (-1.0, REFUSED, REFUSED, REFUSED),
-        (0.0, REFUSED, REFUSED, RuntimeWarning),
+        (0.0, REFUSED, REFUSED, REFUSED),
         (math.nextafter(TINY, 0.0), REFUSED, REFUSED, REFUSED),
         (TINY, OK, REFUSED, REFUSED),
         (1.0, OK, REFUSED, OK),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from noncoh import verify
+from noncoh import mi, verify
 from noncoh.channel import (
     ChannelParams,
     TwoPointInput,
@@ -178,6 +178,16 @@ class TestSnr:
         assert snr_from_db(0.0) == 1.0
         assert snr_from_db(10.0) == pytest.approx(10.0)
         assert snr_to_db(100.0) == pytest.approx(20.0)
+
+    def test_from_db_refuses_an_snr_that_underflows(self):
+        # as snr_to_db refuses 0; the last subnormal is still returned, and
+        # the capacity-mode range check refuses it later
+        for db in (-math.inf, -3237.0, -3300.0):
+            with pytest.raises(DomainError, match=rf"^SNR of {db} dB is zero in linear units$"):
+                snr_from_db(db)
+        assert snr_from_db(-3236.0) == 5e-324
+        with pytest.raises(DomainError, match=r"^SNR 4.94066e-324 is out of range: "):
+            mi._check_snr(0.5, snr_from_db(-3236.0))
 
     @pytest.mark.parametrize("snr", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_to_db_refuses_non_finite_and_non_positive(self, snr):

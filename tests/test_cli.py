@@ -397,6 +397,22 @@ def test_invalid_values_exit_2(argv, tmp_path, capsys):
         assert ("1e+07 points" if "1e-7" in argv else "--points 1000000000") in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["deriv", "--a2", "0.3", "--snr-db", "-3300"],
+    ["deriv", "--a2", "0.3", "--snr-db", "-inf"],
+    ["profile", "--snr-db", "-3300", "--points", "3"],
+    ["sweep", "--from-db", "-3300", "--to-db", "-3300", "--step-db", "1"],
+], ids=["deriv", "deriv-minus-inf", "profile", "sweep"])
+def test_an_snr_that_underflows_is_named_in_db(argv, tmp_path, capsys):
+    # a dB value whose linear SNR underflows to 0 is refused where it is
+    # converted, in the user's terms, with one message for every command
+    if argv[0] == "sweep":
+        argv = [*argv, "--out", str(tmp_path / "s.csv")]
+    rc = main(argv)
+    db = float(argv[4 if argv[0] == "deriv" else 2])
+    assert (rc, capsys.readouterr().err) == (2, f"error: SNR of {db} dB is zero in linear units\n")
+
+
 _MC = ["--samples", "1000", "--seed", "1"]
 
 
