@@ -74,6 +74,16 @@ def _emit(args, results: dict, lines: list[str], diagnostics: dict | None = None
     return EXIT_INCONSISTENT
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write text to the --out path; a path that cannot be written (a missing
+    directory, a directory) is an invalid argument, which exits 2."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write --out {path}: {exc.strerror or exc}") from None
+
+
 def cmd_mi(args) -> int:
     inp = TwoPointInput(a2=args.a2, x2=args.x2)
     ch = ChannelParams(sigma2=args.sigma2)
@@ -156,10 +166,8 @@ def cmd_profile(args) -> int:
     grid = np.linspace(1e-6, 1.0 - 1e-6, args.points)
     pairs = capacity.mi_profile(snr, grid)
     rows = ["a2,i_nats"] + [f"{_fmt(a)},{_fmt(v)}" for a, v in pairs]
-    text = "\n".join(rows) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_out(args.out, "\n".join(rows) + "\n")
         lines = [f"wrote {len(pairs)} rows to {args.out}"]
     else:
         lines = rows
@@ -183,9 +191,7 @@ def cmd_sweep(args) -> int:
             p.roots_found, p.solver_residual)
         for p in points
     ]
-    text = "\n".join(rows) + "\n"
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    _write_out(args.out, "\n".join(rows) + "\n")
     n_failed = sum(1 for p in points if p.regime == "FAILED")
     results = {"rows": len(points), "failed": n_failed, "out": args.out}
     lines = [f"wrote {len(points)} data rows to {args.out}"

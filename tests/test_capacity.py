@@ -97,6 +97,20 @@ class TestSolve:
         with pytest.raises(DomainError, match="sigma2"):
             solve_a2_star(1.0, sigma2=sigma2)
 
+    def test_refuses_more_than_one_axis(self):
+        with pytest.raises(DomainError, match="snr_linear must be a float or a 1-D array"):
+            solve_a2_star(np.ones((2, 2)))
+
+    def test_no_positive_mi_optimum_is_a_failed_row(self, monkeypatch):
+        # with I = 0 at every candidate no point has an optimum: an array
+        # gives FAILED rows with the reason, a float raises SolverFailure
+        monkeypatch.setattr(capacity, "_mi_of_phi", lambda a2, snr, phi: np.zeros(a2.shape))
+        for pt, snr in zip(solve_a2_star(np.array([1.0, 10.0])), (1.0, 10.0), strict=True):
+            assert (pt.regime, pt.roots_found) == ("FAILED", 0)
+            assert pt.diagnostics["failure"] == f"no positive-MI optimum found at snr={snr}"
+        with pytest.raises(SolverFailure, match=r"^no positive-MI optimum found at snr=1\.0$"):
+            solve_a2_star(1.0)
+
     def test_refuses_a_grid_past_the_cap(self, monkeypatch):
         monkeypatch.setattr(capacity, "_phi_deriv", None)  # no kernel call is made
         with pytest.raises(DomainError, match=f"has {capacity.MAX_GRID_POINTS + 1} points, "

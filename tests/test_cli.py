@@ -413,6 +413,22 @@ def test_an_snr_that_underflows_is_named_in_db(argv, tmp_path, capsys):
     assert (rc, capsys.readouterr().err) == (2, f"error: SNR of {db} dB is zero in linear units\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--from-db", "0", "--to-db", "1", "--step-db", "1"],
+    ["profile", "--snr-db", "0", "--points", "3"],
+], ids=["sweep", "profile"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_an_unwritable_out_exits_2(argv, where, tmp_path, capsys):
+    # a path that cannot be written is an invalid argument, named on one
+    # error line, not a verification failure (1) with a traceback
+    out = str(tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path)
+    rc = main([*argv, "--out", out])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and out in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
 _MC = ["--samples", "1000", "--seed", "1"]
 
 

@@ -334,15 +334,14 @@ class TestLog1pPartialSum:
     @pytest.mark.parametrize("cases", [1000, 200], ids=["full", "quick"])
     def test_array_form_keeps_the_bits_of_one_sum_per_case(self, cases):
         # verify's partial-sum family at its seed-2024 draws (the full pass
-        # and --quick): each case of the array call, and its scalar call,
-        # has the bits of the 1-D sum of its own n terms
+        # and --quick), one array call each for q and n: each case of the
+        # array call, and its scalar call, has the bits of the 1-D sum of
+        # its own n terms
         rng = np.random.default_rng(2024)
-        draws = [(float(rng.uniform(0.0, 1.0)), int(rng.integers(1, 501)))
-                 for _ in range(cases)]
-        got = log1p_series_partial_sum(np.array([d[0] for d in draws]),
-                                       np.array([d[1] for d in draws]))
+        qs, ns = rng.uniform(0.0, 1.0, cases), rng.integers(1, 501, cases)
+        got = log1p_series_partial_sum(qs, ns)
         assert isinstance(got, np.ndarray) and got.shape == (cases,)
-        for (q, n), t in zip(draws, got.tolist()):
+        for q, n, t in zip(qs.tolist(), ns.tolist(), got.tolist()):
             k = np.arange(1, n + 1, dtype=float)
             signs = np.where(np.arange(1, n + 1) % 2 == 1, 1.0, -1.0)
             want = float(np.sum(signs * np.power(q, k) / k))
