@@ -230,12 +230,8 @@ def cmd_verify(args) -> int:
 def cmd_mc(args) -> int:
     inp = TwoPointInput(a2=args.a2, x2=args.x2)
     ch = ChannelParams(sigma2=args.sigma2)
-    if args.samples < 1:  # checked before the one-mass-point answer below
-        raise DomainError(f"--samples must be >= 1 (got {args.samples})")
-    if args.seed < 0:
-        raise DomainError(f"--seed must be >= 0 (got {args.seed})")
-    res = mi.mutual_information(inp, ch)
-    closed = res.nats
+    oracle._check_mc_args(args.samples, args.seed)  # before the one-mass-point answer
+    closed = mi.mutual_information(inp, ch).nats
     if one_mass_point(inp, ch):  # I = 0 exactly, with nothing to estimate
         results = {"estimate_nats": None, "std_error": None,
                    "closed_form_nats": closed, "z_score": None}

@@ -186,7 +186,8 @@ def _phi_args(a2, t):
 
 
 def _check_snr(a2, snr):
-    """DomainError, naming the first refused SNR in broadcast order, where a
+    """DomainError, naming the first refused pair in broadcast order (its
+    SNR first, then its a2, which is the cause where t overflows), where a
     number of I or dI/da2 at t = SNR/a2 leaves the normal float range,
     elementwise over a2 in (0, 1) and the SNR as _phi_deriv takes them: the
     SNR falls below the smallest normal float, or t or u overflows.  With
@@ -200,9 +201,10 @@ def _check_snr(a2, snr):
         t = np.divide(snr, a2)  # as a Python float, t = 0 would raise in 1/t
         fine = (snr >= _TINY) & (np.maximum(t, _phi_args(a2, t)[1]) < np.inf)
     if not fine.all():
-        raise DomainError(f"SNR {np.broadcast_to(snr, fine.shape)[~fine][0]:.6g} is out of "
-                          "range: at x2^2/sigma2 = SNR/a2 a number of 2F1(1,b;b+1;-u) or "
-                          "of dI/da2 leaves the normal float range")
+        bad_a2, bad_snr = (np.broadcast_to(v, fine.shape)[~fine][0] for v in (a2, snr))
+        raise DomainError(f"SNR {bad_snr:.6g} is out of range: at x2^2/sigma2 = SNR/a2 a "
+                          "number of 2F1(1,b;b+1;-u) or of dI/da2 leaves the normal float "
+                          f"range (a2 = {float(bad_a2)!r})")
 
 
 def _phi_deriv(a2, snr):

@@ -247,6 +247,15 @@ def mi_quadrature(inp: TwoPointInput, ch: ChannelParams) -> float:
     return mi_from_j(inp, ch, float(j0), float(j_x2))
 
 
+def _check_mc_args(samples, seed) -> None:
+    """mi_monte_carlo's rule, which the mc command applies to every input:
+    samples >= 1 and seed >= 0, both integers (else DomainError)."""
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise DomainError(f"samples must be an integer >= 1 (got {samples!r})")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0 (got {seed!r})")
+
+
 def mi_monte_carlo(
     inp: TwoPointInput,
     ch: ChannelParams,
@@ -267,10 +276,7 @@ def mi_monte_carlo(
     is divided by c = t/(1+t) before it is summed and squared, so that its
     square cannot underflow.  Returns (estimate, standard error).
     """
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise DomainError(f"samples must be an integer >= 1 (got {samples!r})")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"seed must be an integer >= 0 (got {seed!r})")
+    _check_mc_args(samples, seed)
     if one_mass_point(inp, ch):
         raise DegenerateInput("Monte-Carlo estimator needs two mass points")
     t = inp.x2**2 / ch.sigma2

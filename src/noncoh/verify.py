@@ -14,7 +14,6 @@ import numpy as np
 
 from . import mi, oracle, reference, specfun
 from .channel import ChannelParams, TwoPointInput, derive_params
-from .errors import CaseMismatch, NearSingularAlpha
 
 # I against quadrature (absolute), dI/da2 against differences (relative)
 MI_TOLERANCE = 1e-7
@@ -176,13 +175,11 @@ def check_scale_invariance(configs: int = 20) -> CheckResult:
     (s x2, s^2 sigma^2), which takes x2 and sigma^2 as they come (see
     _mi_case3).  The value path computes in x2^2/sigma^2 alone, so comparing
     it with itself under the rescaling could not see an error there."""
-    rng = np.random.default_rng(5)
+    draws = np.random.default_rng(5).uniform((0.02, -1.0, -0.5, -2.0), (0.98, 1.3, 0.5, 2.0),
+                                             (configs, 4))
     residuals = []
-    for _ in range(configs):
-        a2 = float(rng.uniform(0.02, 0.98))
-        x2 = float(10 ** rng.uniform(-1.0, 1.3))
-        s2 = float(10 ** rng.uniform(-0.5, 0.5))
-        c = float(10 ** rng.uniform(-2.0, 2.0))
+    for a2, log_x2, log_s2, log_c in draws.tolist():
+        x2, s2, c = 10**log_x2, 10**log_s2, 10**log_c
         base = mi.mutual_information(TwoPointInput(a2, x2), ChannelParams(s2)).nats
         scaled = _mi_case3(TwoPointInput(a2, x2 * math.sqrt(c)), ChannelParams(s2 * c))
         residuals.append(abs(base - scaled))
@@ -191,21 +188,16 @@ def check_scale_invariance(configs: int = 20) -> CheckResult:
 
 def check_route_consistency(points: int = 40) -> CheckResult:
     """The beta<1 and beta>=1 closed forms agree for every beta > 0 away
-    from the alpha = 1/n bands (numerical witness of the continuation)."""
-    rng = np.random.default_rng(11)
+    from the alpha = 1/n bands (numerical witness of the continuation), at
+    both x of ceil(points / 2) draws.  The bands belong to reference._guard:
+    a draw on one raises from j_case2, and run_checks fails the family."""
+    draws = np.random.default_rng(11).uniform((0.05, -0.6, -0.4), (0.95, 1.2, 0.4),
+                                              (-(-points // 2), 3))
     residuals = []
-    while len(residuals) < points:
-        a2 = float(rng.uniform(0.05, 0.95))
-        x2 = float(10 ** rng.uniform(-0.6, 1.2))
-        s2 = float(10 ** rng.uniform(-0.4, 0.4))
-        ch = ChannelParams(sigma2=s2)
-        inp = TwoPointInput(a2=a2, x2=x2)
-        for x in (0.0, x2):
-            try:
-                v2 = reference.j_case2(x, inp, ch)
-            except (NearSingularAlpha, CaseMismatch):
-                continue
-            residuals.append(abs(v2 - reference.j_case3(x, inp, ch)))
+    for a2, log_x2, log_s2 in draws.tolist():
+        inp, ch = TwoPointInput(a2, 10**log_x2), ChannelParams(10**log_s2)
+        residuals += [abs(reference.j_case2(x, inp, ch) - reference.j_case3(x, inp, ch))
+                      for x in (0.0, inp.x2)]
     return CheckResult.of("route consistency (both closed forms)", residuals, 1e-8,
                           f"({len(residuals)} evaluations)")
 

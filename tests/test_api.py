@@ -105,6 +105,22 @@ def test_the_snr_range_check_has_one_owner():
     assert sorted(_callers("_check_snr")) == ["capacity._scan", "mi._mi_deriv"]
 
 
+def test_the_alpha_bands_have_one_owner():
+    # reference._guard alone refuses alpha at and near 1/n, for the three
+    # forms that hold pi/sin(pi/alpha); verify lets a band's error fail its
+    # family rather than step around the band
+    assert sorted(_callers("_guard")) == [
+        "reference.continuation_residual", "reference.hyp3f2_sin_identity_residual",
+        "reference.j_case2"]
+    band_errors = {"NearSingularAlpha", "CaseMismatch"}
+    for path in sorted(pathlib.Path(noncoh.__file__).parent.glob("*.py")):
+        if path.stem in ("errors", "reference"):
+            continue
+        named = {getattr(node, attr) for node in ast.walk(ast.parse(path.read_text()))
+                 for attr in ("id", "attr", "name") if isinstance(getattr(node, attr, None), str)}
+        assert not band_errors & named, path.stem
+
+
 def test_solver_failure_has_one_raise_site():
     # SolverFailure means only "no optimum": a float solve whose point is
     # FAILED; refused input is a DomainError

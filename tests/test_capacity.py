@@ -762,6 +762,15 @@ class TestCheckSnrOwner:
         with pytest.raises(DomainError, match=r"^SNR 1 is out of range: "):
             mi._check_snr(np.array([0.5, 1e-300]), np.array([1e-10, 1.0]))
 
+    def test_names_the_a2_that_overflows_t(self, capsys):
+        # SNRs of 0 dB and 100 dB are in range: the a2 that takes
+        # t = SNR/a2 past the float range is named with them
+        with pytest.raises(DomainError, match=r"^SNR 1e\+10 is out of range: .*\(a2 = 1e-300\)$"):
+            mi_profile(1e10, [1e-300, 0.5])
+        assert cli.main(["deriv", "--a2", "1e-320", "--snr-db", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: SNR 1 is out of range: ") and err.endswith("(a2 = 1e-320)\n")
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_every_entry_names_a_subnormal_snr(self):
         snr = 1e-320

@@ -556,6 +556,12 @@ class TestSinIdentity:
         # pi/sin(pi/2) = pi
         assert pi_csc_recip(2.0) == pytest.approx(math.pi, rel=1e-15)
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.25])
+    def test_reference_refuses_a_pole(self, alpha):
+        # at alpha = 1/n the reduced argument is exactly 0
+        with pytest.raises(DomainError, match=rf"^sin\(pi/alpha\) vanishes at alpha={alpha}$"):
+            pi_csc_recip(alpha)
+
     @pytest.mark.parametrize("alpha", [0.3, 1.4, 3.7, 8.9])
     def test_more_alphas(self, alpha):
         assert abs(hyp3f2_sin_identity_residual(alpha)) <= 1e-8

@@ -145,6 +145,11 @@ class TestBatchedRule:
         with pytest.raises(DegenerateInput, match="element 1"):
             j_quadrature([0.0, 0.0], inps, ChannelParams(1.0))
 
+    @pytest.mark.parametrize("a2", [0.0, 1.0])
+    def test_direct_rule_refuses_one_mass_point(self, a2):
+        with pytest.raises(DegenerateInput, match=r"needs a nondegenerate input \(element 0\)$"):
+            j_quadrature_direct(0.0, TwoPointInput(a2, 1.0), ChannelParams(1.0))
+
     def test_tolerance_not_met_names_the_element(self, monkeypatch):
         # 16 panels certify J(0) at x2 = 2 and the one-mass-point J, but not
         # J(x2) across the boundary layer at x2/sigma = 1e3

@@ -64,6 +64,11 @@ class TestHypPfq:
         with pytest.raises(DivergenceError):
             hyp_pfq([1.0, 1.0], [2.0], 1.0)
 
+    def test_divergence_at_minus_one(self):
+        # sum(denom) - sum(numer) = -3 <= -1 diverges at z = -1
+        with pytest.raises(DivergenceError, match=r"^series diverges at z = -1 "):
+            hyp_pfq([2.0, 2.0], [1.0], -1.0)
+
     @pytest.mark.parametrize("numer,denom,z", [
         ([1.0, 1.0], [2.0], math.nan), ([1.0, 1.0], [2.0], math.inf),
         ([1.0, 1.0], [2.0], -math.inf), ([math.nan, 1.0], [2.0], 0.5),
