@@ -11,6 +11,7 @@ import math
 import sys
 
 from noncoh import SweepConfig, solve_a2_star, sweep
+from noncoh.cli import main
 
 print(__doc__)
 
@@ -34,16 +35,7 @@ for snr in (1e4, 1e6):
           f"log2 - I* = {math.log(2) - pt.i_star_nats:.2e} nats")
 
 if len(sys.argv) > 1:
-    out = sys.argv[1]
-    header = ("snr_db,snr_linear,a2_star,x2_star,i_star_nats,regime,"
-              "roots_found,solver_residual")
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for p in points:
-            fh.write(f"{p.snr_db:.17g},{p.snr_linear:.17g},{p.a2_star:.17g},"
-                     f"{p.x2_star:.17g},{p.i_star_nats:.17g},{p.regime},"
-                     f"{p.roots_found},{p.solver_residual:.17g}\n")
-    print(f"\nwrote {len(points)} rows to {out}")
-else:
-    print("\n(pass a path to also write the sweep as CSV, or use: "
-          "noncoh sweep --from-db -10 --to-db 30 --step-db 1 --out fig.csv)")
+    sys.exit(main(["sweep", "--from-db", "-10", "--to-db", "30", "--step-db", "2",
+                   "--out", sys.argv[1]]))
+print("\n(pass a path to also write the sweep as CSV through noncoh sweep, or use: "
+      "noncoh sweep --from-db -10 --to-db 30 --step-db 2 --out fig.csv)")

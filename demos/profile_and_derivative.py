@@ -18,13 +18,14 @@ from noncoh import (
     mi_derivative_a2,
     mi_profile,
     mutual_information,
+    snr_from_db,
     solve_a2_star,
 )
 
 print(__doc__)
 
 for snr_db in (-5.0, 5.0):
-    snr = 10.0 ** (snr_db / 10.0)
+    snr = snr_from_db(snr_db)
     grid = np.linspace(0.02, 0.98, 13)
     pairs = mi_profile(snr, grid)
     peak = solve_a2_star(snr)

@@ -125,23 +125,20 @@ def fd_mi_derivative(inp: TwoPointInput, ch: ChannelParams) -> tuple[float, floa
 
 
 def check_derivative(points: int = 50) -> CheckResult:
-    """Analytic dI/da2 against fd_mi_derivative's differences, relative; the
-    capacity-mode values come from one mi._mi_deriv call, after
-    mi_derivative_a2's range check, with the bits of one call each (a row's
-    sums do not depend on its block)."""
-    rng = np.random.default_rng(99)
+    """Analytic dI/da2 against fd_mi_derivative's differences, relative, at
+    the cases of one draw with columns a2, log10 SNR, a coin and log10 x2: a
+    coin below 0.3 holds x2 fixed, any other ties x2^2 = SNR/a2.  The tied
+    values come from one mi._mi_deriv call, which runs mi._check_snr itself,
+    with the bits of one call each (a row's sums do not depend on its block)."""
+    draws = np.random.default_rng(99).uniform((0.05, -1.0, 0.0, -0.5), (0.95, 3.0, 1.0, 1.0),
+                                              (points, 4))
     residuals, tied = [], []
-    for _ in range(points):
-        a2 = float(rng.uniform(0.05, 0.95))
-        snr = float(10 ** rng.uniform(-1.0, 3.0))
-        if rng.random() < 0.3:
-            inp = TwoPointInput(a2, float(10 ** rng.uniform(-0.5, 1.0)))
-            ch = ChannelParams(sigma2=1.0)
-        else:
-            inp = TwoPointInput(a2, math.sqrt(snr / a2))
-            ch = ChannelParams(sigma2=1.0, power_budget=snr)
+    for a2, log_snr, coin, log_x2 in draws.tolist():
+        snr = 10**log_snr if coin >= 0.3 else None
+        inp = TwoPointInput(a2, 10**log_x2 if snr is None else math.sqrt(snr / a2))
+        ch = ChannelParams(sigma2=1.0, power_budget=snr)
         num, _ = fd_mi_derivative(inp, ch)
-        if ch.power_budget is None:
+        if snr is None:
             residuals.append(abs(mi.mi_derivative_a2(inp, ch) - num) / max(abs(num), 1e-12))
         else:
             tied.append((a2, snr, num))

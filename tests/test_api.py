@@ -105,6 +105,28 @@ def test_the_snr_range_check_has_one_owner():
     assert sorted(_callers("_check_snr")) == ["capacity._scan", "mi._mi_deriv"]
 
 
+def test_the_finite_difference_derivative_has_one_path():
+    # deriv --verify and verify's derivative family difference I on one stencil
+    assert sorted(_callers("fd_mi_derivative")) == ["cli.cmd_deriv", "verify.check_derivative"]
+
+
+def _is_rng(node) -> bool:
+    """node is a Generator: the name rng, or a default_rng(...) call."""
+    if isinstance(node, ast.Call):
+        return "default_rng" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    return isinstance(node, ast.Name) and node.id == "rng"
+
+
+def test_verify_draws_outside_its_loops():
+    # every family draws its random inputs with array calls before it loops
+    tree = ast.parse((pathlib.Path(noncoh.__file__).parent / "verify.py").read_text())
+    in_loops = [node.lineno for loop in ast.walk(tree) if isinstance(loop, (ast.For, ast.While))
+                for stmt in loop.body + loop.orelse for node in ast.walk(stmt)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and _is_rng(node.func.value)]
+    assert in_loops == []
+
+
 def test_the_alpha_bands_have_one_owner():
     # reference._guard alone refuses alpha at and near 1/n, for the three
     # forms that hold pi/sin(pi/alpha); verify lets a band's error fail its

@@ -40,3 +40,13 @@ def test_demo_exits_0(demo):
 def test_readme_python_block_exits_0(block):
     res = _run(["-c", block])
     assert res.returncode == 0, res.stderr
+
+
+def test_capacity_sweep_csv_is_noncoh_sweeps(tmp_path):
+    # the demo writes its CSV through noncoh sweep on its own grid
+    flags = ["--from-db", "-10", "--to-db", "30", "--step-db", "2"]
+    demo, cli = tmp_path / "demo.csv", tmp_path / "cli.csv"
+    for res in (_run([str(ROOT / "demos" / "capacity_sweep.py"), str(demo)]),
+                _run(["-m", "noncoh.cli", "sweep", *flags, "--out", str(cli)])):
+        assert res.returncode == 0, res.stderr
+    assert demo.read_bytes() == cli.read_bytes()

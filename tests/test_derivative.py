@@ -150,22 +150,25 @@ class TestRandomGrid:
         assert res.worst <= 1e-5
 
     @staticmethod
-    def _scalar_check_derivative(points=50, seed=99):
+    def _draw(points):
+        """The family's cases: one seed-99 draw of a2, log10 SNR, a coin and
+        log10 x2 per row, a coin below 0.3 holding x2 fixed."""
+        return np.random.default_rng(99).uniform((0.05, -1.0, 0.0, -0.5),
+                                                 (0.95, 3.0, 1.0, 1.0), (points, 4)).tolist()
+
+    @classmethod
+    def _scalar_check_derivative(cls, points=50):
         """verify's derivative family as one mi_derivative_a2 call per
         point, its form before the capacity-mode values were batched."""
         from noncoh import verify
 
-        rng = np.random.default_rng(seed)
         worst = 0.0
-        for _ in range(points):
-            a2 = float(rng.uniform(0.05, 0.95))
-            snr = float(10 ** rng.uniform(-1.0, 3.0))
-            if rng.random() < 0.3:
-                inp = TwoPointInput(a2, float(10 ** rng.uniform(-0.5, 1.0)))
-                ch = ChannelParams(sigma2=1.0)
+        for a2, log_snr, coin, log_x2 in cls._draw(points):
+            snr = 10**log_snr
+            if coin < 0.3:
+                inp, ch = TwoPointInput(a2, 10**log_x2), ChannelParams(sigma2=1.0)
             else:
-                inp = TwoPointInput(a2, math.sqrt(snr / a2))
-                ch = ChannelParams(sigma2=1.0, power_budget=snr)
+                inp, ch = TwoPointInput(a2, math.sqrt(snr / a2)), ChannelParams(1.0, snr)
             num, _ = verify.fd_mi_derivative(inp, ch)
             worst = max(worst, abs(mi_derivative_a2(inp, ch) - num) / max(abs(num), 1e-12))
         tol = verify.DERIV_TOLERANCE
@@ -182,16 +185,8 @@ class TestRandomGrid:
     def test_batch_rows_keep_their_scalar_bits(self):
         # the capacity-mode points of the family's seed-99 draw, in one
         # _mi_deriv call in draw order and sorted, against one call each
-        rng = np.random.default_rng(99)
-        tied = []
-        for _ in range(50):
-            a2 = float(rng.uniform(0.05, 0.95))
-            snr = float(10 ** rng.uniform(-1.0, 3.0))
-            if rng.random() < 0.3:
-                rng.uniform(-0.5, 1.0)
-            else:
-                tied.append((a2, snr))
-        assert len(tied) == 36
+        tied = [(a2, 10**log_snr) for a2, log_snr, coin, _ in self._draw(50) if coin >= 0.3]
+        assert len(tied) == 32
         want = [mi_derivative_a2(TwoPointInput(a2, math.sqrt(snr / a2)),
                                  ChannelParams(sigma2=1.0, power_budget=snr))
                 for a2, snr in tied]
@@ -199,6 +194,22 @@ class TestRandomGrid:
             a2s, snrs = np.array(order).T
             got = dict(zip(order, mi._mi_deriv(a2s, snrs)[1].tolist()))
             assert [repr(got[p]) for p in tied] == [repr(w) for w in want]
+
+    @pytest.mark.parametrize("points, least", [(50, 10), (8, 2)], ids=["full", "quick"])
+    def test_each_pass_draws_both_modes(self, monkeypatch, points, least):
+        # the modes of the cases the family differences, read from its calls
+        from noncoh import verify
+
+        modes, fd = [], verify.fd_mi_derivative
+
+        def recorded(inp, ch):
+            modes.append(ch.power_budget is None)
+            return fd(inp, ch)
+
+        monkeypatch.setattr(verify, "fd_mi_derivative", recorded)
+        verify.check_derivative(points=points)
+        assert len(modes) == points
+        assert min(modes.count(True), modes.count(False)) >= least
 
 
 class TestFdDerivative:
